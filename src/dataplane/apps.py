@@ -9,27 +9,22 @@ collected in an AppBundle so a switch can be instantiated in one call.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .engines import L1Node, McConfig, PktGenConfig, PktGenState, QacMinimal
 from .headers import (
-    ETHERNET, INTRINSIC_META, IPV4, PORT_META, SAMPLE_HEADER, SAMPLE_MARKER,
-    TCP, UDP, IP_PROTO_TCP, IP_PROTO_UDP,
-    build_packet, make_ethernet, make_intrinsic_meta, make_ipv4, make_sample,
+    SAMPLE_MARKER, SAMPLED_FORMAT, STANDARD_FORMAT, build_packet, deparse_slots,
+    make_ethernet, make_intrinsic_meta, make_ipv4, make_sample,
 )
-from .packet_format import (
-    EMPTY_BITS, BitString, ExtractStatus, TypedValue, encode, extract,
-)
+from .packet_format import BitString, Format, TypedValue, match_bindings
 from .pipeline import Components, EgressIndication, MirrorId, ParsedData, TmMeta
 
 # ethertype of the generator keepalive template; disjoint from the
 # sample marker and from anything a host would send in these tests
 KEEPALIVE_ETHERTYPE = 0x9A9A
-
-# wire order of header slots when a pipeline reassembles a packet
-SLOT_ORDER = ("sample", "meta", "port_md", "ethernet", "ipv4", "tcp", "udp")
 
 
 @dataclass(frozen=True)
@@ -57,54 +52,29 @@ def switch_config(bundle: AppBundle):
 
 
 # ---------------------------------------------------------------------------
-# shared parsing and deparsing
+# stock parsers, derived from the declared formats in headers
+
+
+def _parse(fmt: Format, p: BitString) -> Optional[ParsedData]:
+    slots = match_bindings(p, fmt)
+    if slots is None:
+        return None
+    payload = slots.pop("payload")
+    return ParsedData(slots, payload)
 
 
 def parse_standard(p: BitString) -> Optional[ParsedData]:
-    """Split a wire packet along the standard layout.
+    """Split a wire packet along STANDARD_FORMAT.
 
     Returns None when the input is too short for the headers its own
     protocol field promises; trailing bits become the payload.
     """
-    slots: dict[str, TypedValue] = {}
-    rest = p
-    for name, htype in (("meta", INTRINSIC_META), ("port_md", PORT_META),
-                        ("ethernet", ETHERNET), ("ipv4", IPV4)):
-        v, status, rest = extract(htype, rest)
-        if status is ExtractStatus.FAILURE:
-            return None
-        slots[name] = v
-    proto = slots["ipv4"]["protocol"]
-    if proto == IP_PROTO_TCP:
-        v, status, rest = extract(TCP, rest)
-        if status is ExtractStatus.FAILURE:
-            return None
-        slots["tcp"] = v
-    elif proto == IP_PROTO_UDP:
-        v, status, rest = extract(UDP, rest)
-        if status is ExtractStatus.FAILURE:
-            return None
-        slots["udp"] = v
-    return ParsedData(slots, rest)
+    return _parse(STANDARD_FORMAT, p)
 
 
 def parse_sampled(p: BitString) -> Optional[ParsedData]:
-    """Like parse_standard but expecting a sample record up front."""
-    v, status, rest = extract(SAMPLE_HEADER, p)
-    if status is ExtractStatus.FAILURE:
-        return None
-    inner = parse_standard(rest)
-    if inner is None:
-        return None
-    return ParsedData({"sample": v, **inner.slots}, inner.payload)
-
-
-def deparse_slots(slots: dict[str, TypedValue]) -> BitString:
-    out = EMPTY_BITS
-    for name in SLOT_ORDER:
-        if name in slots:
-            out = out + encode(slots[name])
-    return out
+    """Like parse_standard, along SAMPLED_FORMAT: a sample record up front."""
+    return _parse(SAMPLED_FORMAT, p)
 
 
 def _tm(*, ucast: Optional[int] = None, mcast_a: int = 0,
@@ -115,6 +85,50 @@ def _tm(*, ucast: Optional[int] = None, mcast_a: int = 0,
 
 
 # ---------------------------------------------------------------------------
+# app skeleton: the pass-through components the apps share.  They call
+# parse_standard and deparse_slots through this module's globals.
+
+
+def _in_parser(p, s):
+    return parse_standard(p), s
+
+
+def _e_parser(d, s):
+    em, p = d
+    return parse_standard(p), s
+
+
+def _e_control(d, s):
+    em, slots = d
+    return slots, s
+
+
+def _deparser(slots, s):
+    return (EgressIndication(), deparse_slots(slots)), s
+
+
+def _unicast_to(port: int) -> Callable:
+    """Ingress control that sends every packet out of one port."""
+    def in_control(d, s):
+        t, in_port, slots = d
+        return (_tm(ucast=port), MirrorId(), slots), s
+    return in_control
+
+
+def _bundle(name: str, in_control: Callable, *, e_parser: Callable = _e_parser,
+            e_control: Callable = _e_control, mc: Optional[McConfig] = None,
+            pktgen: Optional[PktGenConfig] = None, qac=None,
+            init_ingress=(None, None, None)) -> AppBundle:
+    """An app on the shared skeleton; engines left as None get defaults."""
+    comps = Components(_in_parser, in_control, _deparser, e_parser, e_control, _deparser)
+    return AppBundle(name=name, components=comps,
+                     mc=mc if mc is not None else McConfig(),
+                     pktgen=pktgen if pktgen is not None else PktGenConfig(),
+                     qac=qac if qac is not None else QacMinimal(),
+                     init_ingress=init_ingress, init_egress=(None, None, None))
+
+
+# ---------------------------------------------------------------------------
 # identity forwarder
 
 
@@ -122,35 +136,7 @@ def identity_app(forward_port: int = 1, *, mc: Optional[McConfig] = None,
                  pktgen: Optional[PktGenConfig] = None,
                  qac=None) -> AppBundle:
     """Sends every parseable packet, unchanged, out one port."""
-
-    def in_parser(p, s):
-        return parse_standard(p), s
-
-    def in_control(d, s):
-        t, in_port, slots = d
-        return (_tm(ucast=forward_port), MirrorId(), slots), s
-
-    def in_deparser(slots, s):
-        return (EgressIndication(), deparse_slots(slots)), s
-
-    def e_parser(d, s):
-        em, p = d
-        return parse_standard(p), s
-
-    def e_control(d, s):
-        em, slots = d
-        return slots, s
-
-    def e_deparser(slots, s):
-        return (EgressIndication(), deparse_slots(slots)), s
-
-    comps = Components(in_parser, in_control, in_deparser,
-                       e_parser, e_control, e_deparser)
-    return AppBundle(name="identity", components=comps,
-                     mc=mc if mc is not None else McConfig(),
-                     pktgen=pktgen if pktgen is not None else PktGenConfig(),
-                     qac=qac if qac is not None else QacMinimal(),
-                     init_ingress=(None, None, None), init_egress=(None, None, None))
+    return _bundle("identity", _unicast_to(forward_port), mc=mc, pktgen=pktgen, qac=qac)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +171,6 @@ def sampler_app(cfg: SamplerConfig = SamplerConfig(), *,
     forward port with the original bytes restored on egress.  All
     other packets are plain unicast forwards."""
 
-    def in_parser(p, s):
-        return parse_standard(p), s
-
     def in_control(d, s):
         t, in_port, slots = d
         c2 = (s.counter + 1) % (1 << 32)
@@ -205,9 +188,6 @@ def sampler_app(cfg: SamplerConfig = SamplerConfig(), *,
             out = (_tm(ucast=cfg.forward_port), MirrorId(), slots)
         return out, SamplerState(c2)
 
-    def in_deparser(slots, s):
-        return (EgressIndication(), deparse_slots(slots)), s
-
     def e_parser(d, s):
         em, p = d
         # sampled copies lead with the marker; ordinary packets lead
@@ -224,22 +204,14 @@ def sampler_app(cfg: SamplerConfig = SamplerConfig(), *,
             return {"sample": slots["sample"]}, s
         return {k: v for k, v in slots.items() if k != "sample"}, s
 
-    def e_deparser(slots, s):
-        return (EgressIndication(), deparse_slots(slots)), s
-
     # forward node first: FIFO drains then emit the restored original
     # before the monitor record, which is the order the relation expects
     mc = McConfig(groups={cfg.monitor_group: (
         L1Node(dev_port_list=(cfg.forward_port,), rid=cfg.forward_rid),
         L1Node(dev_port_list=(cfg.monitor_port,), rid=cfg.monitor_rid),
     )})
-    comps = Components(in_parser, in_control, in_deparser,
-                       e_parser, e_control, e_deparser)
-    return AppBundle(name="sampler", components=comps, mc=mc,
-                     pktgen=pktgen if pktgen is not None else PktGenConfig(),
-                     qac=qac if qac is not None else QacMinimal(),
-                     init_ingress=(None, SamplerState(), None),
-                     init_egress=(None, None, None))
+    return _bundle("sampler", in_control, e_parser=e_parser, e_control=e_control,
+                   mc=mc, pktgen=pktgen, qac=qac, init_ingress=(None, SamplerState(), None))
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +347,6 @@ def firewall_app(cfg: FirewallConfig = FirewallConfig(), *, qac=None) -> AppBund
         union = s.pane0 | s.pane1
         return all(union >> pos & 1 for pos in positions(key))
 
-    def in_parser(p, s):
-        return parse_standard(p), s
-
     def in_control(d, s):
         t, in_port, slots = d
         s = maintain(t, s)
@@ -393,39 +362,42 @@ def firewall_app(cfg: FirewallConfig = FirewallConfig(), *, qac=None) -> AppBund
             s = insert(s, key)
         return (_tm(ucast=cfg.outside_port), MirrorId(), slots), s
 
-    def in_deparser(slots, s):
-        return (EgressIndication(), deparse_slots(slots)), s
-
-    def e_parser(d, s):
-        em, p = d
-        return parse_standard(p), s
-
-    def e_control(d, s):
-        em, slots = d
-        return slots, s
-
-    def e_deparser(slots, s):
-        return (EgressIndication(), deparse_slots(slots)), s
-
     pktgen = PktGenConfig(enabled=True, period=cfg.keepalive_period,
                           template=keepalive_template(cfg))
-    comps = Components(in_parser, in_control, in_deparser,
-                       e_parser, e_control, e_deparser)
-    return AppBundle(name="firewall", components=comps, mc=McConfig(),
-                     pktgen=pktgen,
-                     qac=qac if qac is not None else QacMinimal(),
-                     init_ingress=(None, FirewallState(), None),
-                     init_egress=(None, None, None))
+    return _bundle("firewall", in_control, pktgen=pktgen, qac=qac,
+                   init_ingress=(None, FirewallState(), None))
 
 
 # ---------------------------------------------------------------------------
 # config-file entry point
 
 
+def config_fields(cls, obj: dict) -> dict[str, int]:
+    """The fields of config dataclass cls that obj sets, as ints."""
+    return {f.name: int(obj[f.name]) for f in dataclasses.fields(cls) if f.name in obj}
+
+
+# top-level config keys each app reads, besides "app"
+APP_KEYS = {
+    "identity": ("forward_port", "mc", "pktgen", "qac"),
+    "sampler": (*(f.name for f in dataclasses.fields(SamplerConfig)), "pktgen", "qac"),
+    "firewall": (*(f.name for f in dataclasses.fields(FirewallConfig)), "qac"),
+}
+
+
 def app_from_config(obj: dict) -> AppBundle:
-    """Build a bundle from a JSON-ish config mapping (see the CLI)."""
+    """Build a bundle from a JSON-ish config mapping (see the CLI).
+    Raises ValueError on an unknown app or on a key the app does not
+    read."""
     from .engines import qac_policy_from_json
+    if not isinstance(obj, dict):
+        raise ValueError("config must be a JSON object")
     kind = obj.get("app", "identity")
+    if not isinstance(kind, str) or kind not in APP_KEYS:
+        raise ValueError(f"unknown app {kind!r}")
+    unknown = sorted(set(obj) - {"app", *APP_KEYS[kind]})
+    if unknown:
+        raise ValueError(f"{kind} config: unknown keys {unknown}")
     qac = qac_policy_from_json(obj["qac"]) if "qac" in obj else None
     pktgen = PktGenConfig.from_json(obj["pktgen"]) if "pktgen" in obj else None
     if kind == "identity":
@@ -433,13 +405,6 @@ def app_from_config(obj: dict) -> AppBundle:
         return identity_app(forward_port=int(obj.get("forward_port", 1)),
                             mc=mc, pktgen=pktgen, qac=qac)
     if kind == "sampler":
-        known = ("forward_port", "monitor_port", "monitor_group",
-                 "sample_every", "forward_rid", "monitor_rid")
-        cfg = SamplerConfig(**{k: int(obj[k]) for k in known if k in obj})
-        return sampler_app(cfg, pktgen=pktgen, qac=qac)
-    if kind == "firewall":
-        known = ("inside_port", "outside_port", "window", "bits",
-                 "hash_count", "hash_seed", "keepalive_period")
-        cfg = FirewallConfig(**{k: int(obj[k]) for k in known if k in obj})
-        return firewall_app(cfg, qac=qac)
-    raise ValueError(f"unknown app {kind!r}")
+        return sampler_app(SamplerConfig(**config_fields(SamplerConfig, obj)),
+                           pktgen=pktgen, qac=qac)
+    return firewall_app(FirewallConfig(**config_fields(FirewallConfig, obj)), qac=qac)

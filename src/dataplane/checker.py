@@ -229,17 +229,6 @@ def _is_subsequence(sub: Sequence, seq: Sequence) -> bool:
     return all(any(x == y for y in it) for x in sub)
 
 
-def _is_subsequence_dp(sub: Sequence, seq: Sequence) -> bool:
-    """Reachability-table equivalent of _is_subsequence; quadratic.
-    Kept as an independent cross-check of the greedy scan."""
-    reach = [True] + [False] * len(sub)
-    for y in seq:
-        for i in range(len(sub), 0, -1):
-            if reach[i - 1] and sub[i - 1] == y:
-                reach[i] = True
-    return reach[len(sub)]
-
-
 def _subsequence_mask(sub: Sequence, seq: Sequence) -> tuple[bool, ...]:
     """Greedy left-to-right embedding of sub into seq as a mask over seq.
     Greedy is enough here: elements are compared by equality, so taking
@@ -338,7 +327,8 @@ def sampler_spec_check(n: int, inputs: Sequence[BitString],
     against that expected sequence; admission drops and in-flight
     packets only shorten it.  Greedy alignment is exact here because
     distinct expected entries are distinguishable (payload identity and
-    the monotone sample count); _sampler_check_dp corroborates it.
+    the monotone sample count); the tests corroborate it against a
+    quadratic reachability table.
     With require_complete the alignment must also be onto.
     """
     if scfg is None:
@@ -360,19 +350,6 @@ def sampler_spec_check(n: int, inputs: Sequence[BitString],
         return Verdict(False, "sampler.incomplete",
                        f"{len(outputs)} outputs for {len(expected)} expected")
     return OK
-
-
-def _sampler_check_dp(n: int, inputs: Sequence[BitString],
-                      outputs: Sequence[tuple], scfg) -> bool:
-    """Reachability-table fallback for adversarial equal-packet
-    streams; quadratic, no clause attribution."""
-    expected = _expected_entries(n, inputs, scfg)
-    reach = [True] + [False] * len(outputs)
-    for entry in expected:
-        for i in range(len(outputs), 0, -1):
-            if reach[i - 1] and _entry_matches(entry, outputs[i - 1], scfg):
-                reach[i] = True
-    return reach[len(outputs)]
 
 
 def sampler_io(trace: Trace) -> tuple[int, list[BitString], list[tuple]]:

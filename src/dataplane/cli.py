@@ -14,6 +14,7 @@ configuration, 3 the simulated switch hit an engine fault.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -21,19 +22,16 @@ from typing import Optional
 
 from . import checker, switch
 from .apps import (
-    SamplerConfig, app_from_config, initial_switch_state, switch_config,
+    SamplerConfig, app_from_config, config_fields, initial_switch_state,
+    switch_config,
 )
-from .engines import PktGenState
 from .headers import (
-    IP_PROTO_TCP, IP_PROTO_UDP, build_packet, make_intrinsic_meta, make_ipv4,
-    make_tcp, make_udp, sampled_packet_format, standard_packet_format,
+    IP_PROTO_TCP, IP_PROTO_UDP, SAMPLED_FORMAT, STANDARD_FORMAT, build_packet,
+    make_intrinsic_meta, make_ipv4, make_tcp, make_udp,
 )
 from .packet_format import BitString, TypedValue, match_report
 
-FORMATS = {
-    "standard": standard_packet_format,
-    "sampled": sampled_packet_format,
-}
+FORMATS = {"standard": STANDARD_FORMAT, "sampled": SAMPLED_FORMAT}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -130,13 +128,13 @@ def cmd_check(args) -> int:
     step_records = [r for r in records if r.get("type") == "step"]
     fault_records = [r for r in records if r.get("type") == "fault"]
 
-    bundle = app_from_config(_load_config(args.config))
+    config = _load_config(args.config)
+    bundle = app_from_config(config)
     cfg = switch_config(bundle)
     if switch.config_digest(cfg) != header["config_digest"]:
         print("error: config does not match the trace header", file=sys.stderr)
         return 2
-    st = switch.SwitchState(t=header["t0"], s_g=PktGenState(),
-                            s_i=bundle.init_ingress, s_e=bundle.init_egress)
+    st = dataclasses.replace(initial_switch_state(bundle), t=header["t0"])
     if switch.digest(st) != header["state_digest"]:
         print("error: initial state does not match the trace header", file=sys.stderr)
         return 2
@@ -169,10 +167,7 @@ def cmd_check(args) -> int:
     if name == "axioms":
         pass
     elif name == "sampler":
-        raw = _load_config(args.config)
-        known = ("forward_port", "monitor_port", "monitor_group",
-                 "sample_every", "forward_rid", "monitor_rid")
-        fields = {k: int(raw[k]) for k in known if k in raw}
+        fields = config_fields(SamplerConfig, config)
         if param:
             fields["sample_every"] = int(param)
         scfg = SamplerConfig(**fields)
@@ -210,7 +205,7 @@ def cmd_fmt(args) -> int:
         with open(text[1:]) as fh:
             text = fh.read().strip()
     p = BitString.from_hex(text)
-    report = match_report(p, FORMATS[args.format]())
+    report = match_report(p, FORMATS[args.format])
     env = {name: v.as_dict() if isinstance(v, TypedValue) else v.to_json()
            for name, v in report["env"].items()}
     print(json.dumps({**report, "env": env}, sort_keys=True))

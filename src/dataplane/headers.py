@@ -6,13 +6,19 @@ Ethernet, IPv4, then TCP or UDP depending on the IPv4 protocol number,
 then an arbitrary payload.  Sampled copies additionally carry an
 18-byte sample digest in front, recognizable by a sentinel value in
 its first 16 bits.
+
+The declared formats are the single source of this wire layout.
+STANDARD_FORMAT and SAMPLED_FORMAT are built and validated once, at
+import; the stock parsers in apps run the format matcher on them, and
+deparse_slots emits headers in the order SAMPLED_FORMAT binds them.
 """
 
 from __future__ import annotations
 
 from .packet_format import (
-    BitString, Branch, Concat, Empty, ExactPlain, ExactValue, Format,
-    HeaderType, TypedValue, encode, seq,
+    EMPTY_BITS, BitString, Branch, Concat, Empty, ExactPlain, ExactValue,
+    Format, HeaderType, TypedValue, check_well_formed, encode, seq,
+    value_bindings,
 )
 
 ETHERNET = HeaderType("ethernet", (
@@ -86,20 +92,6 @@ def is_udp(ipv4: TypedValue) -> bool:
     return ipv4["protocol"] == IP_PROTO_UDP
 
 
-def _l4_branch() -> Format:
-    return Branch(
-        lambda env: is_tcp(env["ipv4"]),
-        ExactValue("tcp", TCP),
-        Branch(
-            lambda env: is_udp(env["ipv4"]),
-            ExactValue("udp", UDP),
-            Empty(),
-            label="is_udp",
-        ),
-        label="is_tcp",
-    )
-
-
 def standard_packet_format() -> Format:
     """meta ; port_meta ; ethernet ; ipv4 ; (tcp | udp | nothing) ; payload"""
     return seq(
@@ -107,22 +99,43 @@ def standard_packet_format() -> Format:
         ExactValue("port_md", PORT_META),
         ExactValue("ethernet", ETHERNET),
         ExactValue("ipv4", IPV4),
-        _l4_branch(),
+        Branch(
+            lambda env: is_tcp(env["ipv4"]),
+            ExactValue("tcp", TCP),
+            Branch(
+                lambda env: is_udp(env["ipv4"]),
+                ExactValue("udp", UDP),
+                Empty(),
+                label="is_udp",
+            ),
+            label="is_tcp",
+        ),
         ExactPlain("payload"),
     )
 
 
 def sampled_packet_format() -> Format:
-    """Like standard_packet_format with a sample digest prepended."""
-    return seq(
-        ExactValue("sample", SAMPLE_HEADER),
-        ExactValue("meta", INTRINSIC_META),
-        ExactValue("port_md", PORT_META),
-        ExactValue("ethernet", ETHERNET),
-        ExactValue("ipv4", IPV4),
-        _l4_branch(),
-        ExactPlain("payload"),
-    )
+    """sample ; the standard packet format"""
+    return Concat(ExactValue("sample", SAMPLE_HEADER), standard_packet_format())
+
+
+STANDARD_FORMAT = standard_packet_format()
+SAMPLED_FORMAT = sampled_packet_format()
+check_well_formed(STANDARD_FORMAT)
+check_well_formed(SAMPLED_FORMAT)
+
+# every header slot in wire order; "tcp" and "udp" are alternatives, so
+# a parsed packet holds at most one of them
+WIRE_ORDER = value_bindings(SAMPLED_FORMAT)
+
+
+def deparse_slots(slots: dict[str, TypedValue]) -> BitString:
+    """Encode the header slots present, in WIRE_ORDER."""
+    out = EMPTY_BITS
+    for name in WIRE_ORDER:
+        if name in slots:
+            out = out + encode(slots[name])
+    return out
 
 
 # convenience constructors; unspecified fields default to zero
@@ -177,16 +190,16 @@ def build_packet(*, meta: TypedValue | None = None,
                  ipv4: TypedValue | None = None,
                  l4: TypedValue | None = None,
                  payload: BitString = BitString()) -> BitString:
-    """Assemble a full on-the-wire packet in standard layout."""
-    parts = [
-        encode(meta if meta is not None else make_intrinsic_meta()),
-        encode(port_md if port_md is not None else make_port_meta()),
-        encode(ethernet if ethernet is not None else make_ethernet()),
-        encode(ipv4 if ipv4 is not None else make_ipv4()),
-    ]
+    """Assemble a full on-the-wire packet in standard layout; l4 is a
+    TCP or UDP header."""
+    slots = {
+        "meta": meta if meta is not None else make_intrinsic_meta(),
+        "port_md": port_md if port_md is not None else make_port_meta(),
+        "ethernet": ethernet if ethernet is not None else make_ethernet(),
+        "ipv4": ipv4 if ipv4 is not None else make_ipv4(),
+    }
     if l4 is not None:
-        parts.append(encode(l4))
-    out = parts[0]
-    for piece in parts[1:]:
-        out = out + piece
-    return out + payload
+        if l4.htype not in (TCP, UDP):
+            raise ValueError(f"l4 must be a tcp or udp header, not {l4.htype.name}")
+        slots[l4.htype.name] = l4
+    return deparse_slots(slots) + payload

@@ -246,12 +246,18 @@ def extract(htype: HeaderType, p: BitString) -> tuple[Optional[TypedValue], Extr
     total = htype.total_width
     if len(p) < total:
         return None, ExtractStatus.FAILURE, p
-    vals = {}
-    pos = 0
-    for fname, width in htype.fields:
-        vals[fname] = p.slice(pos, width).value
-        pos += width
+    vals = _decode(htype, p.value >> (p.nbits - total))
     return TypedValue(htype, vals), ExtractStatus.SUCCESS, p.drop(total)
+
+
+def _decode(htype: HeaderType, word: int) -> dict[str, int]:
+    """Field values of htype read off the low total_width bits of word,
+    last field first; higher bits of word are ignored."""
+    vals = {}
+    for fname, width in reversed(htype.fields):
+        vals[fname] = word & ((1 << width) - 1)
+        word >>= width
+    return vals
 
 
 def advance(p: BitString, n: int) -> tuple[ExtractStatus, BitString]:
@@ -432,28 +438,48 @@ class MatchFailure(Exception):
         self.reason = reason
 
 
-def _match_prefix(f: Format, p: BitString, pos: int, env: dict) -> int:
+def _match_prefix(f: Format, p: BitString, pos: int, env: Environment) -> int:
+    """Match f against p from bit pos, binding into env; returns the
+    end offset.  Raises MatchFailure.  f is assumed well formed."""
+    while isinstance(f, Concat):
+        pos = _match_prefix(f.left, p, pos, env)
+        f = f.right
+    if isinstance(f, ExactValue):
+        htype = f.htype
+        end = pos + htype.total_width
+        if end > p.nbits:
+            raise MatchFailure(pos, f"need {htype.total_width} bits for {htype.name}, "
+                                    f"have {p.nbits - pos}")
+        env._b[f.name] = TypedValue(htype, _decode(htype, p.value >> (p.nbits - end)))
+        return end
+    if isinstance(f, Branch):
+        return _match_prefix(f.then if f.cond(env) else f.els, p, pos, env)
+    if isinstance(f, ExactPlain):
+        env._b[f.name] = p.drop(pos)
+        return p.nbits
     if isinstance(f, Empty):
         return pos
-    if isinstance(f, ExactValue):
-        width = f.htype.total_width
-        if pos + width > len(p):
-            raise MatchFailure(pos, f"need {width} bits for {f.htype.name}, "
-                                    f"have {len(p) - pos}")
-        v, status, _ = extract(f.htype, p.slice(pos, width))
-        assert status is ExtractStatus.SUCCESS
-        env[f.name] = v
-        return pos + width
-    if isinstance(f, ExactPlain):
-        env[f.name] = p.drop(pos)
-        return len(p)
-    if isinstance(f, Concat):
-        mid = _match_prefix(f.left, p, pos, env)
-        return _match_prefix(f.right, p, mid, env)
-    if isinstance(f, Branch):
-        arm = f.then if f.cond(Environment(env)) else f.els
-        return _match_prefix(arm, p, pos, env)
     raise TypeError(f"not a Format: {f!r}")
+
+
+def _match(p: BitString, f: Format) -> tuple[Environment, Optional[int], str]:
+    """(env, fail_bit, reason) of matching p against f; fail_bit is None
+    on a complete match."""
+    env = Environment()
+    try:
+        end = _match_prefix(f, p, 0, env)
+    except MatchFailure as e:
+        return env, e.offset, e.reason
+    if end != p.nbits:
+        return env, end, f"{p.nbits - end} trailing bits"
+    return env, None, ""
+
+
+def match_bindings(p: BitString, f: Format) -> Optional[dict]:
+    """The bindings of a complete match of p against f, or None.  Unlike
+    matches, f is not validated: it must have passed check_well_formed."""
+    env, fail_bit, _ = _match(p, f)
+    return env._b if fail_bit is None else None
 
 
 def matches(p: BitString, f: Format) -> tuple[bool, Environment]:
@@ -463,31 +489,28 @@ def matches(p: BitString, f: Format) -> tuple[bool, Environment]:
     ExactValue / ExactPlain.  On failure it holds whatever was bound
     before the mismatch, which is occasionally useful for diagnostics.
     """
-    check_well_formed(f)
-    env: dict = {}
-    try:
-        end = _match_prefix(f, p, 0, env)
-    except MatchFailure:
-        return False, Environment(env)
-    if end != len(p):
-        return False, Environment(env)
-    return True, Environment(env)
+    report = match_report(p, f)
+    return report["ok"], report["env"]
 
 
 def match_report(p: BitString, f: Format) -> dict:
     """Like matches, but returns a diagnostic dict for tooling:
     {"ok", "env", "fail_bit", "reason"}."""
     check_well_formed(f)
-    env: dict = {}
-    try:
-        end = _match_prefix(f, p, 0, env)
-    except MatchFailure as e:
-        return {"ok": False, "env": Environment(env), "fail_bit": e.offset,
-                "reason": e.reason}
-    if end != len(p):
-        return {"ok": False, "env": Environment(env), "fail_bit": end,
-                "reason": f"{len(p) - end} trailing bits"}
-    return {"ok": True, "env": Environment(env), "fail_bit": None, "reason": ""}
+    env, fail_bit, reason = _match(p, f)
+    return {"ok": fail_bit is None, "env": env, "fail_bit": fail_bit, "reason": reason}
+
+
+def value_bindings(f: Format) -> tuple[str, ...]:
+    """Names bound by f's ExactValue pieces in wire order, taking the
+    then-arm of every branch before its else-arm."""
+    if isinstance(f, ExactValue):
+        return (f.name,)
+    if isinstance(f, Concat):
+        return value_bindings(f.left) + value_bindings(f.right)
+    if isinstance(f, Branch):
+        return value_bindings(f.then) + value_bindings(f.els)
+    return ()
 
 
 def reconstruct(f: Format, env: Environment) -> BitString:

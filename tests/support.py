@@ -7,6 +7,12 @@ separately:
 
 * ``ref_matches``      - brute-force format matcher that enumerates every
                          split point instead of committing to one.
+* ``ref_parse_standard`` / ``ref_parse_sampled`` - the stock layouts as
+                         hand-coded extract chains, decoding each field
+                         with ``BitString.slice``.
+* ``ref_is_subsequence`` / ``ref_sampler_check`` - quadratic
+                         reachability tables for the checker's greedy
+                         scans.
 * ``ref_pktgen_times`` - closed-form emission schedule for the periodic
                          packet generator.
 * ``RefFirewall``      - exact last-seen-time table, the ideal the Bloom
@@ -33,8 +39,15 @@ from dataplane.packet_format import (
     seq,
 )
 from dataplane.headers import (
+    ETHERNET,
+    INTRINSIC_META,
+    IPV4,
     IP_PROTO_TCP,
     IP_PROTO_UDP,
+    PORT_META,
+    SAMPLE_HEADER,
+    TCP,
+    UDP,
     build_packet,
     make_ethernet,
     make_intrinsic_meta,
@@ -59,6 +72,8 @@ from dataplane.switch import (
     Trace,
     run,
 )
+from dataplane.pipeline import ParsedData
+from dataplane.checker import _entry_matches, _expected_entries
 from dataplane.apps import (
     AppBundle,
     FirewallState,
@@ -174,6 +189,71 @@ def ref_matches(p: BitString, f) -> bool:
             raise TypeError(f"not a Format: {g!r}")
 
     return any(end == len(p) for end, _ in ends(f, 0, {}))
+
+
+# ---------------------------------------------------------------------------
+# reference stock parsers: the layouts of headers.py as extract chains
+
+
+def _ref_parse(p: BitString, prefix: tuple) -> ParsedData | None:
+    """Extract the prefix slots, the four fixed headers, then TCP or UDP
+    as the IPv4 protocol field says; None when p runs out first."""
+    slots, pos = {}, 0
+
+    def take(name: str, htype: HeaderType) -> bool:
+        nonlocal pos
+        if pos + htype.total_width > len(p):
+            return False
+        vals = {}
+        for fname, width in htype.fields:
+            vals[fname] = p.slice(pos, width).value
+            pos += width
+        slots[name] = TypedValue(htype, vals)
+        return True
+
+    for name, htype in (*prefix, ("meta", INTRINSIC_META), ("port_md", PORT_META),
+                        ("ethernet", ETHERNET), ("ipv4", IPV4)):
+        if not take(name, htype):
+            return None
+    l4 = {IP_PROTO_TCP: ("tcp", TCP), IP_PROTO_UDP: ("udp", UDP)}.get(
+        slots["ipv4"]["protocol"])
+    if l4 is not None and not take(*l4):
+        return None
+    return ParsedData(slots, p.drop(pos))
+
+
+def ref_parse_standard(p: BitString) -> ParsedData | None:
+    return _ref_parse(p, ())
+
+
+def ref_parse_sampled(p: BitString) -> ParsedData | None:
+    return _ref_parse(p, (("sample", SAMPLE_HEADER),))
+
+
+# ---------------------------------------------------------------------------
+# reference checker scans: quadratic reachability tables
+
+
+def ref_is_subsequence(sub, seq) -> bool:
+    """Reachability-table equivalent of checker._is_subsequence."""
+    reach = [True] + [False] * len(sub)
+    for y in seq:
+        for i in range(len(sub), 0, -1):
+            if reach[i - 1] and sub[i - 1] == y:
+                reach[i] = True
+    return reach[len(sub)]
+
+
+def ref_sampler_check(n: int, inputs, outputs, scfg) -> bool:
+    """Reachability-table equivalent of checker.sampler_spec_check for
+    adversarial equal-packet streams; no clause attribution."""
+    expected = _expected_entries(n, inputs, scfg)
+    reach = [True] + [False] * len(outputs)
+    for entry in expected:
+        for i in range(len(outputs), 0, -1):
+            if reach[i - 1] and _entry_matches(entry, outputs[i - 1], scfg):
+                reach[i] = True
+    return reach[len(outputs)]
 
 
 class _FieldParity:

@@ -250,3 +250,16 @@ class TestAppFromConfig:
     def test_unknown_app(self):
         with pytest.raises(ValueError):
             app_from_config({"app": "teleport"})
+
+    @pytest.mark.parametrize("config", [
+        {"app": "sampler", "sample_evry": 4},
+        # the firewall runs its own keepalive generator
+        {"app": "firewall", "pktgen": {"enabled": False}},
+        {"app": "sampler", "mc": {}},
+        {"forward_prot": 2},
+        {"app": ["sampler"]},
+        ["app", "identity"],
+    ])
+    def test_unknown_key_rejected(self, config):
+        with pytest.raises(ValueError):
+            app_from_config(config)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from dataplane.packet_format import BitString
+from dataplane.packet_format import BitString, encode
 from dataplane.engines import PktGenConfig, QacAlwaysReady
 from dataplane.switch import (
     AdversarialDropOracle,
@@ -23,19 +23,20 @@ from dataplane.apps import (
     firewall_app,
     identity_app,
     initial_switch_state,
+    parse_sampled,
     parse_standard,
     sampler_app,
     switch_config,
 )
-from dataplane.headers import standard_packet_format
+from dataplane.headers import (
+    SAMPLE_HEADER, sampled_packet_format, standard_packet_format,
+)
 from dataplane.checker import (
     ALL_CLAUSES,
     CLAUSES,
     PreconditionUnmet,
     Verdict,
     _is_subsequence,
-    _is_subsequence_dp,
-    _sampler_check_dp,
     check_step,
     check_trace,
     dense_flow_check,
@@ -57,6 +58,11 @@ from support import (
     forge_catalog,
     mangle,
     rand_packet,
+    rand_typed,
+    ref_is_subsequence,
+    ref_parse_sampled,
+    ref_parse_standard,
+    ref_sampler_check,
     tcp_pkt,
     udp_pkt,
 )
@@ -145,7 +151,7 @@ def test_subsequence_agreement():
             sub = [x for x in seq if rng.random() < 0.6]
         else:
             sub = [rng.randrange(4) for _ in range(rng.randrange(8))]
-        assert _is_subsequence(sub, seq) == _is_subsequence_dp(sub, seq), (sub, seq)
+        assert _is_subsequence(sub, seq) == ref_is_subsequence(sub, seq), (sub, seq)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +239,7 @@ class TestSamplerSpecCheck:
             if rng.random() < 0.2 and outs:
                 outs[rng.randrange(len(outs))] = (SC.forward_port, udp_pkt(sp=99))
             got = sampler_spec_check(n, inputs, outs, SC).ok
-            want = _sampler_check_dp(n, inputs, outs, SC)
+            want = ref_sampler_check(n, inputs, outs, SC)
             assert got == want, (n, len(inputs), outs)
 
     def test_relations_directly(self):
@@ -378,8 +384,16 @@ class TestParserChecks:
         rng = random.Random(6)
         corpus = [rand_packet(rng) for _ in range(30)]
         corpus += [mangle(rng, p) for p in corpus[:15]]
-        v = format_acceptance_check(parse_standard, standard_packet_format(), corpus)
-        assert v.ok
+        sampled = [encode(rand_typed(rng, SAMPLE_HEADER)) + p for p in corpus]
+        assert format_acceptance_check(ref_parse_standard, standard_packet_format(),
+                                       corpus).ok
+        assert format_acceptance_check(ref_parse_sampled, sampled_packet_format(),
+                                       sampled).ok
+        # the stock parsers are derived from the formats; hold them
+        # against the hand-coded chains, slot for slot
+        for p in corpus + sampled:
+            assert parse_standard(p) == ref_parse_standard(p)
+            assert parse_sampled(p) == ref_parse_sampled(p)
 
     def test_overly_permissive_parser_caught(self):
         def lax(p):

@@ -132,6 +132,13 @@ class TestSim:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "typo.json", {"app": "sampler", "sample_evry": 4})
+        code, out, err = run_cli(capsys, "sim", "--config", cfg)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "sample_evry" in err
+        assert len(err.splitlines()) == 1
+
     def test_unknown_policy_rejected(self, identity_cfg, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["sim", "--config", identity_cfg, "--policy", "bogus"])

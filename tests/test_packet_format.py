@@ -34,9 +34,14 @@ from dataplane.packet_format import (
     reconstruct,
     seq,
 )
-from dataplane.headers import ETHERNET, IPV4, UDP
+from dataplane.headers import (
+    ETHERNET, IPV4, SAMPLE_HEADER, SAMPLED_FORMAT, STANDARD_FORMAT, UDP,
+)
 
-from support import random_format, ref_matches, sample_matching_input, rand_typed
+from support import (
+    mangle, rand_packet, rand_typed, random_format, ref_matches,
+    sample_matching_input,
+)
 
 
 class TestTypedValue:
@@ -172,7 +177,7 @@ class TestMatching:
 
     def test_against_brute_force(self):
         rng = random.Random(0xF0F0)
-        agree = 0
+        cases = []
         for _ in range(400):
             f = random_format(rng)
             if rng.random() < 0.5:
@@ -182,10 +187,16 @@ class TestMatching:
             else:
                 n = rng.randrange(0, 65)
                 p = BitString(rng.getrandbits(n) if n else 0, n)
+            cases.append((f, p))
+        # the stock formats, on whole, truncated and sample-prefixed packets
+        for _ in range(20):
+            p = rand_packet(rng)
+            for q in (p, mangle(rng, p)):
+                for r in (q, encode(rand_typed(rng, SAMPLE_HEADER)) + q):
+                    cases += [(STANDARD_FORMAT, r), (SAMPLED_FORMAT, r)]
+        for f, p in cases:
             got, _ = matches(p, f)
             assert got == ref_matches(p, f), (f, p)
-            agree += 1
-        assert agree == 400
 
 
 class TestWidthAndReport:
