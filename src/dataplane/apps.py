@@ -372,9 +372,18 @@ def firewall_app(cfg: FirewallConfig = FirewallConfig(), *, qac=None) -> AppBund
 # config-file entry point
 
 
+def _config_int(obj: dict, key: str) -> int:
+    """obj[key], which must be a JSON integer (true/false do not count)."""
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"config key {key!r} must be an integer, got {v!r}")
+    return v
+
+
 def config_fields(cls, obj: dict) -> dict[str, int]:
-    """The fields of config dataclass cls that obj sets, as ints."""
-    return {f.name: int(obj[f.name]) for f in dataclasses.fields(cls) if f.name in obj}
+    """The fields of config dataclass cls that obj sets, as ints.
+    Raises ValueError on a value that is not an integer."""
+    return {f.name: _config_int(obj, f.name) for f in dataclasses.fields(cls) if f.name in obj}
 
 
 # top-level config keys each app reads, besides "app"
@@ -402,8 +411,8 @@ def app_from_config(obj: dict) -> AppBundle:
     pktgen = PktGenConfig.from_json(obj["pktgen"]) if "pktgen" in obj else None
     if kind == "identity":
         mc = McConfig.from_json(obj["mc"]) if "mc" in obj else None
-        return identity_app(forward_port=int(obj.get("forward_port", 1)),
-                            mc=mc, pktgen=pktgen, qac=qac)
+        port = _config_int(obj, "forward_port") if "forward_port" in obj else 1
+        return identity_app(forward_port=port, mc=mc, pktgen=pktgen, qac=qac)
     if kind == "sampler":
         return sampler_app(SamplerConfig(**config_fields(SamplerConfig, obj)),
                            pktgen=pktgen, qac=qac)

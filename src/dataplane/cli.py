@@ -121,10 +121,14 @@ def cmd_sim(args) -> int:
 
 def cmd_check(args) -> int:
     records = switch.read_trace_lines(args.trace)
-    if not records or records[0].get("type") != "header":
+    if not records or not isinstance(records[0], dict) or records[0].get("type") != "header":
         print("error: trace has no header record", file=sys.stderr)
         return 2
     header = records[0]
+    if header.get("format") != switch.TRACE_FORMAT:
+        print(f"error: trace format {header.get('format')!r} is not supported; "
+              f"this version reads format {switch.TRACE_FORMAT}", file=sys.stderr)
+        return 2
     step_records = [r for r in records if r.get("type") == "step"]
     fault_records = [r for r in records if r.get("type") == "fault"]
 

@@ -323,22 +323,23 @@ def packet_generator(c: PktGenConfig, t: int, s: PktGenState,
 
 
 def input_ports(p_g: Optional[BitString], q_input: tuple, oracle
-                ) -> tuple[tuple, Optional[int], Optional[BitString]]:
+                ) -> tuple[tuple, Optional[int], Optional[BitString], Optional[int]]:
     """Hand one packet to the ingress pipeline.
 
     A generated/recirculated packet takes precedence and leaves the
     queue alone.  Otherwise the oracle picks any queued arrival, not
-    necessarily the oldest.  Returns (q', arrival port, packet).
+    necessarily the oldest.  Returns (q', arrival port, packet, the
+    picked index or None when the queue was not consulted).
     """
     if p_g is not None:
-        return q_input, None, p_g
+        return q_input, None, p_g, None
     if not q_input:
-        return q_input, None, None
+        return q_input, None, None, None
     idx = oracle.input_index(len(q_input))
     if not 0 <= idx < len(q_input):
         raise OracleOutOfRange(f"input index {idx} for queue of {len(q_input)}")
     rec = q_input[idx]
-    return q_input[:idx] + q_input[idx + 1:], rec.port, rec.packet
+    return q_input[:idx] + q_input[idx + 1:], rec.port, rec.packet, idx
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,7 @@ class HeaderType:
 
     name: str
     fields: tuple[tuple[str, int], ...]
+    total_width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fields", tuple((str(n), int(w)) for n, w in self.fields))
@@ -159,10 +160,7 @@ class HeaderType:
             if fname in seen:
                 raise ValueError(f"{self.name}: duplicate field {fname!r}")
             seen.add(fname)
-
-    @property
-    def total_width(self) -> int:
-        return sum(w for _, w in self.fields)
+        object.__setattr__(self, "total_width", sum(w for _, w in self.fields))
 
     def width_of(self, fname: str) -> int:
         for n, w in self.fields:

@@ -299,20 +299,17 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
     p_g, p_recirc2, s_g2 = engines.packet_generator(cfg.pktgen, st.t, st.s_g, qs.p_recirc)
     from_recirc = qs.p_recirc is not None
 
-    q_input2, in_port, p_i = engines.input_ports(p_g, qs.q_input, o)
+    q_input2, in_port, p_i, in_idx = engines.input_ports(p_g, qs.q_input, o)
     if p_g is not None and in_port is None:
         in_port = cfg.pktgen.source_port
 
     decisions = {
         "requested_kind": INGRESS,
         "kind": INGRESS,
-        "input_index": None,
+        "input_index": in_idx,
         "admitted_mask": None,
         "sched_index": None,
     }
-    if p_g is None and p_i is not None:
-        # recover the oracle's pick for the record; input_ports consumed it
-        decisions["input_index"] = _locate_removed(qs.q_input, q_input2)
 
     s_i2 = st.s_i
     out = None
@@ -342,13 +339,6 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
                                    p_i=p_i, pipeline_out=out, m_merge=m_merge,
                                    m_repl=m_repl, enqueued=enqueued))
     return st2, qs2, step
-
-
-def _locate_removed(before: tuple, after: tuple) -> int:
-    for i in range(len(after) + 1):
-        if before[:i] == after[:i] and before[i + 1:] == after[i:]:
-            return i
-    raise AssertionError("no single-element removal found")
 
 
 def egress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
@@ -478,19 +468,40 @@ def state_digests(st: SwitchState) -> dict:
     }
 
 
+def queue_shape(qs: SwitchQueues) -> dict:
+    """The O(1) part of a queue snapshot: the recirculation register and
+    the queue lengths."""
+    return {
+        "p_recirc": None if qs.p_recirc is None else qs.p_recirc.to_hex(),
+        "lens": [len(qs.q_input), len(qs.q_egress), len(qs.q_output)],
+    }
+
+
 def queue_digests(qs: SwitchQueues) -> dict:
+    """queue_shape plus a digest of every whole queue; linear in the
+    queue contents, so traces use it only in the end record."""
     return {
         "q_input": digest(qs.q_input),
-        "p_recirc": None if qs.p_recirc is None else qs.p_recirc.to_hex(),
         "q_mirror": digest(qs.q_mirror),
         "q_egress": digest(qs.q_egress),
         "q_output": digest(qs.q_output),
-        "lens": [len(qs.q_input), len(qs.q_egress), len(qs.q_output)],
+        **queue_shape(qs),
     }
 
 
 # ---------------------------------------------------------------------------
 # trace file format: one JSON object per line
+#
+# Format 2.  The header holds the full initial queues.  Each step record
+# holds the step's post snapshot only: state digests, the recirculation
+# register and the queue lengths.  Its pre snapshot is the previous
+# record's post (the header for step 0), and its queue change is spelled
+# out as a delta by the decisions and the detail (consumed arrival,
+# enqueued copies, scheduled copy, emitted or recirculated packet).  The
+# end record digests the whole final queues once.  Replay byte-compares
+# every record, so an edit anywhere shows as a divergence.
+
+TRACE_FORMAT = 2
 
 
 def _opt_hex(p: Optional[BitString]):
@@ -506,8 +517,7 @@ def step_to_json(step: TraceStep) -> dict:
         "type": "step",
         "kind": step.kind,
         "decisions": _canon(step.decisions),
-        "pre": {**state_digests(step.pre_state), **queue_digests(step.pre_queues)},
-        "post": {**state_digests(step.post_state), **queue_digests(step.post_queues)},
+        "post": {**state_digests(step.post_state), **queue_shape(step.post_queues)},
     }
     d = step.detail
     if step.kind == INGRESS:
@@ -539,6 +549,7 @@ def step_to_json(step: TraceStep) -> dict:
 def trace_header_json(trace: Trace) -> dict:
     return {
         "type": "header",
+        "format": TRACE_FORMAT,
         "config_digest": trace.config_digest,
         "app": trace.app_label,
         "state_digest": digest(trace.initial_state),
@@ -563,6 +574,7 @@ def trace_to_lines(trace: Trace) -> list[str]:
     lines.append(dump({"type": "end",
                        "steps": len(trace.steps),
                        "final_state_digest": digest(trace.final_state),
+                       "final_queues": queue_digests(trace.final_queues),
                        "outputs": len(trace.final_queues.q_output)}))
     return lines
 

@@ -263,3 +263,14 @@ class TestAppFromConfig:
     def test_unknown_key_rejected(self, config):
         with pytest.raises(ValueError):
             app_from_config(config)
+
+    @pytest.mark.parametrize("config", [
+        {"app": "sampler", "sample_every": None},
+        {"app": "identity", "forward_port": [1]},
+        {"app": "firewall", "window": "64"},
+        {"app": "sampler", "monitor_port": True},
+    ])
+    def test_non_integer_value_rejected(self, config):
+        key = next(k for k in config if k != "app")
+        with pytest.raises(ValueError, match=key):
+            app_from_config(config)

@@ -139,6 +139,17 @@ class TestSim:
         assert err.startswith("error:") and "sample_evry" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("config", [
+        {"app": "sampler", "sample_every": None},
+        {"app": "identity", "forward_port": [1]},
+    ])
+    def test_non_integer_config_value_rejected(self, tmp_path, capsys, config):
+        cfg = write_config(tmp_path, "bad.json", config)
+        code, out, err = run_cli(capsys, "sim", "--config", cfg)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "must be an integer" in err
+        assert len(err.splitlines()) == 1
+
     def test_unknown_policy_rejected(self, identity_cfg, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["sim", "--config", identity_cfg, "--policy", "bogus"])
@@ -209,6 +220,40 @@ class TestCheck:
         obj["post"]["lens"][0] += 1
         lines[1] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
         open(tr, "w").write("\n".join(lines) + "\n")
+        code, out, _ = run_cli(capsys, "check", tr, "--config", identity_cfg)
+        assert code == 1
+        assert "replay: VIOLATION clause=trace.divergence" in out
+
+    @staticmethod
+    def _edit_record(tr, index, edit):
+        lines = open(tr).read().splitlines()
+        obj = json.loads(lines[index])
+        edit(obj)
+        lines[index] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        open(tr, "w").write("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("format"),
+        lambda h: h.update(format=1),
+    ], ids=["no-format", "format-1"])
+    def test_other_trace_format_rejected(self, identity_cfg, tmp_path, capsys,
+                                         edit):
+        tr = _sim_trace(capsys, tmp_path, identity_cfg, steps=3, drain=False)
+        self._edit_record(tr, 0, edit)
+        code, out, err = run_cli(capsys, "check", tr, "--config", identity_cfg)
+        assert code == 2 and out == ""
+        assert err.startswith("error: trace format") and len(err.splitlines()) == 1
+
+    def test_tampered_end_queues_diverge(self, identity_cfg, tmp_path, capsys):
+        wl = str(tmp_path / "w.jsonl")
+        run_cli(capsys, "gen", "--count", "4", "--seed", "7", "--out", wl)
+        tr = _sim_trace(capsys, tmp_path, identity_cfg, workload=wl)
+
+        def edit(end):
+            assert end["type"] == "end"
+            end["final_queues"]["q_output"] = "0" * 16
+
+        self._edit_record(tr, -1, edit)
         code, out, _ = run_cli(capsys, "check", tr, "--config", identity_cfg)
         assert code == 1
         assert "replay: VIOLATION clause=trace.divergence" in out

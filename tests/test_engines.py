@@ -216,14 +216,14 @@ class TestInputPorts:
 
     def test_generated_packet_preempts(self):
         gen = BitString(1, 1)
-        assert input_ports(gen, self.Q, FifoDrainOracle()) == (self.Q, None, gen)
+        assert input_ports(gen, self.Q, FifoDrainOracle()) == (self.Q, None, gen, None)
 
     def test_empty_queue(self):
-        assert input_ports(None, (), FifoDrainOracle()) == ((), None, None)
+        assert input_ports(None, (), FifoDrainOracle()) == ((), None, None, None)
 
     def test_fifo_pick(self):
-        q2, port, p = input_ports(None, self.Q, FifoDrainOracle())
-        assert (port, p) == (1, BitString(0xA, 4))
+        q2, port, p, idx = input_ports(None, self.Q, FifoDrainOracle())
+        assert (port, p, idx) == (1, BitString(0xA, 4), 0)
         assert q2 == self.Q[1:]
 
     def test_out_of_order_pick(self):
@@ -231,8 +231,8 @@ class TestInputPorts:
             def input_index(self, n):
                 return 1
 
-        q2, port, p = input_ports(None, self.Q, Second())
-        assert (port, p) == (2, BitString(0xB, 4)) and q2 == self.Q[:1]
+        q2, port, p, idx = input_ports(None, self.Q, Second())
+        assert (port, p, idx) == (2, BitString(0xB, 4), 1) and q2 == self.Q[:1]
 
     def test_oracle_out_of_range(self):
         class Bad(FifoDrainOracle):

@@ -9,6 +9,7 @@ import pytest
 from dataplane.packet_format import BitString
 from dataplane.pipeline import Components, EgressIndication, MirrorId, TmMeta
 from dataplane.engines import McConfig, PktGenConfig, QacMinimal
+from dataplane import switch
 from dataplane.switch import (
     Arrival,
     EGRESS,
@@ -18,12 +19,14 @@ from dataplane.switch import (
     ReplayOracle,
     StepNotEnabled,
     SwitchQueues,
+    TRACE_FORMAT,
     config_digest,
     digest,
     egress_enabled,
     egress_step,
     make_oracle,
     queue_digests,
+    queue_shape,
     read_trace_lines,
     run,
     state_digests,
@@ -239,6 +242,56 @@ class TestTraceSerialization:
         a = drain_run(identity_app(), [P1, P2], RandomOracle(5))
         b = drain_run(identity_app(), [P1, P2], RandomOracle(5))
         assert trace_to_lines(a) == trace_to_lines(b)
+
+    def test_format_2_records(self):
+        tr = drain_run(identity_app(), [P1, P2, P3], RandomOracle(7))
+        recs = [json.loads(line) for line in trace_to_lines(tr)]
+        header, steps, end = recs[0], recs[1:-1], recs[-1]
+        assert header["format"] == TRACE_FORMAT == 2
+        assert header["state_digest"] == digest(tr.initial_state)
+        assert len(steps) == len(tr.steps)
+        for rec, step in zip(steps, tr.steps):
+            # one snapshot per step: the post state, and of the queues
+            # only the register and the lengths
+            assert set(rec) == {"type", "kind", "decisions", "post", "detail"}
+            assert rec["post"] == {**state_digests(step.post_state),
+                                   **queue_shape(step.post_queues)}
+        assert end["final_state_digest"] == digest(tr.final_state)
+        assert end["final_queues"] == queue_digests(tr.final_queues)
+
+    @staticmethod
+    def _canon_calls_per_step(monkeypatch, n):
+        tr = drain_run(identity_app(), [tcp_pkt(sp=i) for i in range(n)])
+        calls = 0
+        canon = switch._canon
+
+        def counting(obj):
+            nonlocal calls
+            calls += 1
+            return canon(obj)
+
+        monkeypatch.setattr(switch, "_canon", counting)
+        trace_to_lines(tr)
+        monkeypatch.setattr(switch, "_canon", canon)
+        return calls / len(tr.steps)
+
+    def test_serialization_cost_per_step_does_not_grow(self, monkeypatch):
+        # a count, not a timing: digesting whole queues on every step
+        # makes the per-step work grow with the queue depth
+        small = self._canon_calls_per_step(monkeypatch, 20)
+        large = self._canon_calls_per_step(monkeypatch, 40)
+        assert large <= 1.1 * small
+
+    def test_recorded_input_index_is_the_oracles_pick(self):
+        class Second(FifoDrainOracle):
+            def input_index(self, n):
+                return 1 if n > 1 else 0
+
+        # equal arrivals: the queue after the step cannot tell which one
+        # went, the record still names the pick
+        tr = drain_run(identity_app(), [P1, P1, P2], Second())
+        picks = [s.decisions["input_index"] for s in tr.steps if s.kind == INGRESS]
+        assert picks == [1, 1, 0]
 
     def test_fault_record_serialized(self, tmp_path):
         base = identity_app().components
