@@ -29,7 +29,7 @@ from .switch import (
     run, write_trace,
 )
 from .apps import (
-    AppBundle, FirewallConfig, SamplerConfig, app_from_config, firewall_app,
+    AppBundle, FirewallConfig, IdentityConfig, SamplerConfig, app_from_config, firewall_app,
     identity_app, initial_switch_state, sampler_app, switch_config,
 )
 from .checker import (

@@ -12,9 +12,10 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
-from .engines import L1Node, McConfig, PktGenConfig, PktGenState, QacMinimal
+from .engines import L1Node, McConfig, PktGenConfig, PktGenState, QacAlwaysReady, QacMinimal
 from .headers import (
     SAMPLE_MARKER, SAMPLED_FORMAT, STANDARD_FORMAT, build_packet, deparse_slots,
     make_ethernet, make_intrinsic_meta, make_ipv4, make_sample,
@@ -36,6 +37,7 @@ class AppBundle:
     qac: object
     init_ingress: tuple
     init_egress: tuple
+    params: object = None  # the app's config dataclass, in the trace's config digest
 
 
 def initial_switch_state(bundle: AppBundle):
@@ -48,7 +50,7 @@ def switch_config(bundle: AppBundle):
     from .switch import SwitchConfig
     return SwitchConfig(components=bundle.components, mc=bundle.mc,
                         pktgen=bundle.pktgen, qac=bundle.qac,
-                        app_label=bundle.name)
+                        app_label=bundle.name, params=bundle.params)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +117,7 @@ def _unicast_to(port: int) -> Callable:
     return in_control
 
 
-def _bundle(name: str, in_control: Callable, *, e_parser: Callable = _e_parser,
+def _bundle(name: str, params, in_control: Callable, *, e_parser: Callable = _e_parser,
             e_control: Callable = _e_control, mc: Optional[McConfig] = None,
             pktgen: Optional[PktGenConfig] = None, qac=None,
             init_ingress=(None, None, None)) -> AppBundle:
@@ -125,18 +127,24 @@ def _bundle(name: str, in_control: Callable, *, e_parser: Callable = _e_parser,
                      mc=mc if mc is not None else McConfig(),
                      pktgen=pktgen if pktgen is not None else PktGenConfig(),
                      qac=qac if qac is not None else QacMinimal(),
-                     init_ingress=init_ingress, init_egress=(None, None, None))
+                     init_ingress=init_ingress, init_egress=(None, None, None), params=params)
 
 
 # ---------------------------------------------------------------------------
 # identity forwarder
 
 
+@dataclass(frozen=True)
+class IdentityConfig:
+    forward_port: int = 1
+
+
 def identity_app(forward_port: int = 1, *, mc: Optional[McConfig] = None,
                  pktgen: Optional[PktGenConfig] = None,
                  qac=None) -> AppBundle:
     """Sends every parseable packet, unchanged, out one port."""
-    return _bundle("identity", _unicast_to(forward_port), mc=mc, pktgen=pktgen, qac=qac)
+    return _bundle("identity", IdentityConfig(forward_port), _unicast_to(forward_port),
+                   mc=mc, pktgen=pktgen, qac=qac)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +218,7 @@ def sampler_app(cfg: SamplerConfig = SamplerConfig(), *,
         L1Node(dev_port_list=(cfg.forward_port,), rid=cfg.forward_rid),
         L1Node(dev_port_list=(cfg.monitor_port,), rid=cfg.monitor_rid),
     )})
-    return _bundle("sampler", in_control, e_parser=e_parser, e_control=e_control,
+    return _bundle("sampler", cfg, in_control, e_parser=e_parser, e_control=e_control,
                    mc=mc, pktgen=pktgen, qac=qac, init_ingress=(None, SamplerState(), None))
 
 
@@ -364,56 +372,95 @@ def firewall_app(cfg: FirewallConfig = FirewallConfig(), *, qac=None) -> AppBund
 
     pktgen = PktGenConfig(enabled=True, period=cfg.keepalive_period,
                           template=keepalive_template(cfg))
-    return _bundle("firewall", in_control, pktgen=pktgen, qac=qac,
+    return _bundle("firewall", cfg, in_control, pktgen=pktgen, qac=qac,
                    init_ingress=(None, FirewallState(), None))
 
 
 # ---------------------------------------------------------------------------
-# config-file entry point
+# config-file entry point: the config dataclasses are the schema
 
 
-def _config_int(obj: dict, key: str) -> int:
-    """obj[key], which must be a JSON integer (true/false do not count)."""
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"config key {key!r} must be an integer, got {v!r}")
+def _path(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _expect(ok, v, what: str, where: str):
+    """v when ok holds, else a ValueError naming the key path."""
+    if not ok:
+        raise ValueError(f"config key {where!r} must be {what}, got {v!r}")
     return v
 
 
-def config_fields(cls, obj: dict) -> dict[str, int]:
-    """The fields of config dataclass cls that obj sets, as ints.
-    Raises ValueError on a value that is not an integer."""
-    return {f.name: _config_int(obj, f.name) for f in dataclasses.fields(cls) if f.name in obj}
+def _value(default, v, where: str):
+    """v decoded against default, whose JSON type it must have: an integer
+    (true and false do not count), a bool, a hex string for a BitString,
+    an object of a config dataclass's fields, or a list of items like a
+    tuple's first one (integers for an empty tuple)."""
+    if isinstance(default, bool):
+        return _expect(isinstance(v, bool), v, "true or false", where)
+    if isinstance(default, int):
+        return _expect(isinstance(v, int) and not isinstance(v, bool), v, "an integer", where)
+    if isinstance(default, BitString):
+        return BitString.from_hex(_expect(isinstance(v, str), v, "a hex string", where))
+    if dataclasses.is_dataclass(default):
+        return _decode(type(default), v, where)
+    v = _expect(isinstance(v, list), v, "a list", where)
+    return tuple(_value(default[0] if default else 0, x, f"{where}[{i}]") for i, x in enumerate(v))
 
 
-# top-level config keys each app reads, besides "app"
-APP_KEYS = {
-    "identity": ("forward_port", "mc", "pktgen", "qac"),
-    "sampler": (*(f.name for f in dataclasses.fields(SamplerConfig)), "pktgen", "qac"),
-    "firewall": (*(f.name for f in dataclasses.fields(FirewallConfig)), "qac"),
+def _decode(cls, obj, where: str, **decoders):
+    """Config dataclass cls from the JSON object obj of its fields, each
+    decoded by decoders[field] or else by _value against its default."""
+    fields = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = sorted(set(_expect(isinstance(obj, dict), obj, "an object", where)) - set(fields))
+    if unknown:
+        raise ValueError(f"unknown config keys {[_path(where, k) for k in unknown]}")
+    return cls(**{k: decoders.get(k, partial(_value, fields[k]))(v, _path(where, k))
+                  for k, v in obj.items()})
+
+
+def _table(decode_value: Callable, obj, where: str) -> dict:
+    """A JSON object keyed by decimal integers, its values decoded by decode_value."""
+    for k in _expect(isinstance(obj, dict), obj, "an object", where):
+        _expect(k.isdecimal(), k, "keyed by decimal integers", where)
+    return {int(k): decode_value(v, _path(where, k)) for k, v in obj.items()}
+
+
+def _mc(obj, where: str) -> McConfig:
+    ports = partial(_table, partial(_value, ()))
+    return _decode(McConfig, obj, where, groups=partial(_table, partial(_value, (L1Node(),))),
+                   lags=ports, l2_exclusion=ports)
+
+
+def _qac(obj, where: str):
+    """null, "minimal", {"kind": "minimal"}, or {"kind": "always_ready"} with
+    "ready_ports" "all" (the default) or a list of ports."""
+    if obj in (None, "minimal", {"kind": "minimal"}):
+        return QacMinimal()
+    _expect(isinstance(obj, dict) and obj.get("kind") == "always_ready", obj, "a qac policy", where)
+    return _decode(QacAlwaysReady, obj, where, kind=lambda v, w: v,
+                   ready_ports=lambda v, w: None if v == "all" else _value((), v, w))
+
+
+ENGINE_SECTIONS = {"mc": _mc, "pktgen": partial(_decode, PktGenConfig), "qac": _qac}
+
+# app -> (config dataclass, builder, engine sections the app reads)
+APPS = {
+    "identity": (IdentityConfig, lambda c, **kw: identity_app(c.forward_port, **kw),
+                 ("mc", "pktgen", "qac")),
+    "sampler": (SamplerConfig, sampler_app, ("pktgen", "qac")),
+    "firewall": (FirewallConfig, firewall_app, ("qac",)),
 }
 
 
-def app_from_config(obj: dict) -> AppBundle:
-    """Build a bundle from a JSON-ish config mapping (see the CLI).
-    Raises ValueError on an unknown app or on a key the app does not
-    read."""
-    from .engines import qac_policy_from_json
+def app_from_config(obj) -> AppBundle:
+    """Build a bundle from a config mapping (see the CLI).  Raises ValueError,
+    naming the key path, on an unknown app or key or a mistyped value."""
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")
     kind = obj.get("app", "identity")
-    if not isinstance(kind, str) or kind not in APP_KEYS:
-        raise ValueError(f"unknown app {kind!r}")
-    unknown = sorted(set(obj) - {"app", *APP_KEYS[kind]})
-    if unknown:
-        raise ValueError(f"{kind} config: unknown keys {unknown}")
-    qac = qac_policy_from_json(obj["qac"]) if "qac" in obj else None
-    pktgen = PktGenConfig.from_json(obj["pktgen"]) if "pktgen" in obj else None
-    if kind == "identity":
-        mc = McConfig.from_json(obj["mc"]) if "mc" in obj else None
-        port = _config_int(obj, "forward_port") if "forward_port" in obj else 1
-        return identity_app(forward_port=port, mc=mc, pktgen=pktgen, qac=qac)
-    if kind == "sampler":
-        return sampler_app(SamplerConfig(**config_fields(SamplerConfig, obj)),
-                           pktgen=pktgen, qac=qac)
-    return firewall_app(FirewallConfig(**config_fields(FirewallConfig, obj)), qac=qac)
+    _expect(isinstance(kind, str) and kind in APPS, kind, f"one of {sorted(APPS)}", "app")
+    cls, build, sections = APPS[kind]
+    own = {k: v for k, v in obj.items() if k != "app" and k not in sections}
+    engines = {k: ENGINE_SECTIONS[k](obj[k], k) for k in sections if k in obj}
+    return build(_decode(cls, own, ""), **engines)

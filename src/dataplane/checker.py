@@ -183,35 +183,24 @@ def _check_egress(cfg: SwitchConfig, step: TraceStep) -> Verdict:
     if post_q.q_mirror != pre_q.q_mirror:
         return _bad("egress.frame.q_mirror")
 
-    # any index whose removal explains the post queue is a candidate;
-    # the recorded decision is tried first
-    idxs = [i for i in range(len(pre_q.q_egress))
-            if pre_q.q_egress[:i] + pre_q.q_egress[i + 1:] == post_q.q_egress]
-    if not idxs:
+    # removing i or j can give the same queue only when every copy from
+    # i to j is equal, so one index explaining the post queue decides
+    i = _removal_index(pre_q.q_egress, post_q.q_egress, step.decisions.get("sched_index"))
+    if i is None:
         return _bad("egress.scheduler_split",
                     "post queue is not the pre queue minus one copy")
-    recorded = step.decisions.get("sched_index")
-    if recorded in idxs:
-        idxs.remove(recorded)
-        idxs.insert(0, recorded)
-
-    last = None
-    for i in idxs:
-        em, p_e = pre_q.q_egress[i]
-        (ind, p_out), s_e2 = egress_pipeline(cfg.components, em, p_e, pre_s.s_e)
-        if post_s.s_e != s_e2:
-            last = _bad("egress.pipeline", "component states diverge on recomputation")
-            continue
-        if ind.recirculate:
-            if post_q.p_recirc == p_out and post_q.q_output == pre_q.q_output:
-                return OK
-        else:
-            if (post_q.p_recirc is None
-                    and post_q.q_output == pre_q.q_output + ((em.egress_port, p_out),)):
-                return OK
-        last = _bad("egress.output_ports",
-                    "neither transmission nor recirculation explains the post queues")
-    return last
+    em, p_e = pre_q.q_egress[i]
+    (ind, p_out), s_e2 = egress_pipeline(cfg.components, em, p_e, pre_s.s_e)
+    if post_s.s_e != s_e2:
+        return _bad("egress.pipeline", "component states diverge on recomputation")
+    if ind.recirculate:
+        if post_q.p_recirc == p_out and post_q.q_output == pre_q.q_output:
+            return OK
+    elif (post_q.p_recirc is None
+          and post_q.q_output == pre_q.q_output + ((em.egress_port, p_out),)):
+        return OK
+    return _bad("egress.output_ports",
+                "neither transmission nor recirculation explains the post queues")
 
 
 def _removal_index(before: tuple, after: tuple, hint) -> Optional[int]:
@@ -445,7 +434,8 @@ def _isolation_frame(step: TraceStep, expected_q_input) -> Verdict:
         if post_q.q_input != expected_q_input:
             return Verdict(False, "langsec.queue_frame",
                            "q_input lost more than the bad packet")
-    elif not _queue_is_suffix_minus_one(pre_q.q_input, post_q.q_input):
+    elif not (pre_q.q_input == post_q.q_input
+              or _removal_index(pre_q.q_input, post_q.q_input, None) is not None):
         return Verdict(False, "langsec.queue_frame",
                        "q_input did not shrink by at most one arrival")
     return OK
@@ -455,12 +445,6 @@ LANGSEC_CLAUSES = {
     "langsec.state_frame": "malformed input reaches no state slot beyond the parser",
     "langsec.queue_frame": "malformed input reaches no queue beyond q_input",
 }
-
-
-def _queue_is_suffix_minus_one(before: tuple, after: tuple) -> bool:
-    if before == after:
-        return True
-    return any(before[:i] + before[i + 1:] == after for i in range(len(before)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,7 @@ import sys
 from typing import Optional
 
 from . import checker, switch
-from .apps import (
-    SamplerConfig, app_from_config, config_fields, initial_switch_state,
-    switch_config,
-)
+from .apps import SamplerConfig, app_from_config, initial_switch_state, switch_config
 from .headers import (
     IP_PROTO_TCP, IP_PROTO_UDP, SAMPLED_FORMAT, STANDARD_FORMAT, build_packet,
     make_intrinsic_meta, make_ipv4, make_tcp, make_udp,
@@ -121,7 +118,10 @@ def cmd_sim(args) -> int:
 
 def cmd_check(args) -> int:
     records = switch.read_trace_lines(args.trace)
-    if not records or not isinstance(records[0], dict) or records[0].get("type") != "header":
+    if not all(isinstance(r, dict) for r in records):
+        print("error: every trace record must be a JSON object", file=sys.stderr)
+        return 2
+    if not records or records[0].get("type") != "header":
         print("error: trace has no header record", file=sys.stderr)
         return 2
     header = records[0]
@@ -132,8 +132,7 @@ def cmd_check(args) -> int:
     step_records = [r for r in records if r.get("type") == "step"]
     fault_records = [r for r in records if r.get("type") == "fault"]
 
-    config = _load_config(args.config)
-    bundle = app_from_config(config)
+    bundle = app_from_config(_load_config(args.config))
     cfg = switch_config(bundle)
     if switch.config_digest(cfg) != header["config_digest"]:
         print("error: config does not match the trace header", file=sys.stderr)
@@ -171,10 +170,10 @@ def cmd_check(args) -> int:
     if name == "axioms":
         pass
     elif name == "sampler":
-        fields = config_fields(SamplerConfig, config)
-        if param:
-            fields["sample_every"] = int(param)
-        scfg = SamplerConfig(**fields)
+        if not isinstance(bundle.params, SamplerConfig):
+            print("error: --spec sampler needs a sampler config", file=sys.stderr)
+            return 2
+        scfg = dataclasses.replace(bundle.params, sample_every=int(param)) if param else bundle.params
         verdicts.append(("sampler", checker.sampler_trace_check(replayed, scfg)))
     elif name == "langsec":
         try:

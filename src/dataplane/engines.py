@@ -123,33 +123,6 @@ class McConfig:
                 return ports
         return frozenset()
 
-    def to_json(self) -> dict:
-        return {
-            "groups": {str(g): [{"dev_port_list": list(n.dev_port_list),
-                                 "lag_list": list(n.lag_list),
-                                 "l1_xid_valid": n.l1_xid_valid,
-                                 "l1_xid": n.l1_xid,
-                                 "rid": n.rid} for n in nodes]
-                       for g, nodes in self.groups},
-            "lags": {str(l): list(ms) for l, ms in self.lags},
-            "l2_exclusion": {str(x): sorted(ps) for x, ps in self.l2_exclusion},
-            "cpu_port": self.cpu_port,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "McConfig":
-        groups = {int(g): tuple(L1Node(dev_port_list=tuple(n.get("dev_port_list", ())),
-                                       lag_list=tuple(n.get("lag_list", ())),
-                                       l1_xid_valid=bool(n.get("l1_xid_valid", False)),
-                                       l1_xid=int(n.get("l1_xid", 0)),
-                                       rid=int(n.get("rid", 0)))
-                                for n in nodes)
-                  for g, nodes in obj.get("groups", {}).items()}
-        lags = {int(l): tuple(ms) for l, ms in obj.get("lags", {}).items()}
-        l2 = {int(x): frozenset(ps) for x, ps in obj.get("l2_exclusion", {}).items()}
-        return cls(groups=groups, lags=lags, l2_exclusion=l2,
-                   cpu_port=int(obj.get("cpu_port", 64)))
-
 
 @dataclass(frozen=True)
 class EgressMeta:
@@ -247,23 +220,6 @@ class PktGenConfig:
         if self.enabled and self.period == 1:
             # legal but degenerate; the period is meant to be much larger
             warnings.warn("pktgen period of 1 tick fires continuously", stacklevel=2)
-
-    def to_json(self) -> dict:
-        return {"enabled": self.enabled, "period": self.period,
-                "batch_count": self.batch_count, "pkts_per_batch": self.pkts_per_batch,
-                "inter_batch_gap": self.inter_batch_gap, "inter_pkt_gap": self.inter_pkt_gap,
-                "template": self.template.to_json(), "source_port": self.source_port}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PktGenConfig":
-        return cls(enabled=bool(obj.get("enabled", False)),
-                   period=int(obj.get("period", 1000)),
-                   batch_count=int(obj.get("batch_count", 1)),
-                   pkts_per_batch=int(obj.get("pkts_per_batch", 1)),
-                   inter_batch_gap=int(obj.get("inter_batch_gap", 1)),
-                   inter_pkt_gap=int(obj.get("inter_pkt_gap", 1)),
-                   template=BitString.from_json(obj.get("template", "")),
-                   source_port=int(obj.get("source_port", 68)))
 
 
 @dataclass(frozen=True)
@@ -386,22 +342,6 @@ class QacAlwaysReady:
 
     def is_ready(self, port: int) -> bool:
         return self.ready_ports is None or port in self.ready_ports
-
-
-def qac_policy_from_json(obj) -> "QacMinimal | QacAlwaysReady":
-    if obj is None or obj == "minimal" or obj == {"kind": "minimal"}:
-        return QacMinimal()
-    if isinstance(obj, dict) and obj.get("kind") == "always_ready":
-        ready = obj.get("ready_ports", "all")
-        return QacAlwaysReady(None if ready == "all" else frozenset(int(p) for p in ready))
-    raise ValueError(f"bad qac_policy: {obj!r}")
-
-
-def qac_policy_to_json(policy) -> dict:
-    if isinstance(policy, QacMinimal):
-        return {"kind": "minimal"}
-    ready = "all" if policy.ready_ports is None else sorted(policy.ready_ports)
-    return {"kind": "always_ready", "ready_ports": ready}
 
 
 def mandatory_mask(policy, ms: Sequence[EgressMeta]) -> tuple[bool, ...]:

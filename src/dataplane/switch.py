@@ -80,6 +80,7 @@ class SwitchConfig:
     qac: "QacMinimal | QacAlwaysReady"
     mirror: str = engines.EMPTY_MIRROR
     app_label: str = "custom"
+    params: object = None  # the app's config dataclass, see AppBundle
 
 
 def egress_enabled(qs: SwitchQueues) -> bool:
@@ -453,10 +454,9 @@ def digest(obj) -> str:
 
 
 def config_digest(cfg: SwitchConfig) -> str:
-    view = {"app": cfg.app_label, "mirror": cfg.mirror,
-            "mc": cfg.mc.to_json(), "pktgen": cfg.pktgen.to_json(),
-            "qac": engines.qac_policy_to_json(cfg.qac)}
-    return hashlib.sha256(json.dumps(view, sort_keys=True).encode()).hexdigest()[:16]
+    """Digest of every decoded config value (the components are code)."""
+    return digest({"app": cfg.app_label, "params": cfg.params, "mirror": cfg.mirror,
+                   "mc": cfg.mc, "pktgen": cfg.pktgen, "qac": cfg.qac})
 
 
 def state_digests(st: SwitchState) -> dict:
@@ -492,16 +492,16 @@ def queue_digests(qs: SwitchQueues) -> dict:
 # ---------------------------------------------------------------------------
 # trace file format: one JSON object per line
 #
-# Format 2.  The header holds the full initial queues.  Each step record
-# holds the step's post snapshot only: state digests, the recirculation
-# register and the queue lengths.  Its pre snapshot is the previous
-# record's post (the header for step 0), and its queue change is spelled
-# out as a delta by the decisions and the detail (consumed arrival,
+# Format 3.  The header holds the config digest and the full initial
+# queues.  Each step record holds its post snapshot only: state digests,
+# the recirculation register and the queue lengths.  Its pre snapshot is
+# the previous record's post (the header for step 0), and its queue
+# change is a delta in the decisions and the detail (consumed arrival,
 # enqueued copies, scheduled copy, emitted or recirculated packet).  The
 # end record digests the whole final queues once.  Replay byte-compares
 # every record, so an edit anywhere shows as a divergence.
 
-TRACE_FORMAT = 2
+TRACE_FORMAT = 3
 
 
 def _opt_hex(p: Optional[BitString]):

@@ -453,6 +453,26 @@ def flow_pair(i):
 
 
 # ---------------------------------------------------------------------------
+# config inputs
+
+
+# nested config sections with one bad key or value each, paired with the
+# dotted path the error must name
+BAD_NESTED_CONFIGS = [
+    ({"pktgen": {"period": None}}, "pktgen.period"),
+    ({"pktgen": {"enabled": "no"}}, "pktgen.enabled"),
+    ({"pktgen": {"perod": 5}}, "pktgen.perod"),
+    ({"mc": []}, "mc"),
+    ({"mc": {"groups": {"5": [{"rid": "x"}]}}}, "mc.groups.5[0].rid"),
+    ({"mc": {"groups": {"5": [{"dev_port_list": [1.5]}]}}}, "mc.groups.5[0].dev_port_list[0]"),
+    ({"mc": {"groups": {"5": [{"dev_port_list": ["1"]}]}}}, "mc.groups.5[0].dev_port_list[0]"),
+    ({"qac": {"kind": "always_ready", "ready_ports": 5}}, "qac.ready_ports"),
+    ({"qac": {"kind": "always_ready", "ready": "all"}}, "qac.ready"),
+    ({"mc": {"lags": {"x": [1]}}}, "mc.lags"),
+]
+
+
+# ---------------------------------------------------------------------------
 # run helpers
 
 

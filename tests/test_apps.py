@@ -6,17 +6,21 @@ tests/support.py, which it may only ever over-approximate.
 """
 
 import dataclasses
+import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dataplane.packet_format import BitString, extract, ExtractStatus
 from dataplane.headers import SAMPLE_HEADER, SAMPLE_MARKER
-from dataplane.engines import PktGenConfig, QacAlwaysReady
+from dataplane.engines import L1Node, McConfig, PktGenConfig, QacAlwaysReady, QacMinimal
 from dataplane.switch import FifoDrainOracle, SwitchQueues, run
 from dataplane.apps import (
     FirewallConfig,
     FirewallState,
+    IdentityConfig,
     KEEPALIVE_ETHERTYPE,
     SamplerConfig,
     SamplerState,
@@ -33,6 +37,7 @@ from dataplane.apps import (
 from dataplane.checker import expected_sample_packet
 
 from support import (
+    BAD_NESTED_CONFIGS,
     FwDriver as BaseFwDriver,
     RefFirewall,
     bare_ip_pkt,
@@ -243,9 +248,51 @@ class TestAppFromConfig:
         assert isinstance(b.qac, QacAlwaysReady)
 
     def test_pktgen_override(self):
-        b = app_from_config({"pktgen": PktGenConfig(enabled=True, period=50,
-                                                    template=BitString(1, 8)).to_json()})
+        b = app_from_config({"pktgen": {"enabled": True, "period": 50, "template": "01"}})
         assert b.pktgen.enabled and b.pktgen.period == 50
+
+    def test_mc_decode(self):
+        b = app_from_config({"mc": {
+            "groups": {"5": [
+                {"dev_port_list": [1, 2], "lag_list": [], "l1_xid_valid": False,
+                 "l1_xid": 0, "rid": 10},
+                {"dev_port_list": [3], "lag_list": [7], "l1_xid_valid": True,
+                 "l1_xid": 42, "rid": 11}]},
+            "lags": {"7": [20, 21, 22]},
+            "l2_exclusion": {"9": [2, 21]},
+            "cpu_port": 64}})
+        assert b.mc == McConfig(
+            groups={5: (L1Node(dev_port_list=(1, 2), rid=10),
+                        L1Node(dev_port_list=(3,), lag_list=(7,),
+                               l1_xid_valid=True, l1_xid=42, rid=11))},
+            lags={7: (20, 21, 22)},
+            l2_exclusion={9: frozenset({2, 21})})
+
+    def test_pktgen_decode(self):
+        b = app_from_config({"pktgen": {
+            "enabled": True, "period": 100, "batch_count": 2, "pkts_per_batch": 2,
+            "inter_batch_gap": 3, "inter_pkt_gap": 1, "template": "cafe",
+            "source_port": 68}})
+        assert b.pktgen == PktGenConfig(enabled=True, period=100, batch_count=2,
+                                        pkts_per_batch=2, inter_batch_gap=3,
+                                        inter_pkt_gap=1, template=BitString(0xCAFE, 16))
+
+    def test_qac_decode(self):
+        for obj, pol in ((None, QacMinimal()), ("minimal", QacMinimal()),
+                         ({"kind": "minimal"}, QacMinimal()),
+                         ({"kind": "always_ready", "ready_ports": "all"}, QacAlwaysReady()),
+                         ({"kind": "always_ready", "ready_ports": [1, 2]},
+                          QacAlwaysReady(ready_ports=frozenset({1, 2})))):
+            assert app_from_config({"qac": obj}).qac == pol
+        with pytest.raises(ValueError):
+            app_from_config({"qac": {"kind": "mystery"}})
+
+    def test_params_are_the_decoded_app_config(self):
+        assert app_from_config({"forward_port": 4}).params == IdentityConfig(forward_port=4)
+        b = app_from_config({"app": "sampler", "sample_every": 7})
+        assert b.params == SamplerConfig(sample_every=7)
+        b = app_from_config({"app": "firewall", "hash_seed": 9})
+        assert b.params == FirewallConfig(hash_seed=9)
 
     def test_unknown_app(self):
         with pytest.raises(ValueError):
@@ -274,3 +321,62 @@ class TestAppFromConfig:
         key = next(k for k in config if k != "app")
         with pytest.raises(ValueError, match=key):
             app_from_config(config)
+
+    @pytest.mark.parametrize(
+        "config, path", BAD_NESTED_CONFIGS,
+        ids=[json.dumps(c, separators=(",", ":")) for c, _ in BAD_NESTED_CONFIGS])
+    def test_bad_nested_config_rejected(self, config, path):
+        with pytest.raises(ValueError, match=re.escape(repr(path))):
+            app_from_config(config)
+
+
+# stock configs with every engine section set, so every kind of leaf occurs
+STOCK_CONFIGS = [
+    {"app": "identity", "forward_port": 2,
+     "mc": {"groups": {"5": [{"dev_port_list": [1, 2], "lag_list": [7],
+                              "l1_xid_valid": True, "l1_xid": 42, "rid": 10}]},
+            "lags": {"7": [20, 21]}, "l2_exclusion": {"9": [2]}, "cpu_port": 64},
+     "pktgen": {"enabled": True, "period": 50, "template": "cafe"},
+     "qac": {"kind": "always_ready", "ready_ports": [1, 2]}},
+    {"app": "sampler", "forward_port": 1, "monitor_port": 3, "sample_every": 4,
+     "pktgen": {"enabled": False}, "qac": "minimal"},
+    {"app": "firewall", "inside_port": 1, "outside_port": 2, "window": 32,
+     "keepalive_period": 8, "qac": None},
+]
+
+
+def _leaf_paths(obj, path=()):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _leaf_paths(v, path + (k,))
+    elif isinstance(obj, list) and obj:
+        for i, v in enumerate(obj):
+            yield from _leaf_paths(v, path + (i,))
+    else:
+        yield path
+
+
+# every JSON type but integers: a huge hash_count or bits makes the
+# firewall loop or allocate that much, which no type check can refuse
+OTHER_JSON = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4), st.lists(st.integers(-3, 600), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 600), max_size=2))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_config_decodes_or_raises_value_error(data):
+    config = json.loads(json.dumps(data.draw(st.sampled_from(STOCK_CONFIGS))))
+    path = data.draw(st.sampled_from(list(_leaf_paths(config))))
+    *parents, last = path
+    holder = config
+    for k in parents:
+        holder = holder[k]
+    old = holder[last]
+    holder[last] = data.draw(OTHER_JSON.filter(lambda v: type(v) is not type(old)))
+    try:
+        bundle = app_from_config(config)
+    except ValueError:
+        return
+    assert bundle.params is not None

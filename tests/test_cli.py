@@ -13,7 +13,7 @@ from dataplane.cli import main
 from dataplane.headers import IP_PROTO_TCP, SAMPLE_MARKER
 from dataplane.packet_format import BitString
 
-from support import tcp_pkt, udp_pkt
+from support import BAD_NESTED_CONFIGS, tcp_pkt, udp_pkt
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +150,16 @@ class TestSim:
         assert err.startswith("error:") and "must be an integer" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "config, path", BAD_NESTED_CONFIGS,
+        ids=[json.dumps(c, separators=(",", ":")) for c, _ in BAD_NESTED_CONFIGS])
+    def test_bad_nested_config_rejected(self, tmp_path, capsys, config, path):
+        cfg = write_config(tmp_path, "bad.json", config)
+        code, out, err = run_cli(capsys, "sim", "--config", cfg)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and path in err
+        assert len(err.splitlines()) == 1
+
     def test_unknown_policy_rejected(self, identity_cfg, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["sim", "--config", identity_cfg, "--policy", "bogus"])
@@ -235,7 +245,8 @@ class TestCheck:
     @pytest.mark.parametrize("edit", [
         lambda h: h.pop("format"),
         lambda h: h.update(format=1),
-    ], ids=["no-format", "format-1"])
+        lambda h: h.update(format=2),
+    ], ids=["no-format", "format-1", "format-2"])
     def test_other_trace_format_rejected(self, identity_cfg, tmp_path, capsys,
                                          edit):
         tr = _sim_trace(capsys, tmp_path, identity_cfg, steps=3, drain=False)
@@ -264,6 +275,37 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", tr, "--config", sampler_cfg)
         assert code == 2
         assert "config does not match" in err
+
+    @pytest.mark.parametrize("app, key, value", [
+        ("sampler", "sample_every", 8),
+        ("identity", "forward_port", 3),
+        ("firewall", "hash_seed", 7),
+    ])
+    def test_config_differing_in_an_app_field_rejected(self, request, tmp_path,
+                                                       capsys, app, key, value):
+        cfg = request.getfixturevalue(f"{app}_cfg")
+        tr = _sim_trace(capsys, tmp_path, cfg, steps=20, drain=False)
+        other = write_config(tmp_path, "other.json",
+                             {**json.loads(open(cfg).read()), key: value})
+        code, out, err = run_cli(capsys, "check", tr, "--config", other,
+                                 "--spec", "sampler" if app == "sampler" else "axioms")
+        assert code == 2 and out == ""
+        assert err == "error: config does not match the trace header\n"
+
+    def test_sampler_spec_on_other_app_rejected(self, firewall_cfg, tmp_path, capsys):
+        tr = _sim_trace(capsys, tmp_path, firewall_cfg, steps=20, drain=False)
+        code, _, err = run_cli(capsys, "check", tr, "--config", firewall_cfg,
+                               "--spec", "sampler")
+        assert code == 2
+        assert err == "error: --spec sampler needs a sampler config\n"
+
+    def test_non_object_record_rejected(self, identity_cfg, tmp_path, capsys):
+        tr = _sim_trace(capsys, tmp_path, identity_cfg, steps=3, drain=False)
+        with open(tr, "a") as fh:
+            fh.write("[1]\n")
+        code, out, err = run_cli(capsys, "check", tr, "--config", identity_cfg)
+        assert code == 2 and out == ""
+        assert err.startswith("error: every trace record") and len(err.splitlines()) == 1
 
     def test_headerless_file_rejected(self, identity_cfg, tmp_path, capsys):
         tr = tmp_path / "junk.jsonl"

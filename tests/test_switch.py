@@ -8,7 +8,7 @@ import pytest
 
 from dataplane.packet_format import BitString
 from dataplane.pipeline import Components, EgressIndication, MirrorId, TmMeta
-from dataplane.engines import McConfig, PktGenConfig, QacMinimal
+from dataplane.engines import McConfig, PktGenConfig, QacAlwaysReady, QacMinimal
 from dataplane import switch
 from dataplane.switch import (
     Arrival,
@@ -35,6 +35,7 @@ from dataplane.switch import (
 )
 from dataplane.apps import (
     AppBundle,
+    IdentityConfig,
     deparse_slots,
     identity_app,
     initial_switch_state,
@@ -213,6 +214,17 @@ class TestDigests:
         b = dataclasses.replace(a, app_label="other")
         assert config_digest(a) != config_digest(b)
 
+    @pytest.mark.parametrize("field, value", [
+        ("params", IdentityConfig(forward_port=2)),
+        ("mc", McConfig(cpu_port=65)),
+        ("pktgen", PktGenConfig(period=999)),
+        ("qac", QacAlwaysReady()),
+    ], ids=["params", "mc", "pktgen", "qac"])
+    def test_config_digest_covers_decoded_config(self, field, value):
+        a = switch_config(identity_app())
+        b = dataclasses.replace(a, **{field: value})
+        assert config_digest(a) != config_digest(b)
+
 
 class TestTraceSerialization:
     def test_file_round_trip(self, tmp_path):
@@ -247,7 +259,7 @@ class TestTraceSerialization:
         tr = drain_run(identity_app(), [P1, P2, P3], RandomOracle(7))
         recs = [json.loads(line) for line in trace_to_lines(tr)]
         header, steps, end = recs[0], recs[1:-1], recs[-1]
-        assert header["format"] == TRACE_FORMAT == 2
+        assert header["format"] == TRACE_FORMAT == 3
         assert header["state_digest"] == digest(tr.initial_state)
         assert len(steps) == len(tr.steps)
         for rec, step in zip(steps, tr.steps):
