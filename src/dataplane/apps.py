@@ -237,8 +237,8 @@ class FirewallConfig:
     keepalive_period: int = 16
 
     def __post_init__(self) -> None:
-        if self.window < 1 or self.bits < 1 or self.hash_count < 1:
-            raise ValueError("window, bits and hash_count must all be >= 1")
+        if min(self.window, self.bits, self.hash_count, self.keepalive_period) < 1:
+            raise ValueError("window, bits, hash_count and keepalive_period must all be >= 1")
         if self.inside_port == self.outside_port:
             raise ValueError("inside and outside must be distinct ports")
 
@@ -401,7 +401,8 @@ def _value(default, v, where: str):
     if isinstance(default, int):
         return _expect(isinstance(v, int) and not isinstance(v, bool), v, "an integer", where)
     if isinstance(default, BitString):
-        return BitString.from_hex(_expect(isinstance(v, str), v, "a hex string", where))
+        return _checked(where, BitString.from_hex,
+                        _expect(isinstance(v, str), v, "a hex string", where))
     if dataclasses.is_dataclass(default):
         return _decode(type(default), v, where)
     v = _expect(isinstance(v, list), v, "a list", where)
@@ -415,8 +416,18 @@ def _decode(cls, obj, where: str, **decoders):
     unknown = sorted(set(_expect(isinstance(obj, dict), obj, "an object", where)) - set(fields))
     if unknown:
         raise ValueError(f"unknown config keys {[_path(where, k) for k in unknown]}")
-    return cls(**{k: decoders.get(k, partial(_value, fields[k]))(v, _path(where, k))
-                  for k, v in obj.items()})
+    kwargs = {k: decoders.get(k, partial(_value, fields[k]))(v, _path(where, k))
+              for k, v in obj.items()}
+    return _checked(where, cls, **kwargs)
+
+
+def _checked(where: str, make: Callable, *args, **kwargs):
+    """make(*args, **kwargs), a ValueError from its own checks prefixed
+    with the key path of the value it rejected."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise ValueError(f"config key {where!r}: {e}" if where else f"config: {e}") from None
 
 
 def _table(decode_value: Callable, obj, where: str) -> dict:

@@ -86,15 +86,34 @@ def _load_config(path: str) -> dict:
 
 
 def _load_workload(path: str) -> tuple[switch.Arrival, ...]:
+    """The arrivals of a workload file; a ValueError names the first bad line."""
     arrivals = []
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            arrivals.append(switch.Arrival(int(obj["port"]),
-                                           BitString.from_json(obj["packet"])))
+            try:
+                arrivals.append(_arrival(json.loads(line)))
+            except ValueError as e:
+                raise ValueError(f"workload line {n}: {e}") from None
     return tuple(arrivals)
+
+
+def _arrival(obj) -> switch.Arrival:
+    """One workload line: {"port": an integer, "packet": a hex string, or
+    {"hex", "len_bits"} for a packet that is not byte aligned}."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"must be a JSON object, got {obj!r}")
+    port, packet = obj.get("port"), obj.get("packet")
+    if type(port) is not int:  # a bool is not a port
+        raise ValueError(f"port must be an integer, got {port!r}")
+    if isinstance(packet, dict) and set(packet) == {"hex", "len_bits"}:
+        hex_, len_bits = packet["hex"], packet["len_bits"]
+    else:
+        hex_, len_bits = packet, None
+    if not isinstance(hex_, str) or not (len_bits is None or type(len_bits) is int):
+        raise ValueError(f"packet must be a hex string, got {packet!r}")
+    return switch.Arrival(port, BitString.from_hex(hex_, len_bits))
 
 
 def cmd_sim(args) -> int:

@@ -16,9 +16,8 @@ deparse_slots emits headers in the order SAMPLED_FORMAT binds them.
 from __future__ import annotations
 
 from .packet_format import (
-    EMPTY_BITS, BitString, Branch, Concat, Empty, ExactPlain, ExactValue,
-    Format, HeaderType, TypedValue, check_well_formed, encode, seq,
-    value_bindings,
+    BitString, Branch, Concat, Empty, ExactPlain, ExactValue, Format,
+    HeaderType, TypedValue, check_well_formed, seq, value_bindings,
 )
 
 ETHERNET = HeaderType("ethernet", (
@@ -130,12 +129,16 @@ WIRE_ORDER = value_bindings(SAMPLED_FORMAT)
 
 
 def deparse_slots(slots: dict[str, TypedValue]) -> BitString:
-    """Encode the header slots present, in WIRE_ORDER."""
-    out = EMPTY_BITS
+    """Encode the header slots present, in WIRE_ORDER: their words
+    shifted and ORed into one bit string."""
+    word = nbits = 0
     for name in WIRE_ORDER:
-        if name in slots:
-            out = out + encode(slots[name])
-    return out
+        v = slots.get(name)
+        if v is not None:
+            width = v.htype.total_width
+            word = (word << width) | v.word
+            nbits += width
+    return BitString(word, nbits)
 
 
 # convenience constructors; unspecified fields default to zero

@@ -2,9 +2,11 @@
 
 A packet is a finite bit string, MSB-first within each byte.  Header
 layouts are described by :class:`HeaderType` (named fields with fixed
-bit widths) and concrete header values by :class:`TypedValue`.  Encoding
-packs field values big-endian in declaration order; decoding is its
-exact inverse, so ``decode(encode(v)) == v`` for every well-typed value.
+bit widths) and concrete header values by :class:`TypedValue`, held as
+their encoding: one word packing the field values big-endian in
+declaration order, off which fields are read on demand.  Decoding takes
+that word off a bit string with one shift, so ``decode(encode(v)) == v``
+for every well-typed value.
 
 Packet shapes beyond a single header are described by a small format
 language:
@@ -153,59 +155,67 @@ class HeaderType:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fields", tuple((str(n), int(w)) for n, w in self.fields))
-        seen = set()
+        object.__setattr__(self, "total_width", sum(w for _, w in self.fields))
+        # field -> (shift, mask) within the encoded word; kept out of the
+        # dataclass fields so that eq, hash and repr see only the declaration
+        layout, shift = {}, self.total_width
         for fname, width in self.fields:
             if width < 1:
                 raise ValueError(f"{self.name}.{fname}: width must be >= 1, got {width}")
-            if fname in seen:
+            if fname in layout:
                 raise ValueError(f"{self.name}: duplicate field {fname!r}")
-            seen.add(fname)
-        object.__setattr__(self, "total_width", sum(w for _, w in self.fields))
-
-    def width_of(self, fname: str) -> int:
-        for n, w in self.fields:
-            if n == fname:
-                return w
-        raise KeyError(f"{self.name} has no field {fname!r}")
-
-    def to_json(self) -> dict:
-        return {"name": self.name,
-                "fields": [{"name": n, "width_bits": w} for n, w in self.fields]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "HeaderType":
-        return cls(obj["name"],
-                   tuple((f["name"], f["width_bits"]) for f in obj["fields"]))
+            shift -= width
+            layout[fname] = (shift, (1 << width) - 1)
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "mask", (1 << self.total_width) - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypedValue:
-    """A fully bound header value.  Every field of the type is present
-    and in range; field order is normalized to declaration order."""
+    """A fully bound header value, held as its encoding: word packs the
+    fields big-endian in declaration order, and a field read is one
+    shift and mask.  Every field of the type is present and in range."""
 
     htype: HeaderType
-    values: tuple[tuple[str, int], ...]
+    word: int
 
     def __init__(self, htype: HeaderType, values: Mapping[str, int]) -> None:
-        object.__setattr__(self, "htype", htype)
         got = dict(values)
-        norm = []
+        word = 0
         for fname, width in htype.fields:
             if fname not in got:
                 raise ValueError(f"{htype.name}: missing field {fname!r}")
             v = int(got.pop(fname))
             if not 0 <= v < (1 << width):
                 raise ValueError(f"{htype.name}.{fname}: {v:#x} does not fit in {width} bits")
-            norm.append((fname, v))
+            word = (word << width) | v
         if got:
             raise ValueError(f"{htype.name}: unknown fields {sorted(got)}")
-        object.__setattr__(self, "values", tuple(norm))
+        object.__setattr__(self, "htype", htype)
+        object.__setattr__(self, "word", word)
+
+    @classmethod
+    def of_word(cls, htype: HeaderType, word: int) -> "TypedValue":
+        """The value encoded by the low total_width bits of word; higher
+        bits are ignored.  Every field is masked to its width, so it is in
+        range by construction."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "htype", htype)
+        object.__setattr__(v, "word", word & htype.mask)
+        return v
 
     def __getitem__(self, fname: str) -> int:
-        for n, v in self.values:
-            if n == fname:
-                return v
-        raise KeyError(f"{self.htype.name} has no field {fname!r}")
+        try:
+            shift, mask = self.htype.layout[fname]
+        except KeyError:
+            raise KeyError(f"{self.htype.name} has no field {fname!r}") from None
+        return self.word >> shift & mask
+
+    @property
+    def values(self) -> tuple[tuple[str, int], ...]:
+        """(field, value) pairs in declaration order."""
+        word = self.word
+        return tuple((n, word >> shift & mask) for n, (shift, mask) in self.htype.layout.items())
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.values)
@@ -221,13 +231,8 @@ class TypedValue:
 
 
 def encode(v: TypedValue) -> BitString:
-    """Pack fields big-endian in declaration order."""
-    acc = 0
-    total = 0
-    for (_, width), (_, val) in zip(v.htype.fields, v.values):
-        acc = (acc << width) | val
-        total += width
-    return BitString(acc, total)
+    """The value's word as a bit string of the type's total width."""
+    return BitString(v.word, v.htype.total_width)
 
 
 class ExtractStatus(enum.Enum):
@@ -244,18 +249,8 @@ def extract(htype: HeaderType, p: BitString) -> tuple[Optional[TypedValue], Extr
     total = htype.total_width
     if len(p) < total:
         return None, ExtractStatus.FAILURE, p
-    vals = _decode(htype, p.value >> (p.nbits - total))
-    return TypedValue(htype, vals), ExtractStatus.SUCCESS, p.drop(total)
-
-
-def _decode(htype: HeaderType, word: int) -> dict[str, int]:
-    """Field values of htype read off the low total_width bits of word,
-    last field first; higher bits of word are ignored."""
-    vals = {}
-    for fname, width in reversed(htype.fields):
-        vals[fname] = word & ((1 << width) - 1)
-        word >>= width
-    return vals
+    return (TypedValue.of_word(htype, p.value >> (p.nbits - total)), ExtractStatus.SUCCESS,
+            p.drop(total))
 
 
 def advance(p: BitString, n: int) -> tuple[ExtractStatus, BitString]:
@@ -448,7 +443,7 @@ def _match_prefix(f: Format, p: BitString, pos: int, env: Environment) -> int:
         if end > p.nbits:
             raise MatchFailure(pos, f"need {htype.total_width} bits for {htype.name}, "
                                     f"have {p.nbits - pos}")
-        env._b[f.name] = TypedValue(htype, _decode(htype, p.value >> (p.nbits - end)))
+        env._b[f.name] = TypedValue.of_word(htype, p.value >> (p.nbits - end))
         return end
     if isinstance(f, Branch):
         return _match_prefix(f.then if f.cond(env) else f.els, p, pos, env)

@@ -459,13 +459,28 @@ def config_digest(cfg: SwitchConfig) -> str:
                    "mc": cfg.mc, "pktgen": cfg.pktgen, "qac": cfg.qac})
 
 
-def state_digests(st: SwitchState) -> dict:
-    return {
-        "t": st.t,
-        "s_g": digest(st.s_g),
-        "s_ip": digest(st.s_i[0]), "s_ic": digest(st.s_i[1]), "s_id": digest(st.s_i[2]),
-        "s_ep": digest(st.s_e[0]), "s_ec": digest(st.s_e[1]), "s_ed": digest(st.s_e[2]),
-    }
+def _state_slots(st: SwitchState) -> dict:
+    return {"s_g": st.s_g, "s_ip": st.s_i[0], "s_ic": st.s_i[1], "s_id": st.s_i[2],
+            "s_ep": st.s_e[0], "s_ec": st.s_e[1], "s_ed": st.s_e[2]}
+
+
+# the state slots a step of each kind leaves untouched (see the frames
+# of ingress_step and egress_step)
+_UNTOUCHED = {INGRESS: ("s_ep", "s_ec", "s_ed"), EGRESS: ("s_g", "s_ip", "s_ic", "s_id")}
+
+
+def state_digests(st: SwitchState, kind: Optional[str] = None,
+                  pre: Optional[SwitchState] = None, pre_digests: Optional[dict] = None) -> dict:
+    """The clock and a digest of every state slot.  When st is the post
+    state of a step of this kind from pre, whose state_digests are
+    pre_digests, a slot the step cannot change that is still the same
+    object keeps its digest from pre_digests."""
+    keep = _UNTOUCHED[kind] if pre_digests is not None else ()
+    pre_slots = _state_slots(pre) if keep else {}
+    out = {"t": st.t}
+    for name, obj in _state_slots(st).items():
+        out[name] = pre_digests[name] if name in keep and obj is pre_slots[name] else digest(obj)
+    return out
 
 
 def queue_shape(qs: SwitchQueues) -> dict:
@@ -512,12 +527,15 @@ def _em_json(em: EgressMeta) -> dict:
     return {"port": em.egress_port, "rid": em.rid, "source": em.source}
 
 
-def step_to_json(step: TraceStep) -> dict:
+def step_to_json(step: TraceStep, pre_digests: Optional[dict] = None) -> dict:
+    """The step's record; pre_digests, when given, are the state_digests
+    of step.pre_state, and spare digesting the slots the step left alone."""
+    post = state_digests(step.post_state, step.kind, step.pre_state, pre_digests)
     rec = {
         "type": "step",
         "kind": step.kind,
         "decisions": _canon(step.decisions),
-        "post": {**state_digests(step.post_state), **queue_shape(step.post_queues)},
+        "post": {**post, **queue_shape(step.post_queues)},
     }
     d = step.detail
     if step.kind == INGRESS:
@@ -567,7 +585,11 @@ def trace_header_json(trace: Trace) -> dict:
 def trace_to_lines(trace: Trace) -> list[str]:
     dump = lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"))
     lines = [dump(trace_header_json(trace))]
-    lines.extend(dump(step_to_json(s)) for s in trace.steps)
+    prev_state = prev_digests = None
+    for s in trace.steps:
+        rec = step_to_json(s, prev_digests if s.pre_state is prev_state else None)
+        lines.append(dump(rec))
+        prev_state, prev_digests = s.post_state, rec["post"]
     if trace.fault is not None:
         lines.append(dump({"type": "fault", "error": trace.fault,
                            "decisions": trace.fault_decisions or {}}))

@@ -469,6 +469,9 @@ BAD_NESTED_CONFIGS = [
     ({"qac": {"kind": "always_ready", "ready_ports": 5}}, "qac.ready_ports"),
     ({"qac": {"kind": "always_ready", "ready": "all"}}, "qac.ready"),
     ({"mc": {"lags": {"x": [1]}}}, "mc.lags"),
+    ({"pktgen": {"template": "zz"}}, "pktgen.template"),
+    ({"mc": {"groups": {"0": []}}}, "mc"),
+    ({"mc": {"groups": {"5": [{"rid": 1 << 16}]}}}, "mc.groups.5[0]"),
 ]
 
 

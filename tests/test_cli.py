@@ -160,6 +160,20 @@ class TestSim:
         assert err.startswith("error:") and path in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("line, what", [
+        ("[1]", "JSON object"),
+        ('{"port": 1, "packet": 5}', "hex string"),
+        ('{"port": 1, "packet": "zz"}', "hexadecimal"),
+        ('{"port": "1", "packet": "00"}', "port must be an integer"),
+    ])
+    def test_bad_workload_line_rejected(self, identity_cfg, tmp_path, capsys, line, what):
+        wl = tmp_path / "w.jsonl"
+        wl.write_text(json.dumps({"port": 1, "packet": tcp_pkt().to_json()}) + "\n" + line + "\n")
+        code, out, err = run_cli(capsys, "sim", "--config", identity_cfg, "--input", str(wl))
+        assert code == 2 and out == ""
+        assert err.startswith("error: workload line 2:") and what in err
+        assert len(err.splitlines()) == 1
+
     def test_unknown_policy_rejected(self, identity_cfg, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["sim", "--config", identity_cfg, "--policy", "bogus"])

@@ -2,7 +2,10 @@
 
 import pytest
 
-from dataplane.packet_format import BitString, extract, ExtractStatus, matches
+from dataplane.apps import parse_sampled, parse_standard
+from dataplane.packet_format import (
+    BitString, ExtractStatus, TypedValue, encode, extract, matches,
+)
 from dataplane.headers import (
     ETHERNET,
     INTRINSIC_META,
@@ -15,6 +18,7 @@ from dataplane.headers import (
     TCP,
     UDP,
     build_packet,
+    deparse_slots,
     is_tcp,
     is_udp,
     make_ethernet,
@@ -129,3 +133,23 @@ def test_build_packet_payload_only():
     tail = BitString(0b1, 1)
     p = build_packet(payload=tail)
     assert len(p) == 401 and p.drop(400) == tail
+
+
+def test_parse_and_deparse_skip_validation(monkeypatch):
+    # parsed headers are built from their wire words, which are in range
+    # by construction; only hand-built values go through the checks
+    pkt = tcp_pkt()
+    sampled = encode(make_sample(sample_count=7)) + pkt
+    calls = 0
+    init = TypedValue.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TypedValue, "__init__", counting)
+    for p, parse in ((pkt, parse_standard), (sampled, parse_sampled)):
+        d = parse(p)
+        assert d is not None and deparse_slots(d.slots) + d.payload == p
+    assert calls == 0

@@ -35,13 +35,17 @@ from dataplane.packet_format import (
     seq,
 )
 from dataplane.headers import (
-    ETHERNET, IPV4, SAMPLE_HEADER, SAMPLED_FORMAT, STANDARD_FORMAT, UDP,
+    ETHERNET, INTRINSIC_META, IPV4, PORT_META, SAMPLE_HEADER, SAMPLED_FORMAT,
+    STANDARD_FORMAT, TCP, UDP,
 )
 
 from support import (
     mangle, rand_packet, rand_typed, random_format, ref_matches,
     sample_matching_input,
 )
+
+
+STOCK_HEADERS = [ETHERNET, IPV4, TCP, UDP, INTRINSIC_META, PORT_META, SAMPLE_HEADER]
 
 
 class TestTypedValue:
@@ -63,6 +67,27 @@ class TestTypedValue:
         a = TypedValue(ETHERNET, {"dst": 1, "src": 2, "ethertype": 3})
         b = TypedValue(ETHERNET, {"ethertype": 3, "src": 2, "dst": 1})
         assert a == b and encode(a) == encode(b)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_of_word_is_the_validated_value(self, data):
+        htype = data.draw(st.sampled_from(STOCK_HEADERS))
+        vals = {n: data.draw(st.integers(0, (1 << w) - 1)) for n, w in htype.fields}
+        v = TypedValue(htype, vals)
+        # the word packs the fields big-endian; bits above it are ignored
+        word = 0
+        for n, w in htype.fields:
+            word = (word << w) | vals[n]
+        junk = data.draw(st.integers(0, (1 << 64) - 1))
+        u = TypedValue.of_word(htype, (junk << htype.total_width) | word)
+        assert u == v and hash(u) == hash(v)
+        assert encode(u).value == word and len(encode(u)) == htype.total_width
+        assert u.values == tuple((n, vals[n]) for n, _ in htype.fields)
+        assert all(u[n] == vals[n] for n in vals) and u.as_dict() == vals
+
+    def test_unknown_field_read(self):
+        with pytest.raises(KeyError, match="no field 'bogus'"):
+            TypedValue.of_word(UDP, 0)["bogus"]
 
     def test_replace(self):
         v = TypedValue(UDP, {"src_port": 1, "dst_port": 2, "length": 8,
@@ -99,7 +124,7 @@ class TestCodec:
     @given(st.data())
     @settings(max_examples=300)
     def test_round_trip(self, data):
-        htype = data.draw(st.sampled_from([ETHERNET, IPV4, UDP]))
+        htype = data.draw(st.sampled_from(STOCK_HEADERS))
         vals = {n: data.draw(st.integers(0, (1 << w) - 1)) for n, w in htype.fields}
         v = TypedValue(htype, vals)
         tail_len = data.draw(st.integers(0, 24))

@@ -36,10 +36,12 @@ from dataplane.switch import (
 from dataplane.apps import (
     AppBundle,
     IdentityConfig,
+    SamplerConfig,
     deparse_slots,
     identity_app,
     initial_switch_state,
     parse_standard,
+    sampler_app,
     switch_config,
     _tm,
 )
@@ -293,6 +295,31 @@ class TestTraceSerialization:
         small = self._canon_calls_per_step(monkeypatch, 20)
         large = self._canon_calls_per_step(monkeypatch, 40)
         assert large <= 1.1 * small
+
+    def test_untouched_slots_are_not_digested_again(self, monkeypatch):
+        # a count: every step used to digest all seven state slots; an
+        # ingress step cannot change s_e, an egress step neither s_g nor s_i
+        bundle = sampler_app(SamplerConfig(sample_every=2))
+        tr = drain_run(bundle, [tcp_pkt(sp=i) for i in range(40)])
+        assert {s.kind for s in tr.steps} == {INGRESS, EGRESS}
+        calls = 0
+        digest_ = switch.digest
+
+        def counting(obj):
+            nonlocal calls
+            calls += 1
+            return digest_(obj)
+
+        expected = trace_to_lines(tr)
+        monkeypatch.setattr(switch, "digest", counting)
+        assert trace_to_lines(tr) == expected
+        monkeypatch.setattr(switch, "digest", digest_)
+        per_step = calls / len(tr.steps)
+        assert per_step <= 4.2, per_step
+        # the records are those of digesting every slot afresh
+        for line, step in zip(expected[1:], tr.steps):
+            assert json.loads(line)["post"] == {**state_digests(step.post_state),
+                                               **queue_shape(step.post_queues)}
 
     def test_recorded_input_index_is_the_oracles_pick(self):
         class Second(FifoDrainOracle):
