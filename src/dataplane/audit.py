@@ -1,0 +1,221 @@
+"""Check a recorded trace in one pass.
+
+`Records` reads a trace file one record at a time.  `Lockstep` replays
+each step from the decisions of the record at hand, requires the step's
+rebuilt record to be that record byte for byte, and then feeds the step
+to the checker's folds, so no step outlives its turn.
+
+The replay consumes only the header's clock and queues and the decisions
+of the step and fault records.  Those are checked here, and a malformed
+value is a ValueError naming its line and key path.  Everything else in
+a record is only compared with its replay.  Only `dataplane check`
+imports this module.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import sys
+from typing import Optional
+
+from . import checker, switch
+from .apps import FirewallConfig, SamplerConfig
+from .engines import EgressMeta
+from .switch import EGRESS, INGRESS, Arrival, SwitchQueues, expect, packet_from_json, port_from_json
+
+
+def _key(path: str) -> str:
+    return f"key {path!r}"
+
+
+def initial_clock(header: dict) -> int:
+    t0 = header.get("t0")
+    return expect(type(t0) is int, t0, "an integer", _key("t0"))
+
+
+def _pairs(q: dict, name: str):
+    """(key path, first, second) for each [first, second] item of q[name]."""
+    where = f"queues.{name}"
+    for i, item in enumerate(expect(isinstance(q.get(name), list), q.get(name), "a list",
+                                    _key(where))):
+        w = f"{where}[{i}]"
+        expect(isinstance(item, list) and len(item) == 2, item, "a pair", _key(w))
+        yield w, item[0], item[1]
+
+
+def _egress_meta(em, where: str) -> EgressMeta:
+    expect(isinstance(em, dict) and set(em) == {"port", "rid", "source"}, em,
+           'an object of "port", "rid" and "source"', _key(where))
+    expect(type(em["rid"]) is int, em["rid"], "an integer", _key(f"{where}.rid"))
+    port = port_from_json(em["port"], _key(f"{where}.port"))
+    try:  # EgressMeta checks the source
+        return EgressMeta(port, em["rid"], em["source"])
+    except ValueError as e:
+        raise ValueError(f"{_key(where)}: {e}") from None
+
+
+def queues_from_header(header: dict) -> SwitchQueues:
+    q = expect(isinstance(header.get("queues"), dict), header.get("queues"), "an object",
+               _key("queues"))
+    p_recirc = q.get("p_recirc")
+    return SwitchQueues(
+        q_input=tuple(Arrival(port_from_json(port, _key(f"{w}[0]")),
+                              packet_from_json(p, _key(f"{w}[1]")))
+                      for w, port, p in _pairs(q, "q_input")),
+        p_recirc=None if p_recirc is None else packet_from_json(p_recirc,
+                                                                _key("queues.p_recirc")),
+        q_mirror=(),
+        q_egress=tuple((_egress_meta(em, f"{w}[0]"), packet_from_json(p, _key(f"{w}[1]")))
+                       for w, em, p in _pairs(q, "q_egress")),
+        q_output=tuple((port_from_json(port, _key(f"{w}[0]")),
+                        packet_from_json(p, _key(f"{w}[1]")))
+                       for w, port, p in _pairs(q, "q_output")),
+    )
+
+
+_KIND = (lambda v: v in (INGRESS, EGRESS), '"ingress" or "egress"')
+_INDEX = (lambda v: v is None or type(v) is int, "an integer or null")
+_DECISIONS = {
+    "requested_kind": _KIND,
+    "kind": _KIND,
+    "input_index": _INDEX,
+    "admitted_mask": (lambda v: v is None or (isinstance(v, list)
+                                              and all(type(b) is bool for b in v)),
+                      "a list of true and false or null"),
+    "sched_index": _INDEX,
+}
+
+
+def record_decisions(rec: dict) -> dict:
+    """The decisions of a step or a fault record.  A step record holds all
+    five; a fault record those its step consumed before it faulted."""
+    step = rec["type"] == "step"
+    d = rec.get("decisions") if step else rec.get("decisions", {})
+    expect(isinstance(d, dict), d, "an object", _key("decisions"))
+    for name, (ok, what) in _DECISIONS.items():
+        if name not in d:
+            if step:
+                raise ValueError(f"{_key(f'decisions.{name}')} is missing")
+        elif not ok(d[name]):  # the message is built only for a bad value
+            expect(False, d[name], what, _key(f"decisions.{name}"))
+    return d
+
+
+def spec_fold(spec: str, bundle, cfg, st) -> Optional[checker.Fold]:
+    """The fold of the `--spec` selector; None for the axioms alone."""
+    name, _, param = spec.partition(":")
+    if name == "axioms":
+        return None
+    if name == "langsec":
+        return checker.LangsecFold(cfg)
+    if name not in ("sampler", "denseflow", "firewall"):
+        raise ValueError(f"unknown spec selector {spec!r}")
+    want = {"sampler": SamplerConfig, "firewall": FirewallConfig}.get(name)
+    if want is not None and not isinstance(bundle.params, want):
+        raise ValueError(f"--spec {name} needs a {name} config")
+    if param and not (param.isdecimal() and int(param) >= 1):
+        raise ValueError(f"--spec {name} takes a whole number of at least 1, got {param!r}")
+    n = int(param) if param else None
+    if name == "sampler":
+        scfg = bundle.params
+        return checker.SamplerFold(st, scfg if n is None
+                                   else dataclasses.replace(scfg, sample_every=n))
+    if n is None:
+        raise ValueError(f"{name} needs a gap, e.g. {name}:64")
+    if name == "denseflow":
+        return checker.DenseFlowFold(n)
+    return checker.FreshnessFold(bundle.params, n)
+
+
+class Records:
+    """The records of a trace file, read one line at a time: rec is the
+    record at position pos (the header's is 0), read from line n of the
+    file, or None past the last one."""
+
+    def __init__(self, fh) -> None:
+        self._lines = ((n, line) for n, line in enumerate(fh, 1) if line.strip())
+        self.pos = -1
+        self.advance()
+
+    def advance(self) -> None:
+        self.pos += 1
+        self.n, self.line = next(self._lines, (None, None))
+        self.rec = None if self.line is None else json.loads(self.line)
+        if self.line is not None and not isinstance(self.rec, dict):
+            raise ValueError(f"every trace record must be a JSON object; line {self.n} is not")
+
+    def checked(self, read, *args):
+        """read(*args), a ValueError from it prefixed with the line of rec."""
+        try:
+            return read(*args)
+        except ValueError as e:
+            raise ValueError(f"trace line {self.n}: {e}") from None
+
+
+class Lockstep:
+    """Replay in step with reading the records: each step takes its
+    decisions from the record at hand, and the folds take the step once
+    its rebuilt record is that record, byte for byte."""
+
+    def __init__(self, records: Records, folds: list) -> None:
+        self.records = records
+        self.folds = folds  # (label, checker.Fold)
+        self.steps = 0
+        self.unmet = None  # (label, the PreconditionUnmet a fold raised)
+        self._diverged = False
+        self._decisions = None
+        self._digests = None  # state_digests of the step's pre-state
+
+    def run(self, cfg, st, qs) -> Optional[switch.Trace]:
+        """The replayed Trace, which keeps no steps, or None when a record
+        is not reproduced; records.pos is then that record's position."""
+        header = switch.header_record(switch.config_digest(cfg), cfg.app_label, st, qs)
+        if not self._match(header):
+            return None
+        trace = switch.run(cfg, st, qs, sys.maxsize, switch.ReplayOracle(self._next()),
+                           stop_when=self._stop, sink=self._sink)
+        tail = [switch.fault_record(trace)] if trace.fault is not None else []
+        tail.append(switch.end_record(self.steps, trace.final_state, trace.final_queues))
+        if self._diverged or not all(self._match(rec) for rec in tail):
+            return None
+        return trace if self.records.rec is None else None  # nothing after the end
+
+    def _match(self, rec: dict) -> bool:
+        """Whether rec is the record at hand, moving past it if so."""
+        r = self.records
+        line = switch.dump_record(rec)
+        if r.rec is None or (line != r.line.strip() and line != switch.dump_record(r.rec)):
+            self._diverged = True
+            return False
+        r.advance()
+        return True
+
+    def _stop(self, st, qs) -> bool:
+        """Stop at a divergence or at a record that holds no decisions."""
+        r = self.records
+        self._decisions = None
+        if not self._diverged and r.rec is not None and r.rec.get("type") in ("step", "fault"):
+            self._decisions = r.checked(record_decisions, r.rec)
+        return self._decisions is None
+
+    def _next(self):
+        while True:
+            yield self._decisions
+
+    def _sink(self, step: switch.TraceStep) -> None:
+        rec = switch.step_to_json(step, self._digests)
+        self._digests = rec["post"]
+        if not self._match(rec):
+            return
+        if self.unmet is None:  # an unmet precondition ends every verdict
+            for label, fold in self.folds:
+                if fold.verdict.ok:
+                    try:
+                        v = fold.step(self.steps, step)
+                    except checker.PreconditionUnmet as e:
+                        self.unmet = (label, e)
+                        break
+                    if v is not None:
+                        fold.verdict = v
+        self.steps += 1

@@ -6,7 +6,8 @@ clause that failed, so a forged or corrupted trace is pinned to the
 exact frame condition or engine equation it breaks.  On top of the
 per-step axioms sit whole-trace checks: the sampler's input/output
 relation, the malformed-input isolation property, parser
-obliviousness, and the firewall's freshness guarantee.
+obliviousness, and the firewall's freshness guarantee.  Those over a
+trace are folds over its steps, so a replay can run them as it goes.
 """
 
 from __future__ import annotations
@@ -235,24 +236,60 @@ def _subsequence_mask(sub: Sequence, seq: Sequence) -> tuple[bool, ...]:
 
 
 # ---------------------------------------------------------------------------
-# whole-trace axioms
+# whole-trace checks as folds over the step stream
 
 
-def check_trace(cfg: SwitchConfig, trace: Trace) -> Verdict:
-    """Continuity plus every per-step clause; first violation wins."""
-    prev_s, prev_q = trace.initial_state, trace.initial_queues
+class Fold:
+    """A whole-trace check fed one step at a time.  step(i, step) takes
+    the steps in order and returns None, or the violation, after which
+    the fold takes no more steps.  finish(final_state, final_queues)
+    gives the verdict.  A fold holds only what its property needs, so a
+    replay can audit a trace without keeping its steps."""
+
+    verdict = OK
+
+    def finish(self, final_state, final_queues) -> Verdict:
+        return self.verdict
+
+
+def fold_trace(fold: Fold, trace: Trace) -> Verdict:
+    """The fold's verdict on a whole Trace."""
     for i, step in enumerate(trace.steps):
+        v = fold.step(i, step)
+        if v is not None:
+            fold.verdict = v
+            break
+    return fold.finish(trace.final_state, trace.final_queues)
+
+
+class AxiomsFold(Fold):
+    """Continuity plus every per-step clause; first violation wins."""
+
+    def __init__(self, cfg: SwitchConfig, initial_state, initial_queues) -> None:
+        self.cfg = cfg
+        self.prev = (initial_state, initial_queues)
+        self.n = 0  # steps taken
+
+    def step(self, i, step):
+        prev_s, prev_q = self.prev
         if step.pre_state != prev_s or step.pre_queues != prev_q:
             return Verdict(False, "trace.continuity",
                            "step does not start at the previous post-state", i)
-        v = check_step(cfg, step)
+        v = check_step(self.cfg, step)
         if not v:
             return Verdict(False, v.violated_clause, v.detail, i)
-        prev_s, prev_q = step.post_state, step.post_queues
-    if trace.final_state != prev_s or trace.final_queues != prev_q:
-        return Verdict(False, "trace.continuity", "final snapshot diverges",
-                       len(trace.steps))
-    return OK
+        self.prev = (step.post_state, step.post_queues)
+        self.n = i + 1
+        return None
+
+    def finish(self, final_state, final_queues):
+        if self.verdict and (final_state, final_queues) != self.prev:
+            return Verdict(False, "trace.continuity", "final snapshot diverges", self.n)
+        return self.verdict
+
+
+def check_trace(cfg: SwitchConfig, trace: Trace) -> Verdict:
+    return fold_trace(AxiomsFold(cfg, trace.initial_state, trace.initial_queues), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -341,24 +378,41 @@ def sampler_spec_check(n: int, inputs: Sequence[BitString],
     return OK
 
 
+class SamplerFold(Fold):
+    """The sampler relation: keeps the parsed inputs in consumption order
+    and judges them against the transmitted outputs at the end."""
+
+    def __init__(self, initial_state, scfg, *, require_complete: bool = False) -> None:
+        self.count = initial_state.s_i[1].counter
+        self.inputs: list[BitString] = []
+        self.scfg = scfg
+        self.require_complete = require_complete
+
+    def step(self, i, step):
+        if (step.kind == INGRESS and step.detail.p_i is not None
+                and step.detail.pipeline_out is not None):
+            self.inputs.append(step.detail.p_i)
+
+    def finish(self, final_state, final_queues):
+        q = final_queues
+        if self.require_complete and (q.q_input or q.q_egress or q.p_recirc is not None):
+            return Verdict(False, "sampler.incomplete", "packets still in flight")
+        return sampler_spec_check(self.count, self.inputs, q.q_output, self.scfg,
+                                  require_complete=self.require_complete)
+
+
 def sampler_io(trace: Trace) -> tuple[int, list[BitString], list[tuple]]:
     """Project a trace onto (initial count, parsed inputs in consumption
     order, transmitted outputs in emission order)."""
-    n = trace.initial_state.s_i[1].counter
-    inputs = [step.detail.p_i for step in trace.steps
-              if step.kind == INGRESS and step.detail.p_i is not None
-              and step.detail.pipeline_out is not None]
-    return n, inputs, list(trace.final_queues.q_output)
+    fold = SamplerFold(trace.initial_state, None)
+    for i, step in enumerate(trace.steps):
+        fold.step(i, step)
+    return fold.count, fold.inputs, list(trace.final_queues.q_output)
 
 
 def sampler_trace_check(trace: Trace, scfg, *, require_complete: bool = False) -> Verdict:
-    n, inputs, outputs = sampler_io(trace)
-    if require_complete:
-        q = trace.final_queues
-        if q.q_input or q.q_egress or q.p_recirc is not None:
-            return Verdict(False, "sampler.incomplete", "packets still in flight")
-    return sampler_spec_check(n, inputs, outputs, scfg,
-                              require_complete=require_complete)
+    return fold_trace(SamplerFold(trace.initial_state, scfg,
+                                  require_complete=require_complete), trace)
 
 
 SAMPLER_CLAUSES = {
@@ -402,22 +456,27 @@ def langsec_check(bundle, p_bad: BitString, st=None, qs=None, oracle=None, *,
     return _isolation_frame(step, expected_q_input=qs.q_input)
 
 
-def langsec_trace_check(trace: Trace, cfg: SwitchConfig) -> Verdict:
+class LangsecFold(Fold):
     """Whole-trace form: with the generator off and every input
     unparseable, nothing but the clock, the parser state slot and
     q_input may move on any step."""
-    if cfg.pktgen.enabled:
-        raise PreconditionUnmet("generator must be disabled")
-    for i, step in enumerate(trace.steps):
+
+    def __init__(self, cfg: SwitchConfig) -> None:
+        if cfg.pktgen.enabled:
+            raise PreconditionUnmet("generator must be disabled")
+
+    def step(self, i, step):
         if step.kind != INGRESS:
             return Verdict(False, "langsec.queue_frame",
                            "an egress step implies something was admitted", i)
         if step.detail.pipeline_out is not None:
             raise PreconditionUnmet(f"input at step {i} parsed successfully")
         v = _isolation_frame(step, expected_q_input=None)
-        if not v:
-            return Verdict(False, v.violated_clause, v.detail, i)
-    return OK
+        return None if v else Verdict(False, v.violated_clause, v.detail, i)
+
+
+def langsec_trace_check(trace: Trace, cfg: SwitchConfig) -> Verdict:
+    return fold_trace(LangsecFold(cfg), trace)
 
 
 def _isolation_frame(step: TraceStep, expected_q_input) -> Verdict:
@@ -495,52 +554,64 @@ PARSER_CLAUSES = {
 # flow density and firewall freshness
 
 
-def dense_flow_check(trace: Trace, gap_limit: int) -> Verdict:
+class DenseFlowFold(Fold):
     """Consecutive packet-carrying ingress steps may be at most
     gap_limit ticks apart.  A keepalive generator with period equal to
     gap_limit discharges this even with no external traffic."""
-    last = None
-    for i, step in enumerate(trace.steps):
+
+    def __init__(self, gap_limit: int) -> None:
+        self.gap_limit = gap_limit
+        self.last = None
+
+    def step(self, i, step):
         if step.kind != INGRESS or step.detail.p_i is None:
-            continue
+            return None
         t = step.pre_state.t
-        if last is not None and t - last > gap_limit:
-            return Verdict(False, "denseflow.gap",
-                           f"{t - last} ticks between packets", i)
-        last = t
-    return OK
+        if self.last is not None and t - self.last > self.gap_limit:
+            return Verdict(False, "denseflow.gap", f"{t - self.last} ticks between packets", i)
+        self.last = t
+        return None
 
 
-def firewall_freshness_check(trace: Trace, fwcfg, gap: int) -> Verdict:
+def dense_flow_check(trace: Trace, gap_limit: int) -> Verdict:
+    return fold_trace(DenseFlowFold(gap_limit), trace)
+
+
+class FreshnessFold(Fold):
     """No inbound packet of a flow inserted within the last `gap` ticks
     may be dropped.  Sound for gap <= the firewall window; a larger gap
     asks for more memory than the filter promises."""
-    last_insert: dict[int, int] = {}
-    for i, step in enumerate(trace.steps):
+
+    def __init__(self, fwcfg, gap: int) -> None:
+        self.fwcfg = fwcfg
+        self.gap = gap
+        self.last_insert: dict[int, int] = {}
+
+    def step(self, i, step):
         if step.kind != INGRESS or step.detail.p_i is None:
-            continue
+            return None
         parsed = parse_standard(step.detail.p_i)
-        if parsed is None:
-            continue
-        if parsed.slots["ethernet"]["ethertype"] == KEEPALIVE_ETHERTYPE:
-            continue
+        if parsed is None or parsed.slots["ethernet"]["ethertype"] == KEEPALIVE_ETHERTYPE:
+            return None
         t = step.pre_state.t
-        if step.detail.in_port == fwcfg.outside_port:
-            key = flow_key(parsed.slots, inbound=True)
-            if key is None or key not in last_insert:
-                continue
-            if t - last_insert[key] <= gap:
-                out = step.detail.pipeline_out
-                dropped = out is None or out[0].drop or not step.detail.m_repl
-                if dropped:
-                    return Verdict(
-                        False, "firewall.false_negative",
-                        f"flow refreshed {t - last_insert[key]} ticks ago was dropped", i)
-        else:
+        if step.detail.in_port != self.fwcfg.outside_port:
             key = flow_key(parsed.slots, inbound=False)
             if key is not None:
-                last_insert[key] = t
-    return OK
+                self.last_insert[key] = t
+            return None
+        key = flow_key(parsed.slots, inbound=True)
+        if key is None or key not in self.last_insert:
+            return None
+        age = t - self.last_insert[key]
+        out = step.detail.pipeline_out
+        if age <= self.gap and (out is None or out[0].drop or not step.detail.m_repl):
+            return Verdict(False, "firewall.false_negative",
+                           f"flow refreshed {age} ticks ago was dropped", i)
+        return None
+
+
+def firewall_freshness_check(trace: Trace, fwcfg, gap: int) -> Verdict:
+    return fold_trace(FreshnessFold(fwcfg, gap), trace)
 
 
 DENSEFLOW_CLAUSES = {

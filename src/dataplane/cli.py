@@ -21,7 +21,7 @@ import sys
 from typing import Optional
 
 from . import checker, switch
-from .apps import SamplerConfig, app_from_config, initial_switch_state, switch_config
+from .apps import app_from_config, initial_switch_state, switch_config
 from .headers import (
     IP_PROTO_TCP, IP_PROTO_UDP, SAMPLED_FORMAT, STANDARD_FORMAT, build_packet,
     make_intrinsic_meta, make_ipv4, make_tcp, make_udp,
@@ -51,7 +51,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_chk.add_argument("trace", help="trace file written by sim")
     p_chk.add_argument("--config", required=True, help="the config the trace was run with")
     p_chk.add_argument("--spec", default="axioms",
-                       help="axioms | sampler[:n] | langsec | denseflow:gap")
+                       help="axioms | sampler[:n] | langsec | denseflow:gap | firewall:gap")
 
     p_fmt = sub.add_parser("fmt", help="match a packet against a format")
     p_fmt.add_argument("format", choices=sorted(FORMATS))
@@ -100,20 +100,12 @@ def _load_workload(path: str) -> tuple[switch.Arrival, ...]:
 
 
 def _arrival(obj) -> switch.Arrival:
-    """One workload line: {"port": an integer, "packet": a hex string, or
-    {"hex", "len_bits"} for a packet that is not byte aligned}."""
+    """One workload line: {"port": an integer in 0..511, "packet": a hex
+    string, or {"hex", "len_bits"} for a packet that is not byte aligned}."""
     if not isinstance(obj, dict):
         raise ValueError(f"must be a JSON object, got {obj!r}")
-    port, packet = obj.get("port"), obj.get("packet")
-    if type(port) is not int:  # a bool is not a port
-        raise ValueError(f"port must be an integer, got {port!r}")
-    if isinstance(packet, dict) and set(packet) == {"hex", "len_bits"}:
-        hex_, len_bits = packet["hex"], packet["len_bits"]
-    else:
-        hex_, len_bits = packet, None
-    if not isinstance(hex_, str) or not (len_bits is None or type(len_bits) is int):
-        raise ValueError(f"packet must be a hex string, got {packet!r}")
-    return switch.Arrival(port, BitString.from_hex(hex_, len_bits))
+    return switch.Arrival(switch.port_from_json(obj.get("port"), "port"),
+                          switch.packet_from_json(obj.get("packet"), "packet"))
 
 
 def cmd_sim(args) -> int:
@@ -136,82 +128,57 @@ def cmd_sim(args) -> int:
 
 
 def cmd_check(args) -> int:
-    records = switch.read_trace_lines(args.trace)
-    if not all(isinstance(r, dict) for r in records):
-        print("error: every trace record must be a JSON object", file=sys.stderr)
-        return 2
-    if not records or records[0].get("type") != "header":
-        print("error: trace has no header record", file=sys.stderr)
-        return 2
-    header = records[0]
-    if header.get("format") != switch.TRACE_FORMAT:
-        print(f"error: trace format {header.get('format')!r} is not supported; "
-              f"this version reads format {switch.TRACE_FORMAT}", file=sys.stderr)
-        return 2
-    step_records = [r for r in records if r.get("type") == "step"]
-    fault_records = [r for r in records if r.get("type") == "fault"]
+    from . import audit  # only check reads traces back, so sim does not compile it
 
-    bundle = app_from_config(_load_config(args.config))
-    cfg = switch_config(bundle)
-    if switch.config_digest(cfg) != header["config_digest"]:
-        print("error: config does not match the trace header", file=sys.stderr)
-        return 2
-    st = dataclasses.replace(initial_switch_state(bundle), t=header["t0"])
-    if switch.digest(st) != header["state_digest"]:
-        print("error: initial state does not match the trace header", file=sys.stderr)
-        return 2
-    qs = switch.queues_from_header(header)
-
-    decisions = [r["decisions"] for r in step_records]
-    if fault_records:
-        # the faulting step consumed oracle choices too; replay them so
-        # the fault itself is reproduced
-        decisions.append(fault_records[0].get("decisions", {}))
-    oracle = switch.ReplayOracle(decisions)
-    replayed = switch.run(cfg, st, qs, len(decisions), oracle)
-    if len(replayed.steps) < len(step_records) and not replayed.fault:
-        print("error: replay stopped early", file=sys.stderr)
-        return 2
-
-    # the replay must reproduce the recorded file byte for byte
-    new_lines = switch.trace_to_lines(replayed)
-    old_lines = [json.dumps(r, sort_keys=True, separators=(",", ":"))
-                 for r in records]
-    if old_lines != new_lines:
-        bad = next((i for i, (a, b) in enumerate(zip(old_lines, new_lines))
-                    if a != b), min(len(old_lines), len(new_lines)))
-        print(f"replay: VIOLATION clause=trace.divergence step={max(bad - 1, 0)}")
-        return 1
-    print(f"replay: ok ({len(replayed.steps)} steps)")
-
-    verdicts = [("axioms", checker.check_trace(cfg, replayed))]
-    name, _, param = args.spec.partition(":")
-    if name == "axioms":
-        pass
-    elif name == "sampler":
-        if not isinstance(bundle.params, SamplerConfig):
-            print("error: --spec sampler needs a sampler config", file=sys.stderr)
+    with open(args.trace) as fh:
+        records = audit.Records(fh)
+        header = records.rec
+        if header is None or header.get("type") != "header":
+            print("error: trace has no header record", file=sys.stderr)
             return 2
-        scfg = dataclasses.replace(bundle.params, sample_every=int(param)) if param else bundle.params
-        verdicts.append(("sampler", checker.sampler_trace_check(replayed, scfg)))
-    elif name == "langsec":
+        if header.get("format") != switch.TRACE_FORMAT:
+            print(f"error: trace format {header.get('format')!r} is not supported; "
+                  f"this version reads format {switch.TRACE_FORMAT}", file=sys.stderr)
+            return 2
+
+        bundle = app_from_config(_load_config(args.config))
+        cfg = switch_config(bundle)
+        if switch.config_digest(cfg) != header["config_digest"]:
+            print("error: config does not match the trace header", file=sys.stderr)
+            return 2
+        st = dataclasses.replace(initial_switch_state(bundle),
+                                 t=records.checked(audit.initial_clock, header))
+        if switch.digest(st) != header["state_digest"]:
+            print("error: initial state does not match the trace header", file=sys.stderr)
+            return 2
+        qs = records.checked(audit.queues_from_header, header)
+
+        label = args.spec.partition(":")[0]
         try:
-            verdicts.append(("langsec", checker.langsec_trace_check(replayed, cfg)))
+            spec = audit.spec_fold(args.spec, bundle, cfg, st)
         except checker.PreconditionUnmet as e:
-            print(f"langsec: precondition unmet ({e})", file=sys.stderr)
+            print(f"{label}: precondition unmet ({e})", file=sys.stderr)
             return 2
-    elif name == "denseflow":
-        if not param:
-            print("error: denseflow needs a gap, e.g. denseflow:64", file=sys.stderr)
-            return 2
-        verdicts.append(("denseflow",
-                         checker.dense_flow_check(replayed, int(param))))
-    else:
-        print(f"error: unknown spec selector {args.spec!r}", file=sys.stderr)
+        folds = [("axioms", checker.AxiomsFold(cfg, st, qs))]
+        if spec is not None:
+            folds.append((label, spec))
+
+        # one pass: the replay reproduces the file record by record, and
+        # stops at the first record it does not reproduce
+        lock = audit.Lockstep(records, folds)
+        replayed = lock.run(cfg, st, qs)
+    if replayed is None:
+        print(f"replay: VIOLATION clause=trace.divergence step={max(records.pos - 1, 0)}")
+        return 1
+    print(f"replay: ok ({lock.steps} steps)")
+    if lock.unmet is not None:
+        label, e = lock.unmet
+        print(f"{label}: precondition unmet ({e})", file=sys.stderr)
         return 2
 
     failed = False
-    for label, v in verdicts:
+    for label, fold in folds:
+        v = fold.finish(replayed.final_state, replayed.final_queues)
         if v.ok:
             print(f"{label}: ok")
         else:

@@ -21,7 +21,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import engines
 from .engines import (
@@ -39,10 +39,6 @@ EGRESS = "egress"
 
 
 class StepNotEnabled(Exception):
-    pass
-
-
-class Deadlock(Exception):
     pass
 
 
@@ -166,30 +162,35 @@ class AdversarialDropOracle(Oracle):
 
 
 class ReplayOracle(Oracle):
-    """Feeds back the decisions recorded in an earlier trace."""
+    """Feeds back the decisions recorded in an earlier trace, taking one
+    step's decisions from the iterable each time a step begins, so a
+    reader can hand them over as it reads the records."""
 
-    def __init__(self, decisions: list[dict]):
-        self._decisions = list(decisions)
-        self._i = -1
+    def __init__(self, decisions: Iterable[dict]):
+        self._decisions = iter(decisions)
+        self._cur: dict = {}
 
-    def _cur(self) -> dict:
-        if self._i >= len(self._decisions):
-            # surfaces as a fault instead of crashing the replay
-            raise OracleOutOfRange("replay ran out of recorded decisions")
-        return self._decisions[self._i]
+    def _recorded(self, key: str):
+        v = self._cur[key]
+        if v is None:
+            # surfaces as a fault, which the replay then records
+            raise OracleOutOfRange(f"no recorded {key}")
+        return v
 
     def step_kind(self, state, queues):
-        self._i += 1
-        return self._cur()["requested_kind"]
+        self._cur = next(self._decisions, None)
+        if self._cur is None:
+            raise OracleOutOfRange("replay ran out of recorded decisions")
+        return self._cur["requested_kind"]
 
     def input_index(self, n):
-        return self._cur()["input_index"]
+        return self._recorded("input_index")
 
     def admitted_subset(self, ms, mandatory):
-        return tuple(self._cur()["admitted_mask"])
+        return tuple(self._recorded("admitted_mask"))
 
     def sched_index(self, n):
-        return self._cur()["sched_index"]
+        return self._recorded("sched_index")
 
 
 class _SpyOracle(Oracle):
@@ -393,18 +394,20 @@ def process_packet(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
 
 def run(cfg: SwitchConfig, init_state: SwitchState, init_queues: SwitchQueues,
         n_steps: int, o: Oracle,
-        stop_when: Optional[Callable[[SwitchState, SwitchQueues], bool]] = None
-        ) -> Trace:
+        stop_when: Optional[Callable[[SwitchState, SwitchQueues], bool]] = None,
+        sink: Optional[Callable[[TraceStep], None]] = None) -> Trace:
     """Iterate process_packet up to n_steps times.
 
     Stops early when stop_when(state, queues) turns true.  An engine
     error aborts the run; the partial trace is kept and the fault
-    stored on the returned Trace.
+    stored on the returned Trace.  Each step goes to sink(step) when a
+    sink is given; then no step is kept and the Trace has no steps.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     st, qs = init_state, init_queues
     steps: list[TraceStep] = []
+    keep = steps.append if sink is None else sink
     fault = None
     fault_decisions = None
     spy = _SpyOracle(o)
@@ -418,7 +421,7 @@ def run(cfg: SwitchConfig, init_state: SwitchState, init_queues: SwitchQueues,
             fault = f"{type(e).__name__}: {e}"
             fault_decisions = spy.log
             break
-        steps.append(step)
+        keep(step)
     return Trace(config_digest=config_digest(cfg), app_label=cfg.app_label,
                  initial_state=init_state, initial_queues=init_queues,
                  steps=steps, final_state=st, final_queues=qs, fault=fault,
@@ -564,40 +567,55 @@ def step_to_json(step: TraceStep, pre_digests: Optional[dict] = None) -> dict:
     return rec
 
 
-def trace_header_json(trace: Trace) -> dict:
+def header_record(config_digest: str, app_label: str, initial_state: SwitchState,
+                  initial_queues: SwitchQueues) -> dict:
+    q = initial_queues
     return {
         "type": "header",
         "format": TRACE_FORMAT,
-        "config_digest": trace.config_digest,
-        "app": trace.app_label,
-        "state_digest": digest(trace.initial_state),
-        "t0": trace.initial_state.t,
+        "config_digest": config_digest,
+        "app": app_label,
+        "state_digest": digest(initial_state),
+        "t0": initial_state.t,
         "queues": {
-            "q_input": [[a.port, a.packet.to_json()] for a in trace.initial_queues.q_input],
-            "p_recirc": _opt_hex(trace.initial_queues.p_recirc),
+            "q_input": [[a.port, a.packet.to_json()] for a in q.q_input],
+            "p_recirc": _opt_hex(q.p_recirc),
             "q_mirror": [],
-            "q_egress": [[_em_json(em), p.to_json()] for em, p in trace.initial_queues.q_egress],
-            "q_output": [[port, p.to_json()] for port, p in trace.initial_queues.q_output],
+            "q_egress": [[_em_json(em), p.to_json()] for em, p in q.q_egress],
+            "q_output": [[port, p.to_json()] for port, p in q.q_output],
         },
     }
 
 
+def dump_record(rec: dict) -> str:
+    """A record's line in the trace file: canonical JSON."""
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
+def fault_record(trace: Trace) -> dict:
+    return {"type": "fault", "error": trace.fault, "decisions": trace.fault_decisions or {}}
+
+
+def end_record(n_steps: int, final_state: SwitchState, final_queues: SwitchQueues) -> dict:
+    return {"type": "end",
+            "steps": n_steps,
+            "final_state_digest": digest(final_state),
+            "final_queues": queue_digests(final_queues),
+            "outputs": len(final_queues.q_output)}
+
+
 def trace_to_lines(trace: Trace) -> list[str]:
-    dump = lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    lines = [dump(trace_header_json(trace))]
+    lines = [dump_record(header_record(trace.config_digest, trace.app_label,
+                                       trace.initial_state, trace.initial_queues))]
     prev_state = prev_digests = None
     for s in trace.steps:
         rec = step_to_json(s, prev_digests if s.pre_state is prev_state else None)
-        lines.append(dump(rec))
+        lines.append(dump_record(rec))
         prev_state, prev_digests = s.post_state, rec["post"]
     if trace.fault is not None:
-        lines.append(dump({"type": "fault", "error": trace.fault,
-                           "decisions": trace.fault_decisions or {}}))
-    lines.append(dump({"type": "end",
-                       "steps": len(trace.steps),
-                       "final_state_digest": digest(trace.final_state),
-                       "final_queues": queue_digests(trace.final_queues),
-                       "outputs": len(trace.final_queues.q_output)}))
+        lines.append(dump_record(fault_record(trace)))
+    lines.append(dump_record(end_record(len(trace.steps), trace.final_state,
+                                        trace.final_queues)))
     return lines
 
 
@@ -612,13 +630,32 @@ def read_trace_lines(path: str) -> list[dict]:
         return [json.loads(line) for line in fh if line.strip()]
 
 
-def queues_from_header(header: dict) -> SwitchQueues:
-    q = header["queues"]
-    return SwitchQueues(
-        q_input=tuple(Arrival(port, BitString.from_json(h)) for port, h in q["q_input"]),
-        p_recirc=None if q["p_recirc"] is None else BitString.from_json(q["p_recirc"]),
-        q_mirror=(),
-        q_egress=tuple((EgressMeta(em["port"], em["rid"], em["source"]),
-                        BitString.from_json(p)) for em, p in q["q_egress"]),
-        q_output=tuple((port, BitString.from_json(p)) for port, p in q["q_output"]),
-    )
+# ---------------------------------------------------------------------------
+# values read back from workload and trace files
+
+
+def expect(ok: bool, v, what: str, where: str):
+    """v when ok holds, else a ValueError saying what `where` must be."""
+    if not ok:
+        raise ValueError(f"{where} must be {what}, got {v!r}")
+    return v
+
+
+def port_from_json(v, where: str) -> int:
+    expect(type(v) is int, v, "an integer", where)  # a bool is not a port
+    return expect(0 <= v < 512, v, "in 0..511", where)
+
+
+def packet_from_json(v, where: str) -> BitString:
+    """A hex string, or {"hex", "len_bits"} for a packet that is not byte
+    aligned."""
+    if isinstance(v, dict) and set(v) == {"hex", "len_bits"}:
+        hex_, len_bits = v["hex"], v["len_bits"]
+    else:
+        hex_, len_bits = v, None
+    expect(isinstance(hex_, str) and (len_bits is None or type(len_bits) is int),
+           v, "a hex string", where)
+    try:
+        return BitString.from_hex(hex_, len_bits)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None

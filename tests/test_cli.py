@@ -5,6 +5,8 @@ traces live under tmp_path.
 """
 
 import json
+import os
+import tracemalloc
 
 import pytest
 
@@ -165,6 +167,8 @@ class TestSim:
         ('{"port": 1, "packet": 5}', "hex string"),
         ('{"port": 1, "packet": "zz"}', "hexadecimal"),
         ('{"port": "1", "packet": "00"}', "port must be an integer"),
+        ('{"port": 100000, "packet": "00"}', "port must be in 0..511"),
+        ('{"port": -1, "packet": "00"}', "port must be in 0..511"),
     ])
     def test_bad_workload_line_rejected(self, identity_cfg, tmp_path, capsys, line, what):
         wl = tmp_path / "w.jsonl"
@@ -382,6 +386,113 @@ class TestCheck:
                                "--spec", "langsec")
         assert code == 2
         assert "precondition" in err
+
+    def test_firewall_spec(self, firewall_cfg, tmp_path, capsys):
+        # an outbound packet, then filler the parser rejects, then the
+        # reply: it comes after the window of 32 ticks and is dropped,
+        # which the freshness claim allows for gaps up to the window only
+        out = tcp_pkt(src=0x0A000001, dst=0xC0A80001, sp=4000, dp=443)
+        back = tcp_pkt(src=0xC0A80001, dst=0x0A000001, sp=443, dp=4000)
+        wl = tmp_path / "flows.jsonl"
+        wl.write_text("".join(json.dumps({"port": port, "packet": p}) + "\n" for port, p in
+                              [(1, out.to_hex())] + [(1, "00")] * 40 + [(2, back.to_hex())]))
+        tr = _sim_trace(capsys, tmp_path, firewall_cfg, workload=str(wl))
+        code, out, _ = run_cli(capsys, "check", tr, "--config", firewall_cfg,
+                               "--spec", "firewall:32")
+        assert code == 0, out
+        assert out.endswith("axioms: ok\nfirewall: ok\n")
+        code, out, _ = run_cli(capsys, "check", tr, "--config", firewall_cfg,
+                               "--spec", "firewall:100")
+        assert code == 1
+        assert "firewall: VIOLATION clause=firewall.false_negative" in out
+
+    def test_firewall_spec_needs_gap(self, firewall_cfg, tmp_path, capsys):
+        tr = _sim_trace(capsys, tmp_path, firewall_cfg, steps=20, drain=False)
+        code, out, err = run_cli(capsys, "check", tr, "--config", firewall_cfg,
+                                 "--spec", "firewall")
+        assert code == 2 and out == ""
+        assert err == "error: firewall needs a gap, e.g. firewall:64\n"
+
+    def test_firewall_spec_on_other_app_rejected(self, sampler_cfg, tmp_path, capsys):
+        tr = _sim_trace(capsys, tmp_path, sampler_cfg, steps=20, drain=False)
+        code, out, err = run_cli(capsys, "check", tr, "--config", sampler_cfg,
+                                 "--spec", "firewall:32")
+        assert code == 2 and out == ""
+        assert err == "error: --spec firewall needs a firewall config\n"
+
+    @pytest.mark.parametrize("app, spec", [
+        ("sampler", "sampler:x"), ("sampler", "sampler:0"),
+        ("firewall", "denseflow:-3"), ("firewall", "firewall:0"),
+    ])
+    def test_spec_number_must_be_positive(self, request, tmp_path, capsys, app, spec):
+        cfg = request.getfixturevalue(f"{app}_cfg")
+        tr = _sim_trace(capsys, tmp_path, cfg, steps=20, drain=False)
+        code, out, err = run_cli(capsys, "check", tr, "--config", cfg, "--spec", spec)
+        name, _, param = spec.partition(":")
+        assert code == 2 and out == ""
+        assert err == (f"error: --spec {name} takes a whole number of at least 1, "
+                       f"got {param!r}\n")
+
+    @pytest.mark.parametrize("index, edit, message", [
+        (0, lambda r: r["queues"].update(q_input=5),
+         "key 'queues.q_input' must be a list, got 5"),
+        (1, lambda r: r.update(decisions="x"),
+         "key 'decisions' must be an object, got 'x'"),
+        (1, lambda r: r["decisions"].update(input_index="x"),
+         "key 'decisions.input_index' must be an integer or null, got 'x'"),
+        (1, lambda r: r["decisions"].update(requested_kind="teleport"),
+         "key 'decisions.requested_kind' must be \"ingress\" or \"egress\", got 'teleport'"),
+    ], ids=["queues.q_input", "decisions", "decisions.input_index",
+            "decisions.requested_kind"])
+    def test_malformed_record_rejected(self, sampler_cfg, tmp_path, capsys,
+                                       index, edit, message):
+        wl = str(tmp_path / "w.jsonl")
+        run_cli(capsys, "gen", "--count", "5", "--seed", "7", "--out", wl)
+        tr = _sim_trace(capsys, tmp_path, sampler_cfg, workload=wl)
+        self._edit_record(tr, index, edit)
+        code, out, err = run_cli(capsys, "check", tr, "--config", sampler_cfg)
+        assert code == 2 and out == ""
+        assert err == f"error: trace line {index + 1}: {message}\n"
+
+    @pytest.mark.parametrize("record", ["first", "middle", "last", "end"])
+    def test_divergence_names_the_tampered_record(self, sampler_cfg, tmp_path, capsys,
+                                                  record):
+        wl = str(tmp_path / "w.jsonl")
+        run_cli(capsys, "gen", "--count", "10", "--seed", "7", "--out", wl)
+        tr = _sim_trace(capsys, tmp_path, sampler_cfg, workload=wl)
+        steps = len(open(tr).read().splitlines()) - 2
+        assert steps == 22
+        index = {"first": 1, "middle": 11, "last": steps, "end": steps + 1}[record]
+
+        def edit(rec):
+            if rec["type"] == "end":
+                rec["outputs"] += 1
+            else:
+                rec["post"]["lens"][2] += 1
+
+        self._edit_record(tr, index, edit)
+        code, out, err = run_cli(capsys, "check", tr, "--config", sampler_cfg)
+        assert code == 1 and err == ""
+        assert out == f"replay: VIOLATION clause=trace.divergence step={index - 1}\n"
+
+    def test_check_holds_one_step_at_a_time(self, sampler_cfg, tmp_path, capsys):
+        # the replayed steps are audited as they are read and not kept, so
+        # the check's peak allocation stays well below the trace's size
+        wl = str(tmp_path / "w.jsonl")
+        run_cli(capsys, "gen", "--count", "200", "--seed", "7", "--ports", "1,2",
+                "--out", wl)
+        tr = _sim_trace(capsys, tmp_path, sampler_cfg, workload=wl, steps=2000)
+        size = os.path.getsize(tr)
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "check", tr, "--config", sampler_cfg,
+                                   "--spec", "sampler")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, out
+        assert out == "replay: ok (450 steps)\naxioms: ok\nsampler: ok\n"
+        assert peak < 3 * size, (peak, size)
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,26 @@ class TestTraceSerialization:
                   len(tr.steps), replay)
         assert trace_to_lines(tr2) == trace_to_lines(tr)
 
+    def test_sink_takes_the_steps_a_run_would_keep(self):
+        bundle = identity_app()
+        tr = drain_run(bundle, [P1, P2, P3], RandomOracle(11))
+        seen = []
+        streamed = run(switch_config(bundle), tr.initial_state, tr.initial_queues,
+                       len(tr.steps), RandomOracle(11), sink=seen.append)
+        assert streamed.steps == [] and seen == tr.steps
+        assert (streamed.final_state, streamed.final_queues) == (tr.final_state,
+                                                                 tr.final_queues)
+
+    def test_replay_of_a_null_index_faults(self):
+        bundle = identity_app()
+        tr = drain_run(bundle, [P1, P2], FifoDrainOracle())
+        decisions = [dict(s.decisions) for s in tr.steps]
+        assert decisions[0]["input_index"] == 0
+        decisions[0]["input_index"] = None
+        tr2 = run(switch_config(bundle), tr.initial_state, tr.initial_queues,
+                  len(decisions), ReplayOracle(iter(decisions)))
+        assert tr2.steps == [] and tr2.fault == "OracleOutOfRange: no recorded input_index"
+
     def test_random_oracle_seed_determinism(self):
         a = drain_run(identity_app(), [P1, P2], RandomOracle(5))
         b = drain_run(identity_app(), [P1, P2], RandomOracle(5))
