@@ -26,7 +26,7 @@ from .engines import (
 from .switch import (
     Arrival, FifoDrainOracle, Oracle, RandomOracle, ReplayOracle, SwitchConfig,
     SwitchQueues, SwitchState, Trace, TraceStep, make_oracle, process_packet,
-    run, write_trace,
+    Run, run, write_trace,
 )
 from .apps import (
     AppBundle, FirewallConfig, IdentityConfig, SamplerConfig, app_from_config, firewall_app,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import sys
 from typing import Optional
 
 from . import checker, switch
@@ -125,6 +124,10 @@ def spec_fold(spec: str, bundle, cfg, st) -> Optional[checker.Fold]:
         raise ValueError(f"{name} needs a gap, e.g. {name}:64")
     if name == "denseflow":
         return checker.DenseFlowFold(n)
+    window = bundle.params.window
+    if n > window:  # the filter promises to remember a flow for the window only
+        raise ValueError(f"--spec firewall:{n} is above the config's window of {window}; "
+                         f"freshness holds only for a gap up to the window")
     return checker.FreshnessFold(bundle.params, n)
 
 
@@ -163,59 +166,45 @@ class Lockstep:
         self.folds = folds  # (label, checker.Fold)
         self.steps = 0
         self.unmet = None  # (label, the PreconditionUnmet a fold raised)
-        self._diverged = False
-        self._decisions = None
-        self._digests = None  # state_digests of the step's pre-state
 
-    def run(self, cfg, st, qs) -> Optional[switch.Trace]:
-        """The replayed Trace, which keeps no steps, or None when a record
-        is not reproduced; records.pos is then that record's position."""
-        header = switch.header_record(switch.config_digest(cfg), cfg.app_label, st, qs)
-        if not self._match(header):
+    def run(self, cfg, st, qs) -> Optional[switch.Run]:
+        """The replayed Run, or None when a record is not reproduced;
+        records.pos is then that record's position."""
+        r = self.records
+        if not self._match(switch.header_record(switch.config_digest(cfg), cfg.app_label,
+                                                st, qs)):
             return None
-        trace = switch.run(cfg, st, qs, sys.maxsize, switch.ReplayOracle(self._next()),
-                           stop_when=self._stop, sink=self._sink)
-        tail = [switch.fault_record(trace)] if trace.fault is not None else []
-        tail.append(switch.end_record(self.steps, trace.final_state, trace.final_queues))
-        if self._diverged or not all(self._match(rec) for rec in tail):
+        oracle = switch.ReplayOracle()
+        replay = switch.Run(cfg, st, qs, oracle)
+        digests = None  # state_digests of the step's pre-state
+        while r.rec is not None and r.rec.get("type") in ("step", "fault"):
+            oracle.feed(r.checked(record_decisions, r.rec))
+            step = replay.step()
+            if step is None:
+                break
+            rec = switch.step_to_json(step, digests)
+            if not self._match(rec):
+                return None
+            digests = rec["post"]
+            if self.unmet is None:  # an unmet precondition ends every verdict
+                for label, fold in self.folds:
+                    try:
+                        fold.feed(self.steps, step)
+                    except checker.PreconditionUnmet as e:
+                        self.unmet = (label, e)
+                        break
+            self.steps += 1
+        tail = [switch.fault_record(replay)] if replay.fault is not None else []
+        tail.append(switch.end_record(self.steps, replay.state, replay.queues))
+        if not all(self._match(rec) for rec in tail):
             return None
-        return trace if self.records.rec is None else None  # nothing after the end
+        return replay if r.rec is None else None  # nothing after the end
 
     def _match(self, rec: dict) -> bool:
         """Whether rec is the record at hand, moving past it if so."""
         r = self.records
         line = switch.dump_record(rec)
         if r.rec is None or (line != r.line.strip() and line != switch.dump_record(r.rec)):
-            self._diverged = True
             return False
         r.advance()
         return True
-
-    def _stop(self, st, qs) -> bool:
-        """Stop at a divergence or at a record that holds no decisions."""
-        r = self.records
-        self._decisions = None
-        if not self._diverged and r.rec is not None and r.rec.get("type") in ("step", "fault"):
-            self._decisions = r.checked(record_decisions, r.rec)
-        return self._decisions is None
-
-    def _next(self):
-        while True:
-            yield self._decisions
-
-    def _sink(self, step: switch.TraceStep) -> None:
-        rec = switch.step_to_json(step, self._digests)
-        self._digests = rec["post"]
-        if not self._match(rec):
-            return
-        if self.unmet is None:  # an unmet precondition ends every verdict
-            for label, fold in self.folds:
-                if fold.verdict.ok:
-                    try:
-                        v = fold.step(self.steps, step)
-                    except checker.PreconditionUnmet as e:
-                        self.unmet = (label, e)
-                        break
-                    if v is not None:
-                        fold.verdict = v
-        self.steps += 1

@@ -240,13 +240,20 @@ def _subsequence_mask(sub: Sequence, seq: Sequence) -> tuple[bool, ...]:
 
 
 class Fold:
-    """A whole-trace check fed one step at a time.  step(i, step) takes
-    the steps in order and returns None, or the violation, after which
-    the fold takes no more steps.  finish(final_state, final_queues)
-    gives the verdict.  A fold holds only what its property needs, so a
-    replay can audit a trace without keeping its steps."""
+    """A whole-trace check fed one step at a time.  feed(i, step) takes
+    the steps in order and hands each to step(i, step), which returns
+    None, or the violation, after which the fold takes no more steps.
+    finish(final_state, final_queues) gives the verdict.  A fold holds
+    only what its property needs, so a replay can audit a trace without
+    keeping its steps."""
 
     verdict = OK
+
+    def feed(self, i: int, step: TraceStep) -> None:
+        if self.verdict.ok:
+            v = self.step(i, step)
+            if v is not None:
+                self.verdict = v
 
     def finish(self, final_state, final_queues) -> Verdict:
         return self.verdict
@@ -255,10 +262,7 @@ class Fold:
 def fold_trace(fold: Fold, trace: Trace) -> Verdict:
     """The fold's verdict on a whole Trace."""
     for i, step in enumerate(trace.steps):
-        v = fold.step(i, step)
-        if v is not None:
-            fold.verdict = v
-            break
+        fold.feed(i, step)
     return fold.finish(trace.final_state, trace.final_queues)
 
 
@@ -399,15 +403,6 @@ class SamplerFold(Fold):
             return Verdict(False, "sampler.incomplete", "packets still in flight")
         return sampler_spec_check(self.count, self.inputs, q.q_output, self.scfg,
                                   require_complete=self.require_complete)
-
-
-def sampler_io(trace: Trace) -> tuple[int, list[BitString], list[tuple]]:
-    """Project a trace onto (initial count, parsed inputs in consumption
-    order, transmitted outputs in emission order)."""
-    fold = SamplerFold(trace.initial_state, None)
-    for i, step in enumerate(trace.steps):
-        fold.step(i, step)
-    return fold.count, fold.inputs, list(trace.final_queues.q_output)
 
 
 def sampler_trace_check(trace: Trace, scfg, *, require_complete: bool = False) -> Verdict:

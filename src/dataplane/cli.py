@@ -134,23 +134,19 @@ def cmd_check(args) -> int:
         records = audit.Records(fh)
         header = records.rec
         if header is None or header.get("type") != "header":
-            print("error: trace has no header record", file=sys.stderr)
-            return 2
+            raise ValueError("trace has no header record")
         if header.get("format") != switch.TRACE_FORMAT:
-            print(f"error: trace format {header.get('format')!r} is not supported; "
-                  f"this version reads format {switch.TRACE_FORMAT}", file=sys.stderr)
-            return 2
+            raise ValueError(f"trace format {header.get('format')!r} is not supported; "
+                             f"this version reads format {switch.TRACE_FORMAT}")
 
         bundle = app_from_config(_load_config(args.config))
         cfg = switch_config(bundle)
         if switch.config_digest(cfg) != header["config_digest"]:
-            print("error: config does not match the trace header", file=sys.stderr)
-            return 2
+            raise ValueError("config does not match the trace header")
         st = dataclasses.replace(initial_switch_state(bundle),
                                  t=records.checked(audit.initial_clock, header))
         if switch.digest(st) != header["state_digest"]:
-            print("error: initial state does not match the trace header", file=sys.stderr)
-            return 2
+            raise ValueError("initial state does not match the trace header")
         qs = records.checked(audit.queues_from_header, header)
 
         label = args.spec.partition(":")[0]
@@ -178,7 +174,7 @@ def cmd_check(args) -> int:
 
     failed = False
     for label, fold in folds:
-        v = fold.finish(replayed.final_state, replayed.final_queues)
+        v = fold.finish(replayed.state, replayed.queues)
         if v.ok:
             print(f"{label}: ok")
         else:
@@ -205,8 +201,7 @@ def cmd_gen(args) -> int:
     rng = random.Random(args.seed)
     ports = [int(x) for x in args.ports.split(",") if x]
     if not ports:
-        print("error: --ports needs at least one port", file=sys.stderr)
-        return 2
+        raise ValueError("--ports needs at least one port")
     lines = []
     for _ in range(args.count):
         port = rng.choice(ports)

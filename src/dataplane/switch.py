@@ -145,30 +145,25 @@ class RandomOracle(Oracle):
         return self._rng.randrange(n) if self._reorder else 0
 
 
-class AdversarialDropOracle(Oracle):
+class AdversarialDropOracle(FifoDrainOracle):
     """Admits only what the policy forces, drops everything else."""
-
-    def step_kind(self, state, queues):
-        return EGRESS if egress_enabled(queues) else INGRESS
-
-    def input_index(self, n):
-        return 0
 
     def admitted_subset(self, ms, mandatory):
         return tuple(mandatory)
 
-    def sched_index(self, n):
-        return 0
-
 
 class ReplayOracle(Oracle):
     """Feeds back the decisions recorded in an earlier trace, taking one
-    step's decisions from the iterable each time a step begins, so a
-    reader can hand them over as it reads the records."""
+    step's decisions from the iterable each time a step begins."""
 
-    def __init__(self, decisions: Iterable[dict]):
+    def __init__(self, decisions: Iterable[dict] = ()):
         self._decisions = iter(decisions)
         self._cur: dict = {}
+
+    def feed(self, decisions: dict) -> None:
+        """Make decisions the only ones left, so a reader can hand each
+        step's decisions over as it reads the records."""
+        self._decisions = iter((decisions,))
 
     def _recorded(self, key: str):
         v = self._cur[key]
@@ -392,40 +387,57 @@ def process_packet(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
     return st2, qs2, step
 
 
+class Run:
+    """A run in progress: the state and queues after the steps taken so
+    far.  step() takes one oracle-chosen step and returns it.  An engine
+    error instead makes it return None, and fault and fault_decisions
+    then keep the error and the oracle choices that step consumed, so a
+    replay can reproduce it."""
+
+    def __init__(self, cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
+                 o: Oracle) -> None:
+        self.cfg = cfg
+        self.state, self.queues = st, qs
+        self.fault: Optional[str] = None
+        self.fault_decisions: Optional[dict] = None
+        self._spy = _SpyOracle(o)
+
+    def step(self) -> Optional[TraceStep]:
+        self._spy.begin()
+        try:
+            self.state, self.queues, step = process_packet(self.cfg, self.state,
+                                                           self.queues, self._spy)
+        except (EngineError, EgressParseFailure) as e:
+            self.fault = f"{type(e).__name__}: {e}"
+            self.fault_decisions = self._spy.log
+            return None
+        return step
+
+
 def run(cfg: SwitchConfig, init_state: SwitchState, init_queues: SwitchQueues,
         n_steps: int, o: Oracle,
-        stop_when: Optional[Callable[[SwitchState, SwitchQueues], bool]] = None,
-        sink: Optional[Callable[[TraceStep], None]] = None) -> Trace:
-    """Iterate process_packet up to n_steps times.
+        stop_when: Optional[Callable[[SwitchState, SwitchQueues], bool]] = None) -> Trace:
+    """Take up to n_steps steps of a Run and keep them in a Trace.
 
     Stops early when stop_when(state, queues) turns true.  An engine
     error aborts the run; the partial trace is kept and the fault
-    stored on the returned Trace.  Each step goes to sink(step) when a
-    sink is given; then no step is kept and the Trace has no steps.
+    stored on the returned Trace.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    st, qs = init_state, init_queues
+    r = Run(cfg, init_state, init_queues, o)
     steps: list[TraceStep] = []
-    keep = steps.append if sink is None else sink
-    fault = None
-    fault_decisions = None
-    spy = _SpyOracle(o)
     for _ in range(n_steps):
-        if stop_when is not None and stop_when(st, qs):
+        if stop_when is not None and stop_when(r.state, r.queues):
             break
-        spy.begin()
-        try:
-            st, qs, step = process_packet(cfg, st, qs, spy)
-        except (EngineError, EgressParseFailure) as e:
-            fault = f"{type(e).__name__}: {e}"
-            fault_decisions = spy.log
+        step = r.step()
+        if step is None:
             break
-        keep(step)
+        steps.append(step)
     return Trace(config_digest=config_digest(cfg), app_label=cfg.app_label,
                  initial_state=init_state, initial_queues=init_queues,
-                 steps=steps, final_state=st, final_queues=qs, fault=fault,
-                 fault_decisions=fault_decisions)
+                 steps=steps, final_state=r.state, final_queues=r.queues, fault=r.fault,
+                 fault_decisions=r.fault_decisions)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +604,8 @@ def dump_record(rec: dict) -> str:
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
-def fault_record(trace: Trace) -> dict:
-    return {"type": "fault", "error": trace.fault, "decisions": trace.fault_decisions or {}}
+def fault_record(r: "Trace | Run") -> dict:
+    return {"type": "fault", "error": r.fault, "decisions": r.fault_decisions or {}}
 
 
 def end_record(n_steps: int, final_state: SwitchState, final_queues: SwitchQueues) -> dict:

@@ -1,11 +1,14 @@
 """End-to-end runs of the command line front end.
 
-Everything goes through main(argv) in-process; workloads, configs and
-traces live under tmp_path.
+Everything goes through main(argv), in-process but for one test that
+needs a fresh interpreter; workloads, configs and traces live under
+tmp_path.
 """
 
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -182,6 +185,23 @@ class TestSim:
         with pytest.raises(SystemExit) as ei:
             main(["sim", "--config", identity_cfg, "--policy", "bogus"])
         assert ei.value.code == 2
+
+    def test_sim_does_not_import_the_check_pass(self, sampler_cfg, tmp_path, capsys):
+        # in a fresh interpreter, so that no earlier test has imported it
+        wl, tr = str(tmp_path / "w.jsonl"), str(tmp_path / "t.jsonl")
+        run_cli(capsys, "gen", "--count", "8", "--seed", "3", "--out", wl)
+        script = ("import sys\n"
+                  "from dataplane import cli\n"
+                  f"code = cli.main(['sim', '--config', {sampler_cfg!r}, '--input', {wl!r},\n"
+                  f"                 '--drain', '--trace', {tr!r}])\n"
+                  "assert code == 0, code\n"
+                  "assert 'dataplane.audit' not in sys.modules\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("steps=")
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +421,13 @@ class TestCheck:
                                "--spec", "firewall:32")
         assert code == 0, out
         assert out.endswith("axioms: ok\nfirewall: ok\n")
-        code, out, _ = run_cli(capsys, "check", tr, "--config", firewall_cfg,
-                               "--spec", "firewall:100")
-        assert code == 1
-        assert "firewall: VIOLATION clause=firewall.false_negative" in out
+        # a gap above the window asks for more than the filter promises
+        for gap in (33, 100):
+            code, out, err = run_cli(capsys, "check", tr, "--config", firewall_cfg,
+                                     "--spec", f"firewall:{gap}")
+            assert code == 2 and out == ""
+            assert err == (f"error: --spec firewall:{gap} is above the config's window "
+                           f"of 32; freshness holds only for a gap up to the window\n")
 
     def test_firewall_spec_needs_gap(self, firewall_cfg, tmp_path, capsys):
         tr = _sim_trace(capsys, tmp_path, firewall_cfg, steps=20, drain=False)

@@ -17,6 +17,7 @@ from dataplane.switch import (
     INGRESS,
     RandomOracle,
     ReplayOracle,
+    Run,
     StepNotEnabled,
     SwitchQueues,
     TRACE_FORMAT,
@@ -144,6 +145,22 @@ class TestRunControl:
         assert tr.steps == []  # the very first step faulted
         assert len(tr.final_queues.q_input) == 2  # nothing was consumed
 
+    def test_run_step_keeps_the_fault(self):
+        base = identity_app().components
+
+        def broken(d, s):
+            return (_tm(mcast_a=1), MirrorId(0), d[2]), s
+
+        bundle = AppBundle("b", dataclasses.replace(base, in_control=broken),
+                           McConfig(), PktGenConfig(), QacMinimal(),
+                           (None, None, None), (None, None, None))
+        st = initial_switch_state(bundle)
+        r = Run(switch_config(bundle), st, SwitchQueues(q_input=arrivals(P1, P2)),
+                FifoDrainOracle())
+        assert r.step() is None and r.fault.startswith("UnknownGroup")
+        assert r.fault_decisions == {"requested_kind": "ingress", "input_index": 0}
+        assert r.state == st and len(r.queues.q_input) == 2  # the faulted step changed nothing
+
 
 def _recirc_once_bundle() -> AppBundle:
     """Odd TTL recirculates after the egress control decrements it, so a
@@ -252,15 +269,12 @@ class TestTraceSerialization:
                   len(tr.steps), replay)
         assert trace_to_lines(tr2) == trace_to_lines(tr)
 
-    def test_sink_takes_the_steps_a_run_would_keep(self):
+    def test_run_steps_are_the_steps_a_trace_keeps(self):
         bundle = identity_app()
         tr = drain_run(bundle, [P1, P2, P3], RandomOracle(11))
-        seen = []
-        streamed = run(switch_config(bundle), tr.initial_state, tr.initial_queues,
-                       len(tr.steps), RandomOracle(11), sink=seen.append)
-        assert streamed.steps == [] and seen == tr.steps
-        assert (streamed.final_state, streamed.final_queues) == (tr.final_state,
-                                                                 tr.final_queues)
+        r = Run(switch_config(bundle), tr.initial_state, tr.initial_queues, RandomOracle(11))
+        assert [r.step() for _ in tr.steps] == tr.steps
+        assert (r.state, r.queues) == (tr.final_state, tr.final_queues)
 
     def test_replay_of_a_null_index_faults(self):
         bundle = identity_app()
