@@ -33,6 +33,13 @@ def initial_clock(header: dict) -> int:
     return expect(type(t0) is int, t0, "an integer", _key("t0"))
 
 
+def header_digest(header: dict, name: str) -> object:
+    """The header's digest under name, which must be there."""
+    if name not in header:
+        raise ValueError(f"{_key(name)} is missing")
+    return header[name]
+
+
 def _pairs(q: dict, name: str):
     """(key path, first, second) for each [first, second] item of q[name]."""
     where = f"queues.{name}"
@@ -144,7 +151,10 @@ class Records:
     def advance(self) -> None:
         self.pos += 1
         self.n, self.line = next(self._lines, (None, None))
-        self.rec = None if self.line is None else json.loads(self.line)
+        try:  # the line alone, so the decoder's column is the column in the line
+            self.rec = None if self.line is None else json.loads(self.line.rstrip("\n"))
+        except json.JSONDecodeError as e:
+            raise ValueError(f"trace line {self.n}: {e.msg}: column {e.colno}") from None
         if self.line is not None and not isinstance(self.rec, dict):
             raise ValueError(f"every trace record must be a JSON object; line {self.n} is not")
 

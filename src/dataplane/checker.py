@@ -119,12 +119,11 @@ def _check_ingress(cfg: SwitchConfig, step: TraceStep) -> Verdict:
             return _bad("ingress.input_ports", "queue changed while empty")
         p_i, in_port = None, None
     else:
-        idx = _removal_index(pre_q.q_input, post_q.q_input,
-                             step.decisions.get("input_index"))
-        if idx is None:
+        removed = _removed_item(pre_q.q_input, post_q.q_input, step.decisions.get("input_index"))
+        if removed is None:
             return _bad("ingress.input_ports",
                         "post queue is not the pre queue minus one arrival")
-        p_i, in_port = pre_q.q_input[idx].packet, pre_q.q_input[idx].port
+        p_i, in_port = removed.packet, removed.port
 
     if p_i is None:
         if (post_s.s_i != pre_s.s_i or post_q.q_egress != pre_q.q_egress
@@ -186,11 +185,11 @@ def _check_egress(cfg: SwitchConfig, step: TraceStep) -> Verdict:
 
     # removing i or j can give the same queue only when every copy from
     # i to j is equal, so one index explaining the post queue decides
-    i = _removal_index(pre_q.q_egress, post_q.q_egress, step.decisions.get("sched_index"))
-    if i is None:
+    removed = _removed_item(pre_q.q_egress, post_q.q_egress, step.decisions.get("sched_index"))
+    if removed is None:
         return _bad("egress.scheduler_split",
                     "post queue is not the pre queue minus one copy")
-    em, p_e = pre_q.q_egress[i]
+    em, p_e = removed
     (ind, p_out), s_e2 = egress_pipeline(cfg.components, em, p_e, pre_s.s_e)
     if post_s.s_e != s_e2:
         return _bad("egress.pipeline", "component states diverge on recomputation")
@@ -198,19 +197,29 @@ def _check_egress(cfg: SwitchConfig, step: TraceStep) -> Verdict:
         if post_q.p_recirc == p_out and post_q.q_output == pre_q.q_output:
             return OK
     elif (post_q.p_recirc is None
-          and post_q.q_output == pre_q.q_output + ((em.egress_port, p_out),)):
+          and post_q.q_output == engines.Seq.of(pre_q.q_output) + ((em.egress_port, p_out),)):
         return OK
     return _bad("egress.output_ports",
                 "neither transmission nor recirculation explains the post queues")
 
 
-def _removal_index(before: tuple, after: tuple, hint) -> Optional[int]:
-    if isinstance(hint, int) and 0 <= hint < len(before):
-        if before[:hint] + before[hint + 1:] == after:
-            return hint
-    for i in range(len(before)):
-        if before[:i] + before[i + 1:] == after:
-            return i
+def _removed_item(before, after, hint):
+    """The item whose removal from before leaves after, trying index hint
+    first; None when no removal does.  A Seq removes through pop, so the
+    rest shares its chunks with after when both come from one removal."""
+    if isinstance(before, engines.Seq):
+        pop = before.pop
+    else:
+        pop = lambda i: (before[:i] + before[i + 1:], before[i])
+    n = len(before)
+    if isinstance(hint, int) and 0 <= hint < n:
+        rest, item = pop(hint)
+        if rest == after:
+            return item
+    for i in range(n):
+        rest, item = pop(i)
+        if rest == after:
+            return item
     return None
 
 
@@ -489,7 +498,7 @@ def _isolation_frame(step: TraceStep, expected_q_input) -> Verdict:
             return Verdict(False, "langsec.queue_frame",
                            "q_input lost more than the bad packet")
     elif not (pre_q.q_input == post_q.q_input
-              or _removal_index(pre_q.q_input, post_q.q_input, None) is not None):
+              or _removed_item(pre_q.q_input, post_q.q_input, None) is not None):
         return Verdict(False, "langsec.queue_frame",
                        "q_input did not shrink by at most one arrival")
     return OK

@@ -141,11 +141,12 @@ def cmd_check(args) -> int:
 
         bundle = app_from_config(_load_config(args.config))
         cfg = switch_config(bundle)
-        if switch.config_digest(cfg) != header["config_digest"]:
+        if switch.config_digest(cfg) != records.checked(audit.header_digest, header,
+                                                        "config_digest"):
             raise ValueError("config does not match the trace header")
         st = dataclasses.replace(initial_switch_state(bundle),
                                  t=records.checked(audit.initial_clock, header))
-        if switch.digest(st) != header["state_digest"]:
+        if switch.digest(st) != records.checked(audit.header_digest, header, "state_digest"):
             raise ValueError("initial state does not match the trace header")
         qs = records.checked(audit.queues_from_header, header)
 

@@ -14,10 +14,121 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from .packet_format import BitString
 from .pipeline import EgressIndication, MirrorId, TmMeta
+
+
+# ---------------------------------------------------------------------------
+# persistent queues
+
+CHUNK = 32  # most items a chunk of a Seq holds
+
+
+class Seq:
+    """An immutable sequence held as a tuple of chunks, each a nonempty
+    tuple of at most CHUNK items.  pop(i) and `+ items` copy one chunk
+    and the outer tuple and share every other chunk, so the snapshots a
+    run keeps of a queue share their structure.  A Seq equals, and
+    hashes like, any tuple or Seq of the same items; a slice of it is a
+    tuple."""
+
+    __slots__ = ("chunks", "_len")
+
+    def __init__(self, items=()) -> None:
+        items = tuple(items)
+        self.chunks = tuple(items[i:i + CHUNK] for i in range(0, len(items), CHUNK))
+        self._len = len(items)
+
+    @staticmethod
+    def of(q) -> "Seq":
+        """q as a Seq: q itself when it is one."""
+        return q if type(q) is Seq else Seq(q)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return chain.from_iterable(self.chunks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        k, j = self._locate(i)
+        return self.chunks[k][j]
+
+    def _locate(self, i: int) -> tuple[int, int]:
+        """(chunk, offset in it) of item i, walking from the nearer end."""
+        n = self._len
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("Seq index out of range")
+        chunks = self.chunks
+        if 2 * i < n:
+            for k, c in enumerate(chunks):
+                if i < len(c):
+                    return k, i
+                i -= len(c)
+        i -= n  # now counted back from the end
+        for k in range(len(chunks) - 1, -1, -1):
+            i += len(chunks[k])
+            if i >= 0:
+                return k, i
+
+    # a run pops or appends once a step, so both build their result
+    # inline, and a pop from the first chunk (FIFO order, short queues)
+    # skips the walk
+    def pop(self, i: int) -> tuple["Seq", object]:
+        """(this sequence without item i, item i)."""
+        chunks = self.chunks
+        if chunks and 0 <= i < len(chunks[0]):
+            k, c = 0, chunks[0]
+        else:
+            k, i = self._locate(i)
+            c = chunks[k]
+        s = _new(Seq)
+        s.chunks = chunks[:k] + ((c[:i] + c[i + 1:],) if len(c) > 1 else ()) + chunks[k + 1:]
+        s._len = self._len - 1
+        return s, c[i]
+
+    def __add__(self, items) -> "Seq":
+        chunks = self.chunks
+        s = _new(Seq)
+        s._len = self._len + len(items)
+        if len(items) == 1 and chunks and len(chunks[-1]) < CHUNK:
+            s.chunks = chunks[:-1] + (chunks[-1] + tuple(items),)
+            return s
+        items = tuple(items)
+        if chunks and len(chunks[-1]) < CHUNK:  # refill the last chunk
+            chunks, items = chunks[:-1], chunks[-1] + items
+        s.chunks = chunks + Seq(items).chunks
+        return s
+
+    def __radd__(self, items) -> "Seq":
+        return Seq(items) + self
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is Seq:
+            # equal chunks decide by identity where the two share them
+            return self._len == other._len and (self.chunks == other.chunks
+                                                or tuple(self) == tuple(other))
+        if isinstance(other, tuple):
+            return self._len == len(other) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Seq({tuple(self)!r})"
+
+
+_new = object.__new__
 
 
 class EngineError(Exception):
@@ -278,8 +389,8 @@ def packet_generator(c: PktGenConfig, t: int, s: PktGenState,
 # input ports
 
 
-def input_ports(p_g: Optional[BitString], q_input: tuple, oracle
-                ) -> tuple[tuple, Optional[int], Optional[BitString], Optional[int]]:
+def input_ports(p_g: Optional[BitString], q_input: "tuple | Seq", oracle
+                ) -> tuple["tuple | Seq", Optional[int], Optional[BitString], Optional[int]]:
     """Hand one packet to the ingress pipeline.
 
     A generated/recirculated packet takes precedence and leaves the
@@ -289,13 +400,14 @@ def input_ports(p_g: Optional[BitString], q_input: tuple, oracle
     """
     if p_g is not None:
         return q_input, None, p_g, None
-    if not q_input:
+    n = len(q_input)
+    if not n:
         return q_input, None, None, None
-    idx = oracle.input_index(len(q_input))
-    if not 0 <= idx < len(q_input):
-        raise OracleOutOfRange(f"input index {idx} for queue of {len(q_input)}")
-    rec = q_input[idx]
-    return q_input[:idx] + q_input[idx + 1:], rec.port, rec.packet, idx
+    idx = oracle.input_index(n)
+    if not 0 <= idx < n:
+        raise OracleOutOfRange(f"input index {idx} for queue of {n}")
+    rest, rec = Seq.of(q_input).pop(idx)
+    return rest, rec.port, rec.packet, idx
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +499,9 @@ def packet_scheduler(q_egress: tuple, oracle):
     return q_egress[:idx] + q_egress[idx + 1:], q_egress[idx], idx
 
 
-def output_ports(q_output: tuple, ind: EgressIndication, port: int,
-                 p_e: BitString) -> tuple[tuple, Optional[BitString]]:
+def output_ports(q_output: "tuple | Seq", ind: EgressIndication, port: int,
+                 p_e: BitString) -> tuple["tuple | Seq", Optional[BitString]]:
     """Transmit or recirculate one egress result."""
     if ind.recirculate:
         return q_output, p_e
-    return q_output + ((port, p_e),), None
+    return Seq.of(q_output) + ((port, p_e),), None

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Optional
 from . import engines
 from .engines import (
     EgressMeta, EngineError, McConfig, OracleOutOfRange, PktGenConfig,
-    PktGenState, QacAlwaysReady, QacMinimal, mandatory_mask,
+    PktGenState, QacAlwaysReady, QacMinimal, Seq, mandatory_mask,
 )
 from .packet_format import BitString
 from .pipeline import (
@@ -61,11 +61,14 @@ class SwitchState:
 
 @dataclass(frozen=True)
 class SwitchQueues:
-    q_input: tuple[Arrival, ...] = ()
+    """The queues between the engines.  The steps make q_input and
+    q_output a Seq, so the snapshots of a run share their chunks."""
+
+    q_input: "tuple[Arrival, ...] | Seq" = ()
     p_recirc: Optional[BitString] = None
     q_mirror: tuple = ()
     q_egress: tuple = ()  # of (EgressMeta, BitString)
-    q_output: tuple = ()  # of (port, BitString)
+    q_output: "tuple | Seq" = ()  # of (port, BitString)
 
 
 @dataclass(frozen=True)
@@ -451,7 +454,7 @@ def _canon(obj):
         return obj
     if isinstance(obj, BitString):
         return {"hex": obj.to_hex(), "len_bits": obj.nbits}
-    if isinstance(obj, (tuple, list)):
+    if isinstance(obj, (tuple, list, Seq)):
         return [_canon(x) for x in obj]
     if isinstance(obj, (set, frozenset)):
         return sorted(_canon(x) for x in obj)

@@ -345,6 +345,26 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err.startswith("error: every trace record") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("where", ["first", "middle"])
+    def test_non_json_line_named(self, identity_cfg, tmp_path, capsys, where):
+        tr = _sim_trace(capsys, tmp_path, identity_cfg, steps=6, drain=False)
+        lines = open(tr).read().splitlines()
+        index = {"first": 0, "middle": len(lines) // 2}[where]
+        lines[index] = "{"
+        open(tr, "w").write("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "check", tr, "--config", identity_cfg)
+        assert code == 2 and out == ""
+        assert err == (f"error: trace line {index + 1}: Expecting property name enclosed "
+                       f"in double quotes: column 2\n")
+
+    @pytest.mark.parametrize("key", ["config_digest", "state_digest"])
+    def test_missing_header_digest_named(self, identity_cfg, tmp_path, capsys, key):
+        tr = _sim_trace(capsys, tmp_path, identity_cfg, steps=3, drain=False)
+        self._edit_record(tr, 0, lambda h: h.pop(key))
+        code, out, err = run_cli(capsys, "check", tr, "--config", identity_cfg)
+        assert code == 2 and out == ""
+        assert err == f"error: trace line 1: key {key!r} is missing\n"
+
     def test_headerless_file_rejected(self, identity_cfg, tmp_path, capsys):
         tr = tmp_path / "junk.jsonl"
         tr.write_text('{"type":"end","steps":0}\n')

@@ -10,10 +10,13 @@ ports (including lag-resolved ones), and the lag member index is
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from dataplane import switch
 from dataplane.packet_format import BitString
 from dataplane.pipeline import TmMeta
 from dataplane.engines import (
+    CHUNK,
     CPU_COPY,
     EgressMeta,
     L1Node,
@@ -26,6 +29,7 @@ from dataplane.engines import (
     PolicyViolation,
     QacAlwaysReady,
     QacMinimal,
+    Seq,
     UNICAST,
     UnknownGroup,
     UnknownLag,
@@ -341,3 +345,98 @@ class TestSchedulerAndOutput:
     def test_recirculate(self):
         q, reg = output_ports((("old",),), EgressIndication(recirculate=1), 5, PKT)
         assert q == (("old",),) and reg == PKT
+
+
+# ---------------------------------------------------------------------------
+# the persistent queue, against a plain tuple
+
+
+ITEMS = st.lists(st.integers(0, 9), max_size=3 * CHUNK)
+
+
+@st.composite
+def seqs(draw):
+    """(a Seq, its items as a tuple), the Seq chunked by a drawn history
+    of appends and pops, so equal items can sit in different chunks."""
+    model = draw(ITEMS)
+    s = Seq(model)
+    for add, xs, r in draw(st.lists(st.tuples(st.booleans(), ITEMS, st.integers(0, 999)),
+                                    max_size=6)):
+        if add or not model:
+            xs = xs[:3 * CHUNK - len(model)]
+            s, model = s + tuple(xs), model + xs
+        else:
+            s, _ = s.pop(r % len(model))
+            del model[r % len(model)]
+    return s, tuple(model)
+
+
+def well_formed(s: Seq) -> bool:
+    return (all(0 < len(c) <= CHUNK for c in s.chunks)
+            and sum(map(len, s.chunks)) == len(s))
+
+
+def new_chunks(before: Seq, after: Seq) -> int:
+    """How many chunks of after are not, by identity, chunks of before."""
+    old = {id(c) for c in before.chunks}
+    return sum(id(c) not in old for c in after.chunks)
+
+
+class TestSeq:
+    @given(seqs())
+    def test_pop_at_every_index(self, sm):
+        s, t = sm
+        for i in range(-len(t), len(t)):
+            rest, x = s.pop(i)
+            j = i % len(t)
+            assert x == t[j] and rest == t[:j] + t[j + 1:]
+            assert well_formed(rest) and new_chunks(s, rest) <= 1
+        for i in (len(t), -len(t) - 1):
+            with pytest.raises(IndexError):
+                s.pop(i)
+
+    @given(seqs(), seqs())
+    def test_add_across_chunk_boundaries(self, sm, other):
+        s, t = sm
+        o, u = other
+        for got in (s + u, s + o, u + s, o + s):
+            assert well_formed(got) and len(got) == len(t) + len(u)
+        assert s + u == s + o == t + u and u + s == o + s == u + t
+        one = s + (7,)
+        assert one == t + (7,) and new_chunks(s, one) <= 1
+        assert len(one.chunks) - len(s.chunks) == (not t or len(s.chunks[-1]) == CHUNK)
+
+    @given(seqs(), seqs())
+    def test_equality_and_hash(self, sm, other):
+        s, t = sm
+        o, u = other
+        again = Seq(t)  # same items, fresh chunking
+        assert s == t and t == s and s == again and not s != again
+        assert hash(s) == hash(t) == hash(again)
+        assert (s == o) == (t == u) and (s != o) == (t != u) and (s == u) == (t == u)
+        assert s != list(t)
+        if t:
+            changed = t[:-1] + (t[-1] + 1,)
+            assert s != changed and s != Seq(changed) and s != t[:-1]
+
+    @given(seqs(), st.integers(-4 * CHUNK, 4 * CHUNK), st.integers(-4 * CHUNK, 4 * CHUNK),
+           st.sampled_from([None, 1, 2, 5, -1, -3]))
+    def test_reads(self, sm, a, b, step):
+        s, t = sm
+        assert len(s) == len(t) and tuple(s) == t and list(iter(s)) == list(t)
+        assert bool(s) == bool(t)
+        assert [s[i] for i in range(-len(t), len(t))] == list(t + t)
+        for i in (len(t), -len(t) - 1):
+            with pytest.raises(IndexError):
+                s[i]
+        assert s[a:b:step] == t[a:b:step]
+
+    @given(seqs())
+    def test_digest_of_a_seq_is_the_digest_of_its_tuple(self, sm):
+        s, t = sm
+        assert switch.digest(s) == switch.digest(t)
+        assert switch._canon(s) == switch._canon(t)
+
+    def test_of_converts_once(self):
+        s = Seq.of((1, 2))
+        assert type(s) is Seq and Seq.of(s) is s

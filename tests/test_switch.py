@@ -8,7 +8,7 @@ import pytest
 
 from dataplane.packet_format import BitString
 from dataplane.pipeline import Components, EgressIndication, MirrorId, TmMeta
-from dataplane.engines import McConfig, PktGenConfig, QacAlwaysReady, QacMinimal
+from dataplane.engines import McConfig, PktGenConfig, QacAlwaysReady, QacMinimal, Seq
 from dataplane import switch
 from dataplane.switch import (
     Arrival,
@@ -83,6 +83,24 @@ class TestIdentityRun:
                 assert s.post_state.s_g == s.pre_state.s_g
                 assert s.post_state.s_i == s.pre_state.s_i
                 assert s.post_queues.q_input == s.pre_queues.q_input
+
+    @pytest.mark.parametrize("policy", ["fifo-drain", "random"])
+    def test_steps_share_queue_structure(self, policy):
+        # a step's queues share all but at most one chunk with its pre
+        # queues, so the snapshots a run keeps cost O(1) chunks a step
+        bundle = identity_app()
+        qs = SwitchQueues(q_input=Seq(arrivals(*(tcp_pkt(sp=i) for i in range(512)))))
+        tr = run(switch_config(bundle), initial_switch_state(bundle), qs, 8 * 512,
+                 make_oracle(policy, seed=3), stop_when=lambda s, q: drained(q))
+        assert drained(tr.final_queues) and len(tr.final_queues.q_output) > 256
+        for s in tr.steps:
+            for name in ("q_input", "q_output"):
+                pre, post = getattr(s.pre_queues, name), getattr(s.post_queues, name)
+                if post is not pre:
+                    assert type(post) is Seq
+                    old = {id(c) for c in getattr(pre, "chunks", ())}
+                    new = {id(c) for c in post.chunks}
+                    assert len(new - old) <= 1 and len(old - new) <= 1, (name, s.kind)
 
     def test_decisions_recorded(self):
         tr = drain_run(identity_app(), [P1])
