@@ -22,6 +22,7 @@ from .headers import (
 )
 from .packet_format import BitString, Format, TypedValue, match_bindings
 from .pipeline import Components, EgressIndication, MirrorId, ParsedData, TmMeta
+from .switch import SwitchConfig, SwitchState, expect
 
 # ethertype of the generator keepalive template; disjoint from the
 # sample marker and from anything a host would send in these tests
@@ -40,14 +41,12 @@ class AppBundle:
     params: object = None  # the app's config dataclass, in the trace's config digest
 
 
-def initial_switch_state(bundle: AppBundle):
-    from .switch import SwitchState
+def initial_switch_state(bundle: AppBundle) -> SwitchState:
     return SwitchState(t=0, s_g=PktGenState(),
                        s_i=bundle.init_ingress, s_e=bundle.init_egress)
 
 
-def switch_config(bundle: AppBundle):
-    from .switch import SwitchConfig
+def switch_config(bundle: AppBundle) -> SwitchConfig:
     return SwitchConfig(components=bundle.components, mc=bundle.mc,
                         pktgen=bundle.pktgen, qac=bundle.qac,
                         app_label=bundle.name, params=bundle.params)
@@ -386,9 +385,7 @@ def _path(where: str, key: str) -> str:
 
 def _expect(ok, v, what: str, where: str):
     """v when ok holds, else a ValueError naming the key path."""
-    if not ok:
-        raise ValueError(f"config key {where!r} must be {what}, got {v!r}")
-    return v
+    return expect(ok, v, what, f"config key {where!r}")
 
 
 def _value(default, v, where: str):

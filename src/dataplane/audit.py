@@ -214,7 +214,7 @@ class Lockstep:
         """Whether rec is the record at hand, moving past it if so."""
         r = self.records
         line = switch.dump_record(rec)
-        if r.rec is None or (line != r.line.strip() and line != switch.dump_record(r.rec)):
+        if r.rec is None or line != r.line.strip():
             return False
         r.advance()
         return True

@@ -12,15 +12,21 @@ trace are folds over its steps, so a replay can run them as it goes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from . import engines
-from .apps import KEEPALIVE_ETHERTYPE, deparse_slots, flow_key, parse_standard
+from .apps import (
+    KEEPALIVE_ETHERTYPE, SamplerConfig, deparse_slots, flow_key, initial_switch_state,
+    parse_standard, switch_config,
+)
 from .headers import make_sample
 from .packet_format import BitString, Format, matches
 from .pipeline import egress_pipeline, ingress_pipeline
-from .switch import EGRESS, INGRESS, SwitchConfig, Trace, TraceStep
+from .switch import (
+    EGRESS, INGRESS, Arrival, FifoDrainOracle, SwitchConfig, SwitchQueues, Trace, TraceStep,
+    ingress_step,
+)
 
 
 class PreconditionUnmet(Exception):
@@ -371,7 +377,6 @@ def sampler_spec_check(n: int, inputs: Sequence[BitString],
     With require_complete the alignment must also be onto.
     """
     if scfg is None:
-        from .apps import SamplerConfig
         scfg = SamplerConfig()
     expected = _expected_entries(n, inputs, scfg)
     j = 0
@@ -393,7 +398,9 @@ def sampler_spec_check(n: int, inputs: Sequence[BitString],
 
 class SamplerFold(Fold):
     """The sampler relation: keeps the parsed inputs in consumption order
-    and judges them against the transmitted outputs at the end."""
+    and judges them against the transmitted outputs at the end.  The
+    relation assumes arrivals are taken and copies scheduled oldest
+    first; a step that does otherwise raises PreconditionUnmet."""
 
     def __init__(self, initial_state, scfg, *, require_complete: bool = False) -> None:
         self.count = initial_state.s_i[1].counter
@@ -402,9 +409,16 @@ class SamplerFold(Fold):
         self.require_complete = require_complete
 
     def step(self, i, step):
-        if (step.kind == INGRESS and step.detail.p_i is not None
-                and step.detail.pipeline_out is not None):
-            self.inputs.append(step.detail.p_i)
+        d, pre_q = step.detail, step.pre_queues
+        if step.kind == EGRESS and d.scheduled != _head(pre_q.q_egress):
+            raise PreconditionUnmet(f"step {i} schedules a copy behind the head of q_egress")
+        if step.kind != INGRESS or d.p_i is None:
+            return
+        # a generated or recirculated packet does not come from q_input
+        if d.p_g is None and Arrival(d.in_port, d.p_i) != _head(pre_q.q_input):
+            raise PreconditionUnmet(f"step {i} takes an arrival behind the head of q_input")
+        if d.pipeline_out is not None:
+            self.inputs.append(d.p_i)
 
     def finish(self, final_state, final_queues):
         q = final_queues
@@ -412,6 +426,10 @@ class SamplerFold(Fold):
             return Verdict(False, "sampler.incomplete", "packets still in flight")
         return sampler_spec_check(self.count, self.inputs, q.q_output, self.scfg,
                                   require_complete=self.require_complete)
+
+
+def _head(q):
+    return q[0] if q else None
 
 
 def sampler_trace_check(trace: Trace, scfg, *, require_complete: bool = False) -> Verdict:
@@ -439,9 +457,6 @@ def langsec_check(bundle, p_bad: BitString, st=None, qs=None, oracle=None, *,
     Raises PreconditionUnmet when the parser accepts p_bad or when the
     generator preempts it this tick.
     """
-    from .apps import initial_switch_state, switch_config
-    from .switch import Arrival, FifoDrainOracle, SwitchQueues, ingress_step
-    import dataclasses
     cfg = switch_config(bundle)
     if st is None:
         st = initial_switch_state(bundle)
@@ -449,7 +464,7 @@ def langsec_check(bundle, p_bad: BitString, st=None, qs=None, oracle=None, *,
         qs = SwitchQueues()
     if oracle is None:
         oracle = FifoDrainOracle()
-    seeded = dataclasses.replace(qs, q_input=(Arrival(port, p_bad),) + qs.q_input)
+    seeded = replace(qs, q_input=(Arrival(port, p_bad),) + qs.q_input)
     _st2, qs2, step = ingress_step(cfg, st, seeded, oracle)
     if step.detail.p_g is not None:
         raise PreconditionUnmet("the generator preempted the input this tick")

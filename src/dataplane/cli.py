@@ -20,7 +20,7 @@ import random
 import sys
 from typing import Optional
 
-from . import checker, switch
+from . import switch
 from .apps import app_from_config, initial_switch_state, switch_config
 from .headers import (
     IP_PROTO_TCP, IP_PROTO_UDP, SAMPLED_FORMAT, STANDARD_FORMAT, build_packet,
@@ -128,7 +128,7 @@ def cmd_sim(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from . import audit  # only check reads traces back, so sim does not compile it
+    from . import audit, checker  # only check replays and audits, so sim compiles neither
 
     with open(args.trace) as fh:
         records = audit.Records(fh)

@@ -22,16 +22,12 @@ headers, so both pipelines emit ``h3 + payload``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from .packet_format import BitString, TypedValue
 
 
-class PipelineError(Exception):
-    pass
-
-
-class EgressParseFailure(PipelineError):
+class EgressParseFailure(Exception):
     """The egress parser rejected a packet.  Unreachable for packets our
     own ingress produced; kept as a loud diagnostic."""
 
@@ -90,7 +86,6 @@ class MirrorId:
 @dataclass(frozen=True)
 class EgressIndication:
     recirculate: int = 0
-    ext: Any = None  # opaque extension slot, unused by the stock apps
 
     def __post_init__(self) -> None:
         if self.recirculate not in (0, 1):

@@ -247,7 +247,6 @@ class IngressDetail:
     in_port: Optional[int]
     p_i: Optional[BitString]
     pipeline_out: Optional[tuple[TmMeta, MirrorId, EgressIndication, BitString]]
-    m_merge: Optional[TmMeta]
     m_repl: Optional[tuple[EgressMeta, ...]]
     enqueued: tuple
 
@@ -313,7 +312,6 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
 
     s_i2 = st.s_i
     out = None
-    m_merge = None
     m_repl = None
     enqueued: tuple = ()
     q_mirror2 = qs.q_mirror
@@ -336,8 +334,8 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
                        q_egress=q_egress2, q_output=qs.q_output)
     step = TraceStep(INGRESS, st, qs, st2, qs2, decisions,
                      IngressDetail(p_g=p_g, from_recirc=from_recirc, in_port=in_port,
-                                   p_i=p_i, pipeline_out=out, m_merge=m_merge,
-                                   m_repl=m_repl, enqueued=enqueued))
+                                   p_i=p_i, pipeline_out=out, m_repl=m_repl,
+                                   enqueued=enqueued))
     return st2, qs2, step
 
 

@@ -275,6 +275,39 @@ def test_sampler_trace_check_nonzero_counter():
     assert len(tr.final_queues.q_output) == 3
 
 
+class _NewestArrivalFirst(FifoDrainOracle):
+    def input_index(self, n):
+        return n - 1
+
+
+class _NewestCopyFirst(FifoDrainOracle):
+    def sched_index(self, n):
+        return n - 1
+
+
+@pytest.mark.parametrize("oracle, message", [
+    (RandomOracle(5, reorder=True), "step 0 takes an arrival behind the head of q_input"),
+    (_NewestArrivalFirst(), "step 0 takes an arrival behind the head of q_input"),
+    # the fourth packet, taken at step 6, is the first sampled one
+    (_NewestCopyFirst(), "step 7 schedules a copy behind the head of q_egress"),
+], ids=["random", "newest-arrival", "newest-copy"])
+def test_sampler_trace_check_needs_oldest_first(oracle, message):
+    pkts = [tcp_pkt(sp=i, payload=bytes([i])) for i in range(11)]
+    tr = drain_run(sampler_app(SC), pkts, oracle)
+    with pytest.raises(PreconditionUnmet, match=f"^{message}$"):
+        sampler_trace_check(tr, SC)
+
+
+def test_sampler_generated_packets_are_not_arrivals():
+    # the generator preempts a non-empty input queue without taking from it
+    pktgen = PktGenConfig(enabled=True, period=3, template=tcp_pkt(sp=999))
+    pkts = [tcp_pkt(sp=i, payload=bytes([i])) for i in range(11)]
+    tr = drain_run(sampler_app(SC, pktgen=pktgen), pkts)
+    assert any(s.kind == "ingress" and s.detail.p_g is not None and s.pre_queues.q_input
+               for s in tr.steps)
+    assert sampler_trace_check(tr, SC).ok
+
+
 # ---------------------------------------------------------------------------
 # malformed-input isolation
 

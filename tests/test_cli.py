@@ -195,7 +195,8 @@ class TestSim:
                   f"code = cli.main(['sim', '--config', {sampler_cfg!r}, '--input', {wl!r},\n"
                   f"                 '--drain', '--trace', {tr!r}])\n"
                   "assert code == 0, code\n"
-                  "assert 'dataplane.audit' not in sys.modules\n")
+                  "assert 'dataplane.audit' not in sys.modules\n"
+                  "assert 'dataplane.checker' not in sys.modules\n")
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -257,6 +258,53 @@ class TestCheck:
                                "--spec", "sampler:5")
         assert code == 1
         assert "sampler: VIOLATION clause=" in out
+
+    def test_sampler_spec_ok_under_adversarial_drop(self, sampler_cfg, tmp_path, capsys):
+        wl = str(tmp_path / "w.jsonl")
+        run_cli(capsys, "gen", "--count", "60", "--seed", "7", "--ports", "1,2", "--out", wl)
+        tr = _sim_trace(capsys, tmp_path, sampler_cfg, workload=wl, policy="adversarial-drop")
+        code, out, _ = run_cli(capsys, "check", tr, "--config", sampler_cfg,
+                               "--spec", "sampler")
+        assert code == 0, out
+        assert out.endswith("axioms: ok\nsampler: ok\n")
+
+    def test_sampler_spec_unmet_on_a_reordering_trace(self, sampler_cfg, tmp_path, capsys):
+        # the relation holds only when arrivals are taken and copies
+        # scheduled oldest first; --policy random does neither
+        wl = str(tmp_path / "w.jsonl")
+        run_cli(capsys, "gen", "--count", "60", "--seed", "7", "--ports", "1,2", "--out", wl)
+        tr = _sim_trace(capsys, tmp_path, sampler_cfg, workload=wl, policy="random",
+                        seed=7, steps=2000)
+        steps = [json.loads(line) for line in open(tr)][1:-1]
+        # the packets are distinct, so the first index past the head is
+        # the first arrival taken out of order
+        i = next(i for i, r in enumerate(steps) if r["decisions"]["input_index"])
+        code, out, err = run_cli(capsys, "check", tr, "--config", sampler_cfg,
+                                 "--spec", "sampler")
+        assert code == 2
+        assert out == f"replay: ok ({len(steps)} steps)\n"
+        assert err == (f"sampler: precondition unmet "
+                       f"(step {i} takes an arrival behind the head of q_input)\n")
+
+    @pytest.mark.parametrize("edit", ["reversed-keys", "spaced"])
+    def test_record_rewritten_without_change_diverges(self, sampler_cfg, tmp_path, capsys,
+                                                      edit):
+        # the same record in other key order or spacing is not the line
+        # the replay writes, so the byte comparison rejects it
+        wl = str(tmp_path / "w.jsonl")
+        run_cli(capsys, "gen", "--count", "10", "--seed", "7", "--out", wl)
+        tr = _sim_trace(capsys, tmp_path, sampler_cfg, workload=wl)
+        lines = open(tr).read().splitlines()
+        rec = json.loads(lines[3])
+        if edit == "reversed-keys":
+            lines[3] = json.dumps(dict(reversed(list(rec.items()))))
+        else:
+            lines[3] = json.dumps(rec, sort_keys=True)
+        assert json.loads(lines[3]) == rec
+        open(tr, "w").write("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "check", tr, "--config", sampler_cfg)
+        assert code == 1 and err == ""
+        assert out == "replay: VIOLATION clause=trace.divergence step=2\n"
 
     def test_tampered_step_diverges(self, identity_cfg, tmp_path, capsys):
         wl = str(tmp_path / "w.jsonl")
