@@ -1,10 +1,10 @@
 """Bundled applications: identity forwarder, packet sampler, stateful
 firewall.
 
-An application is the six pipeline component functions plus the engine
-configuration they assume (multicast groups, generator timing,
-admission policy) and the initial per-component state.  Everything is
-collected in an AppBundle so a switch can be instantiated in one call.
+An application is the SwitchConfig its builder returns: the six
+pipeline component functions plus the engine configuration they assume
+(multicast groups, generator timing, admission policy) and the initial
+per-component state, so a switch can be instantiated in one call.
 """
 
 from __future__ import annotations
@@ -29,27 +29,14 @@ from .switch import SwitchConfig, SwitchState, expect
 KEEPALIVE_ETHERTYPE = 0x9A9A
 
 
-@dataclass(frozen=True)
-class AppBundle:
-    name: str
-    components: Components
-    mc: McConfig
-    pktgen: PktGenConfig
-    qac: object
-    init_ingress: tuple
-    init_egress: tuple
-    params: object = None  # the app's config dataclass, in the trace's config digest
+def initial_switch_state(cfg: SwitchConfig) -> SwitchState:
+    return SwitchState(t=0, s_g=PktGenState(), s_i=cfg.init_ingress, s_e=cfg.init_egress)
 
 
-def initial_switch_state(bundle: AppBundle) -> SwitchState:
-    return SwitchState(t=0, s_g=PktGenState(),
-                       s_i=bundle.init_ingress, s_e=bundle.init_egress)
-
-
-def switch_config(bundle: AppBundle) -> SwitchConfig:
-    return SwitchConfig(components=bundle.components, mc=bundle.mc,
-                        pktgen=bundle.pktgen, qac=bundle.qac,
-                        app_label=bundle.name, params=bundle.params)
+def switch_config(cfg: SwitchConfig) -> SwitchConfig:
+    """cfg itself: an app is already its SwitchConfig.  Kept only because
+    the benchmark harness (`perfbench/worker.py`) still calls it."""
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +103,16 @@ def _unicast_to(port: int) -> Callable:
     return in_control
 
 
-def _bundle(name: str, params, in_control: Callable, *, e_parser: Callable = _e_parser,
-            e_control: Callable = _e_control, mc: Optional[McConfig] = None,
-            pktgen: Optional[PktGenConfig] = None, qac=None,
-            init_ingress=(None, None, None)) -> AppBundle:
+def _app(label: str, params, in_control: Callable, *, e_parser: Callable = _e_parser,
+         e_control: Callable = _e_control, mc: Optional[McConfig] = None,
+         pktgen: Optional[PktGenConfig] = None, qac=None,
+         init_ingress=(None, None, None)) -> SwitchConfig:
     """An app on the shared skeleton; engines left as None get defaults."""
     comps = Components(_in_parser, in_control, _deparser, e_parser, e_control, _deparser)
-    return AppBundle(name=name, components=comps,
-                     mc=mc if mc is not None else McConfig(),
-                     pktgen=pktgen if pktgen is not None else PktGenConfig(),
-                     qac=qac if qac is not None else QacMinimal(),
-                     init_ingress=init_ingress, init_egress=(None, None, None), params=params)
+    return SwitchConfig(components=comps, mc=mc if mc is not None else McConfig(),
+                        pktgen=pktgen if pktgen is not None else PktGenConfig(),
+                        qac=qac if qac is not None else QacMinimal(),
+                        app_label=label, params=params, init_ingress=init_ingress)
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +126,10 @@ class IdentityConfig:
 
 def identity_app(forward_port: int = 1, *, mc: Optional[McConfig] = None,
                  pktgen: Optional[PktGenConfig] = None,
-                 qac=None) -> AppBundle:
+                 qac=None) -> SwitchConfig:
     """Sends every parseable packet, unchanged, out one port."""
-    return _bundle("identity", IdentityConfig(forward_port), _unicast_to(forward_port),
-                   mc=mc, pktgen=pktgen, qac=qac)
+    return _app("identity", IdentityConfig(forward_port), _unicast_to(forward_port),
+                mc=mc, pktgen=pktgen, qac=qac)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +158,7 @@ class SamplerState:
 
 
 def sampler_app(cfg: SamplerConfig = SamplerConfig(), *,
-                pktgen: Optional[PktGenConfig] = None, qac=None) -> AppBundle:
+                pktgen: Optional[PktGenConfig] = None, qac=None) -> SwitchConfig:
     """Every sample_every-th packet is multicast as two copies: one to
     the monitor with a sample record in front, one to the normal
     forward port with the original bytes restored on egress.  All
@@ -217,8 +203,8 @@ def sampler_app(cfg: SamplerConfig = SamplerConfig(), *,
         L1Node(dev_port_list=(cfg.forward_port,), rid=cfg.forward_rid),
         L1Node(dev_port_list=(cfg.monitor_port,), rid=cfg.monitor_rid),
     )})
-    return _bundle("sampler", cfg, in_control, e_parser=e_parser, e_control=e_control,
-                   mc=mc, pktgen=pktgen, qac=qac, init_ingress=(None, SamplerState(), None))
+    return _app("sampler", cfg, in_control, e_parser=e_parser, e_control=e_control,
+                mc=mc, pktgen=pktgen, qac=qac, init_ingress=(None, SamplerState(), None))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +274,7 @@ def keepalive_template(cfg: FirewallConfig) -> BitString:
         ipv4=make_ipv4(protocol=0xFF))
 
 
-def firewall_app(cfg: FirewallConfig = FirewallConfig(), *, qac=None) -> AppBundle:
+def firewall_app(cfg: FirewallConfig = FirewallConfig(), *, qac=None) -> SwitchConfig:
     """Allow-by-default from the inside, allow-by-history from the
     outside.
 
@@ -371,8 +357,8 @@ def firewall_app(cfg: FirewallConfig = FirewallConfig(), *, qac=None) -> AppBund
 
     pktgen = PktGenConfig(enabled=True, period=cfg.keepalive_period,
                           template=keepalive_template(cfg))
-    return _bundle("firewall", cfg, in_control, pktgen=pktgen, qac=qac,
-                   init_ingress=(None, FirewallState(), None))
+    return _app("firewall", cfg, in_control, pktgen=pktgen, qac=qac,
+                init_ingress=(None, FirewallState(), None))
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +447,8 @@ APPS = {
 }
 
 
-def app_from_config(obj) -> AppBundle:
-    """Build a bundle from a config mapping (see the CLI).  Raises ValueError,
+def app_from_config(obj) -> SwitchConfig:
+    """Build an app from a config mapping (see the CLI).  Raises ValueError,
     naming the key path, on an unknown app or key or a mistyped value."""
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")

@@ -95,20 +95,21 @@ _DECISIONS = {
 
 def record_decisions(rec: dict) -> dict:
     """The decisions of a step or a fault record.  A step record holds all
-    five; a fault record those its step consumed before it faulted."""
+    five; a fault record those its step consumed before it faulted, which
+    always include the kind it asked for first."""
     step = rec["type"] == "step"
     d = rec.get("decisions") if step else rec.get("decisions", {})
     expect(isinstance(d, dict), d, "an object", _key("decisions"))
     for name, (ok, what) in _DECISIONS.items():
         if name not in d:
-            if step:
+            if step or name == "requested_kind":
                 raise ValueError(f"{_key(f'decisions.{name}')} is missing")
         elif not ok(d[name]):  # the message is built only for a bad value
             expect(False, d[name], what, _key(f"decisions.{name}"))
     return d
 
 
-def spec_fold(spec: str, bundle, cfg, st) -> Optional[checker.Fold]:
+def spec_fold(spec: str, cfg, st) -> Optional[checker.Fold]:
     """The fold of the `--spec` selector; None for the axioms alone."""
     name, _, param = spec.partition(":")
     if name == "axioms":
@@ -118,24 +119,24 @@ def spec_fold(spec: str, bundle, cfg, st) -> Optional[checker.Fold]:
     if name not in ("sampler", "denseflow", "firewall"):
         raise ValueError(f"unknown spec selector {spec!r}")
     want = {"sampler": SamplerConfig, "firewall": FirewallConfig}.get(name)
-    if want is not None and not isinstance(bundle.params, want):
+    if want is not None and not isinstance(cfg.params, want):
         raise ValueError(f"--spec {name} needs a {name} config")
     if param and not (param.isdecimal() and int(param) >= 1):
         raise ValueError(f"--spec {name} takes a whole number of at least 1, got {param!r}")
     n = int(param) if param else None
     if name == "sampler":
-        scfg = bundle.params
+        scfg = cfg.params
         return checker.SamplerFold(st, scfg if n is None
                                    else dataclasses.replace(scfg, sample_every=n))
     if n is None:
         raise ValueError(f"{name} needs a gap, e.g. {name}:64")
     if name == "denseflow":
         return checker.DenseFlowFold(n)
-    window = bundle.params.window
+    window = cfg.params.window
     if n > window:  # the filter promises to remember a flow for the window only
         raise ValueError(f"--spec firewall:{n} is above the config's window of {window}; "
                          f"freshness holds only for a gap up to the window")
-    return checker.FreshnessFold(bundle.params, n)
+    return checker.FreshnessFold(cfg.params, n)
 
 
 class Records:

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 from . import engines
 from .apps import (
     KEEPALIVE_ETHERTYPE, SamplerConfig, deparse_slots, flow_key, initial_switch_state,
-    parse_standard, switch_config,
+    parse_standard,
 )
 from .headers import make_sample
 from .packet_format import BitString, Format, matches
@@ -448,7 +448,7 @@ SAMPLER_CLAUSES = {
 # malformed-input isolation
 
 
-def langsec_check(bundle, p_bad: BitString, st=None, qs=None, oracle=None, *,
+def langsec_check(cfg: SwitchConfig, p_bad: BitString, st=None, qs=None, oracle=None, *,
                   port: int = 0) -> Verdict:
     """Feed one unparseable packet through one ingress step and verify
     it is dropped with no effect: every queue but q_input and every
@@ -457,9 +457,8 @@ def langsec_check(bundle, p_bad: BitString, st=None, qs=None, oracle=None, *,
     Raises PreconditionUnmet when the parser accepts p_bad or when the
     generator preempts it this tick.
     """
-    cfg = switch_config(bundle)
     if st is None:
-        st = initial_switch_state(bundle)
+        st = initial_switch_state(cfg)
     if qs is None:
         qs = SwitchQueues()
     if oracle is None:

@@ -21,7 +21,7 @@ import sys
 from typing import Optional
 
 from . import switch
-from .apps import app_from_config, initial_switch_state, switch_config
+from .apps import app_from_config, initial_switch_state
 from .headers import (
     IP_PROTO_TCP, IP_PROTO_UDP, SAMPLED_FORMAT, STANDARD_FORMAT, build_packet,
     make_intrinsic_meta, make_ipv4, make_tcp, make_udp,
@@ -109,9 +109,8 @@ def _arrival(obj) -> switch.Arrival:
 
 
 def cmd_sim(args) -> int:
-    bundle = app_from_config(_load_config(args.config))
-    cfg = switch_config(bundle)
-    st = initial_switch_state(bundle)
+    cfg = app_from_config(_load_config(args.config))
+    st = initial_switch_state(cfg)
     qs = switch.SwitchQueues(q_input=_load_workload(args.input) if args.input else ())
     oracle = switch.make_oracle(args.policy, args.seed)
 
@@ -139,12 +138,11 @@ def cmd_check(args) -> int:
             raise ValueError(f"trace format {header.get('format')!r} is not supported; "
                              f"this version reads format {switch.TRACE_FORMAT}")
 
-        bundle = app_from_config(_load_config(args.config))
-        cfg = switch_config(bundle)
+        cfg = app_from_config(_load_config(args.config))
         if switch.config_digest(cfg) != records.checked(audit.header_digest, header,
                                                         "config_digest"):
             raise ValueError("config does not match the trace header")
-        st = dataclasses.replace(initial_switch_state(bundle),
+        st = dataclasses.replace(initial_switch_state(cfg),
                                  t=records.checked(audit.initial_clock, header))
         if switch.digest(st) != records.checked(audit.header_digest, header, "state_digest"):
             raise ValueError("initial state does not match the trace header")
@@ -152,7 +150,7 @@ def cmd_check(args) -> int:
 
         label = args.spec.partition(":")[0]
         try:
-            spec = audit.spec_fold(args.spec, bundle, cfg, st)
+            spec = audit.spec_fold(args.spec, cfg, st)
         except checker.PreconditionUnmet as e:
             print(f"{label}: precondition unmet ({e})", file=sys.stderr)
             return 2
@@ -200,7 +198,7 @@ def cmd_fmt(args) -> int:
 
 def cmd_gen(args) -> int:
     rng = random.Random(args.seed)
-    ports = [int(x) for x in args.ports.split(",") if x]
+    ports = [_port_item(x) for x in args.ports.split(",") if x]
     if not ports:
         raise ValueError("--ports needs at least one port")
     lines = []
@@ -220,6 +218,15 @@ def cmd_gen(args) -> int:
     else:
         sys.stdout.write(out)
     return 0
+
+
+def _port_item(item: str) -> int:
+    """One item of `gen --ports`: an integer in 0..511."""
+    try:
+        port = int(item)
+    except ValueError:
+        port = item  # port_from_json names it as not an integer
+    return switch.port_from_json(port, "--ports item")
 
 
 def _random_packet(rng: random.Random, profile: str) -> BitString:

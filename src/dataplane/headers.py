@@ -141,50 +141,23 @@ def deparse_slots(slots: dict[str, TypedValue]) -> BitString:
     return BitString(word, nbits)
 
 
-# convenience constructors; unspecified fields default to zero
+def _maker(htype: HeaderType, **defaults: int):
+    """Keyword constructor of htype values: every declared field starts
+    at 0, then takes its default here, then the caller's value."""
+    base = {**dict.fromkeys((name for name, _ in htype.fields), 0), **defaults}
 
-def make_ethernet(**fields: int) -> TypedValue:
-    base = {"dst": 0, "src": 0, "ethertype": 0}
-    base.update(fields)
-    return TypedValue(ETHERNET, base)
-
-
-def make_ipv4(**fields: int) -> TypedValue:
-    base = {"version": 4, "ihl": 5, "dscp_ecn": 0, "total_len": 0, "id": 0,
-            "flags_frag": 0, "ttl": 64, "protocol": 0, "checksum": 0,
-            "src": 0, "dst": 0}
-    base.update(fields)
-    return TypedValue(IPV4, base)
+    def make(**fields: int) -> TypedValue:
+        return TypedValue(htype, {**base, **fields})
+    return make
 
 
-def make_tcp(**fields: int) -> TypedValue:
-    base = {"src_port": 0, "dst_port": 0, "seq": 0, "ack": 0,
-            "offset_flags": 0x5000, "window": 0, "checksum": 0, "urgent": 0}
-    base.update(fields)
-    return TypedValue(TCP, base)
-
-
-def make_udp(**fields: int) -> TypedValue:
-    base = {"src_port": 0, "dst_port": 0, "length": 8, "checksum": 0}
-    base.update(fields)
-    return TypedValue(UDP, base)
-
-
-def make_intrinsic_meta(**fields: int) -> TypedValue:
-    base = {"ingress_port": 0, "reserved": 0}
-    base.update(fields)
-    return TypedValue(INTRINSIC_META, base)
-
-
-def make_port_meta(blob: int = 0) -> TypedValue:
-    return TypedValue(PORT_META, {"blob": blob})
-
-
-def make_sample(**fields: int) -> TypedValue:
-    base = {"marker_ethertype": SAMPLE_MARKER, "src_addr": 0, "dst_addr": 0,
-            "src_port": 0, "dst_port": 0, "sample_count": 0}
-    base.update(fields)
-    return TypedValue(SAMPLE_HEADER, base)
+make_ethernet = _maker(ETHERNET)
+make_ipv4 = _maker(IPV4, version=4, ihl=5, ttl=64)
+make_tcp = _maker(TCP, offset_flags=0x5000)
+make_udp = _maker(UDP, length=8)
+make_intrinsic_meta = _maker(INTRINSIC_META)
+make_port_meta = _maker(PORT_META)
+make_sample = _maker(SAMPLE_HEADER, marker_ethertype=SAMPLE_MARKER)
 
 
 def build_packet(*, meta: TypedValue | None = None,

@@ -73,13 +73,17 @@ class SwitchQueues:
 
 @dataclass(frozen=True)
 class SwitchConfig:
+    """One configured switch; each app builder in `apps` returns one."""
+
     components: Components
     mc: McConfig
     pktgen: PktGenConfig
     qac: "QacMinimal | QacAlwaysReady"
     mirror: str = engines.EMPTY_MIRROR
     app_label: str = "custom"
-    params: object = None  # the app's config dataclass, see AppBundle
+    params: object = None  # the app's config dataclass, in the trace's config digest
+    init_ingress: tuple = (None, None, None)  # s_i and s_e of the initial state
+    init_egress: tuple = (None, None, None)
 
 
 def egress_enabled(qs: SwitchQueues) -> bool:
@@ -169,7 +173,7 @@ class ReplayOracle(Oracle):
         self._decisions = iter((decisions,))
 
     def _recorded(self, key: str):
-        v = self._cur[key]
+        v = self._cur.get(key)  # a fault record keeps only what its step consumed
         if v is None:
             # surfaces as a fault, which the replay then records
             raise OracleOutOfRange(f"no recorded {key}")

@@ -68,6 +68,7 @@ from dataplane.switch import (
     Arrival,
     FifoDrainOracle,
     Oracle,
+    SwitchConfig,
     SwitchQueues,
     Trace,
     run,
@@ -75,7 +76,6 @@ from dataplane.switch import (
 from dataplane.pipeline import ParsedData
 from dataplane.checker import _entry_matches, _expected_entries
 from dataplane.apps import (
-    AppBundle,
     FirewallState,
     SamplerConfig,
     firewall_app,
@@ -84,7 +84,6 @@ from dataplane.apps import (
     keepalive_template,
     parse_standard,
     sampler_app,
-    switch_config,
 )
 
 
@@ -424,12 +423,12 @@ class FwDriver:
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.bundle = firewall_app(cfg)
+        self.app = firewall_app(cfg)
         self.state = FirewallState()
 
     def _step(self, t, port, pkt):
         d = (t, port, parse_standard(pkt).slots)
-        (tm, _, _), self.state = self.bundle.components.in_control(d, self.state)
+        (tm, _, _), self.state = self.app.components.in_control(d, self.state)
         return tm
 
     def outbound(self, t, pkt):
@@ -441,7 +440,7 @@ class FwDriver:
         return not tm.drop
 
     def keepalive(self, t):
-        tm = self._step(t, self.bundle.pktgen.source_port,
+        tm = self._step(t, self.app.pktgen.source_port,
                         keepalive_template(self.cfg))
         assert tm.drop == 1
 
@@ -488,11 +487,10 @@ def drained(qs: SwitchQueues) -> bool:
             and qs.p_recirc is None)
 
 
-def drain_run(bundle: AppBundle, packets, oracle: Oracle | None = None,
+def drain_run(cfg: SwitchConfig, packets, oracle: Oracle | None = None,
               *, port: int = 0, cap: int | None = None) -> Trace:
     """Run until every internal queue is empty (generator-less apps)."""
-    cfg = switch_config(bundle)
-    st = initial_switch_state(bundle)
+    st = initial_switch_state(cfg)
     qs = SwitchQueues(q_input=arrivals(*packets, port=port))
     if cap is None:
         cap = 8 * len(packets) + 64
@@ -557,16 +555,15 @@ def forge_catalog() -> list[Forgery]:
     out: list[Forgery] = []
 
     # -- identity app material ------------------------------------------
-    ident = identity_app(forward_port=1)
-    icfg = switch_config(ident)
+    icfg = identity_app(forward_port=1)
     p_a, p_b = tcp_pkt(sp=1000), udp_pkt(sp=2000)
-    tr = drain_run(ident, [p_a, p_b])
+    tr = drain_run(icfg, [p_a, p_b])
     ing = [s for s in tr.steps if s.kind == "ingress" and s.detail.p_i is not None]
     egr = [s for s in tr.steps if s.kind == "egress"]
     assert ing and egr
     s_in, s_eg = ing[0], egr[0]
     # an idle tick needs an empty input queue, which drain_run never reaches
-    tr_idle = run(icfg, initial_switch_state(ident), SwitchQueues(), 1,
+    tr_idle = run(icfg, initial_switch_state(icfg), SwitchQueues(), 1,
                   FifoDrainOracle())
     s_id = tr_idle.steps[0]
     assert s_id.detail.p_i is None
@@ -634,7 +631,7 @@ def forge_catalog() -> list[Forgery]:
 
     # -- reject isolation --------------------------------------------------
     bad = p_a.take(100)
-    tr_bad = run(icfg, initial_switch_state(ident),
+    tr_bad = run(icfg, initial_switch_state(icfg),
                  SwitchQueues(q_input=arrivals(bad)), 1, FifoDrainOracle())
     s_rej = tr_bad.steps[0]
     assert s_rej.detail.pipeline_out is None and s_rej.detail.p_i is not None
@@ -644,9 +641,8 @@ def forge_catalog() -> list[Forgery]:
         "rejected packet still reached the egress queue")
 
     # -- sampler material: two copies per packet, non-empty pre-queues ----
-    sam = sampler_app(SamplerConfig(sample_every=1))
-    scfg_sw = switch_config(sam)
-    tr_s = run(scfg_sw, initial_switch_state(sam),
+    scfg_sw = sampler_app(SamplerConfig(sample_every=1))
+    tr_s = run(scfg_sw, initial_switch_state(scfg_sw),
                SwitchQueues(q_input=arrivals(p_a, p_b)), 2, AlwaysIngressOracle())
     st1 = tr_s.steps[1]
     assert len(st1.pre_queues.q_egress) == 2 and len(st1.detail.enqueued) == 2
@@ -661,9 +657,8 @@ def forge_catalog() -> list[Forgery]:
         "admitted copies out of pipeline order")
 
     # dropping a copy the policy marks mandatory
-    ready = dataclasses.replace(ident, qac=QacAlwaysReady())
-    rcfg = switch_config(ready)
-    tr_r = run(rcfg, initial_switch_state(ready),
+    rcfg = dataclasses.replace(icfg, qac=QacAlwaysReady())
+    tr_r = run(rcfg, initial_switch_state(rcfg),
                SwitchQueues(q_input=arrivals(p_a)), 1, FifoDrainOracle())
     s_rdy = tr_r.steps[0]
     assert len(s_rdy.detail.enqueued) == 1
@@ -673,7 +668,7 @@ def forge_catalog() -> list[Forgery]:
         "always-ready port dropped its copy")
 
     # scheduling two removals in one egress step
-    tr_s2 = run(scfg_sw, initial_switch_state(sam),
+    tr_s2 = run(scfg_sw, initial_switch_state(scfg_sw),
                 SwitchQueues(q_input=arrivals(p_a)), 2, FifoDrainOracle())
     s_eg2 = tr_s2.steps[1]
     assert s_eg2.kind == "egress" and len(s_eg2.pre_queues.q_egress) == 2

@@ -25,7 +25,7 @@ from dataplane.switch import (
 )
 from dataplane.apps import (
     FirewallConfig, SamplerConfig, SamplerState, firewall_app, identity_app,
-    initial_switch_state, parse_standard, sampler_app, switch_config,
+    initial_switch_state, parse_standard, sampler_app,
 )
 from dataplane.checker import (
     CLAUSES, check_step, check_trace, dense_flow_check,
@@ -135,19 +135,18 @@ def _random_scenario(rng: random.Random):
                               inter_pkt_gap=rng.randrange(1, 4),
                               template=tcp_pkt(payload=b"gen"))
         qac = QacAlwaysReady() if rng.random() < 0.5 else None
-        bundle = identity_app(forward_port=rng.randrange(1, 9),
-                              pktgen=pg, qac=qac)
+        cfg = identity_app(forward_port=rng.randrange(1, 9), pktgen=pg, qac=qac)
     elif kind == "sampler":
         scfg = SamplerConfig(sample_every=rng.randrange(1, 7))
         qac = QacAlwaysReady() if rng.random() < 0.5 else None
-        bundle = sampler_app(scfg, qac=qac)
+        cfg = sampler_app(scfg, qac=qac)
     else:
         w = rng.randrange(16, 65)
         fcfg = FirewallConfig(window=w,
                               keepalive_period=rng.randrange(4, w + 1),
                               bits=rng.choice((128, 256)),
                               hash_count=rng.randrange(2, 5))
-        bundle = firewall_app(fcfg)
+        cfg = firewall_app(fcfg)
 
     pkts = []
     for _ in range(rng.randrange(5, 36)):
@@ -165,7 +164,7 @@ def _random_scenario(rng: random.Random):
     oracle = rng.choice((FifoDrainOracle(),
                          RandomOracle(rng.randrange(1 << 16)),
                          AdversarialDropOracle()))
-    return kind, bundle, tuple(pkts), oracle, rng.randrange(30, 121)
+    return kind, cfg, tuple(pkts), oracle, rng.randrange(30, 121)
 
 
 def test_criterion_03_executor_within_axioms():
@@ -177,10 +176,9 @@ def test_criterion_03_executor_within_axioms():
     bad = 0
     seen = set()
     while total < 10_000:
-        kind, bundle, pkts, oracle, n_steps = _random_scenario(rng)
+        kind, cfg, pkts, oracle, n_steps = _random_scenario(rng)
         seen.add(kind)
-        cfg = switch_config(bundle)
-        tr = run(cfg, initial_switch_state(bundle),
+        tr = run(cfg, initial_switch_state(cfg),
                  SwitchQueues(q_input=pkts), n_steps, oracle)
         assert tr.fault is None, (kind, tr.fault)
         for step in tr.steps:
@@ -205,9 +203,8 @@ def test_criterion_04_forgeries_rejected():
             wrong.append((f.clause, v.violated_clause))
 
     # clock continuity is a trace-level clause, forged separately
-    bundle = identity_app()
-    cfg = switch_config(bundle)
-    tr = run(cfg, initial_switch_state(bundle),
+    cfg = identity_app()
+    tr = run(cfg, initial_switch_state(cfg),
              SwitchQueues(q_input=arrivals(tcp_pkt(), udp_pkt())), 8,
              FifoDrainOracle())
     steps = list(tr.steps)
@@ -261,12 +258,11 @@ def test_criterion_05_sampler_theorem():
             exact = False
         else:
             qac, oracle, exact = None, AdversarialDropOracle(), False
-        bundle = dataclasses.replace(
+        cfg = dataclasses.replace(
             sampler_app(scfg, qac=qac),
             init_ingress=(None, SamplerState(counter=n), None))
-        cfg = switch_config(bundle)
         qs = SwitchQueues(q_input=arrivals(*_stream(rng, length)))
-        tr = run(cfg, initial_switch_state(bundle), qs, 12 * length + 200,
+        tr = run(cfg, initial_switch_state(cfg), qs, 12 * length + 200,
                  oracle, stop_when=lambda s, q: (not q.q_input
                                                  and not q.q_egress
                                                  and q.p_recirc is None))
@@ -289,9 +285,8 @@ def test_criterion_06_malformed_input_isolated():
     """10^3 malformed packets are consumed without touching generator,
     control, deparser or egress state, or any queue but the input."""
     rng = random.Random(0xACC6)
-    bundle = sampler_app(SamplerConfig(sample_every=2))
-    cfg = switch_config(bundle)
-    st0 = initial_switch_state(bundle)
+    cfg = sampler_app(SamplerConfig(sample_every=2))
+    st0 = initial_switch_state(cfg)
     before = state_digests(st0)
 
     t0 = time.perf_counter()
@@ -360,11 +355,10 @@ def test_criterion_08_firewall():
     100 random scenarios."""
     t0 = time.perf_counter()
     rng = random.Random(0xACC8)
-    bundle = firewall_app(FW100)
-    cfg = switch_config(bundle)
+    cfg = firewall_app(FW100)
 
     # empty input: keepalives alone must carry the density obligation
-    tr = run(cfg, initial_switch_state(bundle), SwitchQueues(), TEN_WINDOWS,
+    tr = run(cfg, initial_switch_state(cfg), SwitchQueues(), TEN_WINDOWS,
              FifoDrainOracle())
     assert tr.fault is None
     dense_empty = dense_flow_check(tr, FW100.window)
@@ -381,7 +375,7 @@ def test_criterion_08_firewall():
             pkts.append(Arrival(1, out))
         else:
             pkts.append(Arrival(2, back))
-    tr2 = run(cfg, initial_switch_state(bundle),
+    tr2 = run(cfg, initial_switch_state(cfg),
               SwitchQueues(q_input=tuple(pkts)), TEN_WINDOWS,
               FifoDrainOracle())
     assert tr2.fault is None
@@ -463,9 +457,8 @@ def test_criterion_10_replayability(tmp_path):
          FifoDrainOracle(), 10),
     ]
     mismatched = []
-    for label, bundle, pkts, oracle, n_steps in scenarios:
-        cfg = switch_config(bundle)
-        st = initial_switch_state(bundle)
+    for label, cfg, pkts, oracle, n_steps in scenarios:
+        st = initial_switch_state(cfg)
         qs = SwitchQueues(q_input=tuple(pkts))
         tr = run(cfg, st, qs, n_steps, oracle)
 

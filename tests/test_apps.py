@@ -32,7 +32,6 @@ from dataplane.apps import (
     keepalive_template,
     parse_standard,
     sampler_app,
-    switch_config,
 )
 from dataplane.checker import expected_sample_packet
 
@@ -101,9 +100,9 @@ class TestSampler:
         assert tr.final_queues.q_output[0] == (1, p)
 
     def test_counter_wraps(self):
-        bundle = sampler_app(SamplerConfig(sample_every=4))
+        cfg = sampler_app(SamplerConfig(sample_every=4))
         near_wrap = dataclasses.replace(
-            bundle, init_ingress=(None, SamplerState(counter=(1 << 32) - 2), None))
+            cfg, init_ingress=(None, SamplerState(counter=(1 << 32) - 2), None))
         p1, p2 = tcp_pkt(sp=1), tcp_pkt(sp=2)
         tr = drain_run(near_wrap, [p1, p2])
         # counts are 2^32-1 then 0; only 0 is a multiple of 4
@@ -210,8 +209,8 @@ class TestFirewall:
                     fw.keepalive(t)
 
     def test_keepalives_cross_the_switch_silently(self):
-        bundle = firewall_app(FWCFG)
-        cfg, st = switch_config(bundle), initial_switch_state(bundle)
+        cfg = firewall_app(FWCFG)
+        st = initial_switch_state(cfg)
         tr = run(cfg, st, SwitchQueues(), 5 * FWCFG.keepalive_period,
                  FifoDrainOracle())
         assert tr.fault is None
@@ -228,12 +227,12 @@ class TestFirewall:
 class TestAppFromConfig:
     def test_identity_defaults(self):
         b = app_from_config({})
-        assert b.name == "identity"
+        assert b.app_label == "identity"
 
     def test_sampler_fields(self):
         b = app_from_config({"app": "sampler", "sample_every": 7,
                              "monitor_port": 9})
-        assert b.name == "sampler"
+        assert b.app_label == "sampler"
         tr = drain_run(b, [tcp_pkt(sp=i) for i in range(7)])
         ports = [port for port, _ in tr.final_queues.q_output]
         assert ports.count(9) == 1
@@ -376,7 +375,7 @@ def test_mutated_config_decodes_or_raises_value_error(data):
     old = holder[last]
     holder[last] = data.draw(OTHER_JSON.filter(lambda v: type(v) is not type(old)))
     try:
-        bundle = app_from_config(config)
+        cfg = app_from_config(config)
     except ValueError:
         return
-    assert bundle.params is not None
+    assert cfg.params is not None

@@ -26,7 +26,6 @@ from dataplane.apps import (
     parse_sampled,
     parse_standard,
     sampler_app,
-    switch_config,
 )
 from dataplane.headers import (
     SAMPLE_HEADER, sampled_packet_format, standard_packet_format,
@@ -83,12 +82,11 @@ HONEST_CASES = [
 ]
 
 
-@pytest.mark.parametrize("label,bundle,oracle,n", HONEST_CASES,
+@pytest.mark.parametrize("label,cfg,oracle,n", HONEST_CASES,
                          ids=[c[0] for c in HONEST_CASES])
-def test_honest_traces_pass(label, bundle, oracle, n):
-    cfg = switch_config(bundle)
+def test_honest_traces_pass(label, cfg, oracle, n):
     pkts = [rand_packet(random.Random(10 + i)) for i in range(n)]
-    tr = run(cfg, initial_switch_state(bundle),
+    tr = run(cfg, initial_switch_state(cfg),
              SwitchQueues(q_input=arrivals(*pkts)), 6 * n, oracle)
     assert tr.fault is None
     v = check_trace(cfg, tr)
@@ -96,10 +94,9 @@ def test_honest_traces_pass(label, bundle, oracle, n):
 
 
 def test_honest_trace_with_reordering_oracle():
-    bundle = identity_app()
-    cfg = switch_config(bundle)
+    cfg = identity_app()
     pkts = [tcp_pkt(sp=i) for i in range(6)]
-    tr = run(cfg, initial_switch_state(bundle),
+    tr = run(cfg, initial_switch_state(cfg),
              SwitchQueues(q_input=arrivals(*pkts)), 40, RandomOracle(7, reorder=True))
     assert check_trace(cfg, tr).ok
 
@@ -127,9 +124,8 @@ def test_forgery_catalog_is_broad():
 
 
 def test_trace_continuity_forgery():
-    bundle = identity_app()
-    cfg = switch_config(bundle)
-    tr = drain_run(bundle, [tcp_pkt(), udp_pkt()])
+    cfg = identity_app()
+    tr = drain_run(cfg, [tcp_pkt(), udp_pkt()])
     assert len(tr.steps) >= 2
     hacked = dataclasses.replace(
         tr.steps[1],
@@ -253,23 +249,21 @@ class TestSamplerSpecCheck:
 
 
 def test_sampler_trace_check_end_to_end():
-    bundle = sampler_app(SC)
+    cfg = sampler_app(SC)
     pkts = [tcp_pkt(sp=i, payload=bytes([i % 256])) for i in range(11)]
-    tr = drain_run(bundle, pkts)
+    tr = drain_run(cfg, pkts)
     assert sampler_trace_check(tr, SC, require_complete=True).ok
     # under random admission the relation still holds, minus completeness
-    cfg = switch_config(bundle)
-    tr2 = run(cfg, initial_switch_state(bundle),
+    tr2 = run(cfg, initial_switch_state(cfg),
               SwitchQueues(q_input=arrivals(*pkts)), 80,
               RandomOracle(3, reorder=False))
     assert sampler_trace_check(tr2, SC).ok
 
 
 def test_sampler_trace_check_nonzero_counter():
-    bundle = sampler_app(SC)
-    bundle = dataclasses.replace(bundle,
-                                 init_ingress=(None, SamplerState(counter=2), None))
-    tr = drain_run(bundle, [tcp_pkt(sp=1), tcp_pkt(sp=2)])
+    cfg = sampler_app(SC)
+    cfg = dataclasses.replace(cfg, init_ingress=(None, SamplerState(counter=2), None))
+    tr = drain_run(cfg, [tcp_pkt(sp=1), tcp_pkt(sp=2)])
     # counts 3 and 4; 4 samples
     assert sampler_trace_check(tr, SC, require_complete=True).ok
     assert len(tr.final_queues.q_output) == 3
@@ -314,16 +308,16 @@ def test_sampler_generated_packets_are_not_arrivals():
 
 class TestLangsec:
     def test_truncated_packet_isolated(self):
-        bundle = sampler_app(SC)
+        cfg = sampler_app(SC)
         for cut in (0, 1, 17, 399):
             bad = tcp_pkt().take(cut)
-            assert langsec_check(bundle, bad).ok
+            assert langsec_check(cfg, bad).ok
 
     def test_mangled_corpus(self):
         rng = random.Random(12)
-        bundle = sampler_app(SC)
+        cfg = sampler_app(SC)
         for _ in range(50):
-            assert langsec_check(bundle, mangle(rng, rand_packet(rng))).ok
+            assert langsec_check(cfg, mangle(rng, rand_packet(rng))).ok
 
     def test_parseable_packet_is_a_precondition_failure(self):
         with pytest.raises(PreconditionUnmet):
@@ -347,17 +341,15 @@ class TestLangsec:
 
     def test_trace_form_passes_on_honest_run(self):
         rng = random.Random(3)
-        bundle = identity_app()
-        cfg = switch_config(bundle)
+        cfg = identity_app()
         bads = [mangle(rng, rand_packet(rng)) for _ in range(20)]
-        tr = run(cfg, initial_switch_state(bundle),
+        tr = run(cfg, initial_switch_state(cfg),
                  SwitchQueues(q_input=arrivals(*bads)), 20, FifoDrainOracle())
         assert langsec_trace_check(tr, cfg).ok
 
     def test_trace_form_blames_state_edit(self):
-        bundle = identity_app()
-        cfg = switch_config(bundle)
-        tr = run(cfg, initial_switch_state(bundle),
+        cfg = identity_app()
+        tr = run(cfg, initial_switch_state(cfg),
                  SwitchQueues(q_input=arrivals(tcp_pkt().take(30))), 1,
                  FifoDrainOracle())
         tr.steps[0] = dataclasses.replace(
@@ -368,9 +360,8 @@ class TestLangsec:
         assert not v.ok and v.violated_clause == "langsec.state_frame"
 
     def test_trace_form_blames_queue_edit(self):
-        bundle = identity_app()
-        cfg = switch_config(bundle)
-        tr = run(cfg, initial_switch_state(bundle),
+        cfg = identity_app()
+        tr = run(cfg, initial_switch_state(cfg),
                  SwitchQueues(q_input=arrivals(tcp_pkt().take(30))), 1,
                  FifoDrainOracle())
         tr.steps[0] = dataclasses.replace(
@@ -381,9 +372,8 @@ class TestLangsec:
         assert not v.ok and v.violated_clause == "langsec.queue_frame"
 
     def test_trace_form_requires_generator_off(self):
-        bundle = firewall_app(FirewallConfig())
-        cfg = switch_config(bundle)
-        tr = run(cfg, initial_switch_state(bundle), SwitchQueues(), 1,
+        cfg = firewall_app(FirewallConfig())
+        tr = run(cfg, initial_switch_state(cfg), SwitchQueues(), 1,
                  FifoDrainOracle())
         with pytest.raises(PreconditionUnmet):
             langsec_trace_check(tr, cfg)
@@ -469,18 +459,16 @@ def _glue(tr_a, tr_b):
 class TestDenseFlow:
     def test_keepalives_satisfy_period_gap(self):
         fw = FirewallConfig(window=32, keepalive_period=8)
-        bundle = firewall_app(fw)
-        cfg = switch_config(bundle)
-        tr = run(cfg, initial_switch_state(bundle), SwitchQueues(), 60,
+        cfg = firewall_app(fw)
+        tr = run(cfg, initial_switch_state(cfg), SwitchQueues(), 60,
                  FifoDrainOracle())
         assert dense_flow_check(tr, fw.keepalive_period).ok
         v = dense_flow_check(tr, fw.keepalive_period - 1)
         assert not v.ok and v.violated_clause == "denseflow.gap"
 
     def test_sparse_arrivals_fail(self):
-        bundle = identity_app()
-        cfg = switch_config(bundle)
-        st = initial_switch_state(bundle)
+        cfg = identity_app()
+        st = initial_switch_state(cfg)
         a = run(cfg, st, SwitchQueues(q_input=arrivals(tcp_pkt())), 12,
                 FifoDrainOracle())
         late = dataclasses.replace(a.final_queues, q_input=arrivals(udp_pkt()))
@@ -492,8 +480,8 @@ class TestDenseFlow:
         assert not v.ok and v.violated_clause == "denseflow.gap"
 
     def test_empty_trace_passes(self):
-        bundle = identity_app()
-        tr = run(switch_config(bundle), initial_switch_state(bundle),
+        cfg = identity_app()
+        tr = run(cfg, initial_switch_state(cfg),
                  SwitchQueues(), 0, FifoDrainOracle())
         assert dense_flow_check(tr, 1).ok
 
@@ -503,12 +491,11 @@ class TestFirewallFreshness:
                         keepalive_period=16)
 
     def _scenario_trace(self):
-        bundle = firewall_app(self.FW)
-        cfg = switch_config(bundle)
+        cfg = firewall_app(self.FW)
         out = tcp_pkt(src=0x0A000001, dst=0xC0A80001, sp=4000, dp=443)
         back = tcp_pkt(src=0xC0A80001, dst=0x0A000001, sp=443, dp=4000)
         qs = SwitchQueues(q_input=(arrivals(out, port=1) + arrivals(back, port=2)))
-        tr = run(cfg, initial_switch_state(bundle), qs, 12, FifoDrainOracle())
+        tr = run(cfg, initial_switch_state(cfg), qs, 12, FifoDrainOracle())
         assert tr.fault is None
         return tr
 

@@ -99,6 +99,15 @@ class TestGen:
         assert code == 2
         assert "--ports" in err
 
+    @pytest.mark.parametrize("ports, bad", [("600", "600"), ("-1", "-1"), ("x", "'x'"),
+                                            ("1,,x", "'x'")], ids=["600", "-1", "x", "1,,x"])
+    def test_ports_checked(self, tmp_path, capsys, ports, bad):
+        wl = tmp_path / "w.jsonl"
+        code, out, err = run_cli(capsys, "gen", "--ports", ports, "--out", str(wl))
+        assert code == 2 and out == "" and not wl.exists()
+        (line,) = err.splitlines()
+        assert line.startswith("error: --ports item ") and line.endswith(f"got {bad}")
+
     def test_malformed_rate_one_truncates_everything(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--count", "25", "--seed", "9",
                                "--malformed-rate", "1.0")
@@ -622,6 +631,27 @@ class TestFault:
         assert code == 0, out
         assert "replay: ok (1 steps)" in out
         assert "axioms: ok" in out
+
+    @pytest.mark.parametrize("key, code, line", [
+        # every step asks for its kind first, so a fault record has one
+        ("requested_kind", 2, "error: trace line 3: key 'decisions.requested_kind' is missing"),
+        # a decision the record lacks is read as null: the replay then
+        # faults otherwise than the record says
+        ("sched_index", 1, "replay: VIOLATION clause=trace.divergence step=1"),
+    ], ids=["requested_kind", "sched_index"])
+    def test_fault_record_without_a_decision(self, sampler_cfg, marker_workload, tmp_path,
+                                             capsys, key, code, line):
+        tr = tmp_path / "fault.jsonl"
+        run_cli(capsys, "sim", "--config", sampler_cfg, "--input", marker_workload,
+                "--steps", "10", "--trace", str(tr))
+        lines = tr.read_text().splitlines()
+        recs = [json.loads(text) for text in lines]
+        (i,) = [n for n, r in enumerate(recs) if r["type"] == "fault"]
+        del recs[i]["decisions"][key]
+        lines[i] = json.dumps(recs[i], sort_keys=True, separators=(",", ":"))
+        tr.write_text("\n".join(lines) + "\n")
+        got, out, err = run_cli(capsys, "check", str(tr), "--config", sampler_cfg)
+        assert (got, (out + err).splitlines()) == (code, [line])
 
 
 # ---------------------------------------------------------------------------

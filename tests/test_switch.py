@@ -19,6 +19,7 @@ from dataplane.switch import (
     ReplayOracle,
     Run,
     StepNotEnabled,
+    SwitchConfig,
     SwitchQueues,
     TRACE_FORMAT,
     config_digest,
@@ -35,15 +36,14 @@ from dataplane.switch import (
     write_trace,
 )
 from dataplane.apps import (
-    AppBundle,
     IdentityConfig,
     SamplerConfig,
+    app_from_config,
     deparse_slots,
     identity_app,
     initial_switch_state,
     parse_standard,
     sampler_app,
-    switch_config,
     _tm,
 )
 
@@ -88,9 +88,9 @@ class TestIdentityRun:
     def test_steps_share_queue_structure(self, policy):
         # a step's queues share all but at most one chunk with its pre
         # queues, so the snapshots a run keeps cost O(1) chunks a step
-        bundle = identity_app()
+        cfg = identity_app()
         qs = SwitchQueues(q_input=Seq(arrivals(*(tcp_pkt(sp=i) for i in range(512)))))
-        tr = run(switch_config(bundle), initial_switch_state(bundle), qs, 8 * 512,
+        tr = run(cfg, initial_switch_state(cfg), qs, 8 * 512,
                  make_oracle(policy, seed=3), stop_when=lambda s, q: drained(q))
         assert drained(tr.final_queues) and len(tr.final_queues.q_output) > 256
         for s in tr.steps:
@@ -121,8 +121,8 @@ def test_egress_request_falls_back_to_ingress():
 
 
 def test_egress_step_requires_enabled():
-    bundle = identity_app()
-    cfg, st = switch_config(bundle), initial_switch_state(bundle)
+    cfg = identity_app()
+    st = initial_switch_state(cfg)
     with pytest.raises(StepNotEnabled):
         egress_step(cfg, st, SwitchQueues(), FifoDrainOracle())
     occupied = SwitchQueues(p_recirc=P1, q_egress=(("x", P1),))
@@ -133,14 +133,14 @@ def test_egress_step_requires_enabled():
 
 class TestRunControl:
     def test_negative_steps(self):
-        bundle = identity_app()
+        cfg = identity_app()
         with pytest.raises(ValueError):
-            run(switch_config(bundle), initial_switch_state(bundle),
+            run(cfg, initial_switch_state(cfg),
                 SwitchQueues(), -1, FifoDrainOracle())
 
     def test_stop_when_preempts(self):
-        bundle = identity_app()
-        tr = run(switch_config(bundle), initial_switch_state(bundle),
+        cfg = identity_app()
+        tr = run(cfg, initial_switch_state(cfg),
                  SwitchQueues(q_input=arrivals(P1)), 100, FifoDrainOracle(),
                  stop_when=lambda s, q: True)
         assert tr.steps == [] and tr.final_state == tr.initial_state
@@ -153,11 +153,10 @@ class TestRunControl:
             t, port, slots = d
             return (_tm(mcast_a=77), MirrorId(0), slots), s
 
-        bundle = AppBundle(
-            name="broken", components=dataclasses.replace(base, in_control=broken_control),
-            mc=McConfig(), pktgen=PktGenConfig(), qac=QacMinimal(),
-            init_ingress=(None, None, None), init_egress=(None, None, None))
-        tr = run(switch_config(bundle), initial_switch_state(bundle),
+        cfg = SwitchConfig(
+            components=dataclasses.replace(base, in_control=broken_control),
+            mc=McConfig(), pktgen=PktGenConfig(), qac=QacMinimal(), app_label="broken")
+        tr = run(cfg, initial_switch_state(cfg),
                  SwitchQueues(q_input=arrivals(P1, P2)), 10, FifoDrainOracle())
         assert tr.fault is not None and tr.fault.startswith("UnknownGroup")
         assert tr.steps == []  # the very first step faulted
@@ -169,18 +168,17 @@ class TestRunControl:
         def broken(d, s):
             return (_tm(mcast_a=1), MirrorId(0), d[2]), s
 
-        bundle = AppBundle("b", dataclasses.replace(base, in_control=broken),
-                           McConfig(), PktGenConfig(), QacMinimal(),
-                           (None, None, None), (None, None, None))
-        st = initial_switch_state(bundle)
-        r = Run(switch_config(bundle), st, SwitchQueues(q_input=arrivals(P1, P2)),
+        cfg = SwitchConfig(dataclasses.replace(base, in_control=broken),
+                           McConfig(), PktGenConfig(), QacMinimal(), app_label="b")
+        st = initial_switch_state(cfg)
+        r = Run(cfg, st, SwitchQueues(q_input=arrivals(P1, P2)),
                 FifoDrainOracle())
         assert r.step() is None and r.fault.startswith("UnknownGroup")
         assert r.fault_decisions == {"requested_kind": "ingress", "input_index": 0}
         assert r.state == st and len(r.queues.q_input) == 2  # the faulted step changed nothing
 
 
-def _recirc_once_bundle() -> AppBundle:
+def _recirc_once_app() -> SwitchConfig:
     """Odd TTL recirculates after the egress control decrements it, so a
     ttl=2 packet loops exactly once through the register."""
     base = identity_app(forward_port=1).components
@@ -196,16 +194,14 @@ def _recirc_once_bundle() -> AppBundle:
         return (ind, deparse_slots(slots)), s
 
     comps = dataclasses.replace(base, e_control=e_control, e_deparser=e_deparser)
-    return AppBundle(name="ttl_loop", components=comps, mc=McConfig(),
-                     pktgen=PktGenConfig(), qac=QacMinimal(),
-                     init_ingress=(None, None, None),
-                     init_egress=(None, None, None))
+    return SwitchConfig(components=comps, mc=McConfig(), pktgen=PktGenConfig(),
+                        qac=QacMinimal(), app_label="ttl_loop")
 
 
 class TestRecirculation:
     def test_register_loop(self):
-        bundle = _recirc_once_bundle()
-        tr = drain_run(bundle, [tcp_pkt(ttl=2)])
+        cfg = _recirc_once_app()
+        tr = drain_run(cfg, [tcp_pkt(ttl=2)])
         kinds = [s.kind for s in tr.steps]
         assert kinds == [INGRESS, EGRESS, INGRESS, EGRESS]
         # first egress parks the decremented packet in the register
@@ -229,14 +225,14 @@ class TestRecirculation:
 
 class TestDigests:
     def test_deterministic(self):
-        bundle = identity_app()
-        st = initial_switch_state(bundle)
-        assert digest(st) == digest(initial_switch_state(bundle))
-        assert state_digests(st) == state_digests(initial_switch_state(bundle))
+        cfg = identity_app()
+        st = initial_switch_state(cfg)
+        assert digest(st) == digest(initial_switch_state(cfg))
+        assert state_digests(st) == state_digests(initial_switch_state(cfg))
 
     def test_sensitive_to_state(self):
-        bundle = identity_app()
-        st = initial_switch_state(bundle)
+        cfg = identity_app()
+        st = initial_switch_state(cfg)
         st2 = dataclasses.replace(st, t=st.t + 1)
         assert digest(st) != digest(st2)
         assert state_digests(st)["t"] != state_digests(st2)["t"]
@@ -247,7 +243,7 @@ class TestDigests:
         assert queue_digests(qs)["lens"] == [2, 0, 0]
 
     def test_config_digest_covers_app_label(self):
-        a = switch_config(identity_app())
+        a = identity_app()
         b = dataclasses.replace(a, app_label="other")
         assert config_digest(a) != config_digest(b)
 
@@ -258,9 +254,22 @@ class TestDigests:
         ("qac", QacAlwaysReady()),
     ], ids=["params", "mc", "pktgen", "qac"])
     def test_config_digest_covers_decoded_config(self, field, value):
-        a = switch_config(identity_app())
+        a = identity_app()
         b = dataclasses.replace(a, **{field: value})
         assert config_digest(a) != config_digest(b)
+
+    @pytest.mark.parametrize("config, digests", [
+        ({"app": "identity", "forward_port": 2}, ("a1a7361a1eee9958", "bbaaf906cbb37a61")),
+        ({"app": "sampler", "forward_port": 1, "monitor_port": 3, "sample_every": 4},
+         ("588c2560937614b7", "c677097a038ea87a")),
+        ({"app": "firewall", "inside_port": 1, "outside_port": 2, "window": 100,
+          "keepalive_period": 100}, ("7c79a9617e8fa0b7", "548e3381cbcdbd1f")),
+    ], ids=["identity", "sampler", "firewall"])
+    def test_readme_config_digests_are_pinned(self, config, digests):
+        # every trace header carries both, so a change here breaks every
+        # recorded trace
+        cfg = app_from_config(config)
+        assert (config_digest(cfg), digest(initial_switch_state(cfg))) == digests
 
 
 class TestTraceSerialization:
@@ -280,27 +289,27 @@ class TestTraceSerialization:
             assert line == json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
     def test_replay_reproduces_trace_bytes(self):
-        bundle = identity_app()
-        tr = drain_run(bundle, [P1, P2, P3], RandomOracle(11))
+        cfg = identity_app()
+        tr = drain_run(cfg, [P1, P2, P3], RandomOracle(11))
         replay = ReplayOracle([s.decisions for s in tr.steps])
-        tr2 = run(switch_config(bundle), tr.initial_state, tr.initial_queues,
+        tr2 = run(cfg, tr.initial_state, tr.initial_queues,
                   len(tr.steps), replay)
         assert trace_to_lines(tr2) == trace_to_lines(tr)
 
     def test_run_steps_are_the_steps_a_trace_keeps(self):
-        bundle = identity_app()
-        tr = drain_run(bundle, [P1, P2, P3], RandomOracle(11))
-        r = Run(switch_config(bundle), tr.initial_state, tr.initial_queues, RandomOracle(11))
+        cfg = identity_app()
+        tr = drain_run(cfg, [P1, P2, P3], RandomOracle(11))
+        r = Run(cfg, tr.initial_state, tr.initial_queues, RandomOracle(11))
         assert [r.step() for _ in tr.steps] == tr.steps
         assert (r.state, r.queues) == (tr.final_state, tr.final_queues)
 
     def test_replay_of_a_null_index_faults(self):
-        bundle = identity_app()
-        tr = drain_run(bundle, [P1, P2], FifoDrainOracle())
+        cfg = identity_app()
+        tr = drain_run(cfg, [P1, P2], FifoDrainOracle())
         decisions = [dict(s.decisions) for s in tr.steps]
         assert decisions[0]["input_index"] == 0
         decisions[0]["input_index"] = None
-        tr2 = run(switch_config(bundle), tr.initial_state, tr.initial_queues,
+        tr2 = run(cfg, tr.initial_state, tr.initial_queues,
                   len(decisions), ReplayOracle(iter(decisions)))
         assert tr2.steps == [] and tr2.fault == "OracleOutOfRange: no recorded input_index"
 
@@ -351,8 +360,8 @@ class TestTraceSerialization:
     def test_untouched_slots_are_not_digested_again(self, monkeypatch):
         # a count: every step used to digest all seven state slots; an
         # ingress step cannot change s_e, an egress step neither s_g nor s_i
-        bundle = sampler_app(SamplerConfig(sample_every=2))
-        tr = drain_run(bundle, [tcp_pkt(sp=i) for i in range(40)])
+        cfg = sampler_app(SamplerConfig(sample_every=2))
+        tr = drain_run(cfg, [tcp_pkt(sp=i) for i in range(40)])
         assert {s.kind for s in tr.steps} == {INGRESS, EGRESS}
         calls = 0
         digest_ = switch.digest
@@ -390,10 +399,9 @@ class TestTraceSerialization:
         def broken(d, s):
             return (_tm(mcast_a=1), MirrorId(0), d[2]), s
 
-        bundle = AppBundle("b", dataclasses.replace(base, in_control=broken),
-                           McConfig(), PktGenConfig(), QacMinimal(),
-                           (None, None, None), (None, None, None))
-        tr = run(switch_config(bundle), initial_switch_state(bundle),
+        cfg = SwitchConfig(dataclasses.replace(base, in_control=broken),
+                           McConfig(), PktGenConfig(), QacMinimal(), app_label="b")
+        tr = run(cfg, initial_switch_state(cfg),
                  SwitchQueues(q_input=arrivals(P1)), 5, FifoDrainOracle())
         path = tmp_path / "f.jsonl"
         write_trace(tr, str(path))
