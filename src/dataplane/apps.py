@@ -17,10 +17,10 @@ from typing import Callable, Optional
 
 from .engines import L1Node, McConfig, PktGenConfig, PktGenState, QacAlwaysReady, QacMinimal
 from .headers import (
-    SAMPLE_MARKER, SAMPLED_FORMAT, STANDARD_FORMAT, build_packet, deparse_slots,
-    make_ethernet, make_intrinsic_meta, make_ipv4, make_sample,
+    SAMPLE_MARKER, build_packet, deparse_slots, make_ethernet, make_intrinsic_meta,
+    make_ipv4, make_sample, sampled_bindings, standard_bindings,
 )
-from .packet_format import BitString, Format, TypedValue, match_bindings
+from .packet_format import BitString, TypedValue
 from .pipeline import Components, EgressIndication, MirrorId, ParsedData, TmMeta
 from .switch import SwitchConfig, SwitchState, expect
 
@@ -40,11 +40,11 @@ def switch_config(cfg: SwitchConfig) -> SwitchConfig:
 
 
 # ---------------------------------------------------------------------------
-# stock parsers, derived from the declared formats in headers
+# stock parsers: the declared formats in headers, compiled
 
 
-def _parse(fmt: Format, p: BitString) -> Optional[ParsedData]:
-    slots = match_bindings(p, fmt)
+def _parse(bindings: Callable, p: BitString) -> Optional[ParsedData]:
+    slots = bindings(p)
     if slots is None:
         return None
     payload = slots.pop("payload")
@@ -57,12 +57,12 @@ def parse_standard(p: BitString) -> Optional[ParsedData]:
     Returns None when the input is too short for the headers its own
     protocol field promises; trailing bits become the payload.
     """
-    return _parse(STANDARD_FORMAT, p)
+    return _parse(standard_bindings, p)
 
 
 def parse_sampled(p: BitString) -> Optional[ParsedData]:
     """Like parse_standard, along SAMPLED_FORMAT: a sample record up front."""
-    return _parse(SAMPLED_FORMAT, p)
+    return _parse(sampled_bindings, p)
 
 
 def _tm(*, ucast: Optional[int] = None, mcast_a: int = 0,
@@ -74,7 +74,13 @@ def _tm(*, ucast: Optional[int] = None, mcast_a: int = 0,
 
 # ---------------------------------------------------------------------------
 # app skeleton: the pass-through components the apps share.  They call
-# parse_standard and deparse_slots through this module's globals.
+# parse_standard and deparse_slots through this module's globals.  The
+# metadata a stock component emits depends on the app's config at most,
+# so each value is built once, at import or with the app, and emitted
+# for every packet.
+
+_NO_MIRROR = MirrorId()
+_NO_RECIRCULATE = EgressIndication()
 
 
 def _in_parser(p, s):
@@ -92,14 +98,16 @@ def _e_control(d, s):
 
 
 def _deparser(slots, s):
-    return (EgressIndication(), deparse_slots(slots)), s
+    return (_NO_RECIRCULATE, deparse_slots(slots)), s
 
 
 def _unicast_to(port: int) -> Callable:
     """Ingress control that sends every packet out of one port."""
+    tm = _tm(ucast=port)
+
     def in_control(d, s):
         t, in_port, slots = d
-        return (_tm(ucast=port), MirrorId(), slots), s
+        return (tm, _NO_MIRROR, slots), s
     return in_control
 
 
@@ -163,6 +171,16 @@ def sampler_app(cfg: SamplerConfig = SamplerConfig(), *,
     the monitor with a sample record in front, one to the normal
     forward port with the original bytes restored on egress.  All
     other packets are plain unicast forwards."""
+    # forward node first: FIFO drains then emit the restored original
+    # before the monitor record, which is the order the relation expects.
+    # Built ahead of the TmMeta values so that a bad group id is reported
+    # as the multicast table's error.
+    mc = McConfig(groups={cfg.monitor_group: (
+        L1Node(dev_port_list=(cfg.forward_port,), rid=cfg.forward_rid),
+        L1Node(dev_port_list=(cfg.monitor_port,), rid=cfg.monitor_rid),
+    )})
+    to_monitor = _tm(mcast_a=cfg.monitor_group)
+    to_forward = _tm(ucast=cfg.forward_port)
 
     def in_control(d, s):
         t, in_port, slots = d
@@ -175,10 +193,9 @@ def sampler_app(cfg: SamplerConfig = SamplerConfig(), *,
                 src_port=l4["src_port"] if l4 is not None else 0,
                 dst_port=l4["dst_port"] if l4 is not None else 0,
                 sample_count=c2)
-            out = (_tm(mcast_a=cfg.monitor_group), MirrorId(),
-                   {"sample": sample, **slots})
+            out = (to_monitor, _NO_MIRROR, {"sample": sample, **slots})
         else:
-            out = (_tm(ucast=cfg.forward_port), MirrorId(), slots)
+            out = (to_forward, _NO_MIRROR, slots)
         return out, SamplerState(c2)
 
     def e_parser(d, s):
@@ -197,12 +214,6 @@ def sampler_app(cfg: SamplerConfig = SamplerConfig(), *,
             return {"sample": slots["sample"]}, s
         return {k: v for k, v in slots.items() if k != "sample"}, s
 
-    # forward node first: FIFO drains then emit the restored original
-    # before the monitor record, which is the order the relation expects
-    mc = McConfig(groups={cfg.monitor_group: (
-        L1Node(dev_port_list=(cfg.forward_port,), rid=cfg.forward_rid),
-        L1Node(dev_port_list=(cfg.monitor_port,), rid=cfg.monitor_rid),
-    )})
     return _app("sampler", cfg, in_control, e_parser=e_parser, e_control=e_control,
                 mc=mc, pktgen=pktgen, qac=qac, init_ingress=(None, SamplerState(), None))
 
@@ -340,20 +351,24 @@ def firewall_app(cfg: FirewallConfig = FirewallConfig(), *, qac=None) -> SwitchC
         union = s.pane0 | s.pane1
         return all(union >> pos & 1 for pos in positions(key))
 
+    drop = _tm(drop=1)
+    to_inside = _tm(ucast=cfg.inside_port)
+    to_outside = _tm(ucast=cfg.outside_port)
+
     def in_control(d, s):
         t, in_port, slots = d
         s = maintain(t, s)
         if slots["ethernet"]["ethertype"] == KEEPALIVE_ETHERTYPE:
-            return (_tm(drop=1), MirrorId(), slots), s
+            return (drop, _NO_MIRROR, slots), s
         if in_port == cfg.outside_port:
             key = flow_key(slots, inbound=True)
             if key is not None and remembered(s, key):
-                return (_tm(ucast=cfg.inside_port), MirrorId(), slots), s
-            return (_tm(drop=1), MirrorId(), slots), s
+                return (to_inside, _NO_MIRROR, slots), s
+            return (drop, _NO_MIRROR, slots), s
         key = flow_key(slots, inbound=False)
         if key is not None:
             s = insert(s, key)
-        return (_tm(ucast=cfg.outside_port), MirrorId(), slots), s
+        return (to_outside, _NO_MIRROR, slots), s
 
     pktgen = PktGenConfig(enabled=True, period=cfg.keepalive_period,
                           template=keepalive_template(cfg))

@@ -8,8 +8,9 @@ then an arbitrary payload.  Sampled copies additionally carry an
 its first 16 bits.
 
 The declared formats are the single source of this wire layout.
-STANDARD_FORMAT and SAMPLED_FORMAT are built and validated once, at
-import; the stock parsers in apps run the format matcher on them, and
+STANDARD_FORMAT and SAMPLED_FORMAT are built, validated and compiled
+once, at import: standard_bindings and sampled_bindings are their
+compiled matchers, which the stock parsers in apps call, and
 deparse_slots emits headers in the order SAMPLED_FORMAT binds them.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from .packet_format import (
     BitString, Branch, Concat, Empty, ExactPlain, ExactValue, Format,
-    HeaderType, TypedValue, check_well_formed, seq, value_bindings,
+    HeaderType, TypedValue, _bits, compile_format, seq, value_bindings,
 )
 
 ETHERNET = HeaderType("ethernet", (
@@ -120,8 +121,9 @@ def sampled_packet_format() -> Format:
 
 STANDARD_FORMAT = standard_packet_format()
 SAMPLED_FORMAT = sampled_packet_format()
-check_well_formed(STANDARD_FORMAT)
-check_well_formed(SAMPLED_FORMAT)
+# match_bindings(., STANDARD_FORMAT) and match_bindings(., SAMPLED_FORMAT)
+standard_bindings = compile_format(STANDARD_FORMAT)
+sampled_bindings = compile_format(SAMPLED_FORMAT)
 
 # every header slot in wire order; "tcp" and "udp" are alternatives, so
 # a parsed packet holds at most one of them
@@ -138,7 +140,7 @@ def deparse_slots(slots: dict[str, TypedValue]) -> BitString:
             width = v.htype.total_width
             word = (word << width) | v.word
             nbits += width
-    return BitString(word, nbits)
+    return _bits(word, nbits)
 
 
 def _maker(htype: HeaderType, **defaults: int):

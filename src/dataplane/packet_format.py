@@ -24,6 +24,12 @@ Matching proceeds left to right, so a branch condition may only read
 names bound to its left.  Because every non-terminal piece has an
 environment-determined width, the concat split point is forced and
 matching is deterministic.
+
+Each format has two matchers.  ``matches``, ``match_report`` and
+``match_bindings`` interpret the format tree, node by node: they are
+the spec.  ``compile_format`` stages a format once into a parser that
+computes the same bindings with fixed bounds tests, shifts and masks;
+the stock parsers run these compiled parsers.
 """
 
 from __future__ import annotations
@@ -72,28 +78,27 @@ class BitString:
         return self.nbits
 
     def __add__(self, other: "BitString") -> "BitString":
-        return BitString((self.value << other.nbits) | other.value,
-                         self.nbits + other.nbits)
+        return _bits((self.value << other.nbits) | other.value, self.nbits + other.nbits)
 
     def take(self, n: int) -> "BitString":
         """First n bits."""
         if not 0 <= n <= self.nbits:
             raise ValueError(f"cannot take {n} of {self.nbits} bits")
-        return BitString(self.value >> (self.nbits - n), n)
+        return _bits(self.value >> (self.nbits - n), n)
 
     def drop(self, n: int) -> "BitString":
         """Everything after the first n bits."""
         if not 0 <= n <= self.nbits:
             raise ValueError(f"cannot drop {n} of {self.nbits} bits")
         rem = self.nbits - n
-        return BitString(self.value & ((1 << rem) - 1), rem)
+        return _bits(self.value & ((1 << rem) - 1), rem)
 
     def slice(self, start: int, width: int) -> "BitString":
         """Width bits beginning at bit offset start."""
         if start < 0 or width < 0 or start + width > self.nbits:
             raise ValueError(f"slice [{start}, {start + width}) out of {self.nbits} bits")
         shift = self.nbits - start - width
-        return BitString((self.value >> shift) & ((1 << width) - 1), width)
+        return _bits((self.value >> shift) & ((1 << width) - 1), width)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BitString":
@@ -139,6 +144,17 @@ class BitString:
 
 
 EMPTY_BITS = BitString()
+
+
+def _bits(value: int, nbits: int) -> BitString:
+    """BitString(value, nbits) without the range check, for the callers
+    whose value is in range by construction: a shift and mask of a valid
+    bit string, or words packed from valid header values.  Files and
+    every other outside value go through the checked constructor."""
+    b = object.__new__(BitString)
+    object.__setattr__(b, "value", value)
+    object.__setattr__(b, "nbits", nbits)
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +216,8 @@ class TypedValue:
         bits are ignored.  Every field is masked to its width, so it is in
         range by construction."""
         v = object.__new__(cls)
-        object.__setattr__(v, "htype", htype)
-        object.__setattr__(v, "word", word & htype.mask)
+        _set_htype(v, htype)
+        _set_word(v, word & htype.mask)
         return v
 
     def __getitem__(self, fname: str) -> int:
@@ -228,6 +244,12 @@ class TypedValue:
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}={v:#x}" for n, v in self.values)
         return f"<{self.htype.name} {inner}>"
+
+
+# the slot descriptors write a frozen value's fields without going
+# through its refusing __setattr__
+_set_htype = TypedValue.htype.__set__
+_set_word = TypedValue.word.__set__
 
 
 def encode(v: TypedValue) -> BitString:
@@ -492,6 +514,119 @@ def match_report(p: BitString, f: Format) -> dict:
     check_well_formed(f)
     env, fail_bit, reason = _match(p, f)
     return {"ok": fail_bit is None, "env": env, "fail_bit": fail_bit, "reason": reason}
+
+
+# ---------------------------------------------------------------------------
+# compiled matching: the same function as match_bindings, staged once per
+# format into closures over fixed widths, shifts and masks
+
+
+class _Bindings(dict):
+    """The bindings of a compiled match.  As in Environment, a lookup
+    of a name not bound yet raises UnresolvedCondition."""
+
+    __slots__ = ()
+
+    def __missing__(self, name: str):
+        raise UnresolvedCondition(f"binding {name!r} is not in scope")
+
+
+# a stage matches from bit pos of the word value of nbits bits, binding
+# into env; it returns env on a complete match and None otherwise
+_Stage = Callable[[int, int, int, _Bindings], Optional[_Bindings]]
+
+
+def _pieces(f: Format) -> list[Format]:
+    """f as the list of its concatenated pieces, Empty ones dropped."""
+    if isinstance(f, Concat):
+        return _pieces(f.left) + _pieces(f.right)
+    return [] if isinstance(f, Empty) else [f]
+
+
+def _complete(value: int, nbits: int, pos: int, env: _Bindings) -> Optional[_Bindings]:
+    return env if pos == nbits else None
+
+
+def _stage(pieces: list[Format]) -> _Stage:
+    """The stage matching the concatenation of pieces.  Each arm of a
+    branch is staged followed by the pieces after the branch, so that a
+    run of ExactValues continues across the branch's end; k branches in
+    sequence stage up to 2^k tails, which is two for the stock formats."""
+    if not pieces:
+        return _complete
+    head = pieces[0]
+    if isinstance(head, ExactValue):
+        run = 1
+        while run < len(pieces) and isinstance(pieces[run], ExactValue):
+            run += 1
+        return _stage_values(pieces[:run], _stage(pieces[run:]))
+    if isinstance(head, Branch):
+        rest = pieces[1:]
+        return _stage_branch(head.cond, _stage(_pieces(head.then) + rest),
+                             _stage(_pieces(head.els) + rest))
+    if isinstance(head, ExactPlain):
+        # well formed, so nothing follows it
+        return _stage_plain(head.name)
+    raise TypeError(f"not a Format: {head!r}")
+
+
+def _stage_values(run: list[ExactValue], rest: _Stage) -> _Stage:
+    """A run of ExactValues: one bounds test and one shift for the run,
+    then a shift and mask per header."""
+    width = sum(g.htype.total_width for g in run)
+    headers, shift = [], width
+    for g in run:
+        shift -= g.htype.total_width
+        headers.append((g.name, g.htype, shift, g.htype.mask))
+    headers = tuple(headers)
+    new = object.__new__
+
+    def stage(value, nbits, pos, env):
+        end = pos + width
+        if end > nbits:
+            return None
+        word = value >> (nbits - end)
+        for name, htype, shift, mask in headers:
+            # TypedValue.of_word(htype, word >> shift), inlined
+            v = new(TypedValue)
+            _set_htype(v, htype)
+            _set_word(v, word >> shift & mask)
+            env[name] = v
+        return rest(value, nbits, end, env)
+    return stage
+
+
+def _stage_branch(cond: Callable, then: _Stage, els: _Stage) -> _Stage:
+    def stage(value, nbits, pos, env):
+        return (then if cond(env) else els)(value, nbits, pos, env)
+    return stage
+
+
+def _stage_plain(name: str) -> _Stage:
+    def stage(value, nbits, pos, env):
+        rem = nbits - pos
+        env[name] = _bits(value & ((1 << rem) - 1), rem)
+        return env
+    return stage
+
+
+def compile_format(f: Format) -> Callable[[BitString], Optional[dict]]:
+    """A parser equal to match_bindings(., f) for the well-formed f.  It
+    is staged once, here: each Concat chain becomes its list of pieces,
+    each maximal run of ExactValues one bounds test and one shift, each
+    Branch one call of its condition on the bindings so far.  Raises
+    IllFormedFormat as check_well_formed does.
+
+    The bindings are a dict, which is what the stock controls read, so a
+    condition that looks up a name not bound yet with ``env[name]``
+    raises UnresolvedCondition as in the interpreter, but one that calls
+    ``env.get(name)`` gets None where Environment raises."""
+    check_well_formed(f)
+    first = _stage(_pieces(f))
+
+    def parse(p: BitString) -> Optional[dict]:
+        return first(p.value, p.nbits, 0, _Bindings())
+    return parse
 
 
 def value_bindings(f: Format) -> tuple[str, ...]:

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Optional
 from . import engines
 from .engines import (
     EgressMeta, EngineError, McConfig, OracleOutOfRange, PktGenConfig,
-    PktGenState, QacAlwaysReady, QacMinimal, Seq, mandatory_mask,
+    PktGenState, QacAlwaysReady, QacMinimal, Seq,
 )
 from .packet_format import BitString
 from .pipeline import (

@@ -193,6 +193,10 @@ def ref_matches(p: BitString, f) -> bool:
 # ---------------------------------------------------------------------------
 # reference stock parsers: the layouts of headers.py as extract chains
 
+# header slot -> the header type the stock formats bind to it
+STOCK_SLOT_TYPES = {"sample": SAMPLE_HEADER, "meta": INTRINSIC_META, "port_md": PORT_META,
+                    "ethernet": ETHERNET, "ipv4": IPV4, "tcp": TCP, "udp": UDP}
+
 
 def _ref_parse(p: BitString, prefix: tuple) -> ParsedData | None:
     """Extract the prefix slots, the four fixed headers, then TCP or UDP

@@ -19,9 +19,7 @@ from dataplane.engines import L1Node, McConfig, PktGenConfig, QacAlwaysReady, Qa
 from dataplane.switch import FifoDrainOracle, SwitchQueues, run
 from dataplane.apps import (
     FirewallConfig,
-    FirewallState,
     IdentityConfig,
-    KEEPALIVE_ETHERTYPE,
     SamplerConfig,
     SamplerState,
     app_from_config,
@@ -29,7 +27,6 @@ from dataplane.apps import (
     flow_key,
     identity_app,
     initial_switch_state,
-    keepalive_template,
     parse_standard,
     sampler_app,
 )

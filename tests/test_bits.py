@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dataplane.packet_format import BitString, EMPTY_BITS
+from dataplane.headers import WIRE_ORDER, deparse_slots
+from dataplane.packet_format import BitString, EMPTY_BITS, TypedValue, encode
+
+from support import STOCK_SLOT_TYPES
 
 
 def bits(max_len=128):
@@ -13,9 +16,14 @@ def bits(max_len=128):
 
 
 class TestConstruction:
-    def test_value_out_of_range(self):
+    @given(st.integers(0, 600))
+    def test_value_out_of_range(self, n):
+        # BitString(value, nbits) is what trace and workload files are
+        # read through; only values built from valid ones skip the check
         with pytest.raises(ValueError):
             BitString(4, 2)
+        with pytest.raises(ValueError):
+            BitString(1 << n, n)
 
     def test_negative_width(self):
         with pytest.raises(ValueError):
@@ -63,6 +71,46 @@ class TestSlicing:
         start = data.draw(st.integers(0, len(p)))
         width = data.draw(st.integers(0, len(p) - start))
         assert p.slice(start, width) == p.drop(start).take(width)
+
+
+def _text(p: BitString) -> str:
+    """p as a string of '0' and '1', first bit first."""
+    return format(p.value, f"0{p.nbits}b") if p.nbits else ""
+
+
+def _checked(text: str) -> BitString:
+    """The checked constructor's bit string for a string of bits."""
+    return BitString(int(text, 2) if text else 0, len(text))
+
+
+class TestUncheckedResults:
+    """take, drop, slice, + and deparse_slots build their results without
+    the range check; each must equal what the checked constructor makes."""
+
+    @given(bits(), st.data())
+    def test_take_drop_slice(self, p, data):
+        n = data.draw(st.integers(0, len(p)))
+        start = data.draw(st.integers(0, len(p)))
+        width = data.draw(st.integers(0, len(p) - start))
+        text = _text(p)
+        assert p.take(n) == _checked(text[:n])
+        assert p.drop(n) == _checked(text[n:])
+        assert p.slice(start, width) == _checked(text[start:start + width])
+
+    @given(bits(), bits())
+    def test_concat(self, p, q):
+        assert p + q == _checked(_text(p) + _text(q))
+
+    @given(st.data())
+    def test_deparse_slots(self, data):
+        names = data.draw(st.lists(st.sampled_from(WIRE_ORDER), unique=True))
+        slots = {}
+        for name in names:
+            htype = STOCK_SLOT_TYPES[name]
+            slots[name] = TypedValue(htype, {f: data.draw(st.integers(0, (1 << w) - 1))
+                                             for f, w in htype.fields})
+        want = "".join(_text(encode(slots[n])) for n in WIRE_ORDER if n in slots)
+        assert deparse_slots(slots) == _checked(want)
 
 
 class TestSerialization:

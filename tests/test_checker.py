@@ -4,11 +4,14 @@ checks agree with independent quadratic formulations."""
 
 import dataclasses
 import random
+from functools import partial
 
 import pytest
 
-from dataplane.packet_format import BitString, encode
-from dataplane.engines import PktGenConfig, QacAlwaysReady
+from dataplane.packet_format import (
+    BitString, Branch, Concat, ExactValue, HeaderType, compile_format, encode,
+)
+from dataplane.engines import PktGenConfig
 from dataplane.switch import (
     AdversarialDropOracle,
     FifoDrainOracle,
@@ -20,6 +23,7 @@ from dataplane.apps import (
     FirewallConfig,
     SamplerConfig,
     SamplerState,
+    _parse,
     firewall_app,
     identity_app,
     initial_switch_state,
@@ -28,7 +32,7 @@ from dataplane.apps import (
     sampler_app,
 )
 from dataplane.headers import (
-    SAMPLE_HEADER, sampled_packet_format, standard_packet_format,
+    ETHERNET, SAMPLE_HEADER, TCP, UDP, sampled_packet_format, standard_packet_format,
 )
 from dataplane.checker import (
     ALL_CLAUSES,
@@ -383,6 +387,42 @@ class TestLangsec:
 # parser obliviousness and format acceptance
 
 
+def _parser_corpus():
+    """Whole and cut-short packets, then the same behind sample records;
+    the cuts include every byte boundary of a TCP and a UDP packet."""
+    rng = random.Random(6)
+    corpus = [rand_packet(rng) for _ in range(30)]
+    corpus += [mangle(rng, p) for p in corpus[:15]]
+    for p in (tcp_pkt(payload=b"xy"), udp_pkt()):
+        corpus += [p.take(n) for n in range(0, len(p) + 1, 8)]
+    sampled = [encode(rand_typed(rng, SAMPLE_HEADER)) + p for p in corpus]
+    return corpus, sampled
+
+
+def _rewrite(f, piece):
+    """f with every piece g replaced by piece(g)."""
+    f = piece(f)
+    if isinstance(f, Concat):
+        return Concat(_rewrite(f.left, piece), _rewrite(f.right, piece))
+    if isinstance(f, Branch):
+        return dataclasses.replace(f, then=_rewrite(f.then, piece), els=_rewrite(f.els, piece))
+    return f
+
+
+def _wide_ethertype(g):
+    """Mutant: ethernet's ethertype declared 17 bits wide."""
+    if isinstance(g, ExactValue) and g.htype == ETHERNET:
+        return ExactValue(g.name, HeaderType("ethernet", ETHERNET.fields[:-1] + (("ethertype", 17),)))
+    return g
+
+
+def _swapped_l4_arms(g):
+    """Mutant: the tcp arm extracts a UDP header and the udp arm a TCP one."""
+    if isinstance(g, ExactValue) and g.htype in (TCP, UDP):
+        return ExactValue("udp", UDP) if g.htype == TCP else ExactValue("tcp", TCP)
+    return g
+
+
 class TestParserChecks:
     def test_stock_parsers_oblivious(self):
         rng = random.Random(4)
@@ -404,19 +444,34 @@ class TestParserChecks:
         assert not v.ok and v.violated_clause == "parser.obliviousness"
 
     def test_format_acceptance(self):
-        rng = random.Random(6)
-        corpus = [rand_packet(rng) for _ in range(30)]
-        corpus += [mangle(rng, p) for p in corpus[:15]]
-        sampled = [encode(rand_typed(rng, SAMPLE_HEADER)) + p for p in corpus]
+        corpus, sampled = _parser_corpus()
         assert format_acceptance_check(ref_parse_standard, standard_packet_format(),
                                        corpus).ok
         assert format_acceptance_check(ref_parse_sampled, sampled_packet_format(),
                                        sampled).ok
-        # the stock parsers are derived from the formats; hold them
+        # the stock parsers are compiled from the formats; hold them
         # against the hand-coded chains, slot for slot
         for p in corpus + sampled:
             assert parse_standard(p) == ref_parse_standard(p)
             assert parse_sampled(p) == ref_parse_sampled(p)
+
+    def test_stock_parsers_accept_their_formats(self):
+        # the formats' matcher interprets them; the stock parsers run
+        # them compiled, so this compares two implementations
+        corpus, sampled = _parser_corpus()
+        assert format_acceptance_check(parse_standard, standard_packet_format(), corpus).ok
+        assert format_acceptance_check(parse_sampled, sampled_packet_format(), sampled).ok
+
+    @pytest.mark.parametrize("mutate", [_wide_ethertype, _swapped_l4_arms],
+                             ids=["ethertype-one-bit-wider", "tcp-udp-arms-swapped"])
+    def test_mutant_compiled_parser_caught(self, mutate):
+        corpus, sampled = _parser_corpus()
+        for fmt, packets in ((standard_packet_format(), corpus),
+                             (sampled_packet_format(), sampled)):
+            mutant = partial(_parse, compile_format(_rewrite(fmt, mutate)))
+            v = format_acceptance_check(mutant, fmt, packets)
+            assert not v.ok
+            assert v.violated_clause in ("parser.format_acceptance", "parser.roundtrip")
 
     def test_overly_permissive_parser_caught(self):
         def lax(p):

@@ -174,6 +174,35 @@ class TestSim:
         assert err.startswith("error:") and path in err
         assert len(err.splitlines()) == 1
 
+    OUT_OF_RANGE = [
+        ({"app": "identity", "forward_port": 600},
+         "error: ucast_egress_port out of 9-bit range: 600"),
+        ({"app": "firewall", "outside_port": 900},
+         "error: ucast_egress_port out of 9-bit range: 900"),
+        ({"app": "sampler", "monitor_port": 700}, "error: port out of 9-bit range: 700"),
+        ({"app": "sampler", "monitor_group": 70000}, "error: group id out of range: 70000"),
+    ]
+    OUT_OF_RANGE_IDS = ["identity-forward-600", "firewall-outside-900",
+                        "sampler-monitor-700", "sampler-group-70000"]
+
+    @pytest.mark.parametrize("config, message", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
+    def test_out_of_range_port_or_group_rejected(self, tmp_path, capsys, config, message):
+        cfg = write_config(tmp_path, "bad.json", config)
+        wl = tmp_path / "w.jsonl"
+        wl.write_text("".join(json.dumps({"port": port, "packet": tcp_pkt().to_json()}) + "\n"
+                              for port in (1, 2)))
+        assert run_cli(capsys, "sim", "--config", cfg, "--input", str(wl)) == (2, "", message + "\n")
+
+    @pytest.mark.parametrize("config, message", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
+    def test_out_of_range_refused_before_any_packet(self, tmp_path, capsys, config, message):
+        # the metadata an app emits is built with the app, so a run that
+        # never parses a packet refuses the config as well
+        cfg = write_config(tmp_path, "bad.json", config)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        for run_args in (["--steps", "0"], ["--input", str(empty)]):
+            assert run_cli(capsys, "sim", "--config", cfg, *run_args) == (2, "", message + "\n")
+
     @pytest.mark.parametrize("line, what", [
         ("[1]", "JSON object"),
         ('{"port": 1, "packet": 5}', "hex string"),

@@ -51,7 +51,7 @@ from dataplane.engines import (
 from dataplane.pipeline import EgressIndication, MirrorId
 from dataplane.switch import Arrival, FifoDrainOracle
 
-from support import executed_pktgen_times, ref_pktgen_times, tcp_pkt
+from support import executed_pktgen_times, ref_pktgen_times
 
 
 def tm(**kw):

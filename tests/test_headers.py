@@ -1,10 +1,11 @@
 """Header catalog: field widths, packet assembly, the two wire formats."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dataplane.apps import parse_sampled, parse_standard
 from dataplane.packet_format import (
-    BitString, ExtractStatus, TypedValue, encode, extract, matches,
+    BitString, ExtractStatus, TypedValue, encode, extract, match_bindings, matches,
 )
 from dataplane.headers import (
     ETHERNET,
@@ -15,6 +16,8 @@ from dataplane.headers import (
     PORT_META,
     SAMPLE_HEADER,
     SAMPLE_MARKER,
+    SAMPLED_FORMAT,
+    STANDARD_FORMAT,
     TCP,
     UDP,
     build_packet,
@@ -27,11 +30,13 @@ from dataplane.headers import (
     make_sample,
     make_tcp,
     make_udp,
+    sampled_bindings,
     sampled_packet_format,
+    standard_bindings,
     standard_packet_format,
 )
 
-from support import bare_ip_pkt, tcp_pkt, udp_pkt
+from support import STOCK_SLOT_TYPES, bare_ip_pkt, tcp_pkt, udp_pkt
 
 
 def test_widths():
@@ -153,3 +158,76 @@ def test_parse_and_deparse_skip_validation(monkeypatch):
         d = parse(p)
         assert d is not None and deparse_slots(d.slots) + d.payload == p
     assert calls == 0
+
+
+# ---------------------------------------------------------------------------
+# the compiled stock parsers against the format interpreter, the spec
+
+# first bit of the IPv4 protocol byte in a standard packet
+PROTOCOL_BIT = (INTRINSIC_META.total_width + PORT_META.total_width + ETHERNET.total_width
+                + IPV4.total_width - IPV4.layout["protocol"][0] - 8)
+
+
+@st.composite
+def wire_packets(draw):
+    """A packet carrying TCP, UDP or another protocol, every header field
+    drawn, with a payload of any bit length, half of them behind a
+    sample record."""
+    def value(name):
+        htype = STOCK_SLOT_TYPES[name]
+        return TypedValue(htype, {f: draw(st.integers(0, (1 << w) - 1)) for f, w in htype.fields})
+
+    names = ["meta", "port_md", "ethernet", "ipv4"]
+    protocol = draw(st.sampled_from([IP_PROTO_TCP, IP_PROTO_UDP]) | st.integers(0, 255))
+    names += {IP_PROTO_TCP: ["tcp"], IP_PROTO_UDP: ["udp"]}.get(protocol, [])
+    if draw(st.booleans()):
+        names.append("sample")
+    slots = {name: value(name) for name in names}
+    slots["ipv4"] = slots["ipv4"].replace(protocol=protocol)
+    n = draw(st.integers(0, 40))
+    return deparse_slots(slots) + BitString(draw(st.integers(0, (1 << n) - 1)), n)
+
+
+def _flip(p: BitString, i: int) -> BitString:
+    return BitString(p.value ^ (1 << (len(p) - 1 - i)), len(p))
+
+
+def _agree(p: BitString) -> None:
+    """Both compiled stock parsers bind what the interpreter binds, in
+    the same order, and reject what it rejects."""
+    for fmt, compiled in ((STANDARD_FORMAT, standard_bindings),
+                          (SAMPLED_FORMAT, sampled_bindings)):
+        got, want = compiled(p), match_bindings(p, fmt)
+        assert got == want, (fmt is SAMPLED_FORMAT, p)
+        if got is not None:
+            assert list(got) == list(want)
+
+
+class TestCompiledParsers:
+    @settings(max_examples=40, deadline=None)
+    @given(wire_packets())
+    def test_every_truncation(self, p):
+        for n in range(len(p) + 1):
+            _agree(p.take(n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(wire_packets())
+    def test_every_single_bit_flip(self, p):
+        _agree(p)
+        for i in range(len(p)):
+            _agree(_flip(p, i))
+
+    def test_protocol_byte_flips_switch_arms(self):
+        payload = bytes(range(24))  # room for a TCP header if a flip asks for one
+        seen = set()
+        for protocol in (IP_PROTO_TCP, IP_PROTO_UDP, 1, 2):
+            p = bare_ip_pkt(protocol=protocol, payload=payload)
+            for prefix in (BitString(), encode(make_sample())):
+                q = prefix + p
+                for bit in range(8):
+                    flipped = _flip(q, len(prefix) + PROTOCOL_BIT + bit)
+                    _agree(flipped)
+                    got = (sampled_bindings if len(prefix) else standard_bindings)(flipped)
+                    seen.add("tcp" if "tcp" in got else "udp" if "udp" in got else "none")
+        # 1 ^ 16 is UDP, 2 ^ 4 is TCP, and TCP or UDP flip to neither
+        assert seen == {"tcp", "udp", "none"}

@@ -26,9 +26,11 @@ from dataplane.packet_format import (
     UnresolvedCondition,
     advance,
     check_well_formed,
+    compile_format,
     encode,
     extract,
     format_width,
+    match_bindings,
     match_report,
     matches,
     reconstruct,
@@ -222,6 +224,61 @@ class TestMatching:
         for f, p in cases:
             got, _ = matches(p, f)
             assert got == ref_matches(p, f), (f, p)
+
+
+class TestCompileFormat:
+    """compile_format(f) is match_bindings(., f), staged."""
+
+    def test_random_formats_agree_with_the_interpreter(self):
+        rng = random.Random(0xC0DE)
+        for _ in range(300):
+            f = random_format(rng)
+            parse = compile_format(f)
+            p = sample_matching_input(rng, f)
+            n = rng.randrange(0, 65)
+            cases = [p, BitString(rng.getrandbits(n) if n else 0, n)]
+            cases += [p.take(k) for k in range(len(p))]
+            cases += [BitString(p.value ^ (1 << i), len(p)) for i in range(len(p))]
+            for q in cases:
+                got, want = parse(q), match_bindings(q, f)
+                assert got == want, (f, q)
+                if got is not None:
+                    assert list(got) == list(want)
+
+    def test_runs_and_branches(self):
+        f = seq(ExactValue("x", H2), ExactValue("y", H2),
+                Branch(lambda e: e["y"]["a"] == 1, ExactValue("z", H2), Empty()),
+                ExactPlain("rest"))
+        parse = compile_format(f)
+        got = parse(BitString(0xAB_1C_FF_3, 28))
+        assert list(got) == ["x", "y", "z", "rest"]
+        assert (got["x"]["a"], got["y"]["b"], got["z"]["a"]) == (0xA, 0xC, 0xF)
+        assert got["rest"] == BitString(0x3, 4)
+        assert list(parse(BitString(0xAB_2C_3, 20))) == ["x", "y", "rest"]
+        assert parse(BitString(0xAB_1C, 16)) is None  # the branch wants 8 more bits
+        assert parse(BitString(0xAB_1, 12)) is None        # the run is cut short
+
+    def test_branch_condition_called_once_on_the_bindings_so_far(self):
+        seen = []
+
+        def cond(env):
+            seen.append(sorted(env))
+            return True
+
+        parse = compile_format(seq(ExactValue("x", H2), Branch(cond, ExactValue("y", H2))))
+        assert parse(BitString(0xAB_CD, 16)) is not None
+        assert seen == [["x"]]
+
+    def test_unbound_condition_raises(self):
+        f = Branch(lambda e: e["nope"]["a"] == 0, Empty(), Empty())
+        with pytest.raises(UnresolvedCondition):
+            compile_format(f)(BitString())
+
+    def test_ill_formed_refused(self):
+        with pytest.raises(IllFormedFormat):
+            compile_format(Concat(ExactPlain("p"), ExactValue("x", H2)))
+        with pytest.raises(IllFormedFormat):
+            compile_format(seq(ExactValue("x", H2), ExactValue("x", H2)))
 
 
 class TestWidthAndReport:

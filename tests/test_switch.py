@@ -6,12 +6,10 @@ import json
 
 import pytest
 
-from dataplane.packet_format import BitString
-from dataplane.pipeline import Components, EgressIndication, MirrorId, TmMeta
+from dataplane.pipeline import EgressIndication, MirrorId
 from dataplane.engines import McConfig, PktGenConfig, QacAlwaysReady, QacMinimal, Seq
 from dataplane import switch
 from dataplane.switch import (
-    Arrival,
     EGRESS,
     FifoDrainOracle,
     INGRESS,
