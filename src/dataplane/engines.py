@@ -460,7 +460,7 @@ def mandatory_mask(policy, ms: Sequence[EgressMeta]) -> tuple[bool, ...]:
     """Which copies the policy forbids dropping."""
     if isinstance(policy, QacAlwaysReady):
         return tuple(policy.is_ready(m.egress_port) for m in ms)
-    return tuple(False for _ in ms)
+    return (False,) * len(ms)
 
 
 def queue_admission(ms: Sequence[EgressMeta], p: BitString, q_egress: tuple,
@@ -471,16 +471,17 @@ def queue_admission(ms: Sequence[EgressMeta], p: BitString, q_egress: tuple,
     prefix of the result.  Under an always-ready policy an oracle that
     tries to drop a ready-port copy is a contract violation.
     """
-    ms = list(ms)
+    ms = tuple(ms)
     if not ms:
         return q_egress, ()
     mandatory = mandatory_mask(policy, ms)
-    mask = tuple(bool(b) for b in oracle.admitted_subset(tuple(ms), mandatory))
+    mask = tuple(map(bool, oracle.admitted_subset(ms, mandatory)))
     if len(mask) != len(ms):
         raise OracleOutOfRange(f"admission mask length {len(mask)} for {len(ms)} copies")
-    for keep, must in zip(mask, mandatory):
-        if must and not keep:
-            raise PolicyViolation("oracle dropped a copy destined to an always-ready port")
+    if True in mandatory:
+        for keep, must in zip(mask, mandatory):
+            if must and not keep:
+                raise PolicyViolation("oracle dropped a copy destined to an always-ready port")
     admitted = tuple((m, p) for m, keep in zip(ms, mask) if keep)
     return q_egress + admitted, mask
 

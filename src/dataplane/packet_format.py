@@ -303,8 +303,11 @@ class Environment(Mapping):
             raise UnresolvedCondition(f"binding {name!r} is not in scope") from None
 
     def __contains__(self, name) -> bool:
-        # membership tests stay quiet; only lookups fail loudly
+        # membership tests and get stay quiet; only lookups fail loudly
         return name in self._b
+
+    def get(self, name, default=None):
+        return self._b.get(name, default)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._b)
@@ -617,10 +620,10 @@ def compile_format(f: Format) -> Callable[[BitString], Optional[dict]]:
     Branch one call of its condition on the bindings so far.  Raises
     IllFormedFormat as check_well_formed does.
 
-    The bindings are a dict, which is what the stock controls read, so a
-    condition that looks up a name not bound yet with ``env[name]``
-    raises UnresolvedCondition as in the interpreter, but one that calls
-    ``env.get(name)`` gets None where Environment raises."""
+    The bindings are a dict, which is what the stock controls read.  A
+    condition that looks up a name not bound yet raises
+    UnresolvedCondition, and ``get`` of one returns its default, as with
+    the interpreter's Environment."""
     check_well_formed(f)
     first = _stage(_pieces(f))
 

@@ -5,6 +5,13 @@ control, deparser.  Components are deterministic state-transition
 functions; each owns one slot of the pipeline's state triple and must
 not touch the other slots.
 
+Determinism is load-bearing twice.  The byte-identical replay of
+`dataplane check` relies on it, and so does the checker: it takes a
+step's recorded pipeline call as its own recomputation when the
+function, components and arguments are the same.  A component whose
+result depends on anything but its arguments (a clock, a global, a
+random source) would make both unsound.
+
 Data shapes (apps register functions with exactly these signatures):
 
   ingress parser    (p: BitString, s) -> (ParsedData | None, s')

@@ -122,7 +122,7 @@ class FifoDrainOracle(Oracle):
         return 0
 
     def admitted_subset(self, ms, mandatory):
-        return tuple(True for _ in ms)
+        return (True,) * len(ms)
 
     def sched_index(self, n):
         return 0
@@ -218,7 +218,7 @@ class _SpyOracle(Oracle):
 
     def admitted_subset(self, ms, mandatory):
         mask = tuple(self._inner.admitted_subset(ms, mandatory))
-        self.log["admitted_mask"] = [bool(b) for b in mask]
+        self.log["admitted_mask"] = list(map(bool, mask))
         return mask
 
     def sched_index(self, n):
@@ -272,6 +272,11 @@ class TraceStep:
     post_queues: SwitchQueues
     decisions: dict
     detail: "IngressDetail | EgressDetail"
+    # the step's one pipeline call, ((fn, components, args), result):
+    # fn(components, *args) gave result.  None when no packet entered a
+    # pipeline.  The checker takes result in place of recomputing only
+    # when its own key, derived from the pre-state, is this key.
+    call: Optional[tuple] = dataclasses.field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -294,8 +299,10 @@ class Trace:
 
 
 def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
-                 o: Oracle) -> tuple[SwitchState, SwitchQueues, TraceStep]:
-    """One clock tick of the ingress side.
+                 o: Oracle, requested: str = INGRESS
+                 ) -> tuple[SwitchState, SwitchQueues, TraceStep]:
+    """One clock tick of the ingress side; requested is the step kind
+    the oracle asked for, which is recorded.
 
     Frame: s_e and q_output never change here; t always advances by 1.
     """
@@ -307,7 +314,7 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
         in_port = cfg.pktgen.source_port
 
     decisions = {
-        "requested_kind": INGRESS,
+        "requested_kind": requested,
         "kind": INGRESS,
         "input_index": in_idx,
         "admitted_mask": None,
@@ -315,14 +322,17 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
     }
 
     s_i2 = st.s_i
-    out = None
+    out = call = None
     m_repl = None
     enqueued: tuple = ()
     q_mirror2 = qs.q_mirror
     q_egress2 = qs.q_egress
 
     if p_i is not None:
-        out, s_i2 = ingress_pipeline(cfg.components, st.t, in_port, p_i, st.s_i)
+        comps, t, s_i = cfg.components, st.t, st.s_i
+        result = ingress_pipeline(comps, t, in_port, p_i, s_i)
+        call = ((ingress_pipeline, comps, (t, in_port, p_i, s_i)), result)
+        out, s_i2 = result
         if out is not None:
             tm, mirror_id, _m3, raw_out = out
             m_mirror = engines.mirror_session_lookup(cfg.mirror, mirror_id)
@@ -339,7 +349,7 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
     step = TraceStep(INGRESS, st, qs, st2, qs2, decisions,
                      IngressDetail(p_g=p_g, from_recirc=from_recirc, in_port=in_port,
                                    p_i=p_i, pipeline_out=out, m_repl=m_repl,
-                                   enqueued=enqueued))
+                                   enqueued=enqueued), call)
     return st2, qs2, step
 
 
@@ -355,9 +365,12 @@ def egress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
     picked = engines.packet_scheduler(qs.q_egress, o)
     if picked is None:
         raise StepNotEnabled("egress queue empty")
-    q_egress2, (em, p_e), idx = picked
+    q_egress2, scheduled, idx = picked
+    em, p_e = scheduled
 
-    (ind, p_out), s_e2 = egress_pipeline(cfg.components, em, p_e, st.s_e)
+    comps, s_e = cfg.components, st.s_e
+    result = egress_pipeline(comps, em, p_e, s_e)
+    (ind, p_out), s_e2 = result
     q_output2, p_recirc2 = engines.output_ports(qs.q_output, ind, em.egress_port, p_out)
 
     decisions = {
@@ -371,8 +384,9 @@ def egress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
     qs2 = SwitchQueues(q_input=qs.q_input, p_recirc=p_recirc2, q_mirror=qs.q_mirror,
                        q_egress=q_egress2, q_output=q_output2)
     step = TraceStep(EGRESS, st, qs, st2, qs2, decisions,
-                     EgressDetail(scheduled=(em, p_e), indication=ind, p_out=p_out,
-                                  recirculated=p_recirc2 is not None))
+                     EgressDetail(scheduled=scheduled, indication=ind, p_out=p_out,
+                                  recirculated=p_recirc2 is not None),
+                     ((egress_pipeline, comps, (em, p_e, s_e)), result))
     return st2, qs2, step
 
 
@@ -384,12 +398,7 @@ def process_packet(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
     requested = o.step_kind(st, qs)
     if requested == EGRESS and egress_enabled(qs):
         return egress_step(cfg, st, qs, o)
-    st2, qs2, step = ingress_step(cfg, st, qs, o)
-    if requested != INGRESS:
-        decisions = dict(step.decisions)
-        decisions["requested_kind"] = requested
-        step = dataclasses.replace(step, decisions=decisions)
-    return st2, qs2, step
+    return ingress_step(cfg, st, qs, o, requested)
 
 
 class Run:

@@ -73,7 +73,8 @@ from dataplane.switch import (
     Trace,
     run,
 )
-from dataplane.pipeline import ParsedData
+from dataplane import checker, switch
+from dataplane.pipeline import ParsedData, egress_pipeline, ingress_pipeline
 from dataplane.checker import _entry_matches, _expected_entries
 from dataplane.apps import (
     FirewallState,
@@ -503,6 +504,20 @@ def drain_run(cfg: SwitchConfig, packets, oracle: Oracle | None = None,
     assert tr.fault is None, tr.fault
     assert drained(tr.final_queues), "run did not drain"
     return tr
+
+
+def count_pipeline_calls(monkeypatch) -> list[str]:
+    """Route the executor's and the checker's bindings of each pipeline
+    through one counting wrapper, as a tracer that wraps both would; the
+    list returned collects the name of each pipeline called."""
+    calls: list[str] = []
+    for fn in (ingress_pipeline, egress_pipeline):
+        def counted(*args, fn=fn):
+            calls.append(fn.__name__)
+            return fn(*args)
+        monkeypatch.setattr(switch, fn.__name__, counted)
+        monkeypatch.setattr(checker, fn.__name__, counted)
+    return calls
 
 
 class AlwaysIngressOracle(Oracle):

@@ -3,15 +3,18 @@ on exactly the clause their edit violates, and the specialized stream
 checks agree with independent quadratic formulations."""
 
 import dataclasses
+import inspect
 import random
 from functools import partial
 
 import pytest
 
+from dataplane import switch
 from dataplane.packet_format import (
     BitString, Branch, Concat, ExactValue, HeaderType, compile_format, encode,
 )
 from dataplane.engines import PktGenConfig
+from dataplane.pipeline import ingress_pipeline
 from dataplane.switch import (
     AdversarialDropOracle,
     FifoDrainOracle,
@@ -57,6 +60,7 @@ from dataplane.checker import (
 
 from support import (
     arrivals,
+    count_pipeline_calls,
     drain_run,
     forge_catalog,
     mangle,
@@ -125,6 +129,21 @@ def test_forgery_catalog_is_broad():
     # every step-level clause is represented; continuity and divergence
     # are trace/file-level and covered elsewhere
     assert covered == set(CLAUSES) - {"trace.continuity", "trace.divergence"}
+
+
+@pytest.mark.parametrize("forgery", FORGERIES, ids=[f.clause for f in FORGERIES])
+def test_forgery_blamed_alike_with_and_without_its_call(forgery):
+    # a forged step keeps the honest step's pipeline call; the checker
+    # may lend it only where a recomputation would say the same
+    bare = dataclasses.replace(forgery.step, call=None)
+    assert bare == forgery.step  # the call takes no part in equality
+    v_call, v_bare = check_step(forgery.cfg, forgery.step), check_step(forgery.cfg, bare)
+    assert v_call.violated_clause == v_bare.violated_clause == forgery.clause
+
+
+def test_forgeries_carry_their_honest_calls():
+    # only the idle tick ran no pipeline
+    assert {f.clause for f in FORGERIES if f.step.call is None} == {"ingress.no_packet_frame"}
 
 
 def test_trace_continuity_forgery():
@@ -569,6 +588,76 @@ class TestFirewallFreshness:
         tr.steps[idx] = doctored
         v = firewall_freshness_check(tr, self.FW, self.FW.window)
         assert not v.ok and v.violated_clause == "firewall.false_negative"
+
+
+# ---------------------------------------------------------------------------
+# a step's own pipeline call stands in for a recomputation on its key only
+
+
+class TestPipelineCallReuse:
+    FW = FirewallConfig(inside_port=1, outside_port=2, window=64, keepalive_period=16)
+
+    def _firewall_trace(self):
+        cfg = firewall_app(self.FW)
+        out = tcp_pkt(src=0x0A000001, dst=0xC0A80001, sp=4000, dp=443)
+        back = tcp_pkt(src=0xC0A80001, dst=0x0A000001, sp=443, dp=4000)
+        qs = SwitchQueues(q_input=arrivals(out, port=self.FW.inside_port)
+                          + arrivals(back, port=self.FW.outside_port))
+        tr = run(cfg, initial_switch_state(cfg), qs, 12, FifoDrainOracle())
+        assert tr.fault is None
+        return cfg, tr
+
+    def _swap(self, port):
+        """The inside port passed as the outside one."""
+        return self.FW.outside_port if port == self.FW.inside_port else port
+
+    def _first_inside_step(self, tr):
+        return next(i for i, s in enumerate(tr.steps) if s.kind == "ingress"
+                    and s.detail.p_i is not None and s.detail.in_port == self.FW.inside_port)
+
+    def test_honest_firewall_run_passes(self):
+        cfg, tr = self._firewall_trace()
+        assert check_trace(cfg, tr).ok
+
+    def test_miswired_executor_binding_is_recomputed(self, monkeypatch):
+        # the executor calls a different function, so no key matches
+        def miswired(comps, t, in_port, p, s):
+            return ingress_pipeline(comps, t, self._swap(in_port), p, s)
+        monkeypatch.setattr(switch, "ingress_pipeline", miswired)
+        cfg, tr = self._firewall_trace()
+        v = check_trace(cfg, tr)
+        assert not v.ok and v.violated_clause == "ingress.pipeline"
+        assert v.step == self._first_inside_step(tr)
+
+    def test_miswired_ingress_step_is_recomputed(self, monkeypatch):
+        # a scratch copy of ingress_step calls the real pipeline with the
+        # wrong port and records the arguments it passed
+        src = inspect.getsource(switch.ingress_step)
+        honest = "t, in_port, p_i, s_i)"  # in the call and in its record
+        assert src.count(honest) == 2
+        scope = dict(vars(switch), _swap=self._swap)
+        exec(src.replace(honest, "t, _swap(in_port), p_i, s_i)"), scope)
+        monkeypatch.setattr(switch, "ingress_step", scope["ingress_step"])
+        cfg, tr = self._firewall_trace()
+        i = self._first_inside_step(tr)
+        assert tr.steps[i].call[0][2][1] == self.FW.outside_port
+        assert tr.steps[i].detail.in_port == self.FW.inside_port
+        v = check_trace(cfg, tr)
+        assert not v.ok and v.violated_clause == "ingress.pipeline" and v.step == i
+
+    @pytest.mark.parametrize("kind", ["ingress", "egress"])
+    def test_honest_trace_runs_no_pipeline_and_a_bare_step_one(self, monkeypatch, kind):
+        calls = count_pipeline_calls(monkeypatch)
+        cfg = sampler_app(SamplerConfig(sample_every=2))
+        tr = drain_run(cfg, [tcp_pkt(sp=i) for i in range(4)])
+        assert calls
+        calls.clear()
+        assert check_trace(cfg, tr).ok
+        assert calls == []
+        i = next(i for i, s in enumerate(tr.steps) if s.kind == kind and s.call is not None)
+        tr.steps[i] = dataclasses.replace(tr.steps[i], call=None)
+        assert check_trace(cfg, tr).ok
+        assert calls == [f"{kind}_pipeline"]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataplane.cli import main
 from dataplane.headers import IP_PROTO_TCP, SAMPLE_MARKER
 from dataplane.packet_format import BitString
 
-from support import BAD_NESTED_CONFIGS, tcp_pkt, udp_pkt
+from support import BAD_NESTED_CONFIGS, count_pipeline_calls, tcp_pkt, udp_pkt
 
 
 def run_cli(capsys, *argv):
@@ -261,6 +261,22 @@ def _sim_trace(capsys, tmp_path, cfg, *, workload=None, steps=500,
 
 
 class TestCheck:
+    def test_each_pipeline_runs_once_per_step(self, sampler_cfg, tmp_path, capsys,
+                                              monkeypatch):
+        # the replay runs each step's pipeline, and the axioms take the
+        # replayed step's call instead of running it again
+        calls = count_pipeline_calls(monkeypatch)
+        wl = str(tmp_path / "w.jsonl")
+        run_cli(capsys, "gen", "--count", "10", "--seed", "6", "--out", wl)
+        tr = _sim_trace(capsys, tmp_path, sampler_cfg, workload=wl, policy="random", seed=3)
+        with open(tr) as fh:
+            steps = [r for r in map(json.loads, fh) if r["type"] == "step"]
+        carrying = sum(r["kind"] == "egress" or r["detail"]["p_i"] is not None for r in steps)
+        calls.clear()
+        code, out, _ = run_cli(capsys, "check", tr, "--config", sampler_cfg)
+        assert code == 0, out
+        assert len(calls) == carrying > 0
+
     def test_identity_roundtrip(self, identity_cfg, tmp_path, capsys):
         wl = str(tmp_path / "w.jsonl")
         run_cli(capsys, "gen", "--count", "8", "--seed", "5", "--out", wl)

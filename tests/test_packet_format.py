@@ -201,6 +201,10 @@ class TestMatching:
     def test_environment_missing_name(self):
         with pytest.raises(UnresolvedCondition):
             Environment({})["ghost"]
+        # get, like membership, stays quiet
+        assert Environment({}).get("ghost") is None
+        assert Environment({}).get("ghost", 7) == 7
+        assert Environment({"x": 1}).get("x") == 1
 
     def test_against_brute_force(self):
         rng = random.Random(0xF0F0)
@@ -273,6 +277,10 @@ class TestCompileFormat:
         f = Branch(lambda e: e["nope"]["a"] == 0, Empty(), Empty())
         with pytest.raises(UnresolvedCondition):
             compile_format(f)(BitString())
+
+    def test_get_of_an_unbound_name_agrees_with_the_interpreter(self):
+        f = Branch(lambda e: e.get("nope") is None, Empty(), Empty())
+        assert compile_format(f)(BitString()) == match_bindings(BitString(), f) == {}
 
     def test_ill_formed_refused(self):
         with pytest.raises(IllFormedFormat):
