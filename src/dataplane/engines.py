@@ -471,7 +471,6 @@ def queue_admission(ms: Sequence[EgressMeta], p: BitString, q_egress: tuple,
     prefix of the result.  Under an always-ready policy an oracle that
     tries to drop a ready-port copy is a contract violation.
     """
-    ms = tuple(ms)
     if not ms:
         return q_egress, ()
     mandatory = mandatory_mask(policy, ms)

@@ -53,6 +53,9 @@ class Arrival:
 
 @dataclass(frozen=True)
 class SwitchState:
+    """Slot values are immutable (None or frozen), so a step that keeps
+    a slot's object keeps its value, and its digest in the trace."""
+
     t: int
     s_g: PktGenState
     s_i: tuple  # (parser, control, deparser) ingress state slots
@@ -217,8 +220,8 @@ class _SpyOracle(Oracle):
         return i
 
     def admitted_subset(self, ms, mandatory):
-        mask = tuple(self._inner.admitted_subset(ms, mandatory))
-        self.log["admitted_mask"] = list(map(bool, mask))
+        # queue_admission makes the mask bools, and Run.step a fault record's
+        mask = self.log["admitted_mask"] = tuple(self._inner.admitted_subset(ms, mandatory))
         return mask
 
     def sched_index(self, n):
@@ -423,7 +426,9 @@ class Run:
                                                            self.queues, self._spy)
         except (EngineError, EgressParseFailure) as e:
             self.fault = f"{type(e).__name__}: {e}"
-            self.fault_decisions = self._spy.log
+            log = self.fault_decisions = self._spy.log
+            if "admitted_mask" in log:
+                log["admitted_mask"] = list(map(bool, log["admitted_mask"]))
             return None
         return step
 
@@ -457,6 +462,8 @@ def run(cfg: SwitchConfig, init_state: SwitchState, init_queues: SwitchQueues,
 # ---------------------------------------------------------------------------
 # canonical encoding and digests
 
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # as json.dumps with these
+
 
 def _canon(obj):
     """Deterministic JSON-compatible view of states, queues and engine
@@ -478,7 +485,7 @@ def _canon(obj):
 
 
 def digest(obj) -> str:
-    blob = json.dumps(_canon(obj), sort_keys=True, separators=(",", ":"))
+    blob = _JSON.encode(_canon(obj))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -493,22 +500,16 @@ def _state_slots(st: SwitchState) -> dict:
             "s_ep": st.s_e[0], "s_ec": st.s_e[1], "s_ed": st.s_e[2]}
 
 
-# the state slots a step of each kind leaves untouched (see the frames
-# of ingress_step and egress_step)
-_UNTOUCHED = {INGRESS: ("s_ep", "s_ec", "s_ed"), EGRESS: ("s_g", "s_ip", "s_ic", "s_id")}
-
-
-def state_digests(st: SwitchState, kind: Optional[str] = None,
-                  pre: Optional[SwitchState] = None, pre_digests: Optional[dict] = None) -> dict:
-    """The clock and a digest of every state slot.  When st is the post
-    state of a step of this kind from pre, whose state_digests are
-    pre_digests, a slot the step cannot change that is still the same
-    object keeps its digest from pre_digests."""
-    keep = _UNTOUCHED[kind] if pre_digests is not None else ()
-    pre_slots = _state_slots(pre) if keep else {}
+def state_digests(st: SwitchState, pre: Optional[SwitchState] = None,
+                  pre_digests: Optional[dict] = None) -> dict:
+    """The clock and a digest of every state slot.  When pre_digests are
+    the state_digests of pre, a slot that is still pre's object keeps
+    its digest from pre_digests: slot values are immutable."""
+    pre_slots = _state_slots(pre) if pre_digests is not None else None
     out = {"t": st.t}
     for name, obj in _state_slots(st).items():
-        out[name] = pre_digests[name] if name in keep and obj is pre_slots[name] else digest(obj)
+        kept = pre_slots is not None and pre_slots[name] is obj
+        out[name] = pre_digests[name] if kept else digest(obj)
     return out
 
 
@@ -558,12 +559,12 @@ def _em_json(em: EgressMeta) -> dict:
 
 def step_to_json(step: TraceStep, pre_digests: Optional[dict] = None) -> dict:
     """The step's record; pre_digests, when given, are the state_digests
-    of step.pre_state, and spare digesting the slots the step left alone."""
-    post = state_digests(step.post_state, step.kind, step.pre_state, pre_digests)
+    of step.pre_state, and spare digesting the slots the step kept."""
+    post = state_digests(step.post_state, step.pre_state, pre_digests)
     rec = {
         "type": "step",
         "kind": step.kind,
-        "decisions": _canon(step.decisions),
+        "decisions": step.decisions,  # plain JSON already
         "post": {**post, **queue_shape(step.post_queues)},
     }
     d = step.detail
@@ -615,7 +616,7 @@ def header_record(config_digest: str, app_label: str, initial_state: SwitchState
 
 def dump_record(rec: dict) -> str:
     """A record's line in the trace file: canonical JSON."""
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    return _JSON.encode(rec)
 
 
 def fault_record(r: "Trace | Run") -> dict:

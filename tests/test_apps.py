@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from dataplane.packet_format import BitString, extract, ExtractStatus
 from dataplane.headers import SAMPLE_HEADER, SAMPLE_MARKER
-from dataplane.engines import L1Node, McConfig, PktGenConfig, QacAlwaysReady, QacMinimal
+from dataplane.engines import (
+    L1Node, McConfig, PktGenConfig, PktGenState, QacAlwaysReady, QacMinimal,
+)
 from dataplane.switch import FifoDrainOracle, SwitchQueues, run
 from dataplane.apps import (
     FirewallConfig,
@@ -36,6 +38,7 @@ from support import (
     BAD_NESTED_CONFIGS,
     FwDriver as BaseFwDriver,
     RefFirewall,
+    arrivals,
     bare_ip_pkt,
     drain_run,
     flow_pair as _flow,
@@ -219,6 +222,35 @@ class TestFirewall:
     def test_inside_outside_must_differ(self):
         with pytest.raises(ValueError):
             FirewallConfig(inside_port=4, outside_port=4)
+
+
+def _frozen(v) -> bool:
+    return dataclasses.is_dataclass(v) and v.__dataclass_params__.frozen
+
+
+def _immutable(v) -> bool:
+    """None, a scalar, or a tuple, frozenset or frozen dataclass of
+    immutable values."""
+    if v is None or isinstance(v, (bool, int, str, BitString)):
+        return True
+    if isinstance(v, (tuple, frozenset)):
+        return all(map(_immutable, v))
+    return _frozen(v) and all(_immutable(getattr(v, f.name)) for f in dataclasses.fields(v))
+
+
+@pytest.mark.parametrize("cfg", [identity_app(), sampler_app(SCFG), firewall_app(FWCFG)],
+                         ids=["identity", "sampler", "firewall"])
+def test_state_slots_are_immutable(cfg):
+    # a trace record reuses the digest of every slot its step kept, which
+    # holds only because a kept slot object cannot change (SwitchState)
+    pkts = [tcp_pkt(sp=i) for i in range(6)] + list(_flow(1))
+    tr = run(cfg, initial_switch_state(cfg), SwitchQueues(q_input=arrivals(*pkts, port=1)),
+             60, FifoDrainOracle())
+    assert tr.fault is None
+    for st in (tr.initial_state, tr.final_state):
+        assert type(st.s_g) is PktGenState
+        for slot in (st.s_g, *st.s_i, *st.s_e):
+            assert slot is None or (_frozen(slot) and _immutable(slot)), slot
 
 
 class TestAppFromConfig:

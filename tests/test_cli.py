@@ -620,6 +620,24 @@ class TestCheck:
         assert code == 1 and err == ""
         assert out == f"replay: VIOLATION clause=trace.divergence step={index - 1}\n"
 
+    def test_forged_kept_slot_digest_diverges(self, sampler_cfg, tmp_path, capsys):
+        # an ingress step keeps s_ep, so the replay carries that digest
+        # over from its own previous record, never from the file
+        wl = str(tmp_path / "w.jsonl")
+        run_cli(capsys, "gen", "--count", "10", "--seed", "7", "--out", wl)
+        tr = _sim_trace(capsys, tmp_path, sampler_cfg, workload=wl)
+        recs = [json.loads(line) for line in open(tr)]
+        index = [i for i, r in enumerate(recs) if r.get("kind") == "ingress"][3]
+
+        def edit(rec):
+            assert rec["post"]["s_ep"] == recs[index - 1]["post"]["s_ep"] != "0" * 16
+            rec["post"]["s_ep"] = "0" * 16
+
+        self._edit_record(tr, index, edit)
+        code, out, err = run_cli(capsys, "check", tr, "--config", sampler_cfg)
+        assert code == 1 and err == ""
+        assert out == f"replay: VIOLATION clause=trace.divergence step={index - 1}\n"
+
     def test_check_holds_one_step_at_a_time(self, sampler_cfg, tmp_path, capsys):
         # the replayed steps are audited as they are read and not kept, so
         # the check's peak allocation stays well below the trace's size

@@ -3,6 +3,7 @@ recirculation, and trace serialization."""
 
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -30,14 +31,18 @@ from dataplane.switch import (
     read_trace_lines,
     run,
     state_digests,
+    step_to_json,
     trace_to_lines,
     write_trace,
 )
 from dataplane.apps import (
+    FirewallConfig,
     IdentityConfig,
     SamplerConfig,
+    SamplerState,
     app_from_config,
     deparse_slots,
+    firewall_app,
     identity_app,
     initial_switch_state,
     parse_standard,
@@ -50,12 +55,17 @@ from support import (
     arrivals,
     drain_run,
     drained,
+    rand_packet,
     tcp_pkt,
     udp_pkt,
 )
 
 
 P1, P2, P3 = tcp_pkt(sp=1), udp_pkt(sp=2), tcp_pkt(sp=3)
+
+
+def _slots(st):
+    return (st.s_g, *st.s_i, *st.s_e)
 
 
 class TestIdentityRun:
@@ -356,8 +366,10 @@ class TestTraceSerialization:
         assert large <= 1.1 * small
 
     def test_untouched_slots_are_not_digested_again(self, monkeypatch):
-        # a count: every step used to digest all seven state slots; an
-        # ingress step cannot change s_e, an egress step neither s_g nor s_i
+        # a count: a step record digests exactly the state slots whose
+        # object differs from the previous step's, on top of the first
+        # step's seven, the header's state digest and the end record's
+        # five (final state and four queues)
         cfg = sampler_app(SamplerConfig(sample_every=2))
         tr = drain_run(cfg, [tcp_pkt(sp=i) for i in range(40)])
         assert {s.kind for s in tr.steps} == {INGRESS, EGRESS}
@@ -373,12 +385,89 @@ class TestTraceSerialization:
         monkeypatch.setattr(switch, "digest", counting)
         assert trace_to_lines(tr) == expected
         monkeypatch.setattr(switch, "digest", digest_)
-        per_step = calls / len(tr.steps)
-        assert per_step <= 4.2, per_step
+        replaced = sum(a is not b for s in tr.steps[1:]
+                       for a, b in zip(_slots(s.pre_state), _slots(s.post_state)))
+        assert 0 < replaced < len(tr.steps)
+        assert calls == 1 + 7 + replaced + 5
         # the records are those of digesting every slot afresh
         for line, step in zip(expected[1:], tr.steps):
             assert json.loads(line)["post"] == {**state_digests(step.post_state),
                                                **queue_shape(step.post_queues)}
+
+    @pytest.mark.parametrize("oracle", ["fifo-drain", "random"])
+    @pytest.mark.parametrize("app", ["identity", "sampler", "firewall"])
+    def test_digest_reuse_is_invisible(self, app, oracle):
+        # a record built with the previous record's digests is the record
+        # built from nothing
+        cfg = {"identity": identity_app(), "sampler": sampler_app(SamplerConfig(sample_every=2)),
+               "firewall": firewall_app(FirewallConfig(window=16, keepalive_period=4))}[app]
+        pkts = [rand_packet(random.Random(i)) for i in range(12)] + [tcp_pkt(sp=1)] * 4
+        tr = run(cfg, initial_switch_state(cfg), SwitchQueues(q_input=arrivals(*pkts)),
+                 60, make_oracle(oracle, seed=5))
+        assert tr.fault is None and len(tr.steps) == 60
+        prev = None
+        for step in tr.steps:
+            rec = step_to_json(step, prev)
+            assert rec == step_to_json(step, None)
+            prev = rec["post"]
+
+    @pytest.mark.parametrize("keeps", ["same", "equal", "changed"])
+    def test_reused_digest_is_the_slots_digest(self, keeps):
+        # controls that return their state object itself, a new equal
+        # one, or a new different one: every record's slot digests are
+        # fresh digests of the slots
+        base = identity_app().components
+        new = {"same": lambda s: s, "equal": lambda s: SamplerState(s.counter),
+               "changed": lambda s: SamplerState(s.counter + 1)}[keeps]
+
+        def in_control(d, s):
+            return base.in_control(d, s)[0], new(s)
+
+        def e_control(d, s):
+            return base.e_control(d, s)[0], new(s)
+
+        comps = dataclasses.replace(base, in_control=in_control, e_control=e_control)
+        cfg = SwitchConfig(comps, McConfig(), PktGenConfig(), QacMinimal(), app_label="k",
+                           init_ingress=(None, SamplerState(), None),
+                           init_egress=(None, SamplerState(), None))
+        tr = drain_run(cfg, [tcp_pkt(sp=i) for i in range(6)], RandomOracle(2))
+
+        def control_slot(st, kind):
+            return st.s_i[1] if kind == INGRESS else st.s_e[1]
+
+        kept = {control_slot(s.post_state, s.kind) is control_slot(s.pre_state, s.kind)
+                for s in tr.steps if s.call}
+        assert kept == {keeps == "same"}
+        for line, step in zip(trace_to_lines(tr)[1:], tr.steps):
+            post = json.loads(line)["post"]
+            assert post["s_ic"] == digest(step.post_state.s_i[1])
+            assert post["s_ec"] == digest(step.post_state.s_e[1])
+
+    @pytest.mark.parametrize("policy, mask, fault", [
+        (QacMinimal(), lambda ms: [1, 0] * len(ms),
+         "OracleOutOfRange: admission mask length 2 for 1 copies"),
+        (QacAlwaysReady(), lambda ms: (x for x in [0] * len(ms)),
+         "PolicyViolation: oracle dropped a copy destined to an always-ready port"),
+    ], ids=["length", "policy"])
+    def test_fault_at_admission_records_the_mask(self, policy, mask, fault):
+        # the oracle's mask, whatever iterable of truth values it is,
+        # is a list of bools in the fault record, and replays to the fault
+        class Masking(FifoDrainOracle):
+            def admitted_subset(self, ms, mandatory):
+                return mask(ms)
+
+        cfg = identity_app(qac=policy)
+        st, qs = initial_switch_state(cfg), SwitchQueues(q_input=arrivals(P1))
+        tr = run(cfg, st, qs, 5, Masking())
+        assert tr.steps == [] and tr.fault == fault
+        bools = [bool(b) for b in mask((None,))]
+        assert tr.fault_decisions == {"requested_kind": "ingress", "input_index": 0,
+                                      "admitted_mask": bools}
+        lines = trace_to_lines(tr)
+        assert json.loads(lines[1]) == {"type": "fault", "error": fault,
+                                        "decisions": tr.fault_decisions}
+        replayed = run(cfg, st, qs, 1, ReplayOracle([tr.fault_decisions]))
+        assert trace_to_lines(replayed) == lines
 
     def test_recorded_input_index_is_the_oracles_pick(self):
         class Second(FifoDrainOracle):
