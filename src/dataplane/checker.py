@@ -58,10 +58,11 @@ class Verdict:
 OK = Verdict(True)
 
 
-def _bad(clause: str, detail: str = "") -> Verdict:
-    if clause not in CLAUSES:
+def _bad(clause: str, detail: str = "", step: Optional[int] = None) -> Verdict:
+    """The failing verdict of a registered clause."""
+    if clause not in ALL_CLAUSES:
         raise KeyError(f"unregistered clause {clause!r}")
-    return Verdict(False, clause, detail)
+    return Verdict(False, clause, detail, step)
 
 
 # Stable ids for every checkable clause.  Tests pin this set; renaming
@@ -173,10 +174,10 @@ def _check_ingress(cfg: SwitchConfig, step: TraceStep) -> Verdict:
         if (em, p) not in candidates:
             return _bad("ingress.replication",
                         f"copy to port {em.egress_port} not produced by replication")
-    if not _is_subsequence(appended, candidates):
+    kept = _subsequence_mask(appended, candidates)
+    if sum(kept) != len(appended):
         return _bad("ingress.qac_subsequence", "admitted copies out of order")
     mandatory = engines.mandatory_mask(cfg.qac, copies)
-    kept = _subsequence_mask(appended, candidates)
     for must, got in zip(mandatory, kept):
         if must and not got:
             return _bad("ingress.qac_mandatory")
@@ -251,13 +252,9 @@ def _removed_item(before, after, hint):
     return None
 
 
-def _is_subsequence(sub: Sequence, seq: Sequence) -> bool:
-    it = iter(seq)
-    return all(any(x == y for y in it) for x in sub)
-
-
 def _subsequence_mask(sub: Sequence, seq: Sequence) -> tuple[bool, ...]:
-    """Greedy left-to-right embedding of sub into seq as a mask over seq.
+    """Greedy left-to-right embedding of sub into seq as a mask over seq;
+    sub embeds in seq exactly when the mask keeps len(sub) elements.
     Greedy is enough here: elements are compared by equality, so taking
     the earliest possible match never blocks a later one."""
     mask = [False] * len(seq)
@@ -314,18 +311,17 @@ class AxiomsFold(Fold):
     def step(self, i, step):
         prev_s, prev_q = self.prev
         if step.pre_state != prev_s or step.pre_queues != prev_q:
-            return Verdict(False, "trace.continuity",
-                           "step does not start at the previous post-state", i)
+            return _bad("trace.continuity", "step does not start at the previous post-state", i)
         v = check_step(self.cfg, step)
         if not v:
-            return Verdict(False, v.violated_clause, v.detail, i)
+            return replace(v, step=i)
         self.prev = (step.post_state, step.post_queues)
         self.n = i + 1
         return None
 
     def finish(self, final_state, final_queues):
         if self.verdict and (final_state, final_queues) != self.prev:
-            return Verdict(False, "trace.continuity", "final snapshot diverges", self.n)
+            return _bad("trace.continuity", "final snapshot diverges", self.n)
         return self.verdict
 
 
@@ -405,16 +401,14 @@ def sampler_spec_check(n: int, inputs: Sequence[BitString],
     for k, out in enumerate(outputs):
         port = out[0]
         if port not in (scfg.forward_port, scfg.monitor_port):
-            return Verdict(False, "sampler.unexpected_port", f"port {port}", k)
+            return _bad("sampler.unexpected_port", f"port {port}", k)
         while j < len(expected) and not _entry_matches(expected[j], out, scfg):
             j += 1
         if j == len(expected):
-            return Verdict(False, "sampler.stream",
-                           f"output {k} aligns with no expected packet", k)
+            return _bad("sampler.stream", f"output {k} aligns with no expected packet", k)
         j += 1
     if require_complete and len(outputs) != len(expected):
-        return Verdict(False, "sampler.incomplete",
-                       f"{len(outputs)} outputs for {len(expected)} expected")
+        return _bad("sampler.incomplete", f"{len(outputs)} outputs for {len(expected)} expected")
     return OK
 
 
@@ -422,13 +416,16 @@ class SamplerFold(Fold):
     """The sampler relation: keeps the parsed inputs in consumption order
     and judges them against the transmitted outputs at the end.  The
     relation assumes arrivals are taken and copies scheduled oldest
-    first; a step that does otherwise raises PreconditionUnmet."""
+    first; a step that does otherwise raises PreconditionUnmet.  The
+    outputs must also be complete, every expected packet emitted, when
+    no admission dropped a copy and the run ends with nothing queued for
+    egress or recirculation."""
 
-    def __init__(self, initial_state, scfg, *, require_complete: bool = False) -> None:
+    def __init__(self, initial_state, scfg) -> None:
         self.count = initial_state.s_i[1].counter
         self.inputs: list[BitString] = []
         self.scfg = scfg
-        self.require_complete = require_complete
+        self.dropped = False  # some admission kept fewer copies than replication made
 
     def step(self, i, step):
         d, pre_q = step.detail, step.pre_queues
@@ -441,22 +438,21 @@ class SamplerFold(Fold):
             raise PreconditionUnmet(f"step {i} takes an arrival behind the head of q_input")
         if d.pipeline_out is not None:
             self.inputs.append(d.p_i)
+            self.dropped = self.dropped or len(d.enqueued) < len(d.m_repl)
 
     def finish(self, final_state, final_queues):
         q = final_queues
-        if self.require_complete and (q.q_input or q.q_egress or q.p_recirc is not None):
-            return Verdict(False, "sampler.incomplete", "packets still in flight")
+        complete = not self.dropped and not q.q_egress and q.p_recirc is None
         return sampler_spec_check(self.count, self.inputs, q.q_output, self.scfg,
-                                  require_complete=self.require_complete)
+                                  require_complete=complete)
 
 
 def _head(q):
     return q[0] if q else None
 
 
-def sampler_trace_check(trace: Trace, scfg, *, require_complete: bool = False) -> Verdict:
-    return fold_trace(SamplerFold(trace.initial_state, scfg,
-                                  require_complete=require_complete), trace)
+def sampler_trace_check(trace: Trace, scfg) -> Verdict:
+    return fold_trace(SamplerFold(trace.initial_state, scfg), trace)
 
 
 SAMPLER_CLAUSES = {
@@ -507,12 +503,11 @@ class LangsecFold(Fold):
 
     def step(self, i, step):
         if step.kind != INGRESS:
-            return Verdict(False, "langsec.queue_frame",
-                           "an egress step implies something was admitted", i)
+            return _bad("langsec.queue_frame", "an egress step implies something was admitted", i)
         if step.detail.pipeline_out is not None:
             raise PreconditionUnmet(f"input at step {i} parsed successfully")
         v = _isolation_frame(step, expected_q_input=None)
-        return None if v else Verdict(False, v.violated_clause, v.detail, i)
+        return None if v else replace(v, step=i)
 
 
 def langsec_trace_check(trace: Trace, cfg: SwitchConfig) -> Verdict:
@@ -524,19 +519,16 @@ def _isolation_frame(step: TraceStep, expected_q_input) -> Verdict:
     pre_q, post_q = step.pre_queues, step.post_queues
     if (post_s.s_g != pre_s.s_g or post_s.s_e != pre_s.s_e
             or post_s.s_i[1] != pre_s.s_i[1] or post_s.s_i[2] != pre_s.s_i[2]):
-        return Verdict(False, "langsec.state_frame", "a non-parser state slot moved")
+        return _bad("langsec.state_frame", "a non-parser state slot moved")
     if (post_q.q_egress != pre_q.q_egress or post_q.q_output != pre_q.q_output
             or post_q.q_mirror != pre_q.q_mirror or post_q.p_recirc is not None):
-        return Verdict(False, "langsec.queue_frame",
-                       "a queue other than q_input moved")
+        return _bad("langsec.queue_frame", "a queue other than q_input moved")
     if expected_q_input is not None:
         if post_q.q_input != expected_q_input:
-            return Verdict(False, "langsec.queue_frame",
-                           "q_input lost more than the bad packet")
+            return _bad("langsec.queue_frame", "q_input lost more than the bad packet")
     elif not (pre_q.q_input == post_q.q_input
               or _removed_item(pre_q.q_input, post_q.q_input, None) is not None):
-        return Verdict(False, "langsec.queue_frame",
-                       "q_input did not shrink by at most one arrival")
+        return _bad("langsec.queue_frame", "q_input did not shrink by at most one arrival")
     return OK
 
 
@@ -557,8 +549,7 @@ def parser_oblivious_check(parser: Callable, p: BitString, s1, s2) -> Verdict:
     d1, _ = parser(p, s1)
     d2, _ = parser(p, s2)
     if d1 != d2:
-        return Verdict(False, "parser.obliviousness",
-                       "parsed result depends on the parser state")
+        return _bad("parser.obliviousness", "parsed result depends on the parser state")
     return OK
 
 
@@ -573,13 +564,13 @@ def format_acceptance_check(parse_fn: Callable[[BitString], object],
         accepted, _env = matches(p, fmt)
         if (parsed is not None) != accepted:
             word = "accepts" if parsed is not None else "rejects"
-            return Verdict(False, "parser.format_acceptance",
-                           f"packet {i}: parser {word} what the format does not")
+            return _bad("parser.format_acceptance",
+                        f"packet {i}: parser {word} what the format does not")
         if parsed is not None:
             rebuilt = deparse_slots(parsed.slots) + parsed.payload
             if rebuilt != p:
-                return Verdict(False, "parser.roundtrip",
-                               f"packet {i}: reparse-serialize is not the identity")
+                return _bad("parser.roundtrip",
+                            f"packet {i}: reparse-serialize is not the identity")
     return OK
 
 
@@ -608,7 +599,7 @@ class DenseFlowFold(Fold):
             return None
         t = step.pre_state.t
         if self.last is not None and t - self.last > self.gap_limit:
-            return Verdict(False, "denseflow.gap", f"{t - self.last} ticks between packets", i)
+            return _bad("denseflow.gap", f"{t - self.last} ticks between packets", i)
         self.last = t
         return None
 
@@ -645,8 +636,8 @@ class FreshnessFold(Fold):
         age = t - self.last_insert[key]
         out = step.detail.pipeline_out
         if age <= self.gap and (out is None or out[0].drop or not step.detail.m_repl):
-            return Verdict(False, "firewall.false_negative",
-                           f"flow refreshed {age} ticks ago was dropped", i)
+            return _bad("firewall.false_negative",
+                        f"flow refreshed {age} ticks ago was dropped", i)
         return None
 
 

@@ -29,7 +29,9 @@ Each format has two matchers.  ``matches``, ``match_report`` and
 ``match_bindings`` interpret the format tree, node by node: they are
 the spec.  ``compile_format`` stages a format once into a parser that
 computes the same bindings with fixed bounds tests, shifts and masks;
-the stock parsers run these compiled parsers.
+the stock parsers run these compiled parsers.  Both matchers bind into
+one type, :class:`Environment`, a dict whose lookup of an unbound name
+raises :class:`UnresolvedCondition`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 
 class FormatError(Exception):
@@ -275,48 +277,23 @@ def extract(htype: HeaderType, p: BitString) -> tuple[Optional[TypedValue], Extr
             p.drop(total))
 
 
-def advance(p: BitString, n: int) -> tuple[ExtractStatus, BitString]:
-    """Skip n bits; FAILURE with p unchanged when n exceeds the length."""
-    if n < 0:
-        raise ValueError(f"negative advance: {n}")
-    if n > len(p):
-        return ExtractStatus.FAILURE, p
-    return ExtractStatus.SUCCESS, p.drop(n)
-
-
 # ---------------------------------------------------------------------------
 # environments
 
 
-class Environment(Mapping):
-    """Bindings accumulated during a match.  Lookup of a missing name
-    raises UnresolvedCondition so that branch predicates fail loudly
-    rather than guessing."""
+class Environment(dict):
+    """Bindings accumulated during a match, by either matcher.  Lookup
+    of a missing name raises UnresolvedCondition so that branch
+    predicates fail loudly rather than guessing; ``in`` and ``get``
+    stay quiet."""
 
-    def __init__(self, bindings: Optional[Mapping] = None) -> None:
-        self._b: dict = dict(bindings) if bindings else {}
+    __slots__ = ()
 
-    def __getitem__(self, name: str):
-        try:
-            return self._b[name]
-        except KeyError:
-            raise UnresolvedCondition(f"binding {name!r} is not in scope") from None
-
-    def __contains__(self, name) -> bool:
-        # membership tests and get stay quiet; only lookups fail loudly
-        return name in self._b
-
-    def get(self, name, default=None):
-        return self._b.get(name, default)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._b)
-
-    def __len__(self) -> int:
-        return len(self._b)
+    def __missing__(self, name: str):
+        raise UnresolvedCondition(f"binding {name!r} is not in scope")
 
     def __repr__(self) -> str:
-        return f"Environment({sorted(self._b)})"
+        return f"Environment({sorted(self)})"
 
 
 # ---------------------------------------------------------------------------
@@ -367,48 +344,6 @@ def seq(*formats: Format) -> Format:
     for f in reversed(formats[:-1]):
         out = Concat(f, out)
     return out
-
-
-class Unbounded:
-    """Width of a format containing ExactPlain."""
-
-    _instance: Optional["Unbounded"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNBOUNDED"
-
-
-UNBOUNDED = Unbounded()
-
-
-def format_width(f: Format, env: Environment):
-    """Bit width of f under env, or UNBOUNDED.
-
-    Raises UnresolvedCondition when a branch condition reads a name
-    absent from env.
-    """
-    if isinstance(f, Empty):
-        return 0
-    if isinstance(f, ExactValue):
-        return f.htype.total_width
-    if isinstance(f, ExactPlain):
-        return UNBOUNDED
-    if isinstance(f, Concat):
-        wl = format_width(f.left, env)
-        if wl is UNBOUNDED:
-            return UNBOUNDED
-        wr = format_width(f.right, env)
-        if wr is UNBOUNDED:
-            return UNBOUNDED
-        return wl + wr
-    if isinstance(f, Branch):
-        return format_width(f.then if f.cond(env) else f.els, env)
-    raise TypeError(f"not a Format: {f!r}")
 
 
 def check_well_formed(f: Format) -> None:
@@ -468,12 +403,12 @@ def _match_prefix(f: Format, p: BitString, pos: int, env: Environment) -> int:
         if end > p.nbits:
             raise MatchFailure(pos, f"need {htype.total_width} bits for {htype.name}, "
                                     f"have {p.nbits - pos}")
-        env._b[f.name] = TypedValue.of_word(htype, p.value >> (p.nbits - end))
+        env[f.name] = TypedValue.of_word(htype, p.value >> (p.nbits - end))
         return end
     if isinstance(f, Branch):
         return _match_prefix(f.then if f.cond(env) else f.els, p, pos, env)
     if isinstance(f, ExactPlain):
-        env._b[f.name] = p.drop(pos)
+        env[f.name] = p.drop(pos)
         return p.nbits
     if isinstance(f, Empty):
         return pos
@@ -493,11 +428,11 @@ def _match(p: BitString, f: Format) -> tuple[Environment, Optional[int], str]:
     return env, None, ""
 
 
-def match_bindings(p: BitString, f: Format) -> Optional[dict]:
+def match_bindings(p: BitString, f: Format) -> Optional[Environment]:
     """The bindings of a complete match of p against f, or None.  Unlike
     matches, f is not validated: it must have passed check_well_formed."""
     env, fail_bit, _ = _match(p, f)
-    return env._b if fail_bit is None else None
+    return env if fail_bit is None else None
 
 
 def matches(p: BitString, f: Format) -> tuple[bool, Environment]:
@@ -524,19 +459,9 @@ def match_report(p: BitString, f: Format) -> dict:
 # format into closures over fixed widths, shifts and masks
 
 
-class _Bindings(dict):
-    """The bindings of a compiled match.  As in Environment, a lookup
-    of a name not bound yet raises UnresolvedCondition."""
-
-    __slots__ = ()
-
-    def __missing__(self, name: str):
-        raise UnresolvedCondition(f"binding {name!r} is not in scope")
-
-
 # a stage matches from bit pos of the word value of nbits bits, binding
 # into env; it returns env on a complete match and None otherwise
-_Stage = Callable[[int, int, int, _Bindings], Optional[_Bindings]]
+_Stage = Callable[[int, int, int, Environment], Optional[Environment]]
 
 
 def _pieces(f: Format) -> list[Format]:
@@ -546,7 +471,7 @@ def _pieces(f: Format) -> list[Format]:
     return [] if isinstance(f, Empty) else [f]
 
 
-def _complete(value: int, nbits: int, pos: int, env: _Bindings) -> Optional[_Bindings]:
+def _complete(value: int, nbits: int, pos: int, env: Environment) -> Optional[Environment]:
     return env if pos == nbits else None
 
 
@@ -613,22 +538,21 @@ def _stage_plain(name: str) -> _Stage:
     return stage
 
 
-def compile_format(f: Format) -> Callable[[BitString], Optional[dict]]:
+def compile_format(f: Format) -> Callable[[BitString], Optional[Environment]]:
     """A parser equal to match_bindings(., f) for the well-formed f.  It
     is staged once, here: each Concat chain becomes its list of pieces,
     each maximal run of ExactValues one bounds test and one shift, each
     Branch one call of its condition on the bindings so far.  Raises
     IllFormedFormat as check_well_formed does.
 
-    The bindings are a dict, which is what the stock controls read.  A
-    condition that looks up a name not bound yet raises
-    UnresolvedCondition, and ``get`` of one returns its default, as with
-    the interpreter's Environment."""
+    The bindings are an Environment, the interpreter's own type: a dict,
+    which is what the stock controls read, whose lookup of a name not
+    bound yet raises UnresolvedCondition."""
     check_well_formed(f)
     first = _stage(_pieces(f))
 
-    def parse(p: BitString) -> Optional[dict]:
-        return first(p.value, p.nbits, 0, _Bindings())
+    def parse(p: BitString) -> Optional[Environment]:
+        return first(p.value, p.nbits, 0, Environment())
     return parse
 
 

@@ -192,7 +192,8 @@ class ReplayOracle(Oracle):
         return self._recorded("input_index")
 
     def admitted_subset(self, ms, mandatory):
-        return tuple(self._recorded("admitted_mask"))
+        # queue_admission makes the one tuple of bools
+        return self._recorded("admitted_mask")
 
     def sched_index(self, n):
         return self._recorded("sched_index")
@@ -393,17 +394,6 @@ def egress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
     return st2, qs2, step
 
 
-def process_packet(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
-                   o: Oracle) -> tuple[SwitchState, SwitchQueues, TraceStep]:
-    """Take one oracle-chosen enabled step.  An egress request while
-    egress is not enabled falls back to ingress and is recorded as
-    such; ingress is always enabled."""
-    requested = o.step_kind(st, qs)
-    if requested == EGRESS and egress_enabled(qs):
-        return egress_step(cfg, st, qs, o)
-    return ingress_step(cfg, st, qs, o, requested)
-
-
 class Run:
     """A run in progress: the state and queues after the steps taken so
     far.  step() takes one oracle-chosen step and returns it.  An engine
@@ -420,10 +410,17 @@ class Run:
         self._spy = _SpyOracle(o)
 
     def step(self) -> Optional[TraceStep]:
-        self._spy.begin()
+        """Take one oracle-chosen enabled step.  An egress request while
+        egress is not enabled falls back to ingress and is recorded as
+        such; ingress is always enabled."""
+        cfg, st, qs, o = self.cfg, self.state, self.queues, self._spy
+        o.begin()
         try:
-            self.state, self.queues, step = process_packet(self.cfg, self.state,
-                                                           self.queues, self._spy)
+            requested = o.step_kind(st, qs)
+            if requested == EGRESS and egress_enabled(qs):
+                self.state, self.queues, step = egress_step(cfg, st, qs, o)
+            else:
+                self.state, self.queues, step = ingress_step(cfg, st, qs, o, requested)
         except (EngineError, EgressParseFailure) as e:
             self.fault = f"{type(e).__name__}: {e}"
             log = self.fault_decisions = self._spy.log

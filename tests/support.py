@@ -73,7 +73,7 @@ from dataplane.switch import (
     Trace,
     run,
 )
-from dataplane import checker, switch
+from dataplane import checker, engines, switch
 from dataplane.pipeline import ParsedData, egress_pipeline, ingress_pipeline
 from dataplane.checker import _entry_matches, _expected_entries
 from dataplane.apps import (
@@ -239,7 +239,8 @@ def ref_parse_sampled(p: BitString) -> ParsedData | None:
 
 
 def ref_is_subsequence(sub, seq) -> bool:
-    """Reachability-table equivalent of checker._is_subsequence."""
+    """Reachability-table equivalent of sub embedding in seq, which
+    checker._subsequence_mask tells by keeping len(sub) elements."""
     reach = [True] + [False] * len(sub)
     for y in seq:
         for i in range(len(sub), 0, -1):
@@ -518,6 +519,14 @@ def count_pipeline_calls(monkeypatch) -> list[str]:
         monkeypatch.setattr(switch, fn.__name__, counted)
         monkeypatch.setattr(checker, fn.__name__, counted)
     return calls
+
+
+def drop_last_multicast_copy(monkeypatch) -> None:
+    """The dropped-copy mutant: every multicast group walk loses its last
+    copy, so a sampled packet leaves without its monitor copy.  The
+    executor and the step axioms share the engine, so the axioms pass."""
+    real = engines.multicast_engine
+    monkeypatch.setattr(engines, "multicast_engine", lambda c, m: real(c, m)[:-1])
 
 
 class AlwaysIngressOracle(Oracle):

@@ -4,12 +4,14 @@ checks agree with independent quadratic formulations."""
 
 import dataclasses
 import inspect
+import json
 import random
 from functools import partial
 
 import pytest
 
 from dataplane import switch
+from dataplane.cli import main
 from dataplane.packet_format import (
     BitString, Branch, Concat, ExactValue, HeaderType, compile_format, encode,
 )
@@ -17,6 +19,7 @@ from dataplane.engines import PktGenConfig
 from dataplane.pipeline import ingress_pipeline
 from dataplane.switch import (
     AdversarialDropOracle,
+    Arrival,
     FifoDrainOracle,
     RandomOracle,
     SwitchQueues,
@@ -42,7 +45,8 @@ from dataplane.checker import (
     CLAUSES,
     PreconditionUnmet,
     Verdict,
-    _is_subsequence,
+    _bad,
+    _subsequence_mask,
     check_step,
     check_trace,
     dense_flow_check,
@@ -62,6 +66,8 @@ from support import (
     arrivals,
     count_pipeline_calls,
     drain_run,
+    drained,
+    drop_last_multicast_copy,
     forge_catalog,
     mangle,
     rand_packet,
@@ -170,7 +176,8 @@ def test_subsequence_agreement():
             sub = [x for x in seq if rng.random() < 0.6]
         else:
             sub = [rng.randrange(4) for _ in range(rng.randrange(8))]
-        assert _is_subsequence(sub, seq) == ref_is_subsequence(sub, seq), (sub, seq)
+        embeds = sum(_subsequence_mask(sub, seq)) == len(sub)
+        assert embeds == ref_is_subsequence(sub, seq), (sub, seq)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +282,7 @@ def test_sampler_trace_check_end_to_end():
     cfg = sampler_app(SC)
     pkts = [tcp_pkt(sp=i, payload=bytes([i % 256])) for i in range(11)]
     tr = drain_run(cfg, pkts)
-    assert sampler_trace_check(tr, SC, require_complete=True).ok
+    assert sampler_trace_check(tr, SC).ok
     # under random admission the relation still holds, minus completeness
     tr2 = run(cfg, initial_switch_state(cfg),
               SwitchQueues(q_input=arrivals(*pkts)), 80,
@@ -288,8 +295,26 @@ def test_sampler_trace_check_nonzero_counter():
     cfg = dataclasses.replace(cfg, init_ingress=(None, SamplerState(counter=2), None))
     tr = drain_run(cfg, [tcp_pkt(sp=1), tcp_pkt(sp=2)])
     # counts 3 and 4; 4 samples
-    assert sampler_trace_check(tr, SC, require_complete=True).ok
+    assert sampler_trace_check(tr, SC).ok
     assert len(tr.final_queues.q_output) == 3
+
+
+def test_sampler_trace_check_catches_a_dropped_copy(tmp_path, monkeypatch):
+    # every copy replication made was admitted and the run drained, so
+    # the outputs must be complete; the mutant loses the 50 monitor copies
+    wl = tmp_path / "w.jsonl"
+    assert main(["gen", "--count", "200", "--seed", "7", "--ports", "1,2",
+                 "--out", str(wl)]) == 0
+    q_input = tuple(Arrival(o["port"], BitString.from_json(o["packet"]))
+                    for o in map(json.loads, wl.read_text().splitlines()))
+    drop_last_multicast_copy(monkeypatch)
+    cfg = sampler_app(SC)
+    tr = run(cfg, initial_switch_state(cfg), SwitchQueues(q_input=q_input), 1000,
+             FifoDrainOracle(), stop_when=lambda s, q: drained(q))
+    assert drained(tr.final_queues) and check_trace(cfg, tr).ok
+    v = sampler_trace_check(tr, SC)
+    assert (v.violated_clause, v.detail) == ("sampler.incomplete",
+                                             "200 outputs for 250 expected")
 
 
 class _NewestArrivalFirst(FifoDrainOracle):
@@ -682,6 +707,14 @@ def test_clause_registry_pinned():
     }
     for cid, text in ALL_CLAUSES.items():
         assert isinstance(text, str) and text
+
+
+def test_bad_takes_registered_clauses_only():
+    for cid in ALL_CLAUSES:
+        assert _bad(cid, "why", 3) == Verdict(False, cid, "why", 3)
+    for cid in ("trace.nonsense", "sampler", ""):
+        with pytest.raises(KeyError):
+            _bad(cid)
 
 
 def test_verdict_truthiness():

@@ -18,7 +18,9 @@ from dataplane.cli import main
 from dataplane.headers import IP_PROTO_TCP, SAMPLE_MARKER
 from dataplane.packet_format import BitString
 
-from support import BAD_NESTED_CONFIGS, count_pipeline_calls, tcp_pkt, udp_pkt
+from support import (
+    BAD_NESTED_CONFIGS, count_pipeline_calls, drop_last_multicast_copy, tcp_pkt, udp_pkt,
+)
 
 
 def run_cli(capsys, *argv):
@@ -317,6 +319,33 @@ class TestCheck:
         wl = str(tmp_path / "w.jsonl")
         run_cli(capsys, "gen", "--count", "60", "--seed", "7", "--ports", "1,2", "--out", wl)
         tr = _sim_trace(capsys, tmp_path, sampler_cfg, workload=wl, policy="adversarial-drop")
+        code, out, _ = run_cli(capsys, "check", tr, "--config", sampler_cfg,
+                               "--spec", "sampler")
+        assert code == 0, out
+        assert out.endswith("axioms: ok\nsampler: ok\n")
+
+    def test_sampler_spec_catches_a_dropped_copy(self, sampler_cfg, tmp_path, capsys,
+                                                 monkeypatch):
+        # every admission kept every copy and the run drained, so
+        # completeness is demanded; the mutant loses the monitor copies
+        drop_last_multicast_copy(monkeypatch)
+        wl = str(tmp_path / "w.jsonl")
+        run_cli(capsys, "gen", "--count", "200", "--seed", "7", "--ports", "1,2", "--out", wl)
+        tr = _sim_trace(capsys, tmp_path, sampler_cfg, workload=wl, steps=1000)
+        code, out, _ = run_cli(capsys, "check", tr, "--config", sampler_cfg,
+                               "--spec", "sampler")
+        assert code == 1, out
+        assert out.endswith("axioms: ok\nsampler: VIOLATION clause=sampler.incomplete "
+                            "200 outputs for 250 expected\n")
+
+    # a run cut short by --steps: after 90 steps q_egress is drained, so
+    # the inputs taken must have all their outputs; after 91 a copy is
+    # still queued (a dropping admission: ..._ok_under_adversarial_drop)
+    @pytest.mark.parametrize("steps", [90, 91])
+    def test_sampler_spec_ok_on_a_run_cut_short(self, sampler_cfg, tmp_path, capsys, steps):
+        wl = str(tmp_path / "w.jsonl")
+        run_cli(capsys, "gen", "--count", "200", "--seed", "7", "--ports", "1,2", "--out", wl)
+        tr = _sim_trace(capsys, tmp_path, sampler_cfg, workload=wl, steps=steps, drain=False)
         code, out, _ = run_cli(capsys, "check", tr, "--config", sampler_cfg,
                                "--spec", "sampler")
         assert code == 0, out

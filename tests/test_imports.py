@@ -1,10 +1,17 @@
 """Every name a module of the package, or of its tests, imports with
-`from ... import` is used in that module.
+`from ... import` is used in that module, and every name a module of
+the package defines at top level is named somewhere else.
 
 An unused import still runs at start-up and binds a name no code reads,
 so it hides which module really depends on which.  A name read only in
 a string annotation (`qac: "QacMinimal | QacAlwaysReady"`) counts as
 used.
+
+A top-level `def`, `class` or assignment in the package that no file of
+the package, its tests or its benchmark names outside the definition
+itself is code no path needs.  A name counts as named when it appears
+as a name, an attribute, an imported name or a string that parses as
+an expression reading it (a string annotation, a `getattr` key).
 """
 
 import ast
@@ -13,7 +20,10 @@ from pathlib import Path
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-MODULES = sorted(TESTS.parent.joinpath("src", "dataplane").glob("*.py")) + sorted(TESTS.glob("*.py"))
+PACKAGE = sorted(TESTS.parent.joinpath("src", "dataplane").glob("*.py"))
+MODULES = PACKAGE + sorted(TESTS.glob("*.py"))
+# every file that may name a package definition
+READERS = PACKAGE + sorted(TESTS.glob("*.py")) + sorted(TESTS.parent.joinpath("perfbench").glob("*.py"))
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -68,3 +78,69 @@ class TestScanner:
 
     def test_alias_is_the_bound_name(self):
         assert unused_imports("from a import b as c\nb()\n") == ["c (line 1)"]
+
+
+def _named(node: ast.AST) -> set[str]:
+    """The names node reads or binds: names, attributes, imported names,
+    and the names of strings that parse as expressions."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.asname or sub.name)
+            names.update(sub.name.split("."))
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                expr = ast.parse(sub.value.strip(), mode="eval")
+            except (SyntaxError, ValueError):
+                continue
+            names |= _named(expr)
+    return names
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    """The names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+
+
+def unnamed_definitions(sources: dict[str, str], package: list[str]) -> list[str]:
+    """The top-level definitions of the package files that no statement
+    of any file in sources names outside the definition itself."""
+    stmts = {path: ast.parse(text).body for path, text in sources.items()}
+    named = {(path, i): _named(stmt) for path, body in stmts.items()
+             for i, stmt in enumerate(body)}
+    found = []
+    for path in package:
+        for i, stmt in enumerate(stmts[path]):
+            for name in _defined(stmt):
+                if name.startswith("__") and name.endswith("__"):
+                    continue  # protocol names such as __version__
+                if not any(name in names for key, names in named.items() if key != (path, i)):
+                    found.append(f"{Path(path).name}: {name} (line {stmt.lineno})")
+    return found
+
+
+def test_every_package_definition_is_named():
+    sources = {str(p): p.read_text() for p in READERS}
+    assert unnamed_definitions(sources, [str(p) for p in PACKAGE]) == []
+
+
+class TestDefinitionScanner:
+    def test_unnamed_definition_reported(self):
+        src = {"m.py": "def f():\n    return f()\n\nX = 1\nY = X\n", "t.py": "Y\n"}
+        assert unnamed_definitions(src, ["m.py"]) == ["m.py: f (line 1)"]
+
+    def test_attribute_and_string_count(self):
+        src = {"m.py": "class A: pass\nB = 2\n", "t.py": "m.A\ngetattr(m, 'B')\n"}
+        assert unnamed_definitions(src, ["m.py"]) == []

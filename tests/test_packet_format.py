@@ -22,14 +22,11 @@ from dataplane.packet_format import (
     HeaderType,
     IllFormedFormat,
     TypedValue,
-    UNBOUNDED,
     UnresolvedCondition,
-    advance,
     check_well_formed,
     compile_format,
     encode,
     extract,
-    format_width,
     match_bindings,
     match_report,
     matches,
@@ -133,12 +130,6 @@ class TestCodec:
         tail = BitString(data.draw(st.integers(0, (1 << tail_len) - 1 if tail_len else 0)),
                          tail_len)
         assert extract(htype, encode(v) + tail) == (v, ExtractStatus.SUCCESS, tail)
-
-    def test_advance(self):
-        p = BitString(0b1011, 4)
-        assert advance(p, 2) == (ExtractStatus.SUCCESS, BitString(0b11, 2))
-        assert advance(p, 5) == (ExtractStatus.FAILURE, p)
-        assert advance(p, 4) == (ExtractStatus.SUCCESS, BitString())
 
 
 H2 = HeaderType("two", (("a", 4), ("b", 4)))
@@ -290,23 +281,6 @@ class TestCompileFormat:
 
 
 class TestWidthAndReport:
-    def test_fixed_width(self):
-        f = seq(ExactValue("x", H2), ExactValue("y", ETHERNET))
-        assert format_width(f, Environment()) == 8 + 112
-
-    def test_plain_is_unbounded(self):
-        f = seq(ExactValue("x", H2), ExactPlain("p"))
-        assert format_width(f, Environment()) is UNBOUNDED
-
-    def test_branch_width_needs_env(self):
-        f = Branch(lambda e: e["x"]["a"] == 1, ExactValue("y", H2), Empty())
-        x1 = TypedValue(H2, {"a": 1, "b": 0})
-        x0 = TypedValue(H2, {"a": 0, "b": 0})
-        assert format_width(f, Environment({"x": x1})) == 8
-        assert format_width(f, Environment({"x": x0})) == 0
-        with pytest.raises(UnresolvedCondition):
-            format_width(f, Environment())
-
     def test_report_blames_start_of_failed_field(self):
         f = seq(ExactValue("x", H2), ExactValue("eth", ETHERNET))
         r = match_report(BitString(0xAB, 8) + BitString(0, 40), f)
