@@ -21,7 +21,8 @@ from typing import Optional
 from . import checker, switch
 from .apps import FirewallConfig, SamplerConfig
 from .engines import EgressMeta
-from .switch import EGRESS, INGRESS, Arrival, SwitchQueues, expect, packet_from_json, port_from_json
+from .packet_format import BitString
+from .switch import EGRESS, INGRESS, Arrival, SwitchQueues, expect, port_from_json
 
 
 def _key(path: str) -> str:
@@ -67,15 +68,15 @@ def queues_from_header(header: dict) -> SwitchQueues:
     p_recirc = q.get("p_recirc")
     return SwitchQueues(
         q_input=tuple(Arrival(port_from_json(port, _key(f"{w}[0]")),
-                              packet_from_json(p, _key(f"{w}[1]")))
+                              BitString.from_json(p, _key(f"{w}[1]")))
                       for w, port, p in _pairs(q, "q_input")),
-        p_recirc=None if p_recirc is None else packet_from_json(p_recirc,
-                                                                _key("queues.p_recirc")),
+        p_recirc=None if p_recirc is None else BitString.from_json(p_recirc,
+                                                                   _key("queues.p_recirc")),
         q_mirror=(),
-        q_egress=tuple((_egress_meta(em, f"{w}[0]"), packet_from_json(p, _key(f"{w}[1]")))
+        q_egress=tuple((_egress_meta(em, f"{w}[0]"), BitString.from_json(p, _key(f"{w}[1]")))
                        for w, em, p in _pairs(q, "q_egress")),
         q_output=tuple((port_from_json(port, _key(f"{w}[0]")),
-                        packet_from_json(p, _key(f"{w}[1]")))
+                        BitString.from_json(p, _key(f"{w}[1]")))
                        for w, port, p in _pairs(q, "q_output")),
     )
 

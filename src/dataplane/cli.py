@@ -105,7 +105,7 @@ def _arrival(obj) -> switch.Arrival:
     if not isinstance(obj, dict):
         raise ValueError(f"must be a JSON object, got {obj!r}")
     return switch.Arrival(switch.port_from_json(obj.get("port"), "port"),
-                          switch.packet_from_json(obj.get("packet"), "packet"))
+                          BitString.from_json(obj.get("packet")))
 
 
 def cmd_sim(args) -> int:

@@ -136,10 +136,19 @@ class BitString:
         return {"hex": self.to_hex(), "len_bits": self.nbits}
 
     @classmethod
-    def from_json(cls, obj) -> "BitString":
-        if isinstance(obj, str):
-            return cls.from_hex(obj)
-        return cls.from_hex(obj["hex"], obj["len_bits"])
+    def from_json(cls, v, where: str = "packet") -> "BitString":
+        """Inverse of to_json: a hex string, or {"hex", "len_bits"}.  Any
+        other value is a ValueError whose message names `where`."""
+        if isinstance(v, dict) and set(v) == {"hex", "len_bits"}:
+            hex_, len_bits = v["hex"], v["len_bits"]
+        else:
+            hex_, len_bits = v, None
+        if not (isinstance(hex_, str) and (len_bits is None or type(len_bits) is int)):
+            raise ValueError(f"{where} must be a hex string, got {v!r}")
+        try:
+            return cls.from_hex(hex_, len_bits)
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from None
 
     def __repr__(self) -> str:
         return f"BitString({self.nbits}b:{self.to_hex()})"

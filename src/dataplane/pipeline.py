@@ -47,9 +47,6 @@ class ParsedData:
     slots: dict[str, TypedValue]
     payload: BitString
 
-    def slot(self, name: str) -> Optional[TypedValue]:
-        return self.slots.get(name)
-
 
 @dataclass(frozen=True)
 class TmMeta:

@@ -668,18 +668,3 @@ def expect(ok: bool, v, what: str, where: str):
 def port_from_json(v, where: str) -> int:
     expect(type(v) is int, v, "an integer", where)  # a bool is not a port
     return expect(0 <= v < 512, v, "in 0..511", where)
-
-
-def packet_from_json(v, where: str) -> BitString:
-    """A hex string, or {"hex", "len_bits"} for a packet that is not byte
-    aligned."""
-    if isinstance(v, dict) and set(v) == {"hex", "len_bits"}:
-        hex_, len_bits = v["hex"], v["len_bits"]
-    else:
-        hex_, len_bits = v, None
-    expect(isinstance(hex_, str) and (len_bits is None or type(len_bits) is int),
-           v, "a hex string", where)
-    try:
-        return BitString.from_hex(hex_, len_bits)
-    except ValueError as e:
-        raise ValueError(f"{where}: {e}") from None

@@ -10,6 +10,8 @@ separately:
 * ``ref_parse_standard`` / ``ref_parse_sampled`` - the stock layouts as
                          hand-coded extract chains, decoding each field
                          with ``BitString.slice``.
+* ``ref_sampler_outputs`` - the sampler's expected output stream, its
+                         sample records built from ``ref_parse_standard``.
 * ``ref_is_subsequence`` / ``ref_sampler_check`` - quadratic
                          reachability tables for the checker's greedy
                          scans.
@@ -53,6 +55,7 @@ from dataplane.headers import (
     make_intrinsic_meta,
     make_ipv4,
     make_port_meta,
+    make_sample,
     make_tcp,
     make_udp,
 )
@@ -75,7 +78,6 @@ from dataplane.switch import (
 )
 from dataplane import checker, engines, switch
 from dataplane.pipeline import ParsedData, egress_pipeline, ingress_pipeline
-from dataplane.checker import _entry_matches, _expected_entries
 from dataplane.apps import (
     FirewallState,
     SamplerConfig,
@@ -249,16 +251,34 @@ def ref_is_subsequence(sub, seq) -> bool:
     return reach[len(sub)]
 
 
+def ref_sampler_outputs(n: int, inputs, scfg) -> list:
+    """The complete (port, bits) stream the sampler owes for inputs when
+    its count starts at n: input i (1-based) on the forward port, then,
+    when (n+i) mod 2^32 is a multiple of the period, a sample record of
+    its addresses, ports and count, followed by its payload, on the
+    monitor port."""
+    outs = []
+    for i, p in enumerate(inputs, 1):
+        outs.append((scfg.forward_port, p))
+        count = (n + i) % (1 << 32)
+        if count % scfg.sample_every:
+            continue
+        parsed = ref_parse_standard(p)
+        slots = parsed.slots
+        ports = {"src_port": 0, "dst_port": 0}
+        for name in ("tcp", "udp"):
+            if name in slots:
+                ports = {f: slots[name][f] for f in ports}
+        rec = make_sample(src_addr=slots["ipv4"]["src"], dst_addr=slots["ipv4"]["dst"],
+                          sample_count=count, **ports)
+        outs.append((scfg.monitor_port, encode(rec) + parsed.payload))
+    return outs
+
+
 def ref_sampler_check(n: int, inputs, outputs, scfg) -> bool:
     """Reachability-table equivalent of checker.sampler_spec_check for
     adversarial equal-packet streams; no clause attribution."""
-    expected = _expected_entries(n, inputs, scfg)
-    reach = [True] + [False] * len(outputs)
-    for entry in expected:
-        for i in range(len(outputs), 0, -1):
-            if reach[i - 1] and _entry_matches(entry, outputs[i - 1], scfg):
-                reach[i] = True
-    return reach[len(outputs)]
+    return ref_is_subsequence(outputs, ref_sampler_outputs(n, inputs, scfg))
 
 
 class _FieldParity:

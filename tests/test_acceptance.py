@@ -28,9 +28,8 @@ from dataplane.apps import (
     initial_switch_state, parse_standard, sampler_app,
 )
 from dataplane.checker import (
-    CLAUSES, check_step, check_trace, dense_flow_check,
-    firewall_freshness_check, langsec_trace_check, parser_oblivious_check,
-    sampler_trace_check,
+    CLAUSES, LangsecFold, check_step, check_trace, dense_flow_check,
+    firewall_freshness_check, fold_trace, parser_oblivious_check, sampler_trace_check,
 )
 
 from support import (
@@ -304,7 +303,7 @@ def test_criterion_06_malformed_input_isolated():
                    for k in ("s_g", "s_ic", "s_id", "s_ep", "s_ec", "s_ed"))
     queues_ok = (not qs.q_input and not qs.q_egress and not qs.q_output
                  and qs.p_recirc is None)
-    relation = langsec_trace_check(tr, cfg)
+    relation = fold_trace(LangsecFold(cfg), tr)
     elapsed = time.perf_counter() - t0
     report(6, f"10^3 malformed packets isolated "
               f"({len(tr.steps)} steps, states {'un' if state_ok else ''}changed)",

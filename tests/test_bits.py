@@ -131,6 +131,12 @@ class TestSerialization:
     def test_json_round_trip(self, p):
         assert BitString.from_json(p.to_json()) == p
 
+    @pytest.mark.parametrize("v", [5, None, {"hex": "00"}, {"hex": "00", "len_bits": "x"},
+                                   {"hex": "00", "len_bits": 3, "x": 1}, "0g"])
+    def test_from_json_rejects_with_where(self, v):
+        with pytest.raises(ValueError, match=r"^q_output\[0\]\[1\]"):
+            BitString.from_json(v, "q_output[0][1]")
+
     @given(st.binary(max_size=32))
     def test_bytes_round_trip(self, raw):
         assert BitString.from_bytes(raw).to_bytes() == raw

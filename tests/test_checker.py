@@ -43,6 +43,7 @@ from dataplane.headers import (
 from dataplane.checker import (
     ALL_CLAUSES,
     CLAUSES,
+    LangsecFold,
     PreconditionUnmet,
     Verdict,
     _bad,
@@ -50,16 +51,15 @@ from dataplane.checker import (
     check_step,
     check_trace,
     dense_flow_check,
+    expected_outputs,
     expected_sample_packet,
     firewall_freshness_check,
+    fold_trace,
     format_acceptance_check,
     langsec_check,
-    langsec_trace_check,
-    normal_packet_relation,
     parser_oblivious_check,
     sampler_spec_check,
     sampler_trace_check,
-    special_packet_relation,
 )
 
 from support import (
@@ -76,6 +76,7 @@ from support import (
     ref_parse_sampled,
     ref_parse_standard,
     ref_sampler_check,
+    ref_sampler_outputs,
     tcp_pkt,
     udp_pkt,
 )
@@ -187,28 +188,16 @@ def test_subsequence_agreement():
 SC = SamplerConfig(forward_port=1, monitor_port=3, sample_every=4)
 
 
-def materialize(n, inputs):
-    """Full expected output stream for the given inputs."""
-    outs = []
-    c = n
-    for p in inputs:
-        c = (c + 1) % (1 << 32)
-        outs.append((SC.forward_port, p))
-        if c % SC.sample_every == 0:
-            outs.append((SC.monitor_port, expected_sample_packet(c, p)))
-    return outs
-
-
 class TestSamplerSpecCheck:
     def test_complete_stream(self):
         inputs = [tcp_pkt(sp=i, payload=bytes([i])) for i in range(9)]
-        outs = materialize(0, inputs)
+        outs = ref_sampler_outputs(0, inputs, SC)
         assert sampler_spec_check(0, inputs, outs, SC, require_complete=True).ok
 
     def test_nonzero_initial_count(self):
         # n=3: the very first packet lands on a sampling multiple
         inputs = [udp_pkt(sp=50)]
-        outs = materialize(3, inputs)
+        outs = ref_sampler_outputs(3, inputs, SC)
         assert len(outs) == 2
         assert sampler_spec_check(3, inputs, outs, SC, require_complete=True).ok
         # claiming the wrong initial count must fail
@@ -217,22 +206,22 @@ class TestSamplerSpecCheck:
     def test_drops_allowed_without_completeness(self):
         rng = random.Random(5)
         inputs = [tcp_pkt(sp=i) for i in range(12)]
-        outs = [o for o in materialize(0, inputs) if rng.random() < 0.6]
+        outs = [o for o in ref_sampler_outputs(0, inputs, SC) if rng.random() < 0.6]
         assert sampler_spec_check(0, inputs, outs, SC).ok
-        if len(outs) < len(materialize(0, inputs)):
+        if len(outs) < len(ref_sampler_outputs(0, inputs, SC)):
             v = sampler_spec_check(0, inputs, outs, SC, require_complete=True)
             assert not v.ok and v.violated_clause == "sampler.incomplete"
 
     def test_monitor_before_forward_rejected(self):
         inputs = [tcp_pkt(sp=9)]
-        outs = materialize(3, inputs)
+        outs = ref_sampler_outputs(3, inputs, SC)
         swapped = [outs[1], outs[0]]
         v = sampler_spec_check(3, inputs, swapped, SC)
         assert not v.ok and v.violated_clause == "sampler.stream"
 
     def test_foreign_output_rejected(self):
         inputs = [tcp_pkt(sp=1)]
-        outs = materialize(0, inputs) + [(SC.forward_port, udp_pkt(sp=404))]
+        outs = ref_sampler_outputs(0, inputs, SC) + [(SC.forward_port, udp_pkt(sp=404))]
         v = sampler_spec_check(0, inputs, outs, SC)
         assert not v.ok and v.violated_clause == "sampler.stream"
 
@@ -258,7 +247,7 @@ class TestSamplerSpecCheck:
         for _ in range(300):
             n = rng.randrange(6)
             inputs = [rng.choice(pool) for _ in range(rng.randrange(8))]
-            full = materialize(n, inputs)
+            full = ref_sampler_outputs(n, inputs, SC)
             outs = [o for o in full if rng.random() < 0.7]
             if rng.random() < 0.3:
                 rng.shuffle(outs)
@@ -268,14 +257,13 @@ class TestSamplerSpecCheck:
             want = ref_sampler_check(n, inputs, outs, SC)
             assert got == want, (n, len(inputs), outs)
 
-    def test_relations_directly(self):
-        p = tcp_pkt(sp=77, payload=b"zz")
-        assert normal_packet_relation(p, (SC.forward_port, p), SC)
-        assert not normal_packet_relation(p, (SC.monitor_port, p), SC)
-        assert special_packet_relation(8, p, (SC.monitor_port,
-                                              expected_sample_packet(8, p)), SC)
-        assert not special_packet_relation(9, p, (SC.monitor_port,
-                                                  expected_sample_packet(8, p)), SC)
+    @pytest.mark.parametrize("n", [0, 3, (1 << 32) - 2])
+    def test_expected_outputs_match_reference(self, n):
+        # n = 2^32 - 2 wraps the count to 0, a multiple of every period
+        rng = random.Random(n)
+        for _ in range(20):
+            inputs = [rand_packet(rng) for _ in range(rng.randrange(10))]
+            assert expected_outputs(n, inputs, SC) == ref_sampler_outputs(n, inputs, SC)
 
 
 def test_sampler_trace_check_end_to_end():
@@ -393,7 +381,7 @@ class TestLangsec:
         bads = [mangle(rng, rand_packet(rng)) for _ in range(20)]
         tr = run(cfg, initial_switch_state(cfg),
                  SwitchQueues(q_input=arrivals(*bads)), 20, FifoDrainOracle())
-        assert langsec_trace_check(tr, cfg).ok
+        assert fold_trace(LangsecFold(cfg), tr).ok
 
     def test_trace_form_blames_state_edit(self):
         cfg = identity_app()
@@ -404,7 +392,7 @@ class TestLangsec:
             tr.steps[0],
             post_state=dataclasses.replace(tr.steps[0].post_state,
                                            s_i=(None, "leak", None)))
-        v = langsec_trace_check(tr, cfg)
+        v = fold_trace(LangsecFold(cfg), tr)
         assert not v.ok and v.violated_clause == "langsec.state_frame"
 
     def test_trace_form_blames_queue_edit(self):
@@ -416,7 +404,7 @@ class TestLangsec:
             tr.steps[0],
             post_queues=dataclasses.replace(tr.steps[0].post_queues,
                                             q_output=((1, tcp_pkt()),)))
-        v = langsec_trace_check(tr, cfg)
+        v = fold_trace(LangsecFold(cfg), tr)
         assert not v.ok and v.violated_clause == "langsec.queue_frame"
 
     def test_trace_form_requires_generator_off(self):
@@ -424,7 +412,7 @@ class TestLangsec:
         tr = run(cfg, initial_switch_state(cfg), SwitchQueues(), 1,
                  FifoDrainOracle())
         with pytest.raises(PreconditionUnmet):
-            langsec_trace_check(tr, cfg)
+            fold_trace(LangsecFold(cfg), tr)
 
 
 # ---------------------------------------------------------------------------

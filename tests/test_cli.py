@@ -5,6 +5,8 @@ needs a fresh interpreter; workloads, configs and traces live under
 tmp_path.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dataplane.apps import parse_standard
 from dataplane.cli import main
@@ -29,31 +32,38 @@ def run_cli(capsys, *argv):
     return code, cap.out, cap.err
 
 
+def _dump(rec) -> str:
+    """A trace record as the trace writes it."""
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
 def write_config(tmp_path, name, obj):
     p = tmp_path / name
     p.write_text(json.dumps(obj))
     return str(p)
 
 
+CONFIGS = {
+    "identity": {"app": "identity", "forward_port": 2},
+    "sampler": {"app": "sampler", "forward_port": 1, "monitor_port": 3, "sample_every": 4},
+    "firewall": {"app": "firewall", "inside_port": 1, "outside_port": 2, "window": 32,
+                 "keepalive_period": 8},
+}
+
+
 @pytest.fixture
 def identity_cfg(tmp_path):
-    return write_config(tmp_path, "identity.json",
-                        {"app": "identity", "forward_port": 2})
+    return write_config(tmp_path, "identity.json", CONFIGS["identity"])
 
 
 @pytest.fixture
 def sampler_cfg(tmp_path):
-    return write_config(tmp_path, "sampler.json",
-                        {"app": "sampler", "forward_port": 1,
-                         "monitor_port": 3, "sample_every": 4})
+    return write_config(tmp_path, "sampler.json", CONFIGS["sampler"])
 
 
 @pytest.fixture
 def firewall_cfg(tmp_path):
-    return write_config(tmp_path, "firewall.json",
-                        {"app": "firewall", "inside_port": 1,
-                         "outside_port": 2, "window": 32,
-                         "keepalive_period": 8})
+    return write_config(tmp_path, "firewall.json", CONFIGS["firewall"])
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +407,7 @@ class TestCheck:
         obj = json.loads(lines[1])
         assert obj["type"] == "step"
         obj["post"]["lens"][0] += 1
-        lines[1] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        lines[1] = _dump(obj)
         open(tr, "w").write("\n".join(lines) + "\n")
         code, out, _ = run_cli(capsys, "check", tr, "--config", identity_cfg)
         assert code == 1
@@ -408,7 +418,7 @@ class TestCheck:
         lines = open(tr).read().splitlines()
         obj = json.loads(lines[index])
         edit(obj)
-        lines[index] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        lines[index] = _dump(obj)
         open(tr, "w").write("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("edit", [
@@ -688,6 +698,96 @@ class TestCheck:
 
 
 # ---------------------------------------------------------------------------
+# check on mutated honest traces: an exit code, never a traceback
+
+
+MUTANT_LEAVES = [None, True, False, -1, 2 ** 70, 1.5, "x", [1], {"x": 1}]
+MUTANT_SPECS = {"identity": ["axioms", "denseflow:16", "langsec"],
+                "sampler": ["axioms", "sampler", "sampler:3"],
+                "firewall": ["axioms", "firewall:16", "denseflow:8"]}
+
+
+def _quiet_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _paths(obj, path=()):
+    """(leaf paths, key paths) of a JSON value: the path of every value
+    that is not a nonempty object or list, and of every key of every
+    object."""
+    if not isinstance(obj, (dict, list)) or not obj:
+        return [path], []
+    leaves, keys = [], []
+    for k, v in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        sub_leaves, sub_keys = _paths(v, path + (k,))
+        leaves += sub_leaves
+        keys += sub_keys
+        if isinstance(obj, dict):
+            keys.append(path + (k,))
+    return leaves, keys
+
+
+def _parent(obj, path):
+    """(the container holding path's value, its key there)."""
+    for k in path[:-1]:
+        obj = obj[k]
+    return obj, path[-1]
+
+
+@pytest.fixture(scope="module")
+def honest_traces(tmp_path_factory):
+    """app -> (config path, trace lines) of a drained run of a small
+    workload, which the header's q_input carries in full."""
+    d = tmp_path_factory.mktemp("honest")
+    wl = str(d / "w.jsonl")
+    assert _quiet_main("gen", "--count", "6", "--seed", "7", "--ports", "1,2",
+                       "--malformed-rate", "0.2", "--out", wl)[0] == 0
+    traces = {}
+    for app, obj in CONFIGS.items():
+        cfg, tr = write_config(d, f"{app}.json", obj), str(d / f"{app}.jsonl")
+        assert _quiet_main("sim", "--config", cfg, "--input", wl, "--steps", "60",
+                           "--drain", "--trace", tr)[0] == 0
+        with open(tr) as fh:
+            traces[app] = cfg, fh.read().splitlines()
+    return traces, str(d / "mutant.jsonl")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_check_survives_mutated_traces(honest_traces, data):
+    traces, path = honest_traces
+    app = data.draw(st.sampled_from(sorted(traces)), "app")
+    cfg, lines = traces[app]
+    lines = list(lines)
+    i = data.draw(st.integers(0, len(lines) - 1), "record")
+    rec = json.loads(lines[i])
+    leaves, keys = _paths(rec)
+    how = data.draw(st.sampled_from(["leaf", "key", "byte"]), "mutation")
+    if how == "leaf":
+        target, k = _parent(rec, data.draw(st.sampled_from(leaves), "leaf"))
+        target[k] = data.draw(st.sampled_from(MUTANT_LEAVES), "value")
+        lines[i] = _dump(rec)
+    elif how == "key":
+        target, k = _parent(rec, data.draw(st.sampled_from(keys), "key"))
+        del target[k]
+        lines[i] = _dump(rec)
+    else:
+        j = data.draw(st.integers(0, len(lines[i]) - 1), "byte")
+        c = data.draw(st.characters(min_codepoint=32, max_codepoint=126), "char")
+        lines[i] = lines[i][:j] + c + lines[i][j + 1:]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    spec = data.draw(st.sampled_from(MUTANT_SPECS[app]), "spec")
+    code, out, err = _quiet_main("check", path, "--config", cfg, "--spec", spec)
+    assert code in (0, 1, 2, 3), (code, out, err)
+    assert code != 1 or "VIOLATION clause=" in out, (out, err)
+
+
+# ---------------------------------------------------------------------------
 # engine faults surface as exit 3 and still leave a replayable trace
 
 
@@ -740,7 +840,7 @@ class TestFault:
         recs = [json.loads(text) for text in lines]
         (i,) = [n for n, r in enumerate(recs) if r["type"] == "fault"]
         del recs[i]["decisions"][key]
-        lines[i] = json.dumps(recs[i], sort_keys=True, separators=(",", ":"))
+        lines[i] = _dump(recs[i])
         tr.write_text("\n".join(lines) + "\n")
         got, out, err = run_cli(capsys, "check", str(tr), "--config", sampler_cfg)
         assert (got, (out + err).splitlines()) == (code, [line])

@@ -1,17 +1,19 @@
 """Every name a module of the package, or of its tests, imports with
 `from ... import` is used in that module, and every name a module of
-the package defines at top level is named somewhere else.
+the package or the shared test support defines at top level is named
+somewhere else.
 
 An unused import still runs at start-up and binds a name no code reads,
 so it hides which module really depends on which.  A name read only in
 a string annotation (`qac: "QacMinimal | QacAlwaysReady"`) counts as
 used.
 
-A top-level `def`, `class` or assignment in the package that no file of
-the package, its tests or its benchmark names outside the definition
-itself is code no path needs.  A name counts as named when it appears
-as a name, an attribute, an imported name or a string that parses as
-an expression reading it (a string annotation, a `getattr` key).
+A top-level `def`, `class` or assignment in the package or in
+`tests/support.py` that no file of the package, its tests or its
+benchmark names outside the definition itself is code no path needs.
+A name counts as named when it appears as a name, an attribute, an
+imported name or a string that parses as an expression reading it (a
+string annotation, a `getattr` key).
 """
 
 import ast
@@ -22,7 +24,9 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 PACKAGE = sorted(TESTS.parent.joinpath("src", "dataplane").glob("*.py"))
 MODULES = PACKAGE + sorted(TESTS.glob("*.py"))
-# every file that may name a package definition
+# the files whose definitions must each be named elsewhere
+DEFINERS = PACKAGE + [TESTS / "support.py"]
+# every file that may name such a definition
 READERS = PACKAGE + sorted(TESTS.glob("*.py")) + sorted(TESTS.parent.joinpath("perfbench").glob("*.py"))
 
 
@@ -133,7 +137,7 @@ def unnamed_definitions(sources: dict[str, str], package: list[str]) -> list[str
 
 def test_every_package_definition_is_named():
     sources = {str(p): p.read_text() for p in READERS}
-    assert unnamed_definitions(sources, [str(p) for p in PACKAGE]) == []
+    assert unnamed_definitions(sources, [str(p) for p in DEFINERS]) == []
 
 
 class TestDefinitionScanner:

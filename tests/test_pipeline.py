@@ -9,7 +9,6 @@ from dataplane.pipeline import (
     EgressIndication,
     EgressParseFailure,
     MirrorId,
-    ParsedData,
     TmMeta,
     egress_pipeline,
     ingress_pipeline,
@@ -137,7 +136,3 @@ class TestEgressPipeline:
         with pytest.raises(EgressParseFailure):
             egress_pipeline(comps, em, BitString(0, 8), (None, None, None))
 
-
-def test_parsed_data_slot_lookup():
-    d = ParsedData({"x": None}, BitString())
-    assert d.slot("x") is None and d.slot("missing") is None

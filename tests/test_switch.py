@@ -222,7 +222,7 @@ class TestRecirculation:
         (port, out), = tr.final_queues.q_output
         assert port == 1
         got = parse_standard(out)
-        assert got.slot("ipv4")["ttl"] == 0
+        assert got.slots["ipv4"]["ttl"] == 0
 
     def test_register_blocks_egress(self):
         occupied = SwitchQueues(p_recirc=P1, q_egress=(("x", P1),))
