@@ -235,6 +235,11 @@ class FirewallConfig:
     def __post_init__(self) -> None:
         if min(self.window, self.bits, self.hash_count, self.keepalive_period) < 1:
             raise ValueError("window, bits, hash_count and keepalive_period must all be >= 1")
+        # each pane is an integer of `bits` bits, rebuilt on every insert and
+        # kept by every recorded state, and each packet is hashed hash_count
+        # times; unbounded, a config value alone could exhaust memory
+        if self.bits > 1 << 16 or self.hash_count > 16:
+            raise ValueError("bits must be at most 65536 and hash_count at most 16")
         if self.inside_port == self.outside_port:
             raise ValueError("inside and outside must be distinct ports")
 

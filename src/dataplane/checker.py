@@ -23,14 +23,15 @@ result nobody computed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import engines
-from .apps import (
-    KEEPALIVE_ETHERTYPE, deparse_slots, flow_key, initial_switch_state, parse_standard,
+from .apps import KEEPALIVE_ETHERTYPE, initial_switch_state
+from .headers import (
+    ETHERNET, INTRINSIC_META, IP_PROTO_TCP, IP_PROTO_UDP, IPV4, PORT_META, TCP, UDP,
+    deparse_slots, make_sample,
 )
-from .headers import make_sample
-from .packet_format import BitString, Format, matches
+from .packet_format import BitString, Format, HeaderType, encode, matches
 from .pipeline import egress_pipeline, ingress_pipeline
 from .switch import (
     EGRESS, INGRESS, Arrival, FifoDrainOracle, SwitchConfig, SwitchQueues, Trace, TraceStep,
@@ -329,21 +330,90 @@ def check_trace(cfg: SwitchConfig, trace: Trace) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
+# wire fields of the standard layout
+#
+# The app specs below read the few fields they need straight off the
+# wire, at offsets taken from the header declarations, so that they do
+# not run the parser of the program they judge.
+
+_ETHERNET_AT = INTRINSIC_META.total_width + PORT_META.total_width
+_IPV4_AT = _ETHERNET_AT + ETHERNET.total_width
+_L4_AT = _IPV4_AT + IPV4.total_width
+
+
+def _field(at: int, htype: HeaderType, fname: str) -> tuple[int, int]:
+    """(end, mask) of field fname of an htype header at bit offset at: in
+    a packet of n bits, n >= end, it is value >> (n - end) & mask."""
+    shift, mask = htype.layout[fname]
+    return at + htype.total_width - shift, mask
+
+
+_ETHERTYPE = _field(_ETHERNET_AT, ETHERNET, "ethertype")
+_PROTOCOL = _field(_IPV4_AT, IPV4, "protocol")
+_SRC = _field(_IPV4_AT, IPV4, "src")
+_DST = _field(_IPV4_AT, IPV4, "dst")
+# IPv4 protocol -> (end of its L4 header, source port, destination port)
+_L4 = {proto: (_L4_AT + h.total_width, _field(_L4_AT, h, "src_port"),
+               _field(_L4_AT, h, "dst_port"))
+       for proto, h in ((IP_PROTO_TCP, TCP), (IP_PROTO_UDP, UDP))}
+
+
+class WireFields(NamedTuple):
+    ethertype: int
+    protocol: int
+    src: int
+    dst: int
+    ports: Optional[tuple[int, int]]  # (source, destination) of TCP or UDP, else None
+    end: int  # bits up to the payload
+
+
+def wire_fields(p: BitString) -> Optional[WireFields]:
+    """The fields the app specs read of a packet in the standard layout;
+    None exactly where STANDARD_FORMAT rejects it, when p is too short
+    for the fixed headers or for the TCP or UDP header its protocol
+    names."""
+    v, n = p.value, p.nbits
+    if n < _L4_AT:
+        return None
+    (e_end, e_mask), (p_end, p_mask) = _ETHERTYPE, _PROTOCOL
+    (s_end, s_mask), (d_end, d_mask) = _SRC, _DST
+    proto = v >> (n - p_end) & p_mask
+    l4 = _L4.get(proto)
+    if l4 is None:
+        ports, end = None, _L4_AT
+    else:
+        end, (sp_end, sp_mask), (dp_end, dp_mask) = l4
+        if n < end:
+            return None
+        ports = (v >> (n - sp_end) & sp_mask, v >> (n - dp_end) & dp_mask)
+    return WireFields(v >> (n - e_end) & e_mask, proto, v >> (n - s_end) & s_mask,
+                      v >> (n - d_end) & d_mask, ports, end)
+
+
+def five_tuple_key(w: WireFields, inbound: bool) -> Optional[int]:
+    """The flow of a TCP or UDP packet as one integer, oriented as seen
+    from the outside and packed as the firewall packs it; None for
+    other traffic."""
+    if w.ports is None:
+        return None
+    src, dst, (sp, dp) = w.src, w.dst, w.ports
+    if not inbound:
+        src, dst, sp, dp = dst, src, dp, sp
+    return (src << 80) | (dst << 48) | (sp << 32) | (dp << 16) | w.protocol
+
+
+# ---------------------------------------------------------------------------
 # sampler input/output relation
 
 
 def expected_sample_packet(count: int, p_in: BitString) -> BitString:
     """The monitor copy: sample record built from p_in's addressing
     fields, tagged with the global count, followed by p_in's payload."""
-    parsed = parse_standard(p_in)
-    ipv4 = parsed.slots["ipv4"]
-    l4 = parsed.slots.get("tcp") or parsed.slots.get("udp")
-    rec = make_sample(
-        src_addr=ipv4["src"], dst_addr=ipv4["dst"],
-        src_port=l4["src_port"] if l4 is not None else 0,
-        dst_port=l4["dst_port"] if l4 is not None else 0,
-        sample_count=count)
-    return deparse_slots({"sample": rec}) + parsed.payload
+    w = wire_fields(p_in)
+    sp, dp = w.ports or (0, 0)
+    rec = make_sample(src_addr=w.src, dst_addr=w.dst, src_port=sp, dst_port=dp,
+                      sample_count=count)
+    return encode(rec) + p_in.drop(w.end)
 
 
 def expected_outputs(n: int, inputs: Sequence[BitString], scfg) -> list[tuple]:
@@ -587,16 +657,16 @@ class FreshnessFold(Fold):
     def step(self, i, step):
         if step.kind != INGRESS or step.detail.p_i is None:
             return None
-        parsed = parse_standard(step.detail.p_i)
-        if parsed is None or parsed.slots["ethernet"]["ethertype"] == KEEPALIVE_ETHERTYPE:
+        w = wire_fields(step.detail.p_i)
+        if w is None or w.ethertype == KEEPALIVE_ETHERTYPE:
             return None
         t = step.pre_state.t
         if step.detail.in_port != self.fwcfg.outside_port:
-            key = flow_key(parsed.slots, inbound=False)
+            key = five_tuple_key(w, inbound=False)
             if key is not None:
                 self.last_insert[key] = t
             return None
-        key = flow_key(parsed.slots, inbound=True)
+        key = five_tuple_key(w, inbound=True)
         if key is None or key not in self.last_insert:
             return None
         age = t - self.last_insert[key]

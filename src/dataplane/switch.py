@@ -464,7 +464,7 @@ _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # as json.dumps
 
 def _canon(obj):
     """Deterministic JSON-compatible view of states, queues and engine
-    values, used for digests and trace serialization."""
+    values, which digest hashes."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, BitString):
@@ -554,6 +554,15 @@ def _em_json(em: EgressMeta) -> dict:
     return {"port": em.egress_port, "rid": em.rid, "source": em.source}
 
 
+def _tm_json(tm: TmMeta) -> dict:
+    """_canon(tm) written out: the kind and all nine fields."""
+    return {"__kind": "TmMeta", "ucast_egress_port": tm.ucast_egress_port,
+            "copy_to_cpu": tm.copy_to_cpu, "mcast_grp_a": tm.mcast_grp_a,
+            "mcast_grp_b": tm.mcast_grp_b, "level1_exclusion_id": tm.level1_exclusion_id,
+            "level2_exclusion_id": tm.level2_exclusion_id, "rid": tm.rid,
+            "bypass_egress": tm.bypass_egress, "drop": tm.drop}
+
+
 def step_to_json(step: TraceStep, pre_digests: Optional[dict] = None) -> dict:
     """The step's record; pre_digests, when given, are the state_digests
     of step.pre_state, and spare digesting the slots the step kept."""
@@ -576,7 +585,7 @@ def step_to_json(step: TraceStep, pre_digests: Optional[dict] = None) -> dict:
         }
         if d.pipeline_out is not None:
             tm, mirror_id, m3, raw_out = d.pipeline_out
-            rec["detail"]["tm_meta"] = _canon(tm)
+            rec["detail"]["tm_meta"] = _tm_json(tm)
             rec["detail"]["mirror_session"] = mirror_id.session
             rec["detail"]["recirc_flag"] = m3.recirculate
             rec["detail"]["raw_out"] = raw_out.to_json()

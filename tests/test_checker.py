@@ -9,11 +9,12 @@ import random
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dataplane import switch
+from dataplane import apps, switch
 from dataplane.cli import main
 from dataplane.packet_format import (
-    BitString, Branch, Concat, ExactValue, HeaderType, compile_format, encode,
+    BitString, Branch, Concat, ExactValue, HeaderType, TypedValue, compile_format, encode,
 )
 from dataplane.engines import PktGenConfig
 from dataplane.pipeline import ingress_pipeline
@@ -26,11 +27,13 @@ from dataplane.switch import (
     run,
 )
 from dataplane.apps import (
+    KEEPALIVE_ETHERTYPE,
     FirewallConfig,
     SamplerConfig,
     SamplerState,
     _parse,
     firewall_app,
+    flow_key,
     identity_app,
     initial_switch_state,
     parse_sampled,
@@ -38,7 +41,8 @@ from dataplane.apps import (
     sampler_app,
 )
 from dataplane.headers import (
-    ETHERNET, SAMPLE_HEADER, TCP, UDP, sampled_packet_format, standard_packet_format,
+    ETHERNET, INTRINSIC_META, IP_PROTO_TCP, IP_PROTO_UDP, IPV4, PORT_META, SAMPLE_HEADER, TCP,
+    UDP, sampled_packet_format, standard_packet_format,
 )
 from dataplane.checker import (
     ALL_CLAUSES,
@@ -54,12 +58,14 @@ from dataplane.checker import (
     expected_outputs,
     expected_sample_packet,
     firewall_freshness_check,
+    five_tuple_key,
     fold_trace,
     format_acceptance_check,
     langsec_check,
     parser_oblivious_check,
     sampler_spec_check,
     sampler_trace_check,
+    wire_fields,
 )
 
 from support import (
@@ -264,6 +270,40 @@ class TestSamplerSpecCheck:
         for _ in range(20):
             inputs = [rand_packet(rng) for _ in range(rng.randrange(10))]
             assert expected_outputs(n, inputs, SC) == ref_sampler_outputs(n, inputs, SC)
+
+
+# every packet sampled, so each one's monitor copy is compared
+EVERY_PACKET = SamplerConfig(forward_port=1, monitor_port=3, sample_every=1)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_wire_fields_agree_with_the_parsers(data):
+    # random fixed headers with a drawn ethertype and protocol, then
+    # random bits, cut at or around the lengths where the layout's
+    # acceptance changes, byte aligned or not
+    meta, port_md, eth, ipv4 = (TypedValue.of_word(h, data.draw(st.integers(0, h.mask)))
+                                for h in (INTRINSIC_META, PORT_META, ETHERNET, IPV4))
+    eth = eth.replace(ethertype=data.draw(
+        st.sampled_from([KEEPALIVE_ETHERTYPE, 0x0800]) | st.integers(0, 0xFFFF), "ethertype"))
+    ipv4 = ipv4.replace(protocol=data.draw(
+        st.sampled_from([IP_PROTO_TCP, IP_PROTO_UDP]) | st.integers(0, 0xFF), "protocol"))
+    full = (encode(meta) + encode(port_md) + encode(eth) + encode(ipv4)
+            + BitString(data.draw(st.integers(0, (1 << 240) - 1)), 240))
+    n = data.draw(st.sampled_from([0, 399, 400, 463, 464, 559, 560])
+                  | st.integers(0, full.nbits), "length")
+    p = full.take(n)
+
+    w, parsed = wire_fields(p), parse_standard(p)
+    assert (w is not None) == (ref_parse_standard(p) is not None) == (parsed is not None)
+    if w is None:
+        return
+    assert w.ethertype == parsed.slots["ethernet"]["ethertype"]
+    for inbound in (True, False):
+        assert five_tuple_key(w, inbound) == flow_key(parsed.slots, inbound)
+    count = data.draw(st.integers(0, 3), "count")
+    assert (expected_outputs(count, [p], EVERY_PACKET)
+            == ref_sampler_outputs(count, [p], EVERY_PACKET))
 
 
 def test_sampler_trace_check_end_to_end():
@@ -601,6 +641,49 @@ class TestFirewallFreshness:
         tr.steps[idx] = doctored
         v = firewall_freshness_check(tr, self.FW, self.FW.window)
         assert not v.ok and v.violated_clause == "firewall.false_negative"
+
+    def test_dropped_reply_blamed_alike_in_library_and_cli(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # a reply 6 ticks after the outbound packet that set up its
+        # flow, behind filler the parser rejects; dropping it is blamed on
+        # the reply's step both in a forged in-memory trace and in the
+        # trace of a mutant firewall whose inbound key never matches
+        out = tcp_pkt(src=0x0A000001, dst=0xC0A80001, sp=4000, dp=443)
+        back = tcp_pkt(src=0xC0A80001, dst=0x0A000001, sp=443, dp=4000)
+        fw = FirewallConfig(inside_port=1, outside_port=2, window=32, keepalive_period=8)
+        q_input = arrivals(out, port=1) + arrivals(*[BitString(0, 8)] * 5, port=1) \
+            + arrivals(back, port=2)
+        clause, i, detail = "firewall.false_negative", 8, "flow refreshed 6 ticks ago was dropped"
+
+        cfg = firewall_app(fw)
+        tr = run(cfg, initial_switch_state(cfg), SwitchQueues(q_input=q_input), 40,
+                 FifoDrainOracle(), stop_when=lambda s, q: drained(q))
+        assert firewall_freshness_check(tr, fw, fw.window).ok
+        assert tr.steps[i].detail.p_i == back and tr.steps[i].detail.m_repl
+        tr.steps[i] = dataclasses.replace(
+            tr.steps[i], detail=dataclasses.replace(tr.steps[i].detail, m_repl=()))
+        v = firewall_freshness_check(tr, fw, fw.window)
+        assert (v.violated_clause, v.step, v.detail) == (clause, i, detail)
+
+        real = apps.flow_key
+
+        def forgetful(slots, inbound):
+            key = real(slots, inbound)
+            return key + 1 if inbound and key is not None else key
+
+        monkeypatch.setattr(apps, "flow_key", forgetful)
+        config, workload, trace = (str(tmp_path / f) for f in ("fw.json", "w.jsonl", "t.jsonl"))
+        with open(config, "w") as fh:
+            json.dump({"app": "firewall", **dataclasses.asdict(fw)}, fh)
+        with open(workload, "w") as fh:
+            fh.writelines(json.dumps({"port": a.port, "packet": a.packet.to_json()}) + "\n"
+                          for a in q_input)
+        assert main(["sim", "--config", config, "--input", workload, "--steps", "40",
+                     "--drain", "--trace", trace]) == 0
+        capsys.readouterr()
+        assert main(["check", trace, "--config", config, "--spec", "firewall:32"]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "axioms: ok", f"firewall: VIOLATION clause={clause} step={i} {detail}"]
 
 
 # ---------------------------------------------------------------------------

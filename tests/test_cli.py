@@ -20,6 +20,7 @@ from dataplane.apps import parse_standard
 from dataplane.cli import main
 from dataplane.headers import IP_PROTO_TCP, SAMPLE_MARKER
 from dataplane.packet_format import BitString
+from dataplane.switch import ORACLE_POLICIES
 
 from support import (
     BAD_NESTED_CONFIGS, count_pipeline_calls, drop_last_multicast_copy, tcp_pkt, udp_pkt,
@@ -193,9 +194,14 @@ class TestSim:
          "error: ucast_egress_port out of 9-bit range: 900"),
         ({"app": "sampler", "monitor_port": 700}, "error: port out of 9-bit range: 700"),
         ({"app": "sampler", "monitor_group": 70000}, "error: group id out of range: 70000"),
+        ({"app": "firewall", "bits": 2 ** 70},
+         "error: config: bits must be at most 65536 and hash_count at most 16"),
+        ({"app": "firewall", "hash_count": 2 ** 70},
+         "error: config: bits must be at most 65536 and hash_count at most 16"),
     ]
     OUT_OF_RANGE_IDS = ["identity-forward-600", "firewall-outside-900",
-                        "sampler-monitor-700", "sampler-group-70000"]
+                        "sampler-monitor-700", "sampler-group-70000",
+                        "firewall-bits-2^70", "firewall-hash-count-2^70"]
 
     @pytest.mark.parametrize("config, message", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
     def test_out_of_range_port_or_group_rejected(self, tmp_path, capsys, config, message):
@@ -737,6 +743,25 @@ def _parent(obj, path):
     return obj, path[-1]
 
 
+def _mutant(data, text: str) -> str:
+    """The JSON object text with one leaf set to a MUTANT_LEAVES value,
+    one key deleted, or one byte made a printable character."""
+    obj = json.loads(text)
+    leaves, keys = _paths(obj)
+    how = data.draw(st.sampled_from(["leaf", "key", "byte"]), "mutation")
+    if how == "leaf":
+        target, k = _parent(obj, data.draw(st.sampled_from(leaves), "leaf"))
+        target[k] = data.draw(st.sampled_from(MUTANT_LEAVES), "value")
+        return _dump(obj)
+    if how == "key":
+        target, k = _parent(obj, data.draw(st.sampled_from(keys), "key"))
+        del target[k]
+        return _dump(obj)
+    j = data.draw(st.integers(0, len(text) - 1), "byte")
+    c = data.draw(st.characters(min_codepoint=32, max_codepoint=126), "char")
+    return text[:j] + c + text[j + 1:]
+
+
 @pytest.fixture(scope="module")
 def honest_traces(tmp_path_factory):
     """app -> (config path, trace lines) of a drained run of a small
@@ -764,27 +789,66 @@ def test_check_survives_mutated_traces(honest_traces, data):
     cfg, lines = traces[app]
     lines = list(lines)
     i = data.draw(st.integers(0, len(lines) - 1), "record")
-    rec = json.loads(lines[i])
-    leaves, keys = _paths(rec)
-    how = data.draw(st.sampled_from(["leaf", "key", "byte"]), "mutation")
-    if how == "leaf":
-        target, k = _parent(rec, data.draw(st.sampled_from(leaves), "leaf"))
-        target[k] = data.draw(st.sampled_from(MUTANT_LEAVES), "value")
-        lines[i] = _dump(rec)
-    elif how == "key":
-        target, k = _parent(rec, data.draw(st.sampled_from(keys), "key"))
-        del target[k]
-        lines[i] = _dump(rec)
-    else:
-        j = data.draw(st.integers(0, len(lines[i]) - 1), "byte")
-        c = data.draw(st.characters(min_codepoint=32, max_codepoint=126), "char")
-        lines[i] = lines[i][:j] + c + lines[i][j + 1:]
+    lines[i] = _mutant(data, lines[i])
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     spec = data.draw(st.sampled_from(MUTANT_SPECS[app]), "spec")
     code, out, err = _quiet_main("check", path, "--config", cfg, "--spec", spec)
     assert code in (0, 1, 2, 3), (code, out, err)
     assert code != 1 or "VIOLATION clause=" in out, (out, err)
+
+
+# ---------------------------------------------------------------------------
+# sim on a mutated config or workload: an exit code, never a traceback
+
+
+_TEMPLATE = tcp_pkt(sp=7).to_hex()
+# each app's config with every engine section it reads
+SIM_CONFIGS = {
+    "identity": {**CONFIGS["identity"],
+                 "mc": {"groups": {"5": [{"dev_port_list": [1, 2], "rid": 1}]},
+                        "lags": {"3": [1, 2]}},
+                 "pktgen": {"enabled": True, "period": 7, "template": _TEMPLATE},
+                 "qac": {"kind": "always_ready", "ready_ports": [1]}},
+    "sampler": {**CONFIGS["sampler"], "qac": "minimal",
+                "pktgen": {"enabled": True, "period": 9, "template": _TEMPLATE}},
+    "firewall": {**CONFIGS["firewall"], "bits": 64, "hash_count": 2,
+                 "qac": {"kind": "always_ready"}},
+}
+
+
+@pytest.fixture(scope="module")
+def sim_inputs(tmp_path_factory):
+    """(a scratch directory, the lines of a small workload)."""
+    d = tmp_path_factory.mktemp("sim")
+    wl = d / "w.jsonl"
+    assert _quiet_main("gen", "--count", "6", "--seed", "7", "--ports", "1,2",
+                       "--malformed-rate", "0.2", "--out", str(wl))[0] == 0
+    return d, wl.read_text().splitlines()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_sim_survives_mutated_inputs(sim_inputs, data):
+    d, lines = sim_inputs
+    config = _dump(SIM_CONFIGS[data.draw(st.sampled_from(sorted(SIM_CONFIGS)), "app")])
+    lines = list(lines)
+    if data.draw(st.booleans(), "mutate the config"):
+        config = _mutant(data, config)
+    else:
+        i = data.draw(st.integers(0, len(lines) - 1), "workload line")
+        lines[i] = _mutant(data, lines[i])
+    (d / "config.json").write_text(config)
+    (d / "mutant.jsonl").write_text("\n".join(lines) + "\n")
+    policy = data.draw(st.sampled_from(ORACLE_POLICIES), "policy")
+    code, out, err = _quiet_main("sim", "--config", str(d / "config.json"),
+                                 "--input", str(d / "mutant.jsonl"), "--steps", "60",
+                                 "--policy", policy, "--drain")
+    assert code in (0, 2, 3), (code, out, err)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.endswith("\n"), err
+        assert err.count("\n") == 1, err
 
 
 # ---------------------------------------------------------------------------

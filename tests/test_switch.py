@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from dataplane.pipeline import EgressIndication, MirrorId
+from dataplane.pipeline import EgressIndication, MirrorId, TmMeta
 from dataplane.engines import McConfig, PktGenConfig, QacAlwaysReady, QacMinimal, Seq
 from dataplane import switch
 from dataplane.switch import (
@@ -55,6 +55,7 @@ from support import (
     arrivals,
     drain_run,
     drained,
+    flow_pair,
     rand_packet,
     tcp_pkt,
     udp_pkt,
@@ -325,6 +326,32 @@ class TestTraceSerialization:
         a = drain_run(identity_app(), [P1, P2], RandomOracle(5))
         b = drain_run(identity_app(), [P1, P2], RandomOracle(5))
         assert trace_to_lines(a) == trace_to_lines(b)
+
+    def test_tm_record_is_the_canonical_form(self):
+        # every TmMeta the stock apps emit, and random ones: the record's
+        # tm_meta is the generic _canon walk's, so the record bytes are too
+        pkts = [rand_packet(random.Random(i)) for i in range(8)]
+        runs = [(identity_app(), arrivals(*pkts)),
+                (sampler_app(SamplerConfig(sample_every=2)), arrivals(*pkts)),
+                (firewall_app(FirewallConfig(window=16, keepalive_period=4)),
+                 sum((arrivals(out, port=1) + arrivals(back, port=2)
+                      for out, back in map(flow_pair, range(4))), ()))]
+        stock = set()
+        for cfg, q_input in runs:
+            tr = run(cfg, initial_switch_state(cfg), SwitchQueues(q_input=q_input), 40,
+                     FifoDrainOracle())
+            stock |= {s.detail.pipeline_out[0] for s in tr.steps
+                      if s.kind == INGRESS and s.detail.pipeline_out is not None}
+        assert stock == {_tm(ucast=1), _tm(ucast=2), _tm(mcast_a=100), _tm(drop=1)}
+        rng = random.Random(16)
+        widths = {"copy_to_cpu": 1, "mcast_grp_a": 16, "mcast_grp_b": 16,
+                  "level1_exclusion_id": 16, "level2_exclusion_id": 9, "rid": 16,
+                  "bypass_egress": 1, "drop": 1}
+        randoms = [TmMeta(ucast_egress_port=rng.choice([None, rng.randrange(512)]),
+                          **{f: rng.getrandbits(w) for f, w in widths.items()})
+                   for _ in range(200)]
+        for tm in [*stock, *randoms]:
+            assert switch._tm_json(tm) == switch._canon(tm)
 
     def test_format_2_records(self):
         tr = drain_run(identity_app(), [P1, P2, P3], RandomOracle(7))
