@@ -283,7 +283,7 @@ def flow_key(slots: dict[str, TypedValue], inbound: bool) -> Optional[int]:
     return (src << 80) | (dst << 48) | (sp << 32) | (dp << 16) | ipv4["protocol"]
 
 
-def keepalive_template(cfg: FirewallConfig) -> BitString:
+def keepalive_template() -> BitString:
     return build_packet(
         meta=make_intrinsic_meta(ingress_port=68),
         ethernet=make_ethernet(ethertype=KEEPALIVE_ETHERTYPE),
@@ -376,7 +376,7 @@ def firewall_app(cfg: FirewallConfig = FirewallConfig(), *, qac=None) -> SwitchC
         return (to_outside, _NO_MIRROR, slots), s
 
     pktgen = PktGenConfig(enabled=True, period=cfg.keepalive_period,
-                          template=keepalive_template(cfg))
+                          template=keepalive_template())
     return _app("firewall", cfg, in_control, pktgen=pktgen, qac=qac,
                 init_ingress=(None, FirewallState(), None))
 

@@ -154,9 +154,11 @@ class Records:
         self.pos += 1
         self.n, self.line = next(self._lines, (None, None))
         try:  # the line alone, so the decoder's column is the column in the line
-            self.rec = None if self.line is None else json.loads(self.line.rstrip("\n"))
+            self.rec = None if self.line is None else switch.json_value(self.line.rstrip("\n"))
         except json.JSONDecodeError as e:
             raise ValueError(f"trace line {self.n}: {e.msg}: column {e.colno}") from None
+        except ValueError as e:
+            raise ValueError(f"trace line {self.n}: {e}") from None
         if self.line is not None and not isinstance(self.rec, dict):
             raise ValueError(f"every trace record must be a JSON object; line {self.n} is not")
 

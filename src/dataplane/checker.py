@@ -506,23 +506,22 @@ SAMPLER_CLAUSES = {
 # malformed-input isolation
 
 
-def langsec_check(cfg: SwitchConfig, p_bad: BitString, st=None, qs=None, oracle=None, *,
-                  port: int = 0) -> Verdict:
-    """Feed one unparseable packet through one ingress step and verify
+def langsec_check(cfg: SwitchConfig, p_bad: BitString, qs=None, oracle=None) -> Verdict:
+    """Feed one unparseable packet, arriving on port 0 ahead of qs's
+    arrivals, through one ingress step from the initial state and verify
     it is dropped with no effect: every queue but q_input and every
     state slot but the ingress parser's must stay put.
 
     Raises PreconditionUnmet when the parser accepts p_bad or when the
     generator preempts it this tick.
     """
-    if st is None:
-        st = initial_switch_state(cfg)
     if qs is None:
         qs = SwitchQueues()
     if oracle is None:
         oracle = FifoDrainOracle()
-    seeded = replace(qs, q_input=(Arrival(port, p_bad),) + qs.q_input)
-    _st2, qs2, step = ingress_step(cfg, st, seeded, oracle)
+    seeded = replace(qs, q_input=(Arrival(0, p_bad),) + qs.q_input)
+    _st2, qs2, step = ingress_step(cfg, initial_switch_state(cfg), seeded, oracle,
+                                   {"requested_kind": INGRESS})
     if step.detail.p_g is not None:
         raise PreconditionUnmet("the generator preempted the input this tick")
     if step.detail.p_i != p_bad:

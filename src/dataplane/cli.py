@@ -82,7 +82,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return switch.json_value(fh.read())
 
 
 def _load_workload(path: str) -> tuple[switch.Arrival, ...]:
@@ -93,7 +93,7 @@ def _load_workload(path: str) -> tuple[switch.Arrival, ...]:
             if not line.strip():
                 continue
             try:
-                arrivals.append(_arrival(json.loads(line)))
+                arrivals.append(_arrival(switch.json_value(line)))
             except ValueError as e:
                 raise ValueError(f"workload line {n}: {e}") from None
     return tuple(arrivals)

@@ -5,9 +5,10 @@ generation, input ports, mirroring (empty-config regime only),
 replication, queue admission, scheduling, and output ports.  They are
 pure: queues and states come in as values and updated copies go out.
 Where the underlying hardware behavior is nondeterministic (which
-queued element to take, which copies to admit) the choice is delegated
-to an oracle object owned by the caller, so a run can be replayed
-decision for decision.
+queued element to take, which copies to admit) the caller asks its
+oracle and passes the answer in, so each engine is a deterministic
+function of its inputs and the answer, and rejects an answer out of
+range or against the admission policy.
 """
 
 from __future__ import annotations
@@ -389,25 +390,23 @@ def packet_generator(c: PktGenConfig, t: int, s: PktGenState,
 # input ports
 
 
-def input_ports(p_g: Optional[BitString], q_input: "tuple | Seq", oracle
-                ) -> tuple["tuple | Seq", Optional[int], Optional[BitString], Optional[int]]:
+def input_ports(p_g: Optional[BitString], q_input: "tuple | Seq", idx: Optional[int]
+                ) -> tuple["tuple | Seq", Optional[int], Optional[BitString]]:
     """Hand one packet to the ingress pipeline.
 
     A generated/recirculated packet takes precedence and leaves the
-    queue alone.  Otherwise the oracle picks any queued arrival, not
-    necessarily the oldest.  Returns (q', arrival port, packet, the
-    picked index or None when the queue was not consulted).
+    queue alone; idx is then None, as it is for an empty queue, since
+    neither asks which arrival to take.  Otherwise idx picks any queued
+    arrival, not necessarily the oldest.  Returns (q', arrival port,
+    packet).
     """
-    if p_g is not None:
-        return q_input, None, p_g, None
+    if idx is None:
+        return q_input, None, p_g
     n = len(q_input)
-    if not n:
-        return q_input, None, None, None
-    idx = oracle.input_index(n)
     if not 0 <= idx < n:
         raise OracleOutOfRange(f"input index {idx} for queue of {n}")
     rest, rec = Seq.of(q_input).pop(idx)
-    return rest, rec.port, rec.packet, idx
+    return rest, rec.port, rec.packet
 
 
 # ---------------------------------------------------------------------------
@@ -464,39 +463,32 @@ def mandatory_mask(policy, ms: Sequence[EgressMeta]) -> tuple[bool, ...]:
 
 
 def queue_admission(ms: Sequence[EgressMeta], p: BitString, q_egress: tuple,
-                    policy, oracle) -> tuple[tuple, tuple[bool, ...]]:
-    """Append an oracle-chosen subsequence of the replicated copies.
+                    mandatory: Sequence[bool], mask: Sequence[bool]) -> tuple:
+    """Append the copies the admission mask keeps; mandatory is the
+    policy's mandatory_mask of ms.
 
-    Returns (q', admitted mask).  The pre-existing queue is always a
-    prefix of the result.  Under an always-ready policy an oracle that
-    tries to drop a ready-port copy is a contract violation.
+    The pre-existing queue is always a prefix of the result.  A mask that
+    drops a mandatory copy, one destined to an always-ready port, is a
+    contract violation.
     """
-    if not ms:
-        return q_egress, ()
-    mandatory = mandatory_mask(policy, ms)
-    mask = tuple(map(bool, oracle.admitted_subset(ms, mandatory)))
     if len(mask) != len(ms):
         raise OracleOutOfRange(f"admission mask length {len(mask)} for {len(ms)} copies")
     if True in mandatory:
         for keep, must in zip(mask, mandatory):
             if must and not keep:
                 raise PolicyViolation("oracle dropped a copy destined to an always-ready port")
-    admitted = tuple((m, p) for m, keep in zip(ms, mask) if keep)
-    return q_egress + admitted, mask
+    return q_egress + tuple((m, p) for m, keep in zip(ms, mask) if keep)
 
 
 # ---------------------------------------------------------------------------
 # packet scheduler and output ports
 
 
-def packet_scheduler(q_egress: tuple, oracle):
-    """Pull any one element out of the egress bag; None when empty."""
-    if not q_egress:
-        return None
-    idx = oracle.sched_index(len(q_egress))
+def packet_scheduler(q_egress: tuple, idx: int) -> tuple[tuple, tuple]:
+    """Pull element idx out of the egress bag: (the rest, the element)."""
     if not 0 <= idx < len(q_egress):
         raise OracleOutOfRange(f"sched index {idx} for queue of {len(q_egress)}")
-    return q_egress[:idx] + q_egress[idx + 1:], q_egress[idx], idx
+    return q_egress[:idx] + q_egress[idx + 1:], q_egress[idx]
 
 
 def output_ports(q_output: "tuple | Seq", ind: EgressIndication, port: int,

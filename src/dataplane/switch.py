@@ -10,8 +10,10 @@ single-slot recirculation register.
 
 Everything an axiom leaves open (step interleaving, which arrival to
 take, which copies to admit, which copy to schedule) is asked of an
-Oracle, and every answer is recorded in the TraceStep, so any run can
-be replayed decision for decision and audited offline.
+Oracle here, by Run.step and the two step functions, and the engines
+take the answers.  Each answer goes into the step's one decisions dict
+as the oracle gives it, which the TraceStep keeps, so any run can be
+replayed decision for decision and audited offline.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ from .pipeline import (
 
 INGRESS = "ingress"
 EGRESS = "egress"
-
-
-class StepNotEnabled(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -192,43 +190,11 @@ class ReplayOracle(Oracle):
         return self._recorded("input_index")
 
     def admitted_subset(self, ms, mandatory):
-        # queue_admission makes the one tuple of bools
+        # ingress_step makes the one list of bools
         return self._recorded("admitted_mask")
 
     def sched_index(self, n):
         return self._recorded("sched_index")
-
-
-class _SpyOracle(Oracle):
-    """Pass-through that logs consultations, so a step that faults midway
-    still leaves its decisions behind for replay."""
-
-    def __init__(self, inner: Oracle):
-        self._inner = inner
-        self.log: dict = {}
-
-    def begin(self) -> None:
-        self.log = {}
-
-    def step_kind(self, state, queues):
-        kind = self._inner.step_kind(state, queues)
-        self.log["requested_kind"] = kind
-        return kind
-
-    def input_index(self, n):
-        i = self._inner.input_index(n)
-        self.log["input_index"] = i
-        return i
-
-    def admitted_subset(self, ms, mandatory):
-        # queue_admission makes the mask bools, and Run.step a fault record's
-        mask = self.log["admitted_mask"] = tuple(self._inner.admitted_subset(ms, mandatory))
-        return mask
-
-    def sched_index(self, n):
-        i = self._inner.sched_index(n)
-        self.log["sched_index"] = i
-        return i
 
 
 ORACLE_POLICIES = ("fifo-drain", "random", "adversarial-drop")
@@ -302,28 +268,34 @@ class Trace:
 # the two step relations
 
 
+def _finished(decisions: dict, kind: str) -> dict:
+    """decisions as a step record holds them: the kind the step took, and
+    None for each question it did not ask."""
+    decisions["kind"] = kind
+    for question in ("input_index", "admitted_mask", "sched_index"):
+        decisions.setdefault(question, None)
+    return decisions
+
+
 def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
-                 o: Oracle, requested: str = INGRESS
+                 o: Oracle, decisions: dict
                  ) -> tuple[SwitchState, SwitchQueues, TraceStep]:
-    """One clock tick of the ingress side; requested is the step kind
-    the oracle asked for, which is recorded.
+    """One clock tick of the ingress side.  decisions holds the step kind
+    the oracle asked for; each further answer goes into it as the oracle
+    gives it, before an engine checks it, so a step that faults leaves
+    behind exactly the answers it consumed.
 
     Frame: s_e and q_output never change here; t always advances by 1.
     """
     p_g, p_recirc2, s_g2 = engines.packet_generator(cfg.pktgen, st.t, st.s_g, qs.p_recirc)
     from_recirc = qs.p_recirc is not None
 
-    q_input2, in_port, p_i, in_idx = engines.input_ports(p_g, qs.q_input, o)
-    if p_g is not None and in_port is None:
+    in_idx = None
+    if p_g is None and qs.q_input:
+        in_idx = decisions["input_index"] = o.input_index(len(qs.q_input))
+    q_input2, in_port, p_i = engines.input_ports(p_g, qs.q_input, in_idx)
+    if p_g is not None:
         in_port = cfg.pktgen.source_port
-
-    decisions = {
-        "requested_kind": requested,
-        "kind": INGRESS,
-        "input_index": in_idx,
-        "admitted_mask": None,
-        "sched_index": None,
-    }
 
     s_i2 = st.s_i
     out = call = None
@@ -342,15 +314,17 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
             m_mirror = engines.mirror_session_lookup(cfg.mirror, mirror_id)
             m_merge, q_mirror2 = engines.mirror_buffer_merge(tm, m_mirror, qs.q_mirror)
             m_repl = tuple(engines.replication_engine(cfg.mc, m_merge))
-            q_egress2, mask = engines.queue_admission(m_repl, raw_out, qs.q_egress,
-                                                      cfg.qac, o)
-            decisions["admitted_mask"] = list(mask)
+            mandatory = engines.mandatory_mask(cfg.qac, m_repl)
+            # no copies, no question
+            mask = decisions["admitted_mask"] = (
+                list(map(bool, o.admitted_subset(m_repl, mandatory))) if m_repl else [])
+            q_egress2 = engines.queue_admission(m_repl, raw_out, qs.q_egress, mandatory, mask)
             enqueued = q_egress2[len(qs.q_egress):]
 
     st2 = SwitchState(t=st.t + 1, s_g=s_g2, s_i=s_i2, s_e=st.s_e)
     qs2 = SwitchQueues(q_input=q_input2, p_recirc=p_recirc2, q_mirror=q_mirror2,
                        q_egress=q_egress2, q_output=qs.q_output)
-    step = TraceStep(INGRESS, st, qs, st2, qs2, decisions,
+    step = TraceStep(INGRESS, st, qs, st2, qs2, _finished(decisions, INGRESS),
                      IngressDetail(p_g=p_g, from_recirc=from_recirc, in_port=in_port,
                                    p_i=p_i, pipeline_out=out, m_repl=m_repl,
                                    enqueued=enqueued), call)
@@ -358,18 +332,14 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
 
 
 def egress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
-                o: Oracle) -> tuple[SwitchState, SwitchQueues, TraceStep]:
-    """Schedule one queued copy through the egress pipeline.
+                o: Oracle, decisions: dict) -> tuple[SwitchState, SwitchQueues, TraceStep]:
+    """Schedule one queued copy through the egress pipeline; only for
+    queues where egress_enabled holds.  decisions as for ingress_step.
 
-    Frame: t, s_g, s_i, q_input and q_mirror never change here.  Not
-    enabled while the recirculation register is occupied.
+    Frame: t, s_g, s_i, q_input and q_mirror never change here.
     """
-    if qs.p_recirc is not None:
-        raise StepNotEnabled("recirculation register occupied")
-    picked = engines.packet_scheduler(qs.q_egress, o)
-    if picked is None:
-        raise StepNotEnabled("egress queue empty")
-    q_egress2, scheduled, idx = picked
+    idx = decisions["sched_index"] = o.sched_index(len(qs.q_egress))
+    q_egress2, scheduled = engines.packet_scheduler(qs.q_egress, idx)
     em, p_e = scheduled
 
     comps, s_e = cfg.components, st.s_e
@@ -377,17 +347,10 @@ def egress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
     (ind, p_out), s_e2 = result
     q_output2, p_recirc2 = engines.output_ports(qs.q_output, ind, em.egress_port, p_out)
 
-    decisions = {
-        "requested_kind": EGRESS,
-        "kind": EGRESS,
-        "input_index": None,
-        "admitted_mask": None,
-        "sched_index": idx,
-    }
     st2 = SwitchState(t=st.t, s_g=st.s_g, s_i=st.s_i, s_e=s_e2)
     qs2 = SwitchQueues(q_input=qs.q_input, p_recirc=p_recirc2, q_mirror=qs.q_mirror,
                        q_egress=q_egress2, q_output=q_output2)
-    step = TraceStep(EGRESS, st, qs, st2, qs2, decisions,
+    step = TraceStep(EGRESS, st, qs, st2, qs2, _finished(decisions, EGRESS),
                      EgressDetail(scheduled=scheduled, indication=ind, p_out=p_out,
                                   recirculated=p_recirc2 is not None),
                      ((egress_pipeline, comps, (em, p_e, s_e)), result))
@@ -403,29 +366,26 @@ class Run:
 
     def __init__(self, cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
                  o: Oracle) -> None:
-        self.cfg = cfg
+        self.cfg, self.oracle = cfg, o
         self.state, self.queues = st, qs
         self.fault: Optional[str] = None
         self.fault_decisions: Optional[dict] = None
-        self._spy = _SpyOracle(o)
 
     def step(self) -> Optional[TraceStep]:
         """Take one oracle-chosen enabled step.  An egress request while
         egress is not enabled falls back to ingress and is recorded as
         such; ingress is always enabled."""
-        cfg, st, qs, o = self.cfg, self.state, self.queues, self._spy
-        o.begin()
+        cfg, st, qs, o = self.cfg, self.state, self.queues, self.oracle
+        decisions: dict = {}  # the step's answers, in the order it asks
         try:
-            requested = o.step_kind(st, qs)
+            requested = decisions["requested_kind"] = o.step_kind(st, qs)
             if requested == EGRESS and egress_enabled(qs):
-                self.state, self.queues, step = egress_step(cfg, st, qs, o)
+                self.state, self.queues, step = egress_step(cfg, st, qs, o, decisions)
             else:
-                self.state, self.queues, step = ingress_step(cfg, st, qs, o, requested)
+                self.state, self.queues, step = ingress_step(cfg, st, qs, o, decisions)
         except (EngineError, EgressParseFailure) as e:
             self.fault = f"{type(e).__name__}: {e}"
-            log = self.fault_decisions = self._spy.log
-            if "admitted_mask" in log:
-                log["admitted_mask"] = list(map(bool, log["admitted_mask"]))
+            self.fault_decisions = decisions
             return None
         return step
 
@@ -665,6 +625,15 @@ def read_trace_lines(path: str) -> list[dict]:
 
 # ---------------------------------------------------------------------------
 # values read back from workload and trace files
+
+
+def json_value(text: str):
+    """json.loads(text).  Text nested too deeply for the decoder, which
+    recurses once a level, is a ValueError, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def expect(ok: bool, v, what: str, where: str):

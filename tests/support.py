@@ -466,8 +466,7 @@ class FwDriver:
         return not tm.drop
 
     def keepalive(self, t):
-        tm = self._step(t, self.app.pktgen.source_port,
-                        keepalive_template(self.cfg))
+        tm = self._step(t, self.app.pktgen.source_port, keepalive_template())
         assert tm.drop == 1
 
 

@@ -946,3 +946,29 @@ def test_bad_usage_exits_two():
         with pytest.raises(SystemExit) as ei:
             main(argv)
         assert ei.value.code == 2
+
+
+DEEP = "[" * 10**5 + "]" * 10**5  # far past the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize("where", ["config", "workload", "trace"])
+def test_deeply_nested_json_is_bad_input(identity_cfg, tmp_path, capsys, where):
+    # the decoder recurses once a nesting level; such a file is bad input
+    # like any other undecodable one, one line and exit 2, no traceback
+    wl = tmp_path / "w.jsonl"
+    wl.write_text(json.dumps({"port": 1, "packet": tcp_pkt().to_json()}) + "\n")
+    deep = tmp_path / "deep.json"
+    if where == "config":
+        deep.write_text(DEEP)
+        argv, message = ["sim", "--config", str(deep)], "JSON nested too deeply"
+    elif where == "workload":
+        deep.write_text(wl.read_text() + DEEP + "\n")
+        argv = ["sim", "--config", identity_cfg, "--input", str(deep)]
+        message = "workload line 2: JSON nested too deeply"
+    else:
+        lines = open(_sim_trace(capsys, tmp_path, identity_cfg, workload=str(wl))).readlines()
+        lines[2] = DEEP + "\n"
+        deep.write_text("".join(lines))
+        argv = ["check", str(deep), "--config", identity_cfg]
+        message = "trace line 3: JSON nested too deeply"
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")

@@ -49,7 +49,7 @@ from dataplane.engines import (
     unicast_engine,
 )
 from dataplane.pipeline import EgressIndication, MirrorId
-from dataplane.switch import Arrival, FifoDrainOracle
+from dataplane.switch import Arrival
 
 from support import executed_pktgen_times, ref_pktgen_times
 
@@ -211,31 +211,24 @@ class TestInputPorts:
 
     def test_generated_packet_preempts(self):
         gen = BitString(1, 1)
-        assert input_ports(gen, self.Q, FifoDrainOracle()) == (self.Q, None, gen, None)
+        assert input_ports(gen, self.Q, None) == (self.Q, None, gen)
 
     def test_empty_queue(self):
-        assert input_ports(None, (), FifoDrainOracle()) == ((), None, None, None)
+        assert input_ports(None, (), None) == ((), None, None)
 
     def test_fifo_pick(self):
-        q2, port, p, idx = input_ports(None, self.Q, FifoDrainOracle())
-        assert (port, p, idx) == (1, BitString(0xA, 4), 0)
+        q2, port, p = input_ports(None, self.Q, 0)
+        assert (port, p) == (1, BitString(0xA, 4))
         assert q2 == self.Q[1:]
 
     def test_out_of_order_pick(self):
-        class Second(FifoDrainOracle):
-            def input_index(self, n):
-                return 1
-
-        q2, port, p, idx = input_ports(None, self.Q, Second())
-        assert (port, p, idx) == (2, BitString(0xB, 4), 1) and q2 == self.Q[:1]
+        q2, port, p = input_ports(None, self.Q, 1)
+        assert (port, p) == (2, BitString(0xB, 4)) and q2 == self.Q[:1]
 
     def test_oracle_out_of_range(self):
-        class Bad(FifoDrainOracle):
-            def input_index(self, n):
-                return n
-
-        with pytest.raises(OracleOutOfRange):
-            input_ports(None, self.Q, Bad())
+        for idx in (2, -1):
+            with pytest.raises(OracleOutOfRange, match=f"input index {idx} for queue of 2"):
+                input_ports(None, self.Q, idx)
 
 
 class TestMirror:
@@ -259,84 +252,63 @@ PKT = BitString(0xF00D, 16)
 
 
 class TestAdmission:
+    NONE_MANDATORY = (False, False, False)
+
     def test_admit_all(self):
-        q, mask = queue_admission(COPIES, PKT, (), QacMinimal(), FifoDrainOracle())
-        assert mask == (True, True, True)
+        q = queue_admission(COPIES, PKT, (), self.NONE_MANDATORY, [True, True, True])
         assert q == tuple((m, PKT) for m in COPIES)
 
     def test_pre_existing_prefix_kept(self):
         old = ((COPIES[0], PKT),)
-        q, _ = queue_admission(COPIES, PKT, old, QacMinimal(), FifoDrainOracle())
+        q = queue_admission(COPIES, PKT, old, self.NONE_MANDATORY, [True, True, True])
         assert q[:1] == old and len(q) == 4
 
     def test_minimal_allows_any_drop(self):
-        class DropAll(FifoDrainOracle):
-            def admitted_subset(self, ms, mandatory):
-                return tuple(False for _ in ms)
-
-        q, mask = queue_admission(COPIES, PKT, (), QacMinimal(), DropAll())
-        assert q == () and mask == (False, False, False)
+        mandatory = mandatory_mask(QacMinimal(), COPIES)
+        assert mandatory == self.NONE_MANDATORY
+        assert queue_admission(COPIES, PKT, (), mandatory, [False, False, False]) == ()
 
     def test_always_ready_forbids_drop(self):
-        class DropAll(FifoDrainOracle):
-            def admitted_subset(self, ms, mandatory):
-                return tuple(False for _ in ms)
-
-        with pytest.raises(PolicyViolation):
-            queue_admission(COPIES, PKT, (), QacAlwaysReady(), DropAll())
+        mandatory = mandatory_mask(QacAlwaysReady(), COPIES)
+        with pytest.raises(PolicyViolation,
+                           match="oracle dropped a copy destined to an always-ready port"):
+            queue_admission(COPIES, PKT, (), mandatory, [True, False, True])
 
     def test_partial_readiness(self):
         pol = QacAlwaysReady(ready_ports=frozenset({1}))
-        assert mandatory_mask(pol, COPIES) == (True, False, False)
-
-        class DropRest(FifoDrainOracle):
-            def admitted_subset(self, ms, mandatory):
-                return mandatory
-
-        q, mask = queue_admission(COPIES, PKT, (), pol, DropRest())
-        assert mask == (True, False, False) and len(q) == 1
+        mandatory = mandatory_mask(pol, COPIES)
+        assert mandatory == (True, False, False)
+        q = queue_admission(COPIES, PKT, (), mandatory, list(mandatory))
+        assert q == ((COPIES[0], PKT),)
 
     def test_bad_mask_length(self):
-        class Short(FifoDrainOracle):
-            def admitted_subset(self, ms, mandatory):
-                return (True,)
-
-        with pytest.raises(OracleOutOfRange):
-            queue_admission(COPIES, PKT, (), QacMinimal(), Short())
-
-    def test_no_copies_no_oracle_call(self):
-        class Boom(FifoDrainOracle):
-            def admitted_subset(self, ms, mandatory):
-                raise AssertionError("must not be consulted")
-
-        assert queue_admission((), PKT, ("keep",), QacMinimal(), Boom()) == (("keep",), ())
+        for mask in ([True], [True] * 4):
+            with pytest.raises(OracleOutOfRange,
+                               match=f"admission mask length {len(mask)} for 3 copies"):
+                queue_admission(COPIES, PKT, (), self.NONE_MANDATORY, mask)
 
 
 class TestSchedulerAndOutput:
     def test_empty_queue_not_enabled(self):
-        assert packet_scheduler((), FifoDrainOracle()) is None
+        # egress is not enabled on an empty queue, so no index is in range
+        assert not switch.egress_enabled(switch.SwitchQueues())
+        with pytest.raises(OracleOutOfRange, match="sched index 0 for queue of 0"):
+            packet_scheduler((), 0)
 
     def test_fifo_removal(self):
         q = tuple((m, PKT) for m in COPIES)
-        q2, elem, idx = packet_scheduler(q, FifoDrainOracle())
-        assert idx == 0 and elem == q[0] and q2 == q[1:]
+        q2, elem = packet_scheduler(q, 0)
+        assert elem == q[0] and q2 == q[1:]
 
     def test_arbitrary_removal(self):
-        class Last(FifoDrainOracle):
-            def sched_index(self, n):
-                return n - 1
-
         q = tuple((m, PKT) for m in COPIES)
-        q2, elem, idx = packet_scheduler(q, Last())
-        assert idx == 2 and elem == q[-1] and q2 == q[:-1]
+        q2, elem = packet_scheduler(q, 2)
+        assert elem == q[-1] and q2 == q[:-1]
 
     def test_sched_out_of_range(self):
-        class Bad(FifoDrainOracle):
-            def sched_index(self, n):
-                return -1
-
-        with pytest.raises(OracleOutOfRange):
-            packet_scheduler((("m", PKT),), Bad())
+        for idx in (1, -1):
+            with pytest.raises(OracleOutOfRange, match=f"sched index {idx} for queue of 1"):
+                packet_scheduler((("m", PKT),), idx)
 
     def test_transmit(self):
         q, reg = output_ports((), EgressIndication(), 5, PKT)

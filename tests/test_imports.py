@@ -14,6 +14,11 @@ benchmark names outside the definition itself is code no path needs.
 A name counts as named when it appears as a name, an attribute, an
 imported name or a string that parses as an expression reading it (a
 string annotation, a `getattr` key).
+
+Only `switch` asks the oracle its questions, and the engines take the
+answers: no other module of the package calls an oracle method, and no
+`engines` function takes an `oracle` parameter.  So each answer is
+asked, and recorded, in one place.
 """
 
 import ast
@@ -148,3 +153,30 @@ class TestDefinitionScanner:
     def test_attribute_and_string_count(self):
         src = {"m.py": "class A: pass\nB = 2\n", "t.py": "m.A\ngetattr(m, 'B')\n"}
         assert unnamed_definitions(src, ["m.py"]) == []
+
+
+ORACLE_QUESTIONS = ("step_kind", "input_index", "admitted_subset", "sched_index")
+
+
+def oracle_questions(source: str) -> list[str]:
+    """The calls in source of a method named as an oracle question."""
+    return [f"{node.func.attr} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ORACLE_QUESTIONS]
+
+
+def test_only_the_switch_asks_the_oracle():
+    asked = [f"{p.name}: {q}" for p in PACKAGE if p.name != "switch.py"
+             for q in oracle_questions(p.read_text())]
+    assert asked == []
+    engines = ast.parse(TESTS.parent.joinpath("src", "dataplane", "engines.py").read_text())
+    takers = [f"{fn.name} (line {fn.lineno})" for fn in ast.walk(engines)
+              if isinstance(fn, ast.FunctionDef)
+              and "oracle" in [a.arg for a in fn.args.posonlyargs + fn.args.args
+                               + fn.args.kwonlyargs]]
+    assert takers == []
+
+
+def test_oracle_question_scanner():
+    src = "def f(o, q):\n    q.step_kind\n    return o.sched_index(len(q))\n"
+    assert oracle_questions(src) == ["sched_index (line 3)"]

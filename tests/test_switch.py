@@ -17,14 +17,12 @@ from dataplane.switch import (
     RandomOracle,
     ReplayOracle,
     Run,
-    StepNotEnabled,
     SwitchConfig,
     SwitchQueues,
     TRACE_FORMAT,
     config_digest,
     digest,
     egress_enabled,
-    egress_step,
     make_oracle,
     queue_digests,
     queue_shape,
@@ -130,14 +128,35 @@ def test_egress_request_falls_back_to_ingress():
 
 
 def test_egress_step_requires_enabled():
+    # Run.step, egress_step's one caller, takes it only when egress is enabled
+    assert not egress_enabled(SwitchQueues())
+    assert egress_enabled(SwitchQueues(q_egress=((None, P1),)))
     cfg = identity_app()
-    st = initial_switch_state(cfg)
-    with pytest.raises(StepNotEnabled):
-        egress_step(cfg, st, SwitchQueues(), FifoDrainOracle())
-    occupied = SwitchQueues(p_recirc=P1, q_egress=(("x", P1),))
+    occupied = SwitchQueues(p_recirc=P1, q_egress=((None, P1),))
     assert not egress_enabled(occupied)
-    with pytest.raises(StepNotEnabled):
-        egress_step(cfg, st, occupied, FifoDrainOracle())
+    step = Run(cfg, initial_switch_state(cfg), occupied, AlwaysEgressOracle()).step()
+    assert step.kind == INGRESS and step.decisions["requested_kind"] == EGRESS
+    assert step.detail.from_recirc and step.post_queues.p_recirc is None
+
+
+def test_no_copies_no_oracle_call():
+    # a dropped packet has no copies: admission asks nothing, records []
+    base = identity_app().components
+
+    def dropping(d, s):
+        return (_tm(drop=1), MirrorId(0), d[2]), s
+
+    class Boom(FifoDrainOracle):
+        def admitted_subset(self, ms, mandatory):
+            raise AssertionError("must not be consulted")
+
+    cfg = SwitchConfig(dataclasses.replace(base, in_control=dropping),
+                       McConfig(), PktGenConfig(), QacMinimal(), app_label="drop")
+    tr = run(cfg, initial_switch_state(cfg), SwitchQueues(q_input=arrivals(P1)), 1, Boom())
+    (step,) = tr.steps
+    assert step.detail.m_repl == () and step.post_queues.q_egress == ()
+    assert step.decisions == {"requested_kind": INGRESS, "kind": INGRESS, "input_index": 0,
+                              "admitted_mask": [], "sched_index": None}
 
 
 class TestRunControl:
@@ -470,31 +489,34 @@ class TestTraceSerialization:
             assert post["s_ic"] == digest(step.post_state.s_i[1])
             assert post["s_ec"] == digest(step.post_state.s_e[1])
 
-    @pytest.mark.parametrize("policy, mask, fault", [
-        (QacMinimal(), lambda ms: [1, 0] * len(ms),
-         "OracleOutOfRange: admission mask length 2 for 1 copies"),
-        (QacAlwaysReady(), lambda ms: (x for x in [0] * len(ms)),
-         "PolicyViolation: oracle dropped a copy destined to an always-ready port"),
-    ], ids=["length", "policy"])
-    def test_fault_at_admission_records_the_mask(self, policy, mask, fault):
-        # the oracle's mask, whatever iterable of truth values it is,
-        # is a list of bools in the fault record, and replays to the fault
-        class Masking(FifoDrainOracle):
-            def admitted_subset(self, ms, mandatory):
-                return mask(ms)
-
+    @pytest.mark.parametrize("policy, answers, fault, consumed", [
+        (QacMinimal(), {"admitted_subset": lambda self, ms, mandatory: [1, 0] * len(ms)},
+         "OracleOutOfRange: admission mask length 2 for 1 copies",
+         {"requested_kind": "ingress", "input_index": 0, "admitted_mask": [True, False]}),
+        (QacAlwaysReady(),
+         {"admitted_subset": lambda self, ms, mandatory: (x for x in [0] * len(ms))},
+         "PolicyViolation: oracle dropped a copy destined to an always-ready port",
+         {"requested_kind": "ingress", "input_index": 0, "admitted_mask": [False]}),
+        (QacMinimal(), {"input_index": lambda self, n: n},
+         "OracleOutOfRange: input index 1 for queue of 1",
+         {"requested_kind": "ingress", "input_index": 1}),
+        (QacMinimal(), {"sched_index": lambda self, n: n},
+         "OracleOutOfRange: sched index 1 for queue of 1",
+         {"requested_kind": "egress", "sched_index": 1}),
+    ], ids=["length", "policy", "input", "sched"])
+    def test_fault_records_the_answers(self, policy, answers, fault, consumed):
+        # the faulting step's record keeps exactly the answers it consumed,
+        # each as the oracle gave it (a mask, whatever iterable of truth
+        # values, as a list of bools), and replays to the fault
+        oracle = type("Answering", (FifoDrainOracle,), answers)()
         cfg = identity_app(qac=policy)
         st, qs = initial_switch_state(cfg), SwitchQueues(q_input=arrivals(P1))
-        tr = run(cfg, st, qs, 5, Masking())
-        assert tr.steps == [] and tr.fault == fault
-        bools = [bool(b) for b in mask((None,))]
-        assert tr.fault_decisions == {"requested_kind": "ingress", "input_index": 0,
-                                      "admitted_mask": bools}
+        tr = run(cfg, st, qs, 5, oracle)
+        assert tr.fault == fault and tr.fault_decisions == consumed
         lines = trace_to_lines(tr)
-        assert json.loads(lines[1]) == {"type": "fault", "error": fault,
-                                        "decisions": tr.fault_decisions}
-        replayed = run(cfg, st, qs, 1, ReplayOracle([tr.fault_decisions]))
-        assert trace_to_lines(replayed) == lines
+        assert json.loads(lines[-2]) == {"type": "fault", "error": fault, "decisions": consumed}
+        replay = ReplayOracle([*(s.decisions for s in tr.steps), tr.fault_decisions])
+        assert trace_to_lines(run(cfg, st, qs, len(tr.steps) + 1, replay)) == lines
 
     def test_recorded_input_index_is_the_oracles_pick(self):
         class Second(FifoDrainOracle):
