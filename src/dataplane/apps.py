@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .engines import L1Node, McConfig, PktGenConfig, PktGenState, QacAlwaysReady, QacMinimal
 from .headers import (
-    SAMPLE_MARKER, build_packet, deparse_slots, make_ethernet, make_intrinsic_meta,
+    build_packet, deparse_slots, make_ethernet, make_intrinsic_meta,
     make_ipv4, make_sample, sampled_bindings, standard_bindings,
 )
 from .packet_format import BitString, TypedValue
@@ -158,6 +158,10 @@ class SamplerConfig:
             raise ValueError("sample_every must be >= 1")
         if self.forward_rid == self.monitor_rid:
             raise ValueError("forward and monitor copies need distinct rids")
+        # the egress parser tells a sampled copy by its rid
+        for name in ("forward_rid", "monitor_rid"):
+            if getattr(self, name) == 0:
+                raise ValueError(f"{name} must not be 0, the rid of every unicast copy")
 
 
 @dataclass(frozen=True)
@@ -198,11 +202,13 @@ def sampler_app(cfg: SamplerConfig = SamplerConfig(), *,
             out = (to_forward, _NO_MIRROR, slots)
         return out, SamplerState(c2)
 
+    sampled_rids = (cfg.forward_rid, cfg.monitor_rid)
+
     def e_parser(d, s):
         em, p = d
-        # sampled copies lead with the marker; ordinary packets lead
-        # with a port number < 512, so a 16-bit peek disambiguates
-        if p.nbits >= 16 and p.take(16).value == SAMPLE_MARKER:
+        # the copy's rid, not its bits, says whether ingress put a sample
+        # record in front: any packet may start with the marker's bits
+        if em.rid in sampled_rids:
             return parse_sampled(p), s
         return parse_standard(p), s
 

@@ -14,7 +14,6 @@ imports this module.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from typing import Optional
 
@@ -111,26 +110,28 @@ def record_decisions(rec: dict) -> dict:
 
 
 def spec_fold(spec: str, cfg, st) -> Optional[checker.Fold]:
-    """The fold of the `--spec` selector; None for the axioms alone."""
-    name, _, param = spec.partition(":")
-    if name == "axioms":
-        return None
-    if name == "langsec":
-        return checker.LangsecFold(cfg)
-    if name not in ("sampler", "denseflow", "firewall"):
+    """The fold of the `--spec` selector; None for the axioms alone.  Only
+    the gap of denseflow and firewall is a parameter: every value the
+    other specs read is the config's, which the header's digest pins."""
+    name, colon, param = spec.partition(":")
+    if name not in ("axioms", "langsec", "sampler", "denseflow", "firewall"):
         raise ValueError(f"unknown spec selector {spec!r}")
     want = {"sampler": SamplerConfig, "firewall": FirewallConfig}.get(name)
     if want is not None and not isinstance(cfg.params, want):
         raise ValueError(f"--spec {name} needs a {name} config")
-    if param and not (param.isdecimal() and int(param) >= 1):
-        raise ValueError(f"--spec {name} takes a whole number of at least 1, got {param!r}")
-    n = int(param) if param else None
-    if name == "sampler":
-        scfg = cfg.params
-        return checker.SamplerFold(st, scfg if n is None
-                                   else dataclasses.replace(scfg, sample_every=n))
-    if n is None:
+    if name in ("axioms", "langsec", "sampler"):
+        if colon:
+            raise ValueError(f"--spec {name} takes no parameter, got {spec!r}")
+        if name == "axioms":
+            return None
+        if name == "langsec":
+            return checker.LangsecFold(cfg)
+        return checker.SamplerFold(st, cfg.params)
+    if not param:
         raise ValueError(f"{name} needs a gap, e.g. {name}:64")
+    if not (param.isdecimal() and int(param) >= 1):
+        raise ValueError(f"--spec {name} takes a whole number of at least 1, got {param!r}")
+    n = int(param)
     if name == "denseflow":
         return checker.DenseFlowFold(n)
     window = cfg.params.window
@@ -141,9 +142,9 @@ def spec_fold(spec: str, cfg, st) -> Optional[checker.Fold]:
 
 
 class Records:
-    """The records of a trace file, read one line at a time: rec is the
-    record at position pos (the header's is 0), read from line n of the
-    file, or None past the last one."""
+    """The records of a trace file opened in binary mode, read one line
+    at a time: rec is the record at position pos (the header's is 0),
+    decoded from line n of the file, or None past the last one."""
 
     def __init__(self, fh) -> None:
         self._lines = ((n, line) for n, line in enumerate(fh, 1) if line.strip())
@@ -152,9 +153,12 @@ class Records:
 
     def advance(self) -> None:
         self.pos += 1
-        self.n, self.line = next(self._lines, (None, None))
+        self.n, raw = next(self._lines, (None, None))
+        self.line = self.rec = None
         try:  # the line alone, so the decoder's column is the column in the line
-            self.rec = None if self.line is None else switch.json_value(self.line.rstrip("\n"))
+            if raw is not None:
+                self.line = raw.decode()
+                self.rec = switch.json_value(self.line.rstrip("\n"))
         except json.JSONDecodeError as e:
             raise ValueError(f"trace line {self.n}: {e.msg}: column {e.colno}") from None
         except ValueError as e:

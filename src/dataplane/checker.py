@@ -26,17 +26,14 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import engines
-from .apps import KEEPALIVE_ETHERTYPE, initial_switch_state
+from .apps import KEEPALIVE_ETHERTYPE
 from .headers import (
     ETHERNET, INTRINSIC_META, IP_PROTO_TCP, IP_PROTO_UDP, IPV4, PORT_META, TCP, UDP,
     deparse_slots, make_sample,
 )
 from .packet_format import BitString, Format, HeaderType, encode, matches
 from .pipeline import egress_pipeline, ingress_pipeline
-from .switch import (
-    EGRESS, INGRESS, Arrival, FifoDrainOracle, SwitchConfig, SwitchQueues, Trace, TraceStep,
-    ingress_step,
-)
+from .switch import EGRESS, INGRESS, Arrival, SwitchConfig, Trace, TraceStep
 
 
 class PreconditionUnmet(Exception):
@@ -158,8 +155,7 @@ def _check_ingress(cfg: SwitchConfig, step: TraceStep) -> Verdict:
             return _bad("ingress.reject_isolation", "queues moved on a parser reject")
         return OK
 
-    tm, mirror_id, _ind, raw_out = out
-    engines.mirror_session_lookup(cfg.mirror, mirror_id)
+    tm, _mirror, _ind, raw_out = out
     if post_q.q_mirror != ():
         return _bad("ingress.mirror_empty")
 
@@ -506,35 +502,11 @@ SAMPLER_CLAUSES = {
 # malformed-input isolation
 
 
-def langsec_check(cfg: SwitchConfig, p_bad: BitString, qs=None, oracle=None) -> Verdict:
-    """Feed one unparseable packet, arriving on port 0 ahead of qs's
-    arrivals, through one ingress step from the initial state and verify
-    it is dropped with no effect: every queue but q_input and every
-    state slot but the ingress parser's must stay put.
-
-    Raises PreconditionUnmet when the parser accepts p_bad or when the
-    generator preempts it this tick.
-    """
-    if qs is None:
-        qs = SwitchQueues()
-    if oracle is None:
-        oracle = FifoDrainOracle()
-    seeded = replace(qs, q_input=(Arrival(0, p_bad),) + qs.q_input)
-    _st2, qs2, step = ingress_step(cfg, initial_switch_state(cfg), seeded, oracle,
-                                   {"requested_kind": INGRESS})
-    if step.detail.p_g is not None:
-        raise PreconditionUnmet("the generator preempted the input this tick")
-    if step.detail.p_i != p_bad:
-        raise PreconditionUnmet("the oracle consumed a different arrival")
-    if step.detail.pipeline_out is not None:
-        raise PreconditionUnmet("the parser accepts this packet")
-    return _isolation_frame(step, expected_q_input=qs.q_input)
-
-
 class LangsecFold(Fold):
-    """Whole-trace form: with the generator off and every input
+    """Malformed-input isolation: with the generator off and every input
     unparseable, nothing but the clock, the parser state slot and
-    q_input may move on any step."""
+    q_input may move on any step, and q_input loses at most one
+    arrival."""
 
     def __init__(self, cfg: SwitchConfig) -> None:
         if cfg.pktgen.enabled:
@@ -545,26 +517,19 @@ class LangsecFold(Fold):
             return _bad("langsec.queue_frame", "an egress step implies something was admitted", i)
         if step.detail.pipeline_out is not None:
             raise PreconditionUnmet(f"input at step {i} parsed successfully")
-        v = _isolation_frame(step, expected_q_input=None)
-        return None if v else replace(v, step=i)
-
-
-def _isolation_frame(step: TraceStep, expected_q_input) -> Verdict:
-    pre_s, post_s = step.pre_state, step.post_state
-    pre_q, post_q = step.pre_queues, step.post_queues
-    if (post_s.s_g != pre_s.s_g or post_s.s_e != pre_s.s_e
-            or post_s.s_i[1] != pre_s.s_i[1] or post_s.s_i[2] != pre_s.s_i[2]):
-        return _bad("langsec.state_frame", "a non-parser state slot moved")
-    if (post_q.q_egress != pre_q.q_egress or post_q.q_output != pre_q.q_output
-            or post_q.q_mirror != pre_q.q_mirror or post_q.p_recirc is not None):
-        return _bad("langsec.queue_frame", "a queue other than q_input moved")
-    if expected_q_input is not None:
-        if post_q.q_input != expected_q_input:
-            return _bad("langsec.queue_frame", "q_input lost more than the bad packet")
-    elif not (pre_q.q_input == post_q.q_input
-              or _removed_item(pre_q.q_input, post_q.q_input, None) is not None):
-        return _bad("langsec.queue_frame", "q_input did not shrink by at most one arrival")
-    return OK
+        pre_s, post_s = step.pre_state, step.post_state
+        pre_q, post_q = step.pre_queues, step.post_queues
+        if (post_s.s_g != pre_s.s_g or post_s.s_e != pre_s.s_e
+                or post_s.s_i[1] != pre_s.s_i[1] or post_s.s_i[2] != pre_s.s_i[2]):
+            return _bad("langsec.state_frame", "a non-parser state slot moved", i)
+        if (post_q.q_egress != pre_q.q_egress or post_q.q_output != pre_q.q_output
+                or post_q.q_mirror != pre_q.q_mirror or post_q.p_recirc is not None):
+            return _bad("langsec.queue_frame", "a queue other than q_input moved", i)
+        if not (pre_q.q_input == post_q.q_input
+                or _removed_item(pre_q.q_input, post_q.q_input, None) is not None):
+            return _bad("langsec.queue_frame",
+                        "q_input did not shrink by at most one arrival", i)
+        return None
 
 
 LANGSEC_CLAUSES = {

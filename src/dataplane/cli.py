@@ -51,7 +51,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_chk.add_argument("trace", help="trace file written by sim")
     p_chk.add_argument("--config", required=True, help="the config the trace was run with")
     p_chk.add_argument("--spec", default="axioms",
-                       help="axioms | sampler[:n] | langsec | denseflow:gap | firewall:gap")
+                       help="axioms | sampler | langsec | denseflow:gap | firewall:gap")
 
     p_fmt = sub.add_parser("fmt", help="match a packet against a format")
     p_fmt.add_argument("format", choices=sorted(FORMATS))
@@ -86,14 +86,15 @@ def _load_config(path: str) -> dict:
 
 
 def _load_workload(path: str) -> tuple[switch.Arrival, ...]:
-    """The arrivals of a workload file; a ValueError names the first bad line."""
+    """The arrivals of a workload file; a ValueError names the first bad
+    line, one that is not UTF-8 included."""
     arrivals = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for n, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                arrivals.append(_arrival(switch.json_value(line)))
+                arrivals.append(_arrival(switch.json_value(line.decode())))
             except ValueError as e:
                 raise ValueError(f"workload line {n}: {e}") from None
     return tuple(arrivals)
@@ -129,7 +130,7 @@ def cmd_sim(args) -> int:
 def cmd_check(args) -> int:
     from . import audit, checker  # only check replays and audits, so sim compiles neither
 
-    with open(args.trace) as fh:
+    with open(args.trace, "rb") as fh:
         records = audit.Records(fh)
         header = records.rec
         if header is None or header.get("type") != "header":

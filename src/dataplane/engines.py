@@ -1,14 +1,15 @@
 """Configurable traffic manager engines.
 
 Each function here is one block between the two pipelines: packet
-generation, input ports, mirroring (empty-config regime only),
-replication, queue admission, scheduling, and output ports.  They are
-pure: queues and states come in as values and updated copies go out.
-Where the underlying hardware behavior is nondeterministic (which
-queued element to take, which copies to admit) the caller asks its
-oracle and passes the answer in, so each engine is a deterministic
-function of its inputs and the answer, and rejects an answer out of
-range or against the admission policy.
+generation, input ports, replication, queue admission, scheduling,
+and output ports.  The mirror table is always empty, so no mirroring
+engine is modelled.  The engines are pure: queues and states come in
+as values and updated copies go out.  Where the underlying hardware
+behavior is nondeterministic (which queued element to take, which
+copies to admit) the caller asks its oracle and passes the answer in,
+so each engine is a deterministic function of its inputs and the
+answer, and rejects an answer out of range or against the admission
+policy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from .packet_format import BitString
-from .pipeline import EgressIndication, MirrorId, TmMeta
+from .pipeline import EgressIndication, TmMeta
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +142,6 @@ class UnknownGroup(EngineError):
 
 
 class UnknownLag(EngineError):
-    pass
-
-
-class UnsupportedConfig(EngineError):
     pass
 
 
@@ -407,25 +404,6 @@ def input_ports(p_g: Optional[BitString], q_input: "tuple | Seq", idx: Optional[
         raise OracleOutOfRange(f"input index {idx} for queue of {n}")
     rest, rec = Seq.of(q_input).pop(idx)
     return rest, rec.port, rec.packet
-
-
-# ---------------------------------------------------------------------------
-# mirroring (only the empty configuration is supported)
-
-EMPTY_MIRROR = "empty"
-
-
-def mirror_session_lookup(c_mirror: str, mid: MirrorId) -> None:
-    if c_mirror != EMPTY_MIRROR:
-        raise UnsupportedConfig(f"mirror config {c_mirror!r}; only {EMPTY_MIRROR!r} is modeled")
-    return None
-
-
-def mirror_buffer_merge(m_normal: TmMeta, m_mirror, q_mirror: tuple
-                        ) -> tuple[TmMeta, tuple]:
-    if m_mirror is not None or q_mirror:
-        raise UnsupportedConfig("mirror buffer must stay empty in the supported regime")
-    return m_normal, ()
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,10 @@ SAMPLE_HEADER = HeaderType("sample", (
     ("sample_count", 32),
 ))
 
-# first 16 bits of a sampled copy; regular packets start with a port
-# number below 512, so the two can never collide
+# first 16 bits of a sampled copy.  A regular packet starts with its
+# meta.ingress_port, a 16-bit field that may hold the same value, so
+# these bits alone do not tell the two apart; the sampler's egress
+# parser goes by the copy's rid instead
 SAMPLE_MARKER = 0x9999
 
 IP_PROTO_TCP = 6

@@ -3,7 +3,8 @@
 A switch run interleaves two step kinds.  An ingress step advances the
 clock by one tick, lets the packet generator or the input queue supply
 at most one packet, and pushes the ingress pipeline's result through
-mirroring, replication and queue admission into the egress queue.  An
+replication and queue admission into the egress queue.  The mirror
+table is empty, so no step moves the mirror buffer q_mirror.  An
 egress step freezes the clock, schedules one queued copy through the
 egress pipeline, and either transmits it or parks it in the
 single-slot recirculation register.
@@ -80,7 +81,6 @@ class SwitchConfig:
     mc: McConfig
     pktgen: PktGenConfig
     qac: "QacMinimal | QacAlwaysReady"
-    mirror: str = engines.EMPTY_MIRROR
     app_label: str = "custom"
     params: object = None  # the app's config dataclass, in the trace's config digest
     init_ingress: tuple = (None, None, None)  # s_i and s_e of the initial state
@@ -285,7 +285,8 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
     gives it, before an engine checks it, so a step that faults leaves
     behind exactly the answers it consumed.
 
-    Frame: s_e and q_output never change here; t always advances by 1.
+    Frame: s_e, q_mirror and q_output never change here; t always
+    advances by 1.
     """
     p_g, p_recirc2, s_g2 = engines.packet_generator(cfg.pktgen, st.t, st.s_g, qs.p_recirc)
     from_recirc = qs.p_recirc is not None
@@ -301,7 +302,6 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
     out = call = None
     m_repl = None
     enqueued: tuple = ()
-    q_mirror2 = qs.q_mirror
     q_egress2 = qs.q_egress
 
     if p_i is not None:
@@ -310,10 +310,8 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
         call = ((ingress_pipeline, comps, (t, in_port, p_i, s_i)), result)
         out, s_i2 = result
         if out is not None:
-            tm, mirror_id, _m3, raw_out = out
-            m_mirror = engines.mirror_session_lookup(cfg.mirror, mirror_id)
-            m_merge, q_mirror2 = engines.mirror_buffer_merge(tm, m_mirror, qs.q_mirror)
-            m_repl = tuple(engines.replication_engine(cfg.mc, m_merge))
+            tm, _mirror, _m3, raw_out = out
+            m_repl = tuple(engines.replication_engine(cfg.mc, tm))
             mandatory = engines.mandatory_mask(cfg.qac, m_repl)
             # no copies, no question
             mask = decisions["admitted_mask"] = (
@@ -322,7 +320,7 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
             enqueued = q_egress2[len(qs.q_egress):]
 
     st2 = SwitchState(t=st.t + 1, s_g=s_g2, s_i=s_i2, s_e=st.s_e)
-    qs2 = SwitchQueues(q_input=q_input2, p_recirc=p_recirc2, q_mirror=q_mirror2,
+    qs2 = SwitchQueues(q_input=q_input2, p_recirc=p_recirc2, q_mirror=qs.q_mirror,
                        q_egress=q_egress2, q_output=qs.q_output)
     step = TraceStep(INGRESS, st, qs, st2, qs2, _finished(decisions, INGRESS),
                      IngressDetail(p_g=p_g, from_recirc=from_recirc, in_port=in_port,
@@ -447,8 +445,10 @@ def digest(obj) -> str:
 
 
 def config_digest(cfg: SwitchConfig) -> str:
-    """Digest of every decoded config value (the components are code)."""
-    return digest({"app": cfg.app_label, "params": cfg.params, "mirror": cfg.mirror,
+    """Digest of every decoded config value (the components are code).
+    The mirror table is always empty; its entry keeps the digests of
+    earlier traces."""
+    return digest({"app": cfg.app_label, "params": cfg.params, "mirror": "empty",
                    "mc": cfg.mc, "pktgen": cfg.pktgen, "qac": cfg.qac})
 
 

@@ -572,6 +572,14 @@ class AlwaysEgressOracle(FifoDrainOracle):
         return "egress"
 
 
+class PastTheEndOracle(FifoDrainOracle):
+    """Schedules the copy one past the end of the egress queue, which
+    the scheduler refuses: an engine fault that any packet reaches."""
+
+    def sched_index(self, n):
+        return n
+
+
 # ---------------------------------------------------------------------------
 # forgery catalog
 

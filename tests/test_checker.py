@@ -61,7 +61,6 @@ from dataplane.checker import (
     five_tuple_key,
     fold_trace,
     format_acceptance_check,
-    langsec_check,
     parser_oblivious_check,
     sampler_spec_check,
     sampler_trace_check,
@@ -382,38 +381,35 @@ def test_sampler_generated_packets_are_not_arrivals():
 # malformed-input isolation
 
 
+def _langsec_one(cfg, p):
+    """LangsecFold's verdict on the one ingress step that takes p."""
+    return fold_trace(LangsecFold(cfg), run(cfg, initial_switch_state(cfg),
+                                            SwitchQueues(q_input=arrivals(p)), 1,
+                                            FifoDrainOracle()))
+
+
 class TestLangsec:
     def test_truncated_packet_isolated(self):
         cfg = sampler_app(SC)
         for cut in (0, 1, 17, 399):
             bad = tcp_pkt().take(cut)
-            assert langsec_check(cfg, bad).ok
+            assert _langsec_one(cfg, bad).ok
 
     def test_mangled_corpus(self):
         rng = random.Random(12)
         cfg = sampler_app(SC)
         for _ in range(50):
-            assert langsec_check(cfg, mangle(rng, rand_packet(rng))).ok
+            assert _langsec_one(cfg, mangle(rng, rand_packet(rng))).ok
 
     def test_parseable_packet_is_a_precondition_failure(self):
         with pytest.raises(PreconditionUnmet):
-            langsec_check(sampler_app(SC), tcp_pkt())
+            _langsec_one(sampler_app(SC), tcp_pkt())
 
     def test_generator_preemption_detected(self):
         noisy = sampler_app(SC, pktgen=PktGenConfig(
             enabled=True, period=5, template=tcp_pkt(sp=1)))
         with pytest.raises(PreconditionUnmet):
-            langsec_check(noisy, tcp_pkt().take(10))
-
-    def test_oracle_consuming_other_arrival_detected(self):
-        class PickSecond(FifoDrainOracle):
-            def input_index(self, n):
-                return min(1, n - 1)
-
-        qs = SwitchQueues(q_input=arrivals(udp_pkt().take(9)))
-        with pytest.raises(PreconditionUnmet):
-            langsec_check(sampler_app(SC), tcp_pkt().take(10), qs=qs,
-                          oracle=PickSecond())
+            _langsec_one(noisy, tcp_pkt().take(10))
 
     def test_trace_form_passes_on_honest_run(self):
         rng = random.Random(3)

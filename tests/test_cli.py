@@ -16,14 +16,17 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dataplane.apps import parse_standard
+from dataplane import switch
+from dataplane.apps import SamplerConfig, parse_standard
+from dataplane.checker import expected_outputs, sampler_spec_check
 from dataplane.cli import main
 from dataplane.headers import IP_PROTO_TCP, SAMPLE_MARKER
 from dataplane.packet_format import BitString
 from dataplane.switch import ORACLE_POLICIES
 
 from support import (
-    BAD_NESTED_CONFIGS, count_pipeline_calls, drop_last_multicast_copy, tcp_pkt, udp_pkt,
+    BAD_NESTED_CONFIGS, PastTheEndOracle, count_pipeline_calls, drop_last_multicast_copy,
+    tcp_pkt, udp_pkt,
 )
 
 
@@ -198,10 +201,15 @@ class TestSim:
          "error: config: bits must be at most 65536 and hash_count at most 16"),
         ({"app": "firewall", "hash_count": 2 ** 70},
          "error: config: bits must be at most 65536 and hash_count at most 16"),
+        ({"app": "sampler", "forward_rid": 0},
+         "error: config: forward_rid must not be 0, the rid of every unicast copy"),
+        ({"app": "sampler", "monitor_rid": 0},
+         "error: config: monitor_rid must not be 0, the rid of every unicast copy"),
     ]
     OUT_OF_RANGE_IDS = ["identity-forward-600", "firewall-outside-900",
                         "sampler-monitor-700", "sampler-group-70000",
-                        "firewall-bits-2^70", "firewall-hash-count-2^70"]
+                        "firewall-bits-2^70", "firewall-hash-count-2^70",
+                        "sampler-forward-rid-0", "sampler-monitor-rid-0"]
 
     @pytest.mark.parametrize("config, message", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
     def test_out_of_range_port_or_group_rejected(self, tmp_path, capsys, config, message):
@@ -228,10 +236,13 @@ class TestSim:
         ('{"port": "1", "packet": "00"}', "port must be an integer"),
         ('{"port": 100000, "packet": "00"}', "port must be in 0..511"),
         ('{"port": -1, "packet": "00"}', "port must be in 0..511"),
+        # written as the byte 0xff, which no UTF-8 text holds
+        ('{"port": 1, "packet": "\udcff"}', "can't decode byte 0xff in position 23"),
     ])
     def test_bad_workload_line_rejected(self, identity_cfg, tmp_path, capsys, line, what):
         wl = tmp_path / "w.jsonl"
-        wl.write_text(json.dumps({"port": 1, "packet": tcp_pkt().to_json()}) + "\n" + line + "\n")
+        wl.write_text(json.dumps({"port": 1, "packet": tcp_pkt().to_json()}) + "\n" + line + "\n",
+                      errors="surrogateescape")
         code, out, err = run_cli(capsys, "sim", "--config", identity_cfg, "--input", str(wl))
         assert code == 2 and out == ""
         assert err.startswith("error: workload line 2:") and what in err
@@ -321,15 +332,32 @@ class TestCheck:
         assert code == 0, out
         assert "sampler: ok" in out
 
-    def test_sampler_spec_wrong_rate_flagged(self, sampler_cfg, tmp_path,
-                                             capsys):
-        wl = str(tmp_path / "w.jsonl")
-        run_cli(capsys, "gen", "--count", "10", "--seed", "6", "--out", wl)
-        tr = _sim_trace(capsys, tmp_path, sampler_cfg, workload=wl)
-        code, out, _ = run_cli(capsys, "check", tr, "--config", sampler_cfg,
-                               "--spec", "sampler:5")
-        assert code == 1
-        assert "sampler: VIOLATION clause=" in out
+    def test_sampler_spec_wrong_rate_flagged(self):
+        # `check` takes the period from the config, which the header's
+        # digest pins (test_spec_takes_no_parameter), so only a library
+        # call can judge a stream against another period
+        inputs = [tcp_pkt(sp=i) for i in range(10)]
+        every_4th = SamplerConfig(forward_port=1, monitor_port=3, sample_every=4)
+        every_5th = SamplerConfig(forward_port=1, monitor_port=3, sample_every=5)
+        v = sampler_spec_check(0, inputs, expected_outputs(0, inputs, every_4th), every_5th)
+        assert (v.ok, v.violated_clause) == (False, "sampler.stream")
+
+    def test_sampler_spec_on_a_packet_leading_with_the_marker(self, tmp_path, capsys):
+        # ingress accepts any 16-bit meta.ingress_port, the sample
+        # marker's value included; egress must still read the forwarded
+        # copy as the standard packet it is, not strip a "sample" header
+        cfg = write_config(tmp_path, "sampler.json", {"app": "sampler", "sample_every": 4})
+        wl = tmp_path / "w.jsonl"
+        run_cli(capsys, "gen", "--count", "3", "--seed", "7", "--ports", "1,2",
+                "--out", str(wl))
+        lines = wl.read_text().splitlines()
+        first = json.loads(lines[0])
+        first["packet"] = f"{SAMPLE_MARKER:04x}" + first["packet"][4:]
+        lines[0] = json.dumps(first, sort_keys=True)
+        wl.write_text("\n".join(lines) + "\n")
+        tr = _sim_trace(capsys, tmp_path, cfg, workload=str(wl))
+        code, out, _ = run_cli(capsys, "check", tr, "--config", cfg, "--spec", "sampler")
+        assert (code, out) == (0, "replay: ok (6 steps)\naxioms: ok\nsampler: ok\n")
 
     def test_sampler_spec_ok_under_adversarial_drop(self, sampler_cfg, tmp_path, capsys):
         wl = str(tmp_path / "w.jsonl")
@@ -492,17 +520,21 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err.startswith("error: every trace record") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("where", ["first", "middle"])
-    def test_non_json_line_named(self, identity_cfg, tmp_path, capsys, where):
+    @pytest.mark.parametrize("where, line, message", [
+        ("first", b"{", "Expecting property name enclosed in double quotes: column 2"),
+        ("middle", b"{", "Expecting property name enclosed in double quotes: column 2"),
+        ("middle", b'{"type":"\xff"}',
+         "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+    ], ids=["first", "middle", "not-utf-8"])
+    def test_non_json_line_named(self, identity_cfg, tmp_path, capsys, where, line, message):
         tr = _sim_trace(capsys, tmp_path, identity_cfg, steps=6, drain=False)
-        lines = open(tr).read().splitlines()
+        lines = open(tr, "rb").read().splitlines()
         index = {"first": 0, "middle": len(lines) // 2}[where]
-        lines[index] = "{"
-        open(tr, "w").write("\n".join(lines) + "\n")
+        lines[index] = line
+        open(tr, "wb").write(b"\n".join(lines) + b"\n")
         code, out, err = run_cli(capsys, "check", tr, "--config", identity_cfg)
         assert code == 2 and out == ""
-        assert err == (f"error: trace line {index + 1}: Expecting property name enclosed "
-                       f"in double quotes: column 2\n")
+        assert err == f"error: trace line {index + 1}: {message}\n"
 
     @pytest.mark.parametrize("key", ["config_digest", "state_digest"])
     def test_missing_header_digest_named(self, identity_cfg, tmp_path, capsys, key):
@@ -611,7 +643,6 @@ class TestCheck:
         assert err == "error: --spec firewall needs a firewall config\n"
 
     @pytest.mark.parametrize("app, spec", [
-        ("sampler", "sampler:x"), ("sampler", "sampler:0"),
         ("firewall", "denseflow:-3"), ("firewall", "firewall:0"),
     ])
     def test_spec_number_must_be_positive(self, request, tmp_path, capsys, app, spec):
@@ -622,6 +653,20 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err == (f"error: --spec {name} takes a whole number of at least 1, "
                        f"got {param!r}\n")
+
+    # only a gap is a parameter; every other value a spec reads is the
+    # config's, which the header's digest pins
+    @pytest.mark.parametrize("app, spec", [
+        ("identity", "axioms:7"), ("identity", "langsec:x"), ("sampler", "sampler:"),
+        ("sampler", "sampler:5"), ("sampler", "sampler:x"), ("sampler", "sampler:0"),
+    ])
+    def test_spec_takes_no_parameter(self, request, tmp_path, capsys, app, spec):
+        cfg = request.getfixturevalue(f"{app}_cfg")
+        tr = _sim_trace(capsys, tmp_path, cfg, steps=20, drain=False)
+        code, out, err = run_cli(capsys, "check", tr, "--config", cfg, "--spec", spec)
+        name = spec.partition(":")[0]
+        assert (code, out) == (2, "")
+        assert err == f"error: --spec {name} takes no parameter, got {spec!r}\n"
 
     @pytest.mark.parametrize("index, edit, message", [
         (0, lambda r: r["queues"].update(q_input=5),
@@ -709,7 +754,7 @@ class TestCheck:
 
 MUTANT_LEAVES = [None, True, False, -1, 2 ** 70, 1.5, "x", [1], {"x": 1}]
 MUTANT_SPECS = {"identity": ["axioms", "denseflow:16", "langsec"],
-                "sampler": ["axioms", "sampler", "sampler:3"],
+                "sampler": ["axioms", "sampler", "langsec"],
                 "firewall": ["axioms", "firewall:16", "denseflow:8"]}
 
 
@@ -856,33 +901,35 @@ def test_sim_survives_mutated_inputs(sim_inputs, data):
 
 
 class TestFault:
+    @pytest.fixture(autouse=True)
+    def past_the_end(self, monkeypatch):
+        # whatever the policy, `sim` schedules past the end of the egress
+        # queue, so its first egress step faults
+        monkeypatch.setattr(switch, "make_oracle", lambda policy, seed=0: PastTheEndOracle())
+
     @pytest.fixture
-    def marker_workload(self, tmp_path):
-        # a UDP packet whose metadata field collides with the sample
-        # marker: ingress parses it, the sampler egress parser then
-        # commits to the sampled layout and runs out of bits
-        p = udp_pkt(in_port=SAMPLE_MARKER)
-        wl = tmp_path / "marker.jsonl"
-        wl.write_text(json.dumps({"port": 0, "packet": p.to_json()},
+    def one_packet(self, tmp_path):
+        wl = tmp_path / "one.jsonl"
+        wl.write_text(json.dumps({"port": 0, "packet": udp_pkt().to_json()},
                                  sort_keys=True) + "\n")
         return str(wl)
 
-    def test_fault_exit_code(self, sampler_cfg, marker_workload, tmp_path,
+    def test_fault_exit_code(self, sampler_cfg, one_packet, tmp_path,
                              capsys):
         tr = str(tmp_path / "fault.jsonl")
         code, out, _ = run_cli(capsys, "sim", "--config", sampler_cfg,
-                               "--input", marker_workload, "--steps", "10",
+                               "--input", one_packet, "--steps", "10",
                                "--trace", tr)
         assert code == 3
-        assert "fault=EgressParseFailure" in out
+        assert "fault=OracleOutOfRange" in out
         recs = [json.loads(line) for line in open(tr)]
         assert any(r["type"] == "fault" for r in recs)
 
-    def test_faulted_trace_replays_cleanly(self, sampler_cfg, marker_workload,
+    def test_faulted_trace_replays_cleanly(self, sampler_cfg, one_packet,
                                            tmp_path, capsys):
         tr = str(tmp_path / "fault.jsonl")
         run_cli(capsys, "sim", "--config", sampler_cfg, "--input",
-                marker_workload, "--steps", "10", "--trace", tr)
+                one_packet, "--steps", "10", "--trace", tr)
         code, out, _ = run_cli(capsys, "check", tr, "--config", sampler_cfg)
         assert code == 0, out
         assert "replay: ok (1 steps)" in out
@@ -895,10 +942,10 @@ class TestFault:
         # faults otherwise than the record says
         ("sched_index", 1, "replay: VIOLATION clause=trace.divergence step=1"),
     ], ids=["requested_kind", "sched_index"])
-    def test_fault_record_without_a_decision(self, sampler_cfg, marker_workload, tmp_path,
+    def test_fault_record_without_a_decision(self, sampler_cfg, one_packet, tmp_path,
                                              capsys, key, code, line):
         tr = tmp_path / "fault.jsonl"
-        run_cli(capsys, "sim", "--config", sampler_cfg, "--input", marker_workload,
+        run_cli(capsys, "sim", "--config", sampler_cfg, "--input", one_packet,
                 "--steps", "10", "--trace", str(tr))
         lines = tr.read_text().splitlines()
         recs = [json.loads(text) for text in lines]

@@ -33,11 +33,8 @@ from dataplane.engines import (
     UNICAST,
     UnknownGroup,
     UnknownLag,
-    UnsupportedConfig,
     input_ports,
     mandatory_mask,
-    mirror_buffer_merge,
-    mirror_session_lookup,
     multicast_engine,
     output_ports,
     packet_generator,
@@ -48,7 +45,7 @@ from dataplane.engines import (
     resolve_lag,
     unicast_engine,
 )
-from dataplane.pipeline import EgressIndication, MirrorId
+from dataplane.pipeline import EgressIndication
 from dataplane.switch import Arrival
 
 from support import executed_pktgen_times, ref_pktgen_times
@@ -229,21 +226,6 @@ class TestInputPorts:
         for idx in (2, -1):
             with pytest.raises(OracleOutOfRange, match=f"input index {idx} for queue of 2"):
                 input_ports(None, self.Q, idx)
-
-
-class TestMirror:
-    def test_only_empty_config(self):
-        assert mirror_session_lookup("empty", MirrorId(0)) is None
-        with pytest.raises(UnsupportedConfig):
-            mirror_session_lookup("sessions", MirrorId(1))
-
-    def test_merge_requires_empty_buffer(self):
-        m = tm()
-        assert mirror_buffer_merge(m, None, ()) == (m, ())
-        with pytest.raises(UnsupportedConfig):
-            mirror_buffer_merge(m, object(), ())
-        with pytest.raises(UnsupportedConfig):
-            mirror_buffer_merge(m, None, ("x",))
 
 
 COPIES = (EgressMeta(1, 0, MULTICAST_A), EgressMeta(2, 0, MULTICAST_A),

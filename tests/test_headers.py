@@ -50,7 +50,9 @@ def test_widths():
 
 
 def test_marker_cannot_collide_with_port():
-    # plain packets start with a 16-bit ingress port, always < 512
+    # the marker lies above every 9-bit port number; a plain packet's
+    # 16-bit meta.ingress_port may still hold it, so the sampler's egress
+    # parser goes by the copy's rid (test_cli's marker test)
     assert SAMPLE_MARKER >= 512
 
 

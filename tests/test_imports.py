@@ -19,6 +19,10 @@ Only `switch` asks the oracle its questions, and the engines take the
 answers: no other module of the package calls an oracle method, and no
 `engines` function takes an `oracle` parameter.  So each answer is
 asked, and recorded, in one place.
+
+The checker judges the steps the switch took and never takes one
+itself: it binds neither the switch module nor any of its steppers or
+oracles, so it cannot make the step it then judges.
 """
 
 import ast
@@ -180,3 +184,14 @@ def test_only_the_switch_asks_the_oracle():
 def test_oracle_question_scanner():
     src = "def f(o, q):\n    q.step_kind\n    return o.sched_index(len(q))\n"
     assert oracle_questions(src) == ["sched_index (line 3)"]
+
+
+def test_the_checker_never_steps_the_switch():
+    from dataplane import checker, switch
+
+    steppers = [switch, switch.ingress_step, switch.egress_step, switch.Run, switch.run,
+                switch.make_oracle]
+    bound = sorted(name for name, v in vars(checker).items()
+                   if any(v is s for s in steppers)
+                   or (isinstance(v, type) and issubclass(v, switch.Oracle)))
+    assert bound == []
