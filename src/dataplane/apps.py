@@ -21,8 +21,8 @@ from .headers import (
     make_ipv4, make_sample, sampled_bindings, standard_bindings,
 )
 from .packet_format import BitString, TypedValue
-from .pipeline import Components, EgressIndication, MirrorId, ParsedData, TmMeta
-from .switch import SwitchConfig, SwitchState, expect
+from .pipeline import Components, EgressIndication, ParsedData, TmMeta
+from .switch import SwitchConfig, SwitchState, expect, port_from_json
 
 # ethertype of the generator keepalive template; disjoint from the
 # sample marker and from anything a host would send in these tests
@@ -65,11 +65,10 @@ def parse_sampled(p: BitString) -> Optional[ParsedData]:
     return _parse(sampled_bindings, p)
 
 
-def _tm(*, ucast: Optional[int] = None, mcast_a: int = 0,
-        drop: int = 0, rid: int = 0) -> TmMeta:
+def _tm(*, ucast: Optional[int] = None, mcast_a: int = 0, drop: int = 0) -> TmMeta:
     return TmMeta(ucast_egress_port=ucast, copy_to_cpu=0, mcast_grp_a=mcast_a,
                   mcast_grp_b=0, level1_exclusion_id=0, level2_exclusion_id=0,
-                  rid=rid, bypass_egress=0, drop=drop)
+                  rid=0, drop=drop)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +78,6 @@ def _tm(*, ucast: Optional[int] = None, mcast_a: int = 0,
 # so each value is built once, at import or with the app, and emitted
 # for every packet.
 
-_NO_MIRROR = MirrorId()
 _NO_RECIRCULATE = EgressIndication()
 
 
@@ -97,7 +95,11 @@ def _e_control(d, s):
     return slots, s
 
 
-def _deparser(slots, s):
+def _in_deparser(slots, s):
+    return deparse_slots(slots), s
+
+
+def _e_deparser(slots, s):
     return (_NO_RECIRCULATE, deparse_slots(slots)), s
 
 
@@ -107,7 +109,7 @@ def _unicast_to(port: int) -> Callable:
 
     def in_control(d, s):
         t, in_port, slots = d
-        return (tm, _NO_MIRROR, slots), s
+        return (tm, slots), s
     return in_control
 
 
@@ -116,7 +118,7 @@ def _app(label: str, params, in_control: Callable, *, e_parser: Callable = _e_pa
          pktgen: Optional[PktGenConfig] = None, qac=None,
          init_ingress=(None, None, None)) -> SwitchConfig:
     """An app on the shared skeleton; engines left as None get defaults."""
-    comps = Components(_in_parser, in_control, _deparser, e_parser, e_control, _deparser)
+    comps = Components(_in_parser, in_control, _in_deparser, e_parser, e_control, _e_deparser)
     return SwitchConfig(components=comps, mc=mc if mc is not None else McConfig(),
                         pktgen=pktgen if pktgen is not None else PktGenConfig(),
                         qac=qac if qac is not None else QacMinimal(),
@@ -130,6 +132,9 @@ def _app(label: str, params, in_control: Callable, *, e_parser: Callable = _e_pa
 @dataclass(frozen=True)
 class IdentityConfig:
     forward_port: int = 1
+
+    def __post_init__(self) -> None:
+        port_from_json(self.forward_port, "forward_port")
 
 
 def identity_app(forward_port: int = 1, *, mc: Optional[McConfig] = None,
@@ -154,13 +159,18 @@ class SamplerConfig:
     monitor_rid: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("forward_port", "monitor_port"):
+            port_from_json(getattr(self, name), name)
+        g = self.monitor_group
+        expect(0 < g < 1 << 16, g, "in 1..65535", "monitor_group")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         if self.forward_rid == self.monitor_rid:
             raise ValueError("forward and monitor copies need distinct rids")
         # the egress parser tells a sampled copy by its rid
         for name in ("forward_rid", "monitor_rid"):
-            if getattr(self, name) == 0:
+            rid = getattr(self, name)
+            if expect(0 <= rid < 1 << 16, rid, "in 0..65535", name) == 0:
                 raise ValueError(f"{name} must not be 0, the rid of every unicast copy")
 
 
@@ -176,9 +186,7 @@ def sampler_app(cfg: SamplerConfig = SamplerConfig(), *,
     forward port with the original bytes restored on egress.  All
     other packets are plain unicast forwards."""
     # forward node first: FIFO drains then emit the restored original
-    # before the monitor record, which is the order the relation expects.
-    # Built ahead of the TmMeta values so that a bad group id is reported
-    # as the multicast table's error.
+    # before the monitor record, which is the order the relation expects
     mc = McConfig(groups={cfg.monitor_group: (
         L1Node(dev_port_list=(cfg.forward_port,), rid=cfg.forward_rid),
         L1Node(dev_port_list=(cfg.monitor_port,), rid=cfg.monitor_rid),
@@ -197,9 +205,9 @@ def sampler_app(cfg: SamplerConfig = SamplerConfig(), *,
                 src_port=l4["src_port"] if l4 is not None else 0,
                 dst_port=l4["dst_port"] if l4 is not None else 0,
                 sample_count=c2)
-            out = (to_monitor, _NO_MIRROR, {"sample": sample, **slots})
+            out = (to_monitor, {"sample": sample, **slots})
         else:
-            out = (to_forward, _NO_MIRROR, slots)
+            out = (to_forward, slots)
         return out, SamplerState(c2)
 
     sampled_rids = (cfg.forward_rid, cfg.monitor_rid)
@@ -239,6 +247,8 @@ class FirewallConfig:
     keepalive_period: int = 16
 
     def __post_init__(self) -> None:
+        for name in ("inside_port", "outside_port"):
+            port_from_json(getattr(self, name), name)
         if min(self.window, self.bits, self.hash_count, self.keepalive_period) < 1:
             raise ValueError("window, bits, hash_count and keepalive_period must all be >= 1")
         # each pane is an integer of `bits` bits, rebuilt on every insert and
@@ -370,16 +380,16 @@ def firewall_app(cfg: FirewallConfig = FirewallConfig(), *, qac=None) -> SwitchC
         t, in_port, slots = d
         s = maintain(t, s)
         if slots["ethernet"]["ethertype"] == KEEPALIVE_ETHERTYPE:
-            return (drop, _NO_MIRROR, slots), s
+            return (drop, slots), s
         if in_port == cfg.outside_port:
             key = flow_key(slots, inbound=True)
             if key is not None and remembered(s, key):
-                return (to_inside, _NO_MIRROR, slots), s
-            return (drop, _NO_MIRROR, slots), s
+                return (to_inside, slots), s
+            return (drop, slots), s
         key = flow_key(slots, inbound=False)
         if key is not None:
             s = insert(s, key)
-        return (to_outside, _NO_MIRROR, slots), s
+        return (to_outside, slots), s
 
     pktgen = PktGenConfig(enabled=True, period=cfg.keepalive_period,
                           template=keepalive_template())

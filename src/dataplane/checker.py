@@ -155,7 +155,7 @@ def _check_ingress(cfg: SwitchConfig, step: TraceStep) -> Verdict:
             return _bad("ingress.reject_isolation", "queues moved on a parser reject")
         return OK
 
-    tm, _mirror, _ind, raw_out = out
+    tm, raw_out = out
     if post_q.q_mirror != ():
         return _bad("ingress.mirror_empty")
 

@@ -4,8 +4,8 @@ Every packet handled by the stock applications carries, in order: an
 8-byte intrinsic metadata block, an 8-byte opaque port metadata block,
 Ethernet, IPv4, then TCP or UDP depending on the IPv4 protocol number,
 then an arbitrary payload.  Sampled copies additionally carry an
-18-byte sample digest in front, recognizable by a sentinel value in
-its first 16 bits.
+18-byte sample digest in front, told apart by the copy's rid: the
+digest's leading marker may begin any packet too.
 
 The declared formats are the single source of this wire layout.
 STANDARD_FORMAT and SAMPLED_FORMAT are built, validated and compiled

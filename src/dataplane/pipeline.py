@@ -15,15 +15,17 @@ random source) would make both unsound.
 Data shapes (apps register functions with exactly these signatures):
 
   ingress parser    (p: BitString, s) -> (ParsedData | None, s')
-  ingress control   ((t, in_port, slots: dict), s) -> ((TmMeta, MirrorId, slots'), s')
-  ingress deparser  (slots: dict, s) -> ((EgressIndication, h3: BitString), s')
+  ingress control   ((t, in_port, slots: dict), s) -> ((TmMeta, slots'), s')
+  ingress deparser  (slots: dict, s) -> (h3: BitString, s')
   egress parser     ((em: EgressMeta, p: BitString), s) -> (ParsedData | None, s')
   egress control    ((em: EgressMeta, slots: dict), s) -> (slots', s')
   egress deparser   (slots: dict, s) -> ((EgressIndication, h3: BitString), s')
 
 The payload never reaches a control or deparser: whatever the parser
 returned as ``ParsedData.payload`` is appended verbatim to the deparsed
-headers, so both pipelines emit ``h3 + payload``.
+headers, so both pipelines emit ``h3 + payload``.  Resubmission is
+modelled only as egress recirculation and the mirror table is empty, so
+ingress emits neither an indication nor a mirror session.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ class TmMeta:
     level1_exclusion_id: int
     level2_exclusion_id: int
     rid: int
-    bypass_egress: int
     drop: int
 
     def __post_init__(self) -> None:
@@ -72,19 +73,10 @@ class TmMeta:
             raise ValueError(f"ucast_egress_port out of 9-bit range: {self.ucast_egress_port}")
         for name, width in (("copy_to_cpu", 1), ("mcast_grp_a", 16), ("mcast_grp_b", 16),
                             ("level1_exclusion_id", 16), ("level2_exclusion_id", 9),
-                            ("rid", 16), ("bypass_egress", 1), ("drop", 1)):
+                            ("rid", 16), ("drop", 1)):
             v = getattr(self, name)
             if not 0 <= v < (1 << width):
                 raise ValueError(f"{name} out of {width}-bit range: {v}")
-
-
-@dataclass(frozen=True)
-class MirrorId:
-    session: int = 0  # 0 means no mirror requested
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.session < 1024:
-            raise ValueError(f"mirror session out of 10-bit range: {self.session}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +105,7 @@ class Components:
 
 def ingress_pipeline(comps: Components, t: int, in_port: Optional[int],
                      p: BitString, state: tuple
-                     ) -> tuple[Optional[tuple[TmMeta, MirrorId, EgressIndication, BitString]], tuple]:
+                     ) -> tuple[Optional[tuple[TmMeta, BitString]], tuple]:
     """Run parser -> control -> deparser on one arriving packet.
 
     Returns (None, state') when the parser rejects; the control and
@@ -124,9 +116,9 @@ def ingress_pipeline(comps: Components, t: int, in_port: Optional[int],
     parsed, s_ip2 = comps.in_parser(p, s_ip)
     if parsed is None:
         return None, (s_ip2, s_ic, s_id)
-    (tm, mirror, slots2), s_ic2 = comps.in_control((t, in_port, parsed.slots), s_ic)
-    (m3, h3), s_id2 = comps.in_deparser(slots2, s_id)
-    return (tm, mirror, m3, h3 + parsed.payload), (s_ip2, s_ic2, s_id2)
+    (tm, slots2), s_ic2 = comps.in_control((t, in_port, parsed.slots), s_ic)
+    h3, s_id2 = comps.in_deparser(slots2, s_id)
+    return (tm, h3 + parsed.payload), (s_ip2, s_ic2, s_id2)
 
 
 def egress_pipeline(comps: Components, em, p_e: BitString, state: tuple

@@ -33,7 +33,7 @@ from .engines import (
 )
 from .packet_format import BitString
 from .pipeline import (
-    Components, EgressIndication, EgressParseFailure, MirrorId, TmMeta,
+    Components, EgressIndication, EgressParseFailure, TmMeta,
     egress_pipeline, ingress_pipeline,
 )
 
@@ -99,13 +99,13 @@ class Oracle:
     """Decision source resolving every relational choice.  Implementations
     must return in-range indices and masks covering the mandatory set."""
 
-    def step_kind(self, state: SwitchState, queues: SwitchQueues) -> str:
+    def step_kind(self, queues: SwitchQueues) -> str:
         raise NotImplementedError
 
     def input_index(self, n: int) -> int:
         raise NotImplementedError
 
-    def admitted_subset(self, ms, mandatory) -> tuple[bool, ...]:
+    def admitted_subset(self, mandatory) -> tuple[bool, ...]:
         raise NotImplementedError
 
     def sched_index(self, n: int) -> int:
@@ -116,14 +116,14 @@ class FifoDrainOracle(Oracle):
     """Deterministic baseline: drain egress first, FIFO everywhere,
     admit everything."""
 
-    def step_kind(self, state, queues):
+    def step_kind(self, queues):
         return EGRESS if egress_enabled(queues) else INGRESS
 
     def input_index(self, n):
         return 0
 
-    def admitted_subset(self, ms, mandatory):
-        return (True,) * len(ms)
+    def admitted_subset(self, mandatory):
+        return (True,) * len(mandatory)
 
     def sched_index(self, n):
         return 0
@@ -139,13 +139,13 @@ class RandomOracle(Oracle):
         self._reorder = reorder
         self._drop_rate = drop_rate
 
-    def step_kind(self, state, queues):
+    def step_kind(self, queues):
         return EGRESS if self._rng.random() < 0.5 else INGRESS
 
     def input_index(self, n):
         return self._rng.randrange(n) if self._reorder else 0
 
-    def admitted_subset(self, ms, mandatory):
+    def admitted_subset(self, mandatory):
         return tuple(must or self._rng.random() >= self._drop_rate
                      for must in mandatory)
 
@@ -156,7 +156,7 @@ class RandomOracle(Oracle):
 class AdversarialDropOracle(FifoDrainOracle):
     """Admits only what the policy forces, drops everything else."""
 
-    def admitted_subset(self, ms, mandatory):
+    def admitted_subset(self, mandatory):
         return tuple(mandatory)
 
 
@@ -180,7 +180,7 @@ class ReplayOracle(Oracle):
             raise OracleOutOfRange(f"no recorded {key}")
         return v
 
-    def step_kind(self, state, queues):
+    def step_kind(self, queues):
         self._cur = next(self._decisions, None)
         if self._cur is None:
             raise OracleOutOfRange("replay ran out of recorded decisions")
@@ -189,7 +189,7 @@ class ReplayOracle(Oracle):
     def input_index(self, n):
         return self._recorded("input_index")
 
-    def admitted_subset(self, ms, mandatory):
+    def admitted_subset(self, mandatory):
         # ingress_step makes the one list of bools
         return self._recorded("admitted_mask")
 
@@ -220,7 +220,7 @@ class IngressDetail:
     from_recirc: bool
     in_port: Optional[int]
     p_i: Optional[BitString]
-    pipeline_out: Optional[tuple[TmMeta, MirrorId, EgressIndication, BitString]]
+    pipeline_out: Optional[tuple[TmMeta, BitString]]
     m_repl: Optional[tuple[EgressMeta, ...]]
     enqueued: tuple
 
@@ -230,7 +230,6 @@ class EgressDetail:
     scheduled: tuple  # (EgressMeta, BitString)
     indication: EgressIndication
     p_out: BitString
-    recirculated: bool
 
 
 @dataclass(frozen=True)
@@ -310,12 +309,12 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
         call = ((ingress_pipeline, comps, (t, in_port, p_i, s_i)), result)
         out, s_i2 = result
         if out is not None:
-            tm, _mirror, _m3, raw_out = out
+            tm, raw_out = out
             m_repl = tuple(engines.replication_engine(cfg.mc, tm))
             mandatory = engines.mandatory_mask(cfg.qac, m_repl)
             # no copies, no question
             mask = decisions["admitted_mask"] = (
-                list(map(bool, o.admitted_subset(m_repl, mandatory))) if m_repl else [])
+                list(map(bool, o.admitted_subset(mandatory))) if m_repl else [])
             q_egress2 = engines.queue_admission(m_repl, raw_out, qs.q_egress, mandatory, mask)
             enqueued = q_egress2[len(qs.q_egress):]
 
@@ -349,8 +348,7 @@ def egress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
     qs2 = SwitchQueues(q_input=qs.q_input, p_recirc=p_recirc2, q_mirror=qs.q_mirror,
                        q_egress=q_egress2, q_output=q_output2)
     step = TraceStep(EGRESS, st, qs, st2, qs2, _finished(decisions, EGRESS),
-                     EgressDetail(scheduled=scheduled, indication=ind, p_out=p_out,
-                                  recirculated=p_recirc2 is not None),
+                     EgressDetail(scheduled=scheduled, indication=ind, p_out=p_out),
                      ((egress_pipeline, comps, (em, p_e, s_e)), result))
     return st2, qs2, step
 
@@ -376,7 +374,7 @@ class Run:
         cfg, st, qs, o = self.cfg, self.state, self.queues, self.oracle
         decisions: dict = {}  # the step's answers, in the order it asks
         try:
-            requested = decisions["requested_kind"] = o.step_kind(st, qs)
+            requested = decisions["requested_kind"] = o.step_kind(qs)
             if requested == EGRESS and egress_enabled(qs):
                 self.state, self.queues, step = egress_step(cfg, st, qs, o, decisions)
             else:
@@ -515,12 +513,12 @@ def _em_json(em: EgressMeta) -> dict:
 
 
 def _tm_json(tm: TmMeta) -> dict:
-    """_canon(tm) written out: the kind and all nine fields."""
+    """_canon(tm) written out, plus the bypass_egress 0 of format 3."""
     return {"__kind": "TmMeta", "ucast_egress_port": tm.ucast_egress_port,
             "copy_to_cpu": tm.copy_to_cpu, "mcast_grp_a": tm.mcast_grp_a,
             "mcast_grp_b": tm.mcast_grp_b, "level1_exclusion_id": tm.level1_exclusion_id,
             "level2_exclusion_id": tm.level2_exclusion_id, "rid": tm.rid,
-            "bypass_egress": tm.bypass_egress, "drop": tm.drop}
+            "bypass_egress": 0, "drop": tm.drop}
 
 
 def step_to_json(step: TraceStep, pre_digests: Optional[dict] = None) -> dict:
@@ -544,10 +542,10 @@ def step_to_json(step: TraceStep, pre_digests: Optional[dict] = None) -> dict:
             "enqueued": [[_em_json(em), p.to_json()] for em, p in d.enqueued],
         }
         if d.pipeline_out is not None:
-            tm, mirror_id, m3, raw_out = d.pipeline_out
+            tm, raw_out = d.pipeline_out
             rec["detail"]["tm_meta"] = _tm_json(tm)
-            rec["detail"]["mirror_session"] = mirror_id.session
-            rec["detail"]["recirc_flag"] = m3.recirculate
+            rec["detail"]["mirror_session"] = 0  # format 3 keeps both fields
+            rec["detail"]["recirc_flag"] = 0
             rec["detail"]["raw_out"] = raw_out.to_json()
             rec["detail"]["m_repl"] = [_em_json(em) for em in d.m_repl]
     else:

@@ -454,7 +454,7 @@ class FwDriver:
 
     def _step(self, t, port, pkt):
         d = (t, port, parse_standard(pkt).slots)
-        (tm, _, _), self.state = self.app.components.in_control(d, self.state)
+        (tm, _), self.state = self.app.components.in_control(d, self.state)
         return tm
 
     def outbound(self, t, pkt):
@@ -551,14 +551,14 @@ def drop_last_multicast_copy(monkeypatch) -> None:
 class AlwaysIngressOracle(Oracle):
     """Never schedules egress; queues pile up."""
 
-    def step_kind(self, state, queues):
+    def step_kind(self, queues):
         return "ingress"
 
     def input_index(self, n):
         return 0
 
-    def admitted_subset(self, ms, mandatory):
-        return tuple(True for _ in ms)
+    def admitted_subset(self, mandatory):
+        return tuple(True for _ in mandatory)
 
     def sched_index(self, n):
         return 0
@@ -568,7 +568,7 @@ class AlwaysEgressOracle(FifoDrainOracle):
     """Requests egress unconditionally; the step machine must fall back
     to ingress when egress is not enabled."""
 
-    def step_kind(self, state, queues):
+    def step_kind(self, queues):
         return "egress"
 
 

@@ -6,6 +6,7 @@ tmp_path.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -192,11 +193,13 @@ class TestSim:
 
     OUT_OF_RANGE = [
         ({"app": "identity", "forward_port": 600},
-         "error: ucast_egress_port out of 9-bit range: 600"),
+         "error: config: forward_port must be in 0..511, got 600"),
         ({"app": "firewall", "outside_port": 900},
-         "error: ucast_egress_port out of 9-bit range: 900"),
-        ({"app": "sampler", "monitor_port": 700}, "error: port out of 9-bit range: 700"),
-        ({"app": "sampler", "monitor_group": 70000}, "error: group id out of range: 70000"),
+         "error: config: outside_port must be in 0..511, got 900"),
+        ({"app": "sampler", "monitor_port": 700},
+         "error: config: monitor_port must be in 0..511, got 700"),
+        ({"app": "sampler", "monitor_group": 70000},
+         "error: config: monitor_group must be in 1..65535, got 70000"),
         ({"app": "firewall", "bits": 2 ** 70},
          "error: config: bits must be at most 65536 and hash_count at most 16"),
         ({"app": "firewall", "hash_count": 2 ** 70},
@@ -205,11 +208,19 @@ class TestSim:
          "error: config: forward_rid must not be 0, the rid of every unicast copy"),
         ({"app": "sampler", "monitor_rid": 0},
          "error: config: monitor_rid must not be 0, the rid of every unicast copy"),
+        ({"app": "firewall", "inside_port": 600},
+         "error: config: inside_port must be in 0..511, got 600"),
+        ({"app": "sampler", "forward_rid": 70000},
+         "error: config: forward_rid must be in 0..65535, got 70000"),
+        ({"app": "sampler", "monitor_group": 0},
+         "error: config: monitor_group must be in 1..65535, got 0"),
     ]
     OUT_OF_RANGE_IDS = ["identity-forward-600", "firewall-outside-900",
                         "sampler-monitor-700", "sampler-group-70000",
                         "firewall-bits-2^70", "firewall-hash-count-2^70",
-                        "sampler-forward-rid-0", "sampler-monitor-rid-0"]
+                        "sampler-forward-rid-0", "sampler-monitor-rid-0",
+                        "firewall-inside-600", "sampler-forward-rid-70000",
+                        "sampler-group-0"]
 
     @pytest.mark.parametrize("config, message", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
     def test_out_of_range_port_or_group_rejected(self, tmp_path, capsys, config, message):
@@ -894,6 +905,48 @@ def test_sim_survives_mutated_inputs(sim_inputs, data):
     if code == 2:
         assert out == "" and err.startswith("error: ") and err.endswith("\n"), err
         assert err.count("\n") == 1, err
+
+
+# ---------------------------------------------------------------------------
+# the bytes of a trace are its format: a change that should leave them
+# alone must leave these sha256 prefixes alone
+
+PINNED_SPECS = {"identity": "axioms", "sampler": "sampler", "firewall": "firewall:32"}
+# (app, policy) -> (trace file, stdout of `check --spec PINNED_SPECS[app]`)
+PINNED = {
+    ("identity", "fifo-drain"): ("c727e92f9e7d3223", "b5e71a2955ad08c6"),
+    ("identity", "random"): ("5c3e00a457987add", "ced8e81ec5428525"),
+    ("identity", "adversarial-drop"): ("44c9fc73222ebd3e", "24ddd97e5591df4b"),
+    ("sampler", "fifo-drain"): ("0ba660390bea2272", "6e01e3171f018f20"),
+    ("sampler", "random"): ("3237ca65d274f2e3", "e66c4d7c13844faa"),
+    ("sampler", "adversarial-drop"): ("96facd7556690280", "a85e1342f7eaecca"),
+    ("firewall", "fifo-drain"): ("80bdad762fb5c538", "0366738331950a2b"),
+    ("firewall", "random"): ("545be99774053df1", "0366738331950a2b"),
+    ("firewall", "adversarial-drop"): ("50424a0ea1c2daca", "576296677ab0a1ca"),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def pinned_workload(tmp_path_factory):
+    d = tmp_path_factory.mktemp("pinned")
+    wl = str(d / "w.jsonl")
+    assert _quiet_main("gen", "--count", "40", "--seed", "3", "--ports", "1,2",
+                       "--malformed-rate", "0.05", "--out", wl)[0] == 0
+    return wl
+
+
+@pytest.mark.parametrize("app, policy", list(PINNED), ids=[f"{a}-{p}" for a, p in PINNED])
+def test_trace_bytes_pinned(pinned_workload, tmp_path, app, policy):
+    cfg, tr = write_config(tmp_path, "c.json", CONFIGS[app]), str(tmp_path / "t.jsonl")
+    assert _quiet_main("sim", "--config", cfg, "--input", pinned_workload, "--policy", policy,
+                       "--seed", "3", "--drain", "--trace", tr)[0] == 0
+    _code, out, _ = _quiet_main("check", tr, "--config", cfg, "--spec", PINNED_SPECS[app])
+    with open(tr, "rb") as fh:
+        assert (_sha(fh.read()), _sha(out.encode())) == PINNED[app, policy]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ ports (including lag-resolved ones), and the lag member index is
 (level1_exclusion_id + rid + lag_id) mod member_count.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -54,7 +55,7 @@ from support import executed_pktgen_times, ref_pktgen_times
 def tm(**kw):
     base = dict(ucast_egress_port=None, copy_to_cpu=0, mcast_grp_a=0,
                 mcast_grp_b=0, level1_exclusion_id=0, level2_exclusion_id=0,
-                rid=0, bypass_egress=0, drop=0)
+                rid=0, drop=0)
     base.update(kw)
     return TmMeta(**base)
 
@@ -299,6 +300,35 @@ class TestSchedulerAndOutput:
     def test_recirculate(self):
         q, reg = output_ports((("old",),), EgressIndication(recirculate=1), 5, PKT)
         assert q == (("old",),) and reg == PKT
+
+
+# ---------------------------------------------------------------------------
+# every value the program hands an engine drives it: per field, a config
+# and two settings of the field alone that the engine must tell apart
+
+LIVE_TM_FIELDS = {
+    "ucast_egress_port": (McConfig(), {}, 1, 2),
+    "copy_to_cpu": (McConfig(), {}, 0, 1),
+    "mcast_grp_a": (MC, {}, 0, 5),
+    "mcast_grp_b": (MC, {}, 0, 5),
+    "level1_exclusion_id": (MC, {"mcast_grp_a": 5}, 0, 42),
+    "level2_exclusion_id": (MC, {"mcast_grp_a": 5}, 0, 9),
+    "rid": (McConfig(), {"ucast_egress_port": 1}, 0, 1),
+    "drop": (McConfig(), {"ucast_egress_port": 1}, 0, 1),
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TmMeta)])
+def test_every_tm_field_drives_replication(field):
+    mc, base, a, b = LIVE_TM_FIELDS[field]
+    assert (replication_engine(mc, tm(**base, **{field: a}))
+            != replication_engine(mc, tm(**base, **{field: b})))
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(EgressIndication)])
+def test_every_indication_field_drives_output_ports(field):
+    assert (output_ports((), EgressIndication(**{field: 0}), 5, PKT)
+            != output_ports((), EgressIndication(**{field: 1}), 5, PKT))
 
 
 # ---------------------------------------------------------------------------

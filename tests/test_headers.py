@@ -49,13 +49,6 @@ def test_widths():
     assert SAMPLE_HEADER.total_width == 144
 
 
-def test_marker_cannot_collide_with_port():
-    # the marker lies above every 9-bit port number; a plain packet's
-    # 16-bit meta.ingress_port may still hold it, so the sampler's egress
-    # parser goes by the copy's rid (test_cli's marker test)
-    assert SAMPLE_MARKER >= 512
-
-
 def test_protocol_predicates():
     assert is_tcp(make_ipv4(protocol=IP_PROTO_TCP))
     assert is_udp(make_ipv4(protocol=IP_PROTO_UDP))

@@ -8,7 +8,6 @@ from dataplane.pipeline import (
     Components,
     EgressIndication,
     EgressParseFailure,
-    MirrorId,
     TmMeta,
     egress_pipeline,
     ingress_pipeline,
@@ -22,7 +21,7 @@ from support import tcp_pkt, udp_pkt
 def _tm(port=1):
     return TmMeta(ucast_egress_port=port, copy_to_cpu=0, mcast_grp_a=0,
                   mcast_grp_b=0, level1_exclusion_id=0, level2_exclusion_id=0,
-                  rid=0, bypass_egress=0, drop=0)
+                  rid=0, drop=0)
 
 
 class TestTmMeta:
@@ -37,21 +36,15 @@ class TestTmMeta:
         with pytest.raises(ValueError):
             TmMeta(ucast_egress_port=None, copy_to_cpu=2, mcast_grp_a=0,
                    mcast_grp_b=0, level1_exclusion_id=0, level2_exclusion_id=0,
-                   rid=0, bypass_egress=0, drop=0)
+                   rid=0, drop=0)
         with pytest.raises(ValueError):
             TmMeta(ucast_egress_port=None, copy_to_cpu=0, mcast_grp_a=1 << 16,
                    mcast_grp_b=0, level1_exclusion_id=0, level2_exclusion_id=0,
-                   rid=0, bypass_egress=0, drop=0)
+                   rid=0, drop=0)
         with pytest.raises(ValueError):
             TmMeta(ucast_egress_port=None, copy_to_cpu=0, mcast_grp_a=0,
                    mcast_grp_b=0, level1_exclusion_id=0, level2_exclusion_id=1 << 9,
-                   rid=0, bypass_egress=0, drop=0)
-
-
-def test_mirror_id_range():
-    assert MirrorId().session == 0
-    with pytest.raises(ValueError):
-        MirrorId(1024)
+                   rid=0, drop=0)
 
 
 def test_indication_flag():
@@ -65,9 +58,8 @@ class TestIngressPipeline:
         p = tcp_pkt(payload=b"hello")
         out, state = ingress_pipeline(comps, 0, 0, p, (None, None, None))
         assert out is not None
-        tm, mid, ind, bits = out
+        tm, bits = out
         assert tm.ucast_egress_port == 5 and tm.drop == 0
-        assert mid == MirrorId(0) and ind.recirculate == 0
         assert bits == p
 
     def test_reject_leaves_control_state_alone(self):
@@ -84,10 +76,10 @@ class TestIngressPipeline:
         def spy_control(d, s):
             t, port, slots = d
             seen.append((t, port))
-            return (_tm(), MirrorId(0), slots), s
+            return (_tm(), slots), s
 
         def spy_deparser(slots, s):
-            return (EgressIndication(), deparse_slots(slots)), s
+            return deparse_slots(slots), s
 
         comps = Components(
             in_parser=lambda p, s: (parse_standard(p), s),
@@ -106,7 +98,7 @@ class TestIngressPipeline:
             t, port, slots = d
             slots = dict(slots)
             slots["ethernet"] = slots["ethernet"].replace(src=0xDEAD)
-            return (_tm(), MirrorId(0), slots), s
+            return (_tm(), slots), s
 
         base = identity_app().components
         comps = Components(
@@ -116,7 +108,7 @@ class TestIngressPipeline:
         payload = b"opaque payload bytes"
         p = udp_pkt(payload=payload)
         out, _ = ingress_pipeline(comps, 0, 0, p, (None, None, None))
-        bits = out[3]
+        bits = out[1]
         assert bits != p
         assert bits.to_bytes().endswith(payload)
         assert len(bits) == len(p)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from dataplane.pipeline import EgressIndication, MirrorId, TmMeta
+from dataplane.pipeline import EgressIndication, TmMeta
 from dataplane.engines import McConfig, PktGenConfig, QacAlwaysReady, QacMinimal, Seq
 from dataplane import switch
 from dataplane.switch import (
@@ -144,10 +144,10 @@ def test_no_copies_no_oracle_call():
     base = identity_app().components
 
     def dropping(d, s):
-        return (_tm(drop=1), MirrorId(0), d[2]), s
+        return (_tm(drop=1), d[2]), s
 
     class Boom(FifoDrainOracle):
-        def admitted_subset(self, ms, mandatory):
+        def admitted_subset(self, mandatory):
             raise AssertionError("must not be consulted")
 
     cfg = SwitchConfig(dataclasses.replace(base, in_control=dropping),
@@ -179,7 +179,7 @@ class TestRunControl:
 
         def broken_control(d, s):
             t, port, slots = d
-            return (_tm(mcast_a=77), MirrorId(0), slots), s
+            return (_tm(mcast_a=77), slots), s
 
         cfg = SwitchConfig(
             components=dataclasses.replace(base, in_control=broken_control),
@@ -194,7 +194,7 @@ class TestRunControl:
         base = identity_app().components
 
         def broken(d, s):
-            return (_tm(mcast_a=1), MirrorId(0), d[2]), s
+            return (_tm(mcast_a=1), d[2]), s
 
         cfg = SwitchConfig(dataclasses.replace(base, in_control=broken),
                            McConfig(), PktGenConfig(), QacMinimal(), app_label="b")
@@ -233,7 +233,7 @@ class TestRecirculation:
         kinds = [s.kind for s in tr.steps]
         assert kinds == [INGRESS, EGRESS, INGRESS, EGRESS]
         # first egress parks the decremented packet in the register
-        assert tr.steps[1].detail.recirculated
+        assert tr.steps[1].detail.indication.recirculate
         assert tr.steps[1].post_queues.p_recirc is not None
         # the register packet preempts input and the generator
         s2 = tr.steps[2]
@@ -348,7 +348,8 @@ class TestTraceSerialization:
 
     def test_tm_record_is_the_canonical_form(self):
         # every TmMeta the stock apps emit, and random ones: the record's
-        # tm_meta is the generic _canon walk's, so the record bytes are too
+        # tm_meta is the generic _canon walk's plus the bypass_egress 0
+        # that format 3 keeps, so the record bytes are too
         pkts = [rand_packet(random.Random(i)) for i in range(8)]
         runs = [(identity_app(), arrivals(*pkts)),
                 (sampler_app(SamplerConfig(sample_every=2)), arrivals(*pkts)),
@@ -365,12 +366,12 @@ class TestTraceSerialization:
         rng = random.Random(16)
         widths = {"copy_to_cpu": 1, "mcast_grp_a": 16, "mcast_grp_b": 16,
                   "level1_exclusion_id": 16, "level2_exclusion_id": 9, "rid": 16,
-                  "bypass_egress": 1, "drop": 1}
+                  "drop": 1}
         randoms = [TmMeta(ucast_egress_port=rng.choice([None, rng.randrange(512)]),
                           **{f: rng.getrandbits(w) for f, w in widths.items()})
                    for _ in range(200)]
         for tm in [*stock, *randoms]:
-            assert switch._tm_json(tm) == switch._canon(tm)
+            assert switch._tm_json(tm) == {**switch._canon(tm), "bypass_egress": 0}
 
     def test_format_2_records(self):
         tr = drain_run(identity_app(), [P1, P2, P3], RandomOracle(7))
@@ -490,11 +491,11 @@ class TestTraceSerialization:
             assert post["s_ec"] == digest(step.post_state.s_e[1])
 
     @pytest.mark.parametrize("policy, answers, fault, consumed", [
-        (QacMinimal(), {"admitted_subset": lambda self, ms, mandatory: [1, 0] * len(ms)},
+        (QacMinimal(), {"admitted_subset": lambda self, mandatory: [1, 0] * len(mandatory)},
          "OracleOutOfRange: admission mask length 2 for 1 copies",
          {"requested_kind": "ingress", "input_index": 0, "admitted_mask": [True, False]}),
         (QacAlwaysReady(),
-         {"admitted_subset": lambda self, ms, mandatory: (x for x in [0] * len(ms))},
+         {"admitted_subset": lambda self, mandatory: (x for x in [0] * len(mandatory))},
          "PolicyViolation: oracle dropped a copy destined to an always-ready port",
          {"requested_kind": "ingress", "input_index": 0, "admitted_mask": [False]}),
         (QacMinimal(), {"input_index": lambda self, n: n},
@@ -533,7 +534,7 @@ class TestTraceSerialization:
         base = identity_app().components
 
         def broken(d, s):
-            return (_tm(mcast_a=1), MirrorId(0), d[2]), s
+            return (_tm(mcast_a=1), d[2]), s
 
         cfg = SwitchConfig(dataclasses.replace(base, in_control=broken),
                            McConfig(), PktGenConfig(), QacMinimal(), app_label="b")
