@@ -110,6 +110,7 @@ def _arrival(obj) -> switch.Arrival:
 
 
 def cmd_sim(args) -> int:
+    switch.expect(args.steps >= 0, args.steps, "at least 0", "--steps")
     cfg = app_from_config(_load_config(args.config))
     st = initial_switch_state(cfg)
     qs = switch.SwitchQueues(q_input=_load_workload(args.input) if args.input else ())
@@ -198,6 +199,9 @@ def cmd_fmt(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    switch.expect(args.count >= 0, args.count, "at least 0", "--count")
+    rate = switch.expect(0 <= args.malformed_rate <= 1, args.malformed_rate, "in 0..1",
+                         "--malformed-rate")  # false for nan too
     rng = random.Random(args.seed)
     ports = [_port_item(x) for x in args.ports.split(",") if x]
     if not ports:
@@ -206,13 +210,13 @@ def cmd_gen(args) -> int:
     for _ in range(args.count):
         port = rng.choice(ports)
         p = _random_packet(rng, args.profile)
-        if rng.random() < args.malformed_rate:
+        if rng.random() < rate:
             # cut inside the fixed headers so no parse can succeed
             cut = rng.randrange(1, min(len(p), 240))
             p = p.take(cut)
         lines.append(json.dumps({"port": port, "packet": p.to_json()},
                                 sort_keys=True))
-    out = "\n".join(lines) + "\n"
+    out = "".join(line + "\n" for line in lines)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out)

@@ -443,10 +443,8 @@ def digest(obj) -> str:
 
 
 def config_digest(cfg: SwitchConfig) -> str:
-    """Digest of every decoded config value (the components are code).
-    The mirror table is always empty; its entry keeps the digests of
-    earlier traces."""
-    return digest({"app": cfg.app_label, "params": cfg.params, "mirror": "empty",
+    """Digest of every decoded config value (the components are code)."""
+    return digest({"app": cfg.app_label, "params": cfg.params,
                    "mc": cfg.mc, "pktgen": cfg.pktgen, "qac": cfg.qac})
 
 
@@ -455,53 +453,50 @@ def _state_slots(st: SwitchState) -> dict:
             "s_ep": st.s_e[0], "s_ec": st.s_e[1], "s_ed": st.s_e[2]}
 
 
-def state_digests(st: SwitchState, pre: Optional[SwitchState] = None,
-                  pre_digests: Optional[dict] = None) -> dict:
-    """The clock and a digest of every state slot.  When pre_digests are
-    the state_digests of pre, a slot that is still pre's object keeps
-    its digest from pre_digests: slot values are immutable."""
-    pre_slots = _state_slots(pre) if pre_digests is not None else None
+def state_digests(st: SwitchState, pre: Optional[SwitchState] = None) -> dict:
+    """The clock and a digest of every state slot, or, given pre, of every
+    slot whose object is not pre's: slot values are immutable, so a kept
+    object is a kept value."""
+    pre_slots = _state_slots(pre) if pre is not None else {}
     out = {"t": st.t}
     for name, obj in _state_slots(st).items():
-        kept = pre_slots is not None and pre_slots[name] is obj
-        out[name] = pre_digests[name] if kept else digest(obj)
+        if name not in pre_slots or pre_slots[name] is not obj:
+            out[name] = digest(obj)
     return out
 
 
-def queue_shape(qs: SwitchQueues) -> dict:
-    """The O(1) part of a queue snapshot: the recirculation register and
-    the queue lengths."""
-    return {
-        "p_recirc": None if qs.p_recirc is None else qs.p_recirc.to_hex(),
-        "lens": [len(qs.q_input), len(qs.q_egress), len(qs.q_output)],
-    }
+def _lens(qs: SwitchQueues) -> list:
+    return [len(qs.q_input), len(qs.q_egress), len(qs.q_output)]
 
 
 def queue_digests(qs: SwitchQueues) -> dict:
-    """queue_shape plus a digest of every whole queue; linear in the
-    queue contents, so traces use it only in the end record."""
+    """A digest of every whole queue, the recirculation register and the
+    queue lengths; linear in the queue contents, so traces use it only
+    in the end record."""
     return {
         "q_input": digest(qs.q_input),
-        "q_mirror": digest(qs.q_mirror),
         "q_egress": digest(qs.q_egress),
         "q_output": digest(qs.q_output),
-        **queue_shape(qs),
+        "p_recirc": _opt_hex(qs.p_recirc),
+        "lens": _lens(qs),
     }
 
 
 # ---------------------------------------------------------------------------
 # trace file format: one JSON object per line
 #
-# Format 3.  The header holds the config digest and the full initial
-# queues.  Each step record holds its post snapshot only: state digests,
-# the recirculation register and the queue lengths.  Its pre snapshot is
+# Format 4.  A record holds no constant and nothing that its other fields
+# give without running a component or an engine.  The header holds the
+# config digest and the full initial queues.  Each step record holds its
+# post snapshot only: the clock, the digests of the state slots whose
+# object the step replaced, and the queue lengths.  Its pre snapshot is
 # the previous record's post (the header for step 0), and its queue
 # change is a delta in the decisions and the detail (consumed arrival,
-# enqueued copies, scheduled copy, emitted or recirculated packet).  The
+# admitted copies, scheduled copy, emitted or recirculated packet).  The
 # end record digests the whole final queues once.  Replay byte-compares
 # every record, so an edit anywhere shows as a divergence.
 
-TRACE_FORMAT = 3
+TRACE_FORMAT = 4
 
 
 def _opt_hex(p: Optional[BitString]):
@@ -513,39 +508,32 @@ def _em_json(em: EgressMeta) -> dict:
 
 
 def _tm_json(tm: TmMeta) -> dict:
-    """_canon(tm) written out, plus the bypass_egress 0 of format 3."""
+    """_canon(tm), written out."""
     return {"__kind": "TmMeta", "ucast_egress_port": tm.ucast_egress_port,
             "copy_to_cpu": tm.copy_to_cpu, "mcast_grp_a": tm.mcast_grp_a,
             "mcast_grp_b": tm.mcast_grp_b, "level1_exclusion_id": tm.level1_exclusion_id,
-            "level2_exclusion_id": tm.level2_exclusion_id, "rid": tm.rid,
-            "bypass_egress": 0, "drop": tm.drop}
+            "level2_exclusion_id": tm.level2_exclusion_id, "rid": tm.rid, "drop": tm.drop}
 
 
-def step_to_json(step: TraceStep, pre_digests: Optional[dict] = None) -> dict:
-    """The step's record; pre_digests, when given, are the state_digests
-    of step.pre_state, and spare digesting the slots the step kept."""
-    post = state_digests(step.post_state, step.pre_state, pre_digests)
+def step_to_json(step: TraceStep) -> dict:
+    """The step's record.  The kind is decisions.kind; the generated
+    packet is p_i when no input index was asked; the copies the step
+    enqueued are the m_repl entries the admitted mask keeps, each with
+    raw_out; and the register after it holds p_out when recirculate is
+    set, and nothing otherwise."""
     rec = {
         "type": "step",
-        "kind": step.kind,
         "decisions": step.decisions,  # plain JSON already
-        "post": {**post, **queue_shape(step.post_queues)},
+        "post": {**state_digests(step.post_state, step.pre_state),
+                 "lens": _lens(step.post_queues)},
     }
     d = step.detail
     if step.kind == INGRESS:
-        rec["detail"] = {
-            "p_g": _opt_hex(d.p_g),
-            "from_recirc": d.from_recirc,
-            "in_port": d.in_port,
-            "p_i": _opt_hex(d.p_i),
-            "parsed": d.pipeline_out is not None,
-            "enqueued": [[_em_json(em), p.to_json()] for em, p in d.enqueued],
-        }
-        if d.pipeline_out is not None:
+        rec["detail"] = {"from_recirc": d.from_recirc, "in_port": d.in_port,
+                         "p_i": _opt_hex(d.p_i)}
+        if d.pipeline_out is not None:  # parsed exactly when tm_meta is there
             tm, raw_out = d.pipeline_out
             rec["detail"]["tm_meta"] = _tm_json(tm)
-            rec["detail"]["mirror_session"] = 0  # format 3 keeps both fields
-            rec["detail"]["recirc_flag"] = 0
             rec["detail"]["raw_out"] = raw_out.to_json()
             rec["detail"]["m_repl"] = [_em_json(em) for em in d.m_repl]
     else:
@@ -571,7 +559,6 @@ def header_record(config_digest: str, app_label: str, initial_state: SwitchState
         "queues": {
             "q_input": [[a.port, a.packet.to_json()] for a in q.q_input],
             "p_recirc": _opt_hex(q.p_recirc),
-            "q_mirror": [],
             "q_egress": [[_em_json(em), p.to_json()] for em, p in q.q_egress],
             "q_output": [[port, p.to_json()] for port, p in q.q_output],
         },
@@ -588,21 +575,17 @@ def fault_record(r: "Trace | Run") -> dict:
 
 
 def end_record(n_steps: int, final_state: SwitchState, final_queues: SwitchQueues) -> dict:
+    """The number of outputs is final_queues.lens[2]."""
     return {"type": "end",
             "steps": n_steps,
             "final_state_digest": digest(final_state),
-            "final_queues": queue_digests(final_queues),
-            "outputs": len(final_queues.q_output)}
+            "final_queues": queue_digests(final_queues)}
 
 
 def trace_to_lines(trace: Trace) -> list[str]:
     lines = [dump_record(header_record(trace.config_digest, trace.app_label,
                                        trace.initial_state, trace.initial_queues))]
-    prev_state = prev_digests = None
-    for s in trace.steps:
-        rec = step_to_json(s, prev_digests if s.pre_state is prev_state else None)
-        lines.append(dump_record(rec))
-        prev_state, prev_digests = s.post_state, rec["post"]
+    lines += [dump_record(step_to_json(s)) for s in trace.steps]
     if trace.fault is not None:
         lines.append(dump_record(fault_record(trace)))
     lines.append(dump_record(end_record(len(trace.steps), trace.final_state,

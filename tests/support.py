@@ -24,6 +24,7 @@ separately:
 """
 
 import dataclasses
+import json
 import random
 
 from dataplane.packet_format import (
@@ -524,6 +525,57 @@ def drain_run(cfg: SwitchConfig, packets, oracle: Oracle | None = None,
     assert tr.fault is None, tr.fault
     assert drained(tr.final_queues), "run did not drain"
     return tr
+
+
+# every key format 3 wrote and format 4 derives, wherever it stood
+FORMAT_3_KEYS = {"mirror_session", "recirc_flag", "bypass_egress", "parsed", "enqueued",
+                 "p_g", "outputs", "q_mirror"}
+
+
+def _keys(obj):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield k
+            yield from _keys(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _keys(v)
+
+
+def _opt_json(p):
+    return None if p is None else p.to_json()
+
+
+def assert_format_4_loses_nothing(trace: Trace, lines: list[str]) -> None:
+    """Rebuild every field format 4 leaves out from its record alone, and
+    each kept slot's digest from the records before it, and require the
+    in-memory step's value; lines are trace_to_lines(trace)."""
+    recs = [json.loads(line) for line in lines]
+    assert not FORMAT_3_KEYS & set(_keys(recs))
+    assert "q_mirror" not in recs[0]["queues"]
+    digests = switch.state_digests(trace.initial_state)
+    for rec, step in zip(recs[1:], trace.steps):
+        assert rec["type"] == "step" and "kind" not in rec and "p_recirc" not in rec["post"]
+        d, decisions = rec["detail"], rec["decisions"]
+        assert decisions["kind"] == step.kind
+        if step.kind == switch.INGRESS:
+            assert ("tm_meta" in d) == (step.detail.pipeline_out is not None)  # parsed
+            p_g = d["p_i"] if decisions["input_index"] is None else None
+            assert p_g == _opt_json(step.detail.p_g)
+            mask = decisions["admitted_mask"] or []
+            enqueued = [[em, d["raw_out"]] for em, keep in zip(d.get("m_repl", []), mask)
+                        if keep]
+            assert enqueued == [[switch._em_json(em), p.to_json()]
+                                for em, p in step.detail.enqueued]
+            p_recirc = None
+        else:
+            p_recirc = d["p_out"] if d["recirculate"] else None
+        assert p_recirc == _opt_json(step.post_queues.p_recirc)
+        digests.update({k: v for k, v in rec["post"].items() if k != "lens"})
+        assert digests == switch.state_digests(step.post_state)
+    end = recs[-1]
+    assert end["type"] == "end" and end["steps"] == len(trace.steps)
+    assert end["final_queues"]["lens"][2] == len(trace.final_queues.q_output)  # outputs
 
 
 def count_pipeline_calls(monkeypatch) -> list[str]:

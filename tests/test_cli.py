@@ -18,16 +18,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dataplane import switch
-from dataplane.apps import SamplerConfig, parse_standard
+from dataplane.apps import (
+    KEEPALIVE_ETHERTYPE, SamplerConfig, app_from_config, initial_switch_state, parse_standard,
+)
 from dataplane.checker import expected_outputs, sampler_spec_check
-from dataplane.cli import main
-from dataplane.headers import IP_PROTO_TCP, SAMPLE_MARKER
+from dataplane.cli import _load_workload, main
+from dataplane.headers import (
+    IP_PROTO_TCP, IP_PROTO_UDP, SAMPLE_MARKER, build_packet, make_ethernet,
+    make_intrinsic_meta, make_ipv4, make_port_meta, make_tcp, make_udp,
+)
 from dataplane.packet_format import BitString
 from dataplane.switch import ORACLE_POLICIES
 
 from support import (
-    BAD_NESTED_CONFIGS, PastTheEndOracle, count_pipeline_calls, drop_last_multicast_copy,
-    tcp_pkt, udp_pkt,
+    BAD_NESTED_CONFIGS, PastTheEndOracle, assert_format_4_loses_nothing, count_pipeline_calls,
+    drained, drop_last_multicast_copy, tcp_pkt, udp_pkt,
 )
 
 
@@ -125,6 +130,23 @@ class TestGen:
         (line,) = err.splitlines()
         assert line.startswith("error: --ports item ") and line.endswith(f"got {bad}")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--count", "-3"], "--count must be at least 0, got -3"),
+        (["--malformed-rate", "7"], "--malformed-rate must be in 0..1, got 7.0"),
+        (["--malformed-rate", "-5"], "--malformed-rate must be in 0..1, got -5.0"),
+        (["--malformed-rate", "nan"], "--malformed-rate must be in 0..1, got nan"),
+    ], ids=["count-negative", "rate-7", "rate-negative", "rate-nan"])
+    def test_bad_number_rejected(self, tmp_path, capsys, argv, message):
+        wl = tmp_path / "w.jsonl"
+        code, out, err = run_cli(capsys, "gen", *argv, "--out", str(wl))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not wl.exists()
+
+    def test_count_zero_writes_an_empty_file(self, tmp_path, capsys):
+        wl = tmp_path / "w.jsonl"
+        assert run_cli(capsys, "gen", "--count", "0", "--out", str(wl)) == (0, "", "")
+        assert wl.read_bytes() == b""
+
     def test_malformed_rate_one_truncates_everything(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--count", "25", "--seed", "9",
                                "--malformed-rate", "1.0")
@@ -157,6 +179,13 @@ class TestSim:
         assert "outputs=12" in out and "fault=none" in out
         header = json.loads(open(tr).read().splitlines()[0])
         assert header["type"] == "header"
+
+    def test_negative_steps_rejected(self, identity_cfg, tmp_path, capsys):
+        tr = tmp_path / "t.jsonl"
+        code, out, err = run_cli(capsys, "sim", "--config", identity_cfg, "--steps", "-1",
+                                 "--trace", str(tr))
+        assert (code, out, err) == (2, "", "error: --steps must be at least 0, got -1\n")
+        assert not tr.exists()
 
     def test_missing_config(self, capsys):
         code, _, err = run_cli(capsys, "sim", "--config", "/nope/none.json")
@@ -311,7 +340,8 @@ class TestCheck:
         tr = _sim_trace(capsys, tmp_path, sampler_cfg, workload=wl, policy="random", seed=3)
         with open(tr) as fh:
             steps = [r for r in map(json.loads, fh) if r["type"] == "step"]
-        carrying = sum(r["kind"] == "egress" or r["detail"]["p_i"] is not None for r in steps)
+        carrying = sum(r["decisions"]["kind"] == "egress" or r["detail"]["p_i"] is not None
+                       for r in steps)
         calls.clear()
         code, out, _ = run_cli(capsys, "check", tr, "--config", sampler_cfg)
         assert code == 0, out
@@ -470,7 +500,8 @@ class TestCheck:
         lambda h: h.pop("format"),
         lambda h: h.update(format=1),
         lambda h: h.update(format=2),
-    ], ids=["no-format", "format-1", "format-2"])
+        lambda h: h.update(format=3),
+    ], ids=["no-format", "format-1", "format-2", "format-3"])
     def test_other_trace_format_rejected(self, identity_cfg, tmp_path, capsys,
                                          edit):
         tr = _sim_trace(capsys, tmp_path, identity_cfg, steps=3, drain=False)
@@ -478,6 +509,7 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", tr, "--config", identity_cfg)
         assert code == 2 and out == ""
         assert err.startswith("error: trace format") and len(err.splitlines()) == 1
+        assert err.endswith(" is not supported; this version reads format 4\n")
 
     def test_tampered_end_queues_diverge(self, identity_cfg, tmp_path, capsys):
         wl = str(tmp_path / "w.jsonl")
@@ -711,10 +743,7 @@ class TestCheck:
         index = {"first": 1, "middle": 11, "last": steps, "end": steps + 1}[record]
 
         def edit(rec):
-            if rec["type"] == "end":
-                rec["outputs"] += 1
-            else:
-                rec["post"]["lens"][2] += 1
+            rec["final_queues" if rec["type"] == "end" else "post"]["lens"][2] += 1
 
         self._edit_record(tr, index, edit)
         code, out, err = run_cli(capsys, "check", tr, "--config", sampler_cfg)
@@ -722,17 +751,21 @@ class TestCheck:
         assert out == f"replay: VIOLATION clause=trace.divergence step={index - 1}\n"
 
     def test_forged_kept_slot_digest_diverges(self, sampler_cfg, tmp_path, capsys):
-        # an ingress step keeps s_ep, so the replay carries that digest
-        # over from its own previous record, never from the file
+        # an ingress step keeps s_ep, so its record leaves s_ep out; one
+        # that adds the slot's true digest is not the record of the step
         wl = str(tmp_path / "w.jsonl")
         run_cli(capsys, "gen", "--count", "10", "--seed", "7", "--out", wl)
         tr = _sim_trace(capsys, tmp_path, sampler_cfg, workload=wl)
         recs = [json.loads(line) for line in open(tr)]
-        index = [i for i, r in enumerate(recs) if r.get("kind") == "ingress"][3]
+        index = [i for i, r in enumerate(recs)
+                 if r["type"] == "step" and r["decisions"]["kind"] == "ingress"][3]
+        digests = switch.state_digests(initial_switch_state(app_from_config(CONFIGS["sampler"])))
+        for rec in recs[1:index]:
+            digests.update(rec["post"])
 
         def edit(rec):
-            assert rec["post"]["s_ep"] == recs[index - 1]["post"]["s_ep"] != "0" * 16
-            rec["post"]["s_ep"] = "0" * 16
+            assert "s_ep" not in rec["post"]
+            rec["post"]["s_ep"] = digests["s_ep"]
 
         self._edit_record(tr, index, edit)
         code, out, err = run_cli(capsys, "check", tr, "--config", sampler_cfg)
@@ -914,15 +947,15 @@ def test_sim_survives_mutated_inputs(sim_inputs, data):
 PINNED_SPECS = {"identity": "axioms", "sampler": "sampler", "firewall": "firewall:32"}
 # (app, policy) -> (trace file, stdout of `check --spec PINNED_SPECS[app]`)
 PINNED = {
-    ("identity", "fifo-drain"): ("c727e92f9e7d3223", "b5e71a2955ad08c6"),
-    ("identity", "random"): ("5c3e00a457987add", "ced8e81ec5428525"),
-    ("identity", "adversarial-drop"): ("44c9fc73222ebd3e", "24ddd97e5591df4b"),
-    ("sampler", "fifo-drain"): ("0ba660390bea2272", "6e01e3171f018f20"),
-    ("sampler", "random"): ("3237ca65d274f2e3", "e66c4d7c13844faa"),
-    ("sampler", "adversarial-drop"): ("96facd7556690280", "a85e1342f7eaecca"),
-    ("firewall", "fifo-drain"): ("80bdad762fb5c538", "0366738331950a2b"),
-    ("firewall", "random"): ("545be99774053df1", "0366738331950a2b"),
-    ("firewall", "adversarial-drop"): ("50424a0ea1c2daca", "576296677ab0a1ca"),
+    ("identity", "fifo-drain"): ("2d99e365ef64eaaf", "b5e71a2955ad08c6"),
+    ("identity", "random"): ("8a8ad9e3a21902be", "ced8e81ec5428525"),
+    ("identity", "adversarial-drop"): ("30a5f8c51a1ae953", "24ddd97e5591df4b"),
+    ("sampler", "fifo-drain"): ("d40821393c3a08ef", "6e01e3171f018f20"),
+    ("sampler", "random"): ("bbcb980660aeb2a0", "e66c4d7c13844faa"),
+    ("sampler", "adversarial-drop"): ("53d7ef43ddcd0c3a", "a85e1342f7eaecca"),
+    ("firewall", "fifo-drain"): ("320083705fcc67e5", "0366738331950a2b"),
+    ("firewall", "random"): ("947157c0d2012a6f", "0366738331950a2b"),
+    ("firewall", "adversarial-drop"): ("ad73953bfe6df0ed", "576296677ab0a1ca"),
 }
 
 
@@ -947,6 +980,67 @@ def test_trace_bytes_pinned(pinned_workload, tmp_path, app, policy):
     _code, out, _ = _quiet_main("check", tr, "--config", cfg, "--spec", PINNED_SPECS[app])
     with open(tr, "rb") as fh:
         assert (_sha(fh.read()), _sha(out.encode())) == PINNED[app, policy]
+
+
+@pytest.mark.parametrize("app, policy", list(PINNED), ids=[f"{a}-{p}" for a, p in PINNED])
+def test_format_4_loses_nothing(pinned_workload, tmp_path, app, policy):
+    # every field format 3 wrote and format 4 leaves out, rebuilt from
+    # the record alone, is the in-memory step's
+    cfg, tr = write_config(tmp_path, "c.json", CONFIGS[app]), str(tmp_path / "t.jsonl")
+    assert _quiet_main("sim", "--config", cfg, "--input", pinned_workload, "--policy", policy,
+                       "--seed", "3", "--drain", "--trace", tr)[0] == 0
+    switch_cfg = app_from_config(CONFIGS[app])
+    trace = switch.run(switch_cfg, initial_switch_state(switch_cfg),
+                       switch.SwitchQueues(q_input=_load_workload(pinned_workload)), 1000,
+                       switch.make_oracle(policy, 3), stop_when=lambda s, q: drained(q))
+    lines = switch.trace_to_lines(trace)
+    with open(tr) as fh:
+        assert fh.read().splitlines() == lines
+    assert_format_4_loses_nothing(trace, lines)
+
+
+# ---------------------------------------------------------------------------
+# every stock app meets its spec on any workload: sim then check exits 0
+
+PROPERTY_SPECS = {"identity": "axioms", "sampler": "sampler",
+                  "firewall": f"firewall:{CONFIGS['firewall']['window']}"}
+_HOSTS = (0x0A000001, 0xC0A80001)  # two hosts and two ports, so replies meet flows
+
+
+@st.composite
+def _any_packet(draw):
+    """A standard packet with the meta and port_md fields over their full
+    ranges (the sample marker included) and a TCP, UDP or other header."""
+    proto = draw(st.one_of(st.sampled_from([IP_PROTO_TCP, IP_PROTO_UDP]), st.integers(0, 255)))
+    src, dst = draw(st.permutations(_HOSTS))
+    sp, dp = draw(st.permutations((80, 40000)))
+    l4 = {IP_PROTO_TCP: make_tcp, IP_PROTO_UDP: make_udp}.get(proto)
+    return build_packet(
+        meta=make_intrinsic_meta(
+            ingress_port=draw(st.one_of(st.just(SAMPLE_MARKER), st.integers(0, 2 ** 16 - 1))),
+            reserved=draw(st.integers(0, 2 ** 48 - 1))),
+        port_md=make_port_meta(blob=draw(st.integers(0, 2 ** 64 - 1))),
+        ethernet=make_ethernet(ethertype=draw(st.sampled_from([0x0800, 0, KEEPALIVE_ETHERTYPE]))),
+        ipv4=make_ipv4(protocol=proto, src=src, dst=dst),
+        l4=None if l4 is None else l4(src_port=sp, dst_port=dp),
+        payload=BitString.from_bytes(draw(st.binary(max_size=8))))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(workload=st.lists(st.tuples(st.one_of(st.sampled_from([1, 2, 3]), st.integers(0, 511)),
+                                   _any_packet()), min_size=1, max_size=12))
+def test_stock_apps_meet_their_specs(tmp_path, workload):
+    wl, tr = tmp_path / "w.jsonl", str(tmp_path / "t.jsonl")
+    wl.write_text("".join(_dump({"port": port, "packet": p.to_json()}) + "\n"
+                          for port, p in workload))
+    for app, spec in PROPERTY_SPECS.items():
+        cfg = write_config(tmp_path, f"{app}.json", CONFIGS[app])
+        code, out, err = _quiet_main("sim", "--config", cfg, "--input", str(wl), "--drain",
+                                     "--policy", "fifo-drain", "--trace", tr)
+        assert code == 0, (app, out, err)
+        code, out, err = _quiet_main("check", tr, "--config", cfg, "--spec", spec)
+        assert code == 0, (app, out, err)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from dataplane.switch import (
     egress_enabled,
     make_oracle,
     queue_digests,
-    queue_shape,
     read_trace_lines,
     run,
     state_digests,
@@ -51,6 +50,7 @@ from dataplane.apps import (
 from support import (
     AlwaysEgressOracle,
     arrivals,
+    assert_format_4_loses_nothing,
     drain_run,
     drained,
     flow_pair,
@@ -287,11 +287,11 @@ class TestDigests:
         assert config_digest(a) != config_digest(b)
 
     @pytest.mark.parametrize("config, digests", [
-        ({"app": "identity", "forward_port": 2}, ("a1a7361a1eee9958", "bbaaf906cbb37a61")),
+        ({"app": "identity", "forward_port": 2}, ("2eca42cf30a38dd5", "bbaaf906cbb37a61")),
         ({"app": "sampler", "forward_port": 1, "monitor_port": 3, "sample_every": 4},
-         ("588c2560937614b7", "c677097a038ea87a")),
+         ("170b8958da0f5d7d", "c677097a038ea87a")),
         ({"app": "firewall", "inside_port": 1, "outside_port": 2, "window": 100,
-          "keepalive_period": 100}, ("7c79a9617e8fa0b7", "548e3381cbcdbd1f")),
+          "keepalive_period": 100}, ("cbddef6a41234c54", "548e3381cbcdbd1f")),
     ], ids=["identity", "sampler", "firewall"])
     def test_readme_config_digests_are_pinned(self, config, digests):
         # every trace header carries both, so a change here breaks every
@@ -348,8 +348,7 @@ class TestTraceSerialization:
 
     def test_tm_record_is_the_canonical_form(self):
         # every TmMeta the stock apps emit, and random ones: the record's
-        # tm_meta is the generic _canon walk's plus the bypass_egress 0
-        # that format 3 keeps, so the record bytes are too
+        # tm_meta is the generic _canon walk's, so the record bytes are too
         pkts = [rand_packet(random.Random(i)) for i in range(8)]
         runs = [(identity_app(), arrivals(*pkts)),
                 (sampler_app(SamplerConfig(sample_every=2)), arrivals(*pkts)),
@@ -371,23 +370,40 @@ class TestTraceSerialization:
                           **{f: rng.getrandbits(w) for f, w in widths.items()})
                    for _ in range(200)]
         for tm in [*stock, *randoms]:
-            assert switch._tm_json(tm) == {**switch._canon(tm), "bypass_egress": 0}
+            assert switch._tm_json(tm) == switch._canon(tm)
 
-    def test_format_2_records(self):
-        tr = drain_run(identity_app(), [P1, P2, P3], RandomOracle(7))
-        recs = [json.loads(line) for line in trace_to_lines(tr)]
+    @pytest.mark.parametrize("cfg, packets", [
+        (identity_app(), [P1, P2, P3]),
+        (_recirc_once_app(), [tcp_pkt(ttl=2), tcp_pkt(ttl=4)]),
+    ], ids=["identity", "recirculating"])
+    def test_record_layout(self, cfg, packets):
+        tr = drain_run(cfg, packets, RandomOracle(7))
+        lines = trace_to_lines(tr)
+        recs = [json.loads(line) for line in lines]
         header, steps, end = recs[0], recs[1:-1], recs[-1]
-        assert header["format"] == TRACE_FORMAT == 3
+        assert header["format"] == TRACE_FORMAT == 4
         assert header["state_digest"] == digest(tr.initial_state)
+        assert set(header["queues"]) == {"q_input", "p_recirc", "q_egress", "q_output"}
         assert len(steps) == len(tr.steps)
         for rec, step in zip(steps, tr.steps):
-            # one snapshot per step: the post state, and of the queues
-            # only the register and the lengths
-            assert set(rec) == {"type", "kind", "decisions", "post", "detail"}
-            assert rec["post"] == {**state_digests(step.post_state),
-                                   **queue_shape(step.post_queues)}
+            # one snapshot per step: the post state's clock and replaced
+            # slots, and of the queues only the lengths
+            assert set(rec) == {"type", "decisions", "post", "detail"}
+            assert rec["post"] == {**state_digests(step.post_state, step.pre_state),
+                                   "lens": [len(step.post_queues.q_input),
+                                            len(step.post_queues.q_egress),
+                                            len(step.post_queues.q_output)]}
+            parsed = step.kind == INGRESS and step.detail.pipeline_out is not None
+            assert set(rec["detail"]) == (
+                {"scheduled", "recirculate", "p_out"} if step.kind == EGRESS else
+                {"from_recirc", "in_port", "p_i"} | ({"tm_meta", "raw_out", "m_repl"}
+                                                    if parsed else set()))
+        assert set(end) == {"type", "steps", "final_state_digest", "final_queues"}
         assert end["final_state_digest"] == digest(tr.final_state)
         assert end["final_queues"] == queue_digests(tr.final_queues)
+        assert set(end["final_queues"]) == {"q_input", "q_egress", "q_output", "p_recirc",
+                                            "lens"}
+        assert_format_4_loses_nothing(tr, lines)
 
     @staticmethod
     def _canon_calls_per_step(monkeypatch, n):
@@ -413,10 +429,9 @@ class TestTraceSerialization:
         assert large <= 1.1 * small
 
     def test_untouched_slots_are_not_digested_again(self, monkeypatch):
-        # a count: a step record digests exactly the state slots whose
-        # object differs from the previous step's, on top of the first
-        # step's seven, the header's state digest and the end record's
-        # five (final state and four queues)
+        # a count: the records digest exactly the state slots whose object
+        # a step replaced, on top of the header's state digest and the end
+        # record's four (final state and three queues)
         cfg = sampler_app(SamplerConfig(sample_every=2))
         tr = drain_run(cfg, [tcp_pkt(sp=i) for i in range(40)])
         assert {s.kind for s in tr.steps} == {INGRESS, EGRESS}
@@ -432,37 +447,36 @@ class TestTraceSerialization:
         monkeypatch.setattr(switch, "digest", counting)
         assert trace_to_lines(tr) == expected
         monkeypatch.setattr(switch, "digest", digest_)
-        replaced = sum(a is not b for s in tr.steps[1:]
+        replaced = sum(a is not b for s in tr.steps
                        for a, b in zip(_slots(s.pre_state), _slots(s.post_state)))
         assert 0 < replaced < len(tr.steps)
-        assert calls == 1 + 7 + replaced + 5
-        # the records are those of digesting every slot afresh
-        for line, step in zip(expected[1:], tr.steps):
-            assert json.loads(line)["post"] == {**state_digests(step.post_state),
-                                               **queue_shape(step.post_queues)}
+        assert calls == 1 + replaced + 4
+        # each record holds the digests of exactly those slots
+        assert sum(len(json.loads(line)["post"]) - 2 for line in expected[1:-1]) == replaced
 
     @pytest.mark.parametrize("oracle", ["fifo-drain", "random"])
     @pytest.mark.parametrize("app", ["identity", "sampler", "firewall"])
     def test_digest_reuse_is_invisible(self, app, oracle):
-        # a record built with the previous record's digests is the record
-        # built from nothing
+        # a slot whose object the step kept is absent from the record, and
+        # one it replaced is written as the digest of its new object
         cfg = {"identity": identity_app(), "sampler": sampler_app(SamplerConfig(sample_every=2)),
                "firewall": firewall_app(FirewallConfig(window=16, keepalive_period=4))}[app]
         pkts = [rand_packet(random.Random(i)) for i in range(12)] + [tcp_pkt(sp=1)] * 4
         tr = run(cfg, initial_switch_state(cfg), SwitchQueues(q_input=arrivals(*pkts)),
                  60, make_oracle(oracle, seed=5))
         assert tr.fault is None and len(tr.steps) == 60
-        prev = None
         for step in tr.steps:
-            rec = step_to_json(step, prev)
-            assert rec == step_to_json(step, None)
-            prev = rec["post"]
+            post = step_to_json(step)["post"]
+            pre, new = switch._state_slots(step.pre_state), switch._state_slots(step.post_state)
+            assert set(post) - {"t", "lens"} == {n for n in new if new[n] is not pre[n]}
+            assert all(post[n] == digest(new[n]) for n in set(post) - {"t", "lens"})
 
     @pytest.mark.parametrize("keeps", ["same", "equal", "changed"])
     def test_reused_digest_is_the_slots_digest(self, keeps):
         # controls that return their state object itself, a new equal
-        # one, or a new different one: every record's slot digests are
-        # fresh digests of the slots
+        # one, or a new different one: a reader that carries each slot's
+        # last written digest forward holds every slot's digest, and a new
+        # object is written even when it equals the old one
         base = identity_app().components
         new = {"same": lambda s: s, "equal": lambda s: SamplerState(s.counter),
                "changed": lambda s: SamplerState(s.counter + 1)}[keeps]
@@ -485,10 +499,14 @@ class TestTraceSerialization:
         kept = {control_slot(s.post_state, s.kind) is control_slot(s.pre_state, s.kind)
                 for s in tr.steps if s.call}
         assert kept == {keeps == "same"}
+        carried = state_digests(tr.initial_state)
         for line, step in zip(trace_to_lines(tr)[1:], tr.steps):
             post = json.loads(line)["post"]
-            assert post["s_ic"] == digest(step.post_state.s_i[1])
-            assert post["s_ec"] == digest(step.post_state.s_e[1])
+            name = "s_ic" if step.kind == INGRESS else "s_ec"
+            assert (name in post) == (step.call is not None and keeps != "same")
+            carried.update(post)
+            assert carried["s_ic"] == digest(step.post_state.s_i[1])
+            assert carried["s_ec"] == digest(step.post_state.s_e[1])
 
     @pytest.mark.parametrize("policy, answers, fault, consumed", [
         (QacMinimal(), {"admitted_subset": lambda self, mandatory: [1, 0] * len(mandatory)},
