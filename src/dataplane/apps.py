@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -22,6 +21,7 @@ from .headers import (
 )
 from .packet_format import BitString, TypedValue
 from .pipeline import Components, EgressIndication, ParsedData, TmMeta
+from .records import record
 from .switch import SwitchConfig, SwitchState, expect, port_from_json
 
 # ethertype of the generator keepalive template; disjoint from the
@@ -129,7 +129,7 @@ def _app(label: str, params, in_control: Callable, *, e_parser: Callable = _e_pa
 # identity forwarder
 
 
-@dataclass(frozen=True)
+@record
 class IdentityConfig:
     forward_port: int = 1
 
@@ -149,7 +149,7 @@ def identity_app(forward_port: int = 1, *, mc: Optional[McConfig] = None,
 # packet sampler
 
 
-@dataclass(frozen=True)
+@record
 class SamplerConfig:
     forward_port: int = 1
     monitor_port: int = 3
@@ -174,7 +174,7 @@ class SamplerConfig:
                 raise ValueError(f"{name} must not be 0, the rid of every unicast copy")
 
 
-@dataclass(frozen=True)
+@record
 class SamplerState:
     counter: int = 0  # packets seen so far, mod 2^32
 
@@ -236,7 +236,7 @@ def sampler_app(cfg: SamplerConfig = SamplerConfig(), *,
 # stateful firewall
 
 
-@dataclass(frozen=True)
+@record
 class FirewallConfig:
     inside_port: int = 1
     outside_port: int = 2
@@ -260,7 +260,7 @@ class FirewallConfig:
             raise ValueError("inside and outside must be distinct ports")
 
 
-@dataclass(frozen=True)
+@record
 class FirewallState:
     """Two filter panes aged against the clock.
 
@@ -335,31 +335,26 @@ def firewall_app(cfg: FirewallConfig = FirewallConfig(), *, qac=None) -> SwitchC
             out.append(h % m)
         return out
 
-    def pane(s: FirewallState, which: int) -> int:
-        return s.pane0 if which == 0 else s.pane1
-
-    def with_pane(s: FirewallState, which: int, value: int) -> FirewallState:
-        if which == 0:
-            return FirewallState(value, s.pane1, s.active, s.rotated_at, s.cursor)
-        return FirewallState(s.pane0, value, s.active, s.rotated_at, s.cursor)
-
     def maintain(t: int, s: FirewallState) -> FirewallState:
+        """s aged to tick t: s itself when nothing changes, else one new
+        state."""
+        panes, active, rotated_at, cursor = [s.pane0, s.pane1], s.active, s.rotated_at, s.cursor
         # swap panes once a full window has elapsed; the rest of the
         # inactive pane is wiped here so the new active pane is clean
-        if t - s.rotated_at >= cfg.window:
-            inactive = 1 - s.active
-            wipe = ((1 << m) - (1 << s.cursor)) if s.cursor < m else 0
-            s = with_pane(s, inactive, pane(s, inactive) & ~wipe)
-            s = FirewallState(s.pane0, s.pane1, inactive, t, 0)
+        if t - rotated_at >= cfg.window:
+            active = 1 - active
+            if cursor < m:
+                panes[active] &= ~((1 << m) - (1 << cursor))
+            rotated_at, cursor = t, 0
         # pace the cleaner so the whole inactive pane is covered within
         # one window regardless of how often traffic arrives
-        target = min(m, m * (t - s.rotated_at) // cfg.window)
-        if target > s.cursor:
-            inactive = 1 - s.active
-            wipe = (1 << target) - (1 << s.cursor)
-            s = with_pane(s, inactive, pane(s, inactive) & ~wipe)
-            s = FirewallState(s.pane0, s.pane1, s.active, s.rotated_at, target)
-        return s
+        target = min(m, m * (t - rotated_at) // cfg.window)
+        if target > cursor:
+            panes[1 - active] &= ~((1 << target) - (1 << cursor))
+            cursor = target
+        if rotated_at == s.rotated_at and cursor == s.cursor:
+            return s
+        return FirewallState(panes[0], panes[1], active, rotated_at, cursor)
 
     def insert(s: FirewallState, key: int) -> FirewallState:
         bits = 0

@@ -22,7 +22,7 @@ result nobody computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import engines
@@ -33,6 +33,7 @@ from .headers import (
 )
 from .packet_format import BitString, Format, HeaderType, encode, matches
 from .pipeline import egress_pipeline, ingress_pipeline
+from .records import record
 from .switch import EGRESS, INGRESS, Arrival, SwitchConfig, Trace, TraceStep
 
 
@@ -41,7 +42,7 @@ class PreconditionUnmet(Exception):
     neither passed nor failed."""
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     ok: bool
     violated_clause: Optional[str] = None

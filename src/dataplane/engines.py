@@ -15,12 +15,12 @@ policy.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
 from .packet_format import BitString
 from .pipeline import EgressIndication, TmMeta
+from .records import record
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ MULTICAST_B = "multicast_b"
 CPU_COPY = "cpu_copy"
 
 
-@dataclass(frozen=True)
+@record
 class L1Node:
     dev_port_list: tuple[int, ...] = ()
     lag_list: tuple[int, ...] = ()
@@ -186,7 +186,7 @@ def _check_port(p: int) -> None:
         raise ValueError(f"port out of 9-bit range: {p}")
 
 
-@dataclass(frozen=True)
+@record
 class McConfig:
     groups: tuple[tuple[int, tuple[L1Node, ...]], ...] = ()
     lags: tuple[tuple[int, tuple[int, ...]], ...] = ()
@@ -233,7 +233,7 @@ class McConfig:
         return frozenset()
 
 
-@dataclass(frozen=True)
+@record
 class EgressMeta:
     egress_port: int
     rid: int
@@ -309,7 +309,7 @@ IDLE = "idle"
 EMITTING = "emitting"
 
 
-@dataclass(frozen=True)
+@record
 class PktGenConfig:
     enabled: bool = False
     period: int = 1000
@@ -331,7 +331,7 @@ class PktGenConfig:
             warnings.warn("pktgen period of 1 tick fires continuously", stacklevel=2)
 
 
-@dataclass(frozen=True)
+@record
 class PktGenState:
     phase: str = IDLE
     next_fire: int = 0
@@ -410,14 +410,14 @@ def input_ports(p_g: Optional[BitString], q_input: "tuple | Seq", idx: Optional[
 # queue admission control
 
 
-@dataclass(frozen=True)
+@record
 class QacMinimal:
     """Admission may drop any subset; queued packets are never lost."""
 
     kind: str = "minimal"
 
 
-@dataclass(frozen=True)
+@record
 class QacAlwaysReady:
     """Copies destined to ready ports must be admitted.
     ready_ports=None means every port is ready."""

@@ -38,8 +38,10 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Optional
+
+from .records import record
 
 
 class FormatError(Exception):
@@ -59,7 +61,7 @@ class UnresolvedCondition(FormatError):
 # bit strings
 
 
-@dataclass(frozen=True)
+@record
 class BitString:
     """An immutable bit string stored as (value, nbits), MSB first.
 
@@ -163,18 +165,29 @@ def _bits(value: int, nbits: int) -> BitString:
     bit string, or words packed from valid header values.  Files and
     every other outside value go through the checked constructor."""
     b = object.__new__(BitString)
-    object.__setattr__(b, "value", value)
-    object.__setattr__(b, "nbits", nbits)
+    _set_value(b, value)
+    _set_nbits(b, nbits)
     return b
+
+
+# the slot descriptors write a record's fields without going through
+# its refusing __setattr__
+_set_value = BitString.value.__set__
+_set_nbits = BitString.nbits.__set__
 
 
 # ---------------------------------------------------------------------------
 # header types and values
 
 
-@dataclass(frozen=True)
+@record
 class HeaderType:
     """A named, ordered list of fixed-width unsigned fields."""
+
+    # field -> (shift, mask) within the encoded word, and the mask of the
+    # whole word; kept out of the fields so that eq, hash and repr see
+    # only the declaration
+    __slots__ = ("layout", "mask")
 
     name: str
     fields: tuple[tuple[str, int], ...]
@@ -183,8 +196,6 @@ class HeaderType:
     def __post_init__(self) -> None:
         object.__setattr__(self, "fields", tuple((str(n), int(w)) for n, w in self.fields))
         object.__setattr__(self, "total_width", sum(w for _, w in self.fields))
-        # field -> (shift, mask) within the encoded word; kept out of the
-        # dataclass fields so that eq, hash and repr see only the declaration
         layout, shift = {}, self.total_width
         for fname, width in self.fields:
             if width < 1:
@@ -197,7 +208,7 @@ class HeaderType:
         object.__setattr__(self, "mask", (1 << self.total_width) - 1)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TypedValue:
     """A fully bound header value, held as its encoding: word packs the
     fields big-endian in declaration order, and a field read is one
@@ -218,8 +229,8 @@ class TypedValue:
             word = (word << width) | v
         if got:
             raise ValueError(f"{htype.name}: unknown fields {sorted(got)}")
-        object.__setattr__(self, "htype", htype)
-        object.__setattr__(self, "word", word)
+        _set_htype(self, htype)
+        _set_word(self, word)
 
     @classmethod
     def of_word(cls, htype: HeaderType, word: int) -> "TypedValue":
@@ -257,8 +268,6 @@ class TypedValue:
         return f"<{self.htype.name} {inner}>"
 
 
-# the slot descriptors write a frozen value's fields without going
-# through its refusing __setattr__
 _set_htype = TypedValue.htype.__set__
 _set_word = TypedValue.word.__set__
 
@@ -315,29 +324,29 @@ class Format:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Empty(Format):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ExactValue(Format):
     name: str
     htype: HeaderType
 
 
-@dataclass(frozen=True)
+@record
 class ExactPlain(Format):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Concat(Format):
     left: Format
     right: Format
 
 
-@dataclass(frozen=True)
+@record
 class Branch(Format):
     cond: Callable[[Environment], bool] = field(compare=False)
     then: Format = Empty()

@@ -30,10 +30,10 @@ ingress emits neither an indication nor a mirror session.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .packet_format import BitString, TypedValue
+from .records import record
 
 
 class EgressParseFailure(Exception):
@@ -41,7 +41,7 @@ class EgressParseFailure(Exception):
     own ingress produced; kept as a loud diagnostic."""
 
 
-@dataclass(frozen=True)
+@record
 class ParsedData:
     """Parser output: named header slots plus the unparsed payload.
     A header slot is valid exactly when its name is present."""
@@ -50,7 +50,7 @@ class ParsedData:
     payload: BitString
 
 
-@dataclass(frozen=True)
+@record
 class TmMeta:
     """Traffic manager intent produced by the ingress control.
 
@@ -79,7 +79,7 @@ class TmMeta:
                 raise ValueError(f"{name} out of {width}-bit range: {v}")
 
 
-@dataclass(frozen=True)
+@record
 class EgressIndication:
     recirculate: int = 0
 
@@ -91,7 +91,7 @@ class EgressIndication:
 ComponentFn = Callable  # step(d_in, s) -> (d_out, s')
 
 
-@dataclass(frozen=True)
+@record
 class Components:
     """The six component functions of one application."""
 

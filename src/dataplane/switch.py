@@ -36,12 +36,13 @@ from .pipeline import (
     Components, EgressIndication, EgressParseFailure, TmMeta,
     egress_pipeline, ingress_pipeline,
 )
+from .records import record
 
 INGRESS = "ingress"
 EGRESS = "egress"
 
 
-@dataclass(frozen=True)
+@record
 class Arrival:
     """One element of the input queue: the wire bits plus the port they
     arrived on."""
@@ -50,7 +51,7 @@ class Arrival:
     packet: BitString
 
 
-@dataclass(frozen=True)
+@record
 class SwitchState:
     """Slot values are immutable (None or frozen), so a step that keeps
     a slot's object keeps its value, and its digest in the trace."""
@@ -61,7 +62,7 @@ class SwitchState:
     s_e: tuple  # same for egress
 
 
-@dataclass(frozen=True)
+@record
 class SwitchQueues:
     """The queues between the engines.  The steps make q_input and
     q_output a Seq, so the snapshots of a run share their chunks."""
@@ -73,7 +74,7 @@ class SwitchQueues:
     q_output: "tuple | Seq" = ()  # of (port, BitString)
 
 
-@dataclass(frozen=True)
+@record
 class SwitchConfig:
     """One configured switch; each app builder in `apps` returns one."""
 
@@ -214,7 +215,7 @@ def make_oracle(policy: str, seed: int = 0) -> Oracle:
 # trace steps
 
 
-@dataclass(frozen=True)
+@record
 class IngressDetail:
     p_g: Optional[BitString]
     from_recirc: bool
@@ -225,14 +226,14 @@ class IngressDetail:
     enqueued: tuple
 
 
-@dataclass(frozen=True)
+@record
 class EgressDetail:
     scheduled: tuple  # (EgressMeta, BitString)
     indication: EgressIndication
     p_out: BitString
 
 
-@dataclass(frozen=True)
+@record
 class TraceStep:
     kind: str
     pre_state: SwitchState

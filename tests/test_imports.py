@@ -20,6 +20,11 @@ answers: no other module of the package calls an oracle method, and no
 `engines` function takes an `oracle` parameter.  So each answer is
 asked, and recorded, in one place.
 
+Every immutable record of the package is a `record`, never the stdlib's
+`@dataclass(frozen=True)`, whose `__init__` stores each field with
+`object.__setattr__`.  `switch.Trace`, which a run fills in, is the one
+dataclass left: a plain, mutable one.
+
 The checker judges the steps the switch took and never takes one
 itself: it binds neither the switch module nor any of its steppers or
 oracles, so it cannot make the step it then judges.
@@ -195,3 +200,27 @@ def test_the_checker_never_steps_the_switch():
                    if any(v is s for s in steppers)
                    or (isinstance(v, type) and issubclass(v, switch.Oracle)))
     assert bound == []
+
+
+def dataclass_decorations(source: str) -> list[str]:
+    """The classes in source that the stdlib's dataclass decorator makes,
+    each with the decorator as written."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for dec in node.decorator_list:
+                fn = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(fn, "attr", getattr(fn, "id", None)) == "dataclass":
+                    found.append(f"{node.name}: {ast.unparse(dec)}")
+    return found
+
+
+def test_records_are_not_frozen_dataclasses():
+    found = [f"{p.name}: {d}" for p in PACKAGE for d in dataclass_decorations(p.read_text())]
+    assert found == ["switch.py: Trace: dataclass"]
+
+
+def test_dataclass_decoration_scanner():
+    src = ("@dataclass(frozen=True)\nclass A: pass\n@dataclasses.dataclass\nclass B: pass\n"
+           "@record\nclass C: pass\n")
+    assert dataclass_decorations(src) == ["A: dataclass(frozen=True)", "B: dataclasses.dataclass"]
