@@ -421,9 +421,13 @@ _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # as json.dumps
 
 def _canon(obj):
     """Deterministic JSON-compatible view of states, queues and engine
-    values, which digest hashes."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    values, which digest hashes.  An integer wider than 63 bits, such as
+    a firewall filter pane, is written in hex: decimal conversion costs
+    time quadratic in its width and is refused beyond 4300 digits."""
+    if obj is None or isinstance(obj, (bool, str)):
         return obj
+    if isinstance(obj, int):
+        return obj if obj.bit_length() <= 63 else {"int_hex": format(obj, "x")}
     if isinstance(obj, BitString):
         return {"hex": obj.to_hex(), "len_bits": obj.nbits}
     if isinstance(obj, (tuple, list, Seq)):
@@ -486,7 +490,7 @@ def queue_digests(qs: SwitchQueues) -> dict:
 # ---------------------------------------------------------------------------
 # trace file format: one JSON object per line
 #
-# Format 4.  A record holds no constant and nothing that its other fields
+# Format 5.  A record holds no constant and nothing that its other fields
 # give without running a component or an engine.  The header holds the
 # config digest and the full initial queues.  Each step record holds its
 # post snapshot only: the clock, the digests of the state slots whose
@@ -495,9 +499,11 @@ def queue_digests(qs: SwitchQueues) -> dict:
 # change is a delta in the decisions and the detail (consumed arrival,
 # admitted copies, scheduled copy, emitted or recirculated packet).  The
 # end record digests the whole final queues once.  Replay byte-compares
-# every record, so an edit anywhere shows as a divergence.
+# every record, so an edit anywhere shows as a divergence.  Format 5 has
+# format 4's records; its digests write an integer wider than 63 bits as
+# {"int_hex": ...} (see _canon), so only the firewall's digests differ.
 
-TRACE_FORMAT = 4
+TRACE_FORMAT = 5
 
 
 def _opt_hex(p: Optional[BitString]):

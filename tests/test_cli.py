@@ -501,7 +501,8 @@ class TestCheck:
         lambda h: h.update(format=1),
         lambda h: h.update(format=2),
         lambda h: h.update(format=3),
-    ], ids=["no-format", "format-1", "format-2", "format-3"])
+        lambda h: h.update(format=4),
+    ], ids=["no-format", "format-1", "format-2", "format-3", "format-4"])
     def test_other_trace_format_rejected(self, identity_cfg, tmp_path, capsys,
                                          edit):
         tr = _sim_trace(capsys, tmp_path, identity_cfg, steps=3, drain=False)
@@ -509,7 +510,7 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", tr, "--config", identity_cfg)
         assert code == 2 and out == ""
         assert err.startswith("error: trace format") and len(err.splitlines()) == 1
-        assert err.endswith(" is not supported; this version reads format 4\n")
+        assert err.endswith(" is not supported; this version reads format 5\n")
 
     def test_tampered_end_queues_diverge(self, identity_cfg, tmp_path, capsys):
         wl = str(tmp_path / "w.jsonl")
@@ -947,15 +948,15 @@ def test_sim_survives_mutated_inputs(sim_inputs, data):
 PINNED_SPECS = {"identity": "axioms", "sampler": "sampler", "firewall": "firewall:32"}
 # (app, policy) -> (trace file, stdout of `check --spec PINNED_SPECS[app]`)
 PINNED = {
-    ("identity", "fifo-drain"): ("2d99e365ef64eaaf", "b5e71a2955ad08c6"),
-    ("identity", "random"): ("8a8ad9e3a21902be", "ced8e81ec5428525"),
-    ("identity", "adversarial-drop"): ("30a5f8c51a1ae953", "24ddd97e5591df4b"),
-    ("sampler", "fifo-drain"): ("d40821393c3a08ef", "6e01e3171f018f20"),
-    ("sampler", "random"): ("bbcb980660aeb2a0", "e66c4d7c13844faa"),
-    ("sampler", "adversarial-drop"): ("53d7ef43ddcd0c3a", "a85e1342f7eaecca"),
-    ("firewall", "fifo-drain"): ("320083705fcc67e5", "0366738331950a2b"),
-    ("firewall", "random"): ("947157c0d2012a6f", "0366738331950a2b"),
-    ("firewall", "adversarial-drop"): ("ad73953bfe6df0ed", "576296677ab0a1ca"),
+    ("identity", "fifo-drain"): ("2a1450e851301457", "b5e71a2955ad08c6"),
+    ("identity", "random"): ("c17e0cdd1ee9094a", "ced8e81ec5428525"),
+    ("identity", "adversarial-drop"): ("eb58bc4ee0d1c541", "24ddd97e5591df4b"),
+    ("sampler", "fifo-drain"): ("a6d99ebde724ce8c", "6e01e3171f018f20"),
+    ("sampler", "random"): ("6be5066cc183c82f", "e66c4d7c13844faa"),
+    ("sampler", "adversarial-drop"): ("d05617887445bce5", "a85e1342f7eaecca"),
+    ("firewall", "fifo-drain"): ("80d34898de8e551c", "0366738331950a2b"),
+    ("firewall", "random"): ("98f00ef252b93639", "0366738331950a2b"),
+    ("firewall", "adversarial-drop"): ("b13354fee2b8f8ff", "576296677ab0a1ca"),
 }
 
 
@@ -980,6 +981,19 @@ def test_trace_bytes_pinned(pinned_workload, tmp_path, app, policy):
     _code, out, _ = _quiet_main("check", tr, "--config", cfg, "--spec", PINNED_SPECS[app])
     with open(tr, "rb") as fh:
         assert (_sha(fh.read()), _sha(out.encode())) == PINNED[app, policy]
+
+
+def test_widest_firewall_filter_runs(pinned_workload, tmp_path):
+    # a pane of the largest accepted width is an integer of about 19,700
+    # decimal digits, past the interpreter's 4300-digit limit on turning
+    # an integer into decimal text; the digests write it in hex
+    cfg = write_config(tmp_path, "c.json", {**CONFIGS["firewall"], "bits": 65536})
+    tr = str(tmp_path / "t.jsonl")
+    code, out, err = _quiet_main("sim", "--config", cfg, "--input", pinned_workload,
+                                 "--drain", "--trace", tr)
+    assert code == 0 and err == "", err
+    code, out, err = _quiet_main("check", tr, "--config", cfg, "--spec", "firewall:32")
+    assert code == 0 and out.endswith("firewall: ok\n") and err == "", (out, err)
 
 
 @pytest.mark.parametrize("app, policy", list(PINNED), ids=[f"{a}-{p}" for a, p in PINNED])

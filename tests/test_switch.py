@@ -381,7 +381,7 @@ class TestTraceSerialization:
         lines = trace_to_lines(tr)
         recs = [json.loads(line) for line in lines]
         header, steps, end = recs[0], recs[1:-1], recs[-1]
-        assert header["format"] == TRACE_FORMAT == 4
+        assert header["format"] == TRACE_FORMAT == 5
         assert header["state_digest"] == digest(tr.initial_state)
         assert set(header["queues"]) == {"q_input", "p_recirc", "q_egress", "q_output"}
         assert len(steps) == len(tr.steps)
