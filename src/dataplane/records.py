@@ -49,7 +49,9 @@ def _tuple(obj: str, names) -> str:
 def record(cls: type) -> type:
     """cls as a frozen, slotted dataclass; see the module docstring."""
     doc = cls.__doc__
-    cls.__doc__ = "-"  # else dataclass writes one from the signature of object.__init__
+    # else dataclass writes one from inspect.signature: slow, and with no
+    # __init__ of its own yet, empty
+    cls.__doc__ = "-"
     cls = dataclass(cls, init=False, repr=False, eq=False)
     flds = fields(cls)
     if any(f.default_factory is not MISSING for f in flds):
@@ -65,17 +67,11 @@ def record(cls: type) -> type:
 
     ns = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
     params, stores = ["self"], []
-    for f in flds:
-        if f.init:
-            if f.default is MISSING:
-                params.append(f.name)
-            else:
-                ns[f"_dflt_{f.name}"] = f.default
-                params.append(f"{f.name}=_dflt_{f.name}")
-            stores.append(f"_set_{f.name}(self, {f.name})")
-        elif f.default is not MISSING:
+    for f in (f for f in flds if f.init):
+        if f.default is not MISSING:
             ns[f"_dflt_{f.name}"] = f.default
-            stores.append(f"_set_{f.name}(self, _dflt_{f.name})")
+        params.append(f.name if f.default is MISSING else f"{f.name}=_dflt_{f.name}")
+        stores.append(f"_set_{f.name}(self, {f.name})")
     if hasattr(cls, "__post_init__"):
         ns["_post_init"] = cls.__post_init__
         stores.append("_post_init(self)")

@@ -499,9 +499,9 @@ def queue_digests(qs: SwitchQueues) -> dict:
 # change is a delta in the decisions and the detail (consumed arrival,
 # admitted copies, scheduled copy, emitted or recirculated packet).  The
 # end record digests the whole final queues once.  Replay byte-compares
-# every record, so an edit anywhere shows as a divergence.  Format 5 has
-# format 4's records; its digests write an integer wider than 63 bits as
-# {"int_hex": ...} (see _canon), so only the firewall's digests differ.
+# every record, so an edit anywhere shows as a divergence.  A digest
+# writes an integer wider than 63 bits, such as a firewall filter pane,
+# as {"int_hex": ...} (see _canon).
 
 TRACE_FORMAT = 5
 

@@ -216,13 +216,6 @@ def test_post_init_checks_still_fire(make):
         make()
 
 
-def test_post_init_checks_fire_in_the_twin():
-    with pytest.raises(ValueError):
-        _twin(BitString)(1, 0)
-    with pytest.raises(ValueError):
-        _twin(FirewallConfig)(bits=0)
-
-
 def test_record_refuses_a_default_factory():
     class WithFactory:
         xs: list = dataclasses.field(default_factory=list)
