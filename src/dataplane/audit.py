@@ -192,10 +192,10 @@ class Lockstep:
         if not self._match(switch.header_record(switch.config_digest(cfg), cfg.app_label,
                                                 st, qs)):
             return None
-        oracle = switch.ReplayOracle()
-        replay = switch.Run(cfg, st, qs, oracle)
+        # each step's decisions come from the record at hand when it begins
+        decisions = iter(lambda: r.checked(record_decisions, r.rec), None)
+        replay = switch.Run(cfg, st, qs, switch.ReplayOracle(decisions))
         while r.rec is not None and r.rec.get("type") in ("step", "fault"):
-            oracle.feed(r.checked(record_decisions, r.rec))
             step = replay.step()
             if step is None:
                 break

@@ -35,7 +35,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="dataplane")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
+    # the handlers are looked up when main runs, so a replaced cmd_sim is called
     p_sim = sub.add_parser("sim", help="run a switch and write a trace")
+    p_sim.set_defaults(run=cmd_sim)
     p_sim.add_argument("--config", required=True, help="app config JSON file")
     p_sim.add_argument("--input", help="workload file from `gen` (JSON lines)")
     p_sim.add_argument("--steps", type=int, default=1000)
@@ -48,16 +50,19 @@ def main(argv: Optional[list[str]] = None) -> int:
                        help="stop once every queue is empty")
 
     p_chk = sub.add_parser("check", help="replay and verify a trace")
+    p_chk.set_defaults(run=cmd_check)
     p_chk.add_argument("trace", help="trace file written by sim")
     p_chk.add_argument("--config", required=True, help="the config the trace was run with")
     p_chk.add_argument("--spec", default="axioms",
                        help="axioms | sampler | langsec | denseflow:gap | firewall:gap")
 
     p_fmt = sub.add_parser("fmt", help="match a packet against a format")
+    p_fmt.set_defaults(run=cmd_fmt)
     p_fmt.add_argument("format", choices=sorted(FORMATS))
     p_fmt.add_argument("packet", help="hex string, or @file with hex inside")
 
     p_gen = sub.add_parser("gen", help="synthesize a workload")
+    p_gen.set_defaults(run=cmd_gen)
     p_gen.add_argument("--profile", default="mixed", choices=("tcp", "udp", "mixed"))
     p_gen.add_argument("--count", type=int, default=100)
     p_gen.add_argument("--seed", type=int, default=0)
@@ -68,13 +73,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.cmd == "sim":
-            return cmd_sim(args)
-        if args.cmd == "check":
-            return cmd_check(args)
-        if args.cmd == "fmt":
-            return cmd_fmt(args)
-        return cmd_gen(args)
+        return args.run(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

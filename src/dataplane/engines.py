@@ -327,8 +327,9 @@ class PktGenConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.enabled and self.period == 1:
-            # legal but degenerate; the period is meant to be much larger
-            warnings.warn("pktgen period of 1 tick fires continuously", stacklevel=2)
+            # legal but degenerate; the period is meant to be much larger.  Level 3
+            # is the caller of the record's generated __init__, which calls this
+            warnings.warn("pktgen period of 1 tick fires continuously", stacklevel=3)
 
 
 @record
@@ -428,6 +429,8 @@ class QacAlwaysReady:
     def __post_init__(self) -> None:
         if self.ready_ports is not None:
             object.__setattr__(self, "ready_ports", frozenset(self.ready_ports))
+            for p in self.ready_ports:
+                _check_port(p)
 
     def is_ready(self, port: int) -> bool:
         return self.ready_ports is None or port in self.ready_ports

@@ -156,9 +156,6 @@ class BitString:
         return f"BitString({self.nbits}b:{self.to_hex()})"
 
 
-EMPTY_BITS = BitString()
-
-
 def _bits(value: int, nbits: int) -> BitString:
     """BitString(value, nbits) without the range check, for the callers
     whose value is in range by construction: a shift and mask of a valid
@@ -585,18 +582,3 @@ def value_bindings(f: Format) -> tuple[str, ...]:
         return value_bindings(f.then) + value_bindings(f.els)
     return ()
 
-
-def reconstruct(f: Format, env: Environment) -> BitString:
-    """Re-encode env's bindings in format order.  For any successful
-    match this reproduces the original input exactly."""
-    if isinstance(f, Empty):
-        return EMPTY_BITS
-    if isinstance(f, ExactValue):
-        return encode(env[f.name])
-    if isinstance(f, ExactPlain):
-        return env[f.name]
-    if isinstance(f, Concat):
-        return reconstruct(f.left, env) + reconstruct(f.right, env)
-    if isinstance(f, Branch):
-        return reconstruct(f.then if f.cond(env) else f.els, env)
-    raise TypeError(f"not a Format: {f!r}")

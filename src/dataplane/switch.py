@@ -163,16 +163,12 @@ class AdversarialDropOracle(FifoDrainOracle):
 
 class ReplayOracle(Oracle):
     """Feeds back the decisions recorded in an earlier trace, taking one
-    step's decisions from the iterable each time a step begins."""
+    step's decisions from the iterable, which may be lazy, as each step
+    begins."""
 
-    def __init__(self, decisions: Iterable[dict] = ()):
+    def __init__(self, decisions: Iterable[dict]):
         self._decisions = iter(decisions)
         self._cur: dict = {}
-
-    def feed(self, decisions: dict) -> None:
-        """Make decisions the only ones left, so a reader can hand each
-        step's decisions over as it reads the records."""
-        self._decisions = iter((decisions,))
 
     def _recorded(self, key: str):
         v = self._cur.get(key)  # a fault record keeps only what its step consumed
@@ -198,17 +194,16 @@ class ReplayOracle(Oracle):
         return self._recorded("sched_index")
 
 
-ORACLE_POLICIES = ("fifo-drain", "random", "adversarial-drop")
+_POLICIES = {"fifo-drain": lambda seed: FifoDrainOracle(),
+             "random": RandomOracle,
+             "adversarial-drop": lambda seed: AdversarialDropOracle()}
+ORACLE_POLICIES = tuple(_POLICIES)
 
 
 def make_oracle(policy: str, seed: int = 0) -> Oracle:
-    if policy == "fifo-drain":
-        return FifoDrainOracle()
-    if policy == "random":
-        return RandomOracle(seed)
-    if policy == "adversarial-drop":
-        return AdversarialDropOracle()
-    raise ValueError(f"unknown oracle policy {policy!r}; pick one of {ORACLE_POLICIES}")
+    if policy not in _POLICIES:
+        raise ValueError(f"unknown oracle policy {policy!r}; pick one of {ORACLE_POLICIES}")
+    return _POLICIES[policy](seed)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +273,7 @@ def _finished(decisions: dict, kind: str) -> dict:
 
 
 def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
-                 o: Oracle, decisions: dict
-                 ) -> tuple[SwitchState, SwitchQueues, TraceStep]:
+                 o: Oracle, decisions: dict) -> TraceStep:
     """One clock tick of the ingress side.  decisions holds the step kind
     the oracle asked for; each further answer goes into it as the oracle
     gives it, before an engine checks it, so a step that faults leaves
@@ -322,15 +316,14 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
     st2 = SwitchState(t=st.t + 1, s_g=s_g2, s_i=s_i2, s_e=st.s_e)
     qs2 = SwitchQueues(q_input=q_input2, p_recirc=p_recirc2, q_mirror=qs.q_mirror,
                        q_egress=q_egress2, q_output=qs.q_output)
-    step = TraceStep(INGRESS, st, qs, st2, qs2, _finished(decisions, INGRESS),
+    return TraceStep(INGRESS, st, qs, st2, qs2, _finished(decisions, INGRESS),
                      IngressDetail(p_g=p_g, from_recirc=from_recirc, in_port=in_port,
                                    p_i=p_i, pipeline_out=out, m_repl=m_repl,
                                    enqueued=enqueued), call)
-    return st2, qs2, step
 
 
 def egress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
-                o: Oracle, decisions: dict) -> tuple[SwitchState, SwitchQueues, TraceStep]:
+                o: Oracle, decisions: dict) -> TraceStep:
     """Schedule one queued copy through the egress pipeline; only for
     queues where egress_enabled holds.  decisions as for ingress_step.
 
@@ -348,10 +341,9 @@ def egress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
     st2 = SwitchState(t=st.t, s_g=st.s_g, s_i=st.s_i, s_e=s_e2)
     qs2 = SwitchQueues(q_input=qs.q_input, p_recirc=p_recirc2, q_mirror=qs.q_mirror,
                        q_egress=q_egress2, q_output=q_output2)
-    step = TraceStep(EGRESS, st, qs, st2, qs2, _finished(decisions, EGRESS),
+    return TraceStep(EGRESS, st, qs, st2, qs2, _finished(decisions, EGRESS),
                      EgressDetail(scheduled=scheduled, indication=ind, p_out=p_out),
                      ((egress_pipeline, comps, (em, p_e, s_e)), result))
-    return st2, qs2, step
 
 
 class Run:
@@ -376,14 +368,13 @@ class Run:
         decisions: dict = {}  # the step's answers, in the order it asks
         try:
             requested = decisions["requested_kind"] = o.step_kind(qs)
-            if requested == EGRESS and egress_enabled(qs):
-                self.state, self.queues, step = egress_step(cfg, st, qs, o, decisions)
-            else:
-                self.state, self.queues, step = ingress_step(cfg, st, qs, o, decisions)
+            take = egress_step if requested == EGRESS and egress_enabled(qs) else ingress_step
+            step = take(cfg, st, qs, o, decisions)
         except (EngineError, EgressParseFailure) as e:
             self.fault = f"{type(e).__name__}: {e}"
             self.fault_decisions = decisions
             return None
+        self.state, self.queues = step.post_state, step.post_queues
         return step
 
 

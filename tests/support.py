@@ -493,6 +493,7 @@ BAD_NESTED_CONFIGS = [
     ({"mc": {"groups": {"5": [{"dev_port_list": ["1"]}]}}}, "mc.groups.5[0].dev_port_list[0]"),
     ({"qac": {"kind": "always_ready", "ready_ports": 5}}, "qac.ready_ports"),
     ({"qac": {"kind": "always_ready", "ready": "all"}}, "qac.ready"),
+    ({"qac": {"kind": "always_ready", "ready_ports": [600]}}, "qac"),
     ({"mc": {"lags": {"x": [1]}}}, "mc.lags"),
     ({"pktgen": {"template": "zz"}}, "pktgen.template"),
     ({"mc": {"groups": {"0": []}}}, "mc"),

@@ -89,3 +89,14 @@ def test_sim_calls_run_through_the_switch_module(tmp_path, monkeypatch):
     monkeypatch.setattr(switch, "run", reached)
     with pytest.raises(_ReachedRun):
         cli.main(["sim", "--config", str(config), "--steps", "5"])
+
+
+@pytest.mark.parametrize("cmd", ["sim", "check"])
+def test_main_calls_the_handler_bound_in_cli(monkeypatch, cmd):
+    # the tracer times `sim` and `check` by replacing cli.cmd_sim and
+    # cli.cmd_check, so main must look them up when it runs
+    calls = []
+    monkeypatch.setattr(cli, f"cmd_{cmd}", lambda args: calls.append(args.cmd) or 0)
+    argv = ["--config", "unread.json"] + (["unread.jsonl"] if cmd == "check" else [])
+    assert cli.main([cmd, *argv]) == 0
+    assert calls == [cmd]

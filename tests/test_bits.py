@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dataplane.headers import WIRE_ORDER, deparse_slots
-from dataplane.packet_format import BitString, EMPTY_BITS, TypedValue, encode
+from dataplane.packet_format import BitString, TypedValue, encode
 
 from support import STOCK_SLOT_TYPES
 
@@ -30,8 +30,8 @@ class TestConstruction:
             BitString(0, -1)
 
     def test_empty(self):
-        assert len(EMPTY_BITS) == 0
-        assert EMPTY_BITS == BitString()
+        assert len(BitString()) == 0
+        assert BitString() == BitString(0, 0)
 
     def test_from_bytes_msb_first(self):
         p = BitString.from_bytes(b"\xa5")
@@ -47,8 +47,8 @@ class TestSlicing:
         assert p.take(2) == BitString(0b10, 2)
         assert p.drop(2) == BitString(0b110, 3)
         assert p.slice(1, 3) == BitString(0b011, 3)
-        assert p.take(0) == EMPTY_BITS
-        assert p.drop(5) == EMPTY_BITS
+        assert p.take(0) == BitString()
+        assert p.drop(5) == BitString()
 
     def test_out_of_range(self):
         p = BitString(0b101, 3)
@@ -59,7 +59,7 @@ class TestSlicing:
 
     def test_concat(self):
         assert BitString(0b101, 3) + BitString(0b01, 2) == BitString(0b10101, 5)
-        assert EMPTY_BITS + BitString(1, 1) == BitString(1, 1)
+        assert BitString() + BitString(1, 1) == BitString(1, 1)
 
     @given(bits(), st.data())
     def test_take_drop_partition(self, p, data):

@@ -193,8 +193,10 @@ class TestPktGen:
             PktGenState("idle", 0, 1, 0)
 
     def test_degenerate_period_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             PktGenConfig(enabled=True, period=1)
+        # the warning names the line that built the config
+        assert [w.filename for w in caught] == [__file__]
 
     def test_recirculation_preempts(self):
         held = BitString(0xAA, 8)

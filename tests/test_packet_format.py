@@ -30,7 +30,6 @@ from dataplane.packet_format import (
     match_bindings,
     match_report,
     matches,
-    reconstruct,
     seq,
 )
 from dataplane.headers import (
@@ -295,18 +294,3 @@ class TestWidthAndReport:
     def test_report_success(self):
         r = match_report(BitString(0xAB, 8), ExactValue("x", H2))
         assert r["ok"] and r["fail_bit"] is None
-
-
-class TestReconstruct:
-    def test_identity_on_random_matches(self):
-        rng = random.Random(0xBEEF)
-        n_checked = 0
-        for _ in range(200):
-            f = random_format(rng)
-            p = sample_matching_input(rng, f)
-            ok, env = matches(p, f)
-            if not ok:
-                continue  # truncation path never taken here
-            assert reconstruct(f, env) == p
-            n_checked += 1
-        assert n_checked >= 190  # constructed inputs should essentially all match
