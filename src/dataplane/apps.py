@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from .engines import L1Node, McConfig, PktGenConfig, PktGenState, QacAlwaysReady, QacMinimal
@@ -280,6 +280,10 @@ class FirewallState:
     cursor: int = 0      # first uncleaned bit of the inactive pane
 
 
+# flows whose filter positions a firewall app keeps at once
+FLOW_POSITIONS_KEPT = 1024
+
+
 def _hash_params(seed: int, k: int) -> tuple[tuple[int, int], ...]:
     rng = random.Random(seed)
     return tuple((rng.getrandbits(64) | 1, rng.getrandbits(64)) for _ in range(k))
@@ -320,7 +324,10 @@ def firewall_app(cfg: FirewallConfig = FirewallConfig(), *, qac=None) -> SwitchC
     m = cfg.bits
     mask = (1 << 64) - 1
 
-    def positions(key: int) -> list[int]:
+    # a flow's packets repeat its key, and the positions are a pure
+    # function of it, so each app remembers the latest flows' positions
+    @lru_cache(maxsize=FLOW_POSITIONS_KEPT)
+    def positions(key: int) -> tuple[int, ...]:
         # the affine step alone is useless here: key bits below 16 are
         # constant per protocol and "% m" with a power-of-two m reads
         # only low bits, so fold the high bits down first
@@ -333,7 +340,7 @@ def firewall_app(cfg: FirewallConfig = FirewallConfig(), *, qac=None) -> SwitchC
             h = (h * 0x94D049BB133111EB) & mask
             h ^= h >> 31
             out.append(h % m)
-        return out
+        return tuple(out)
 
     def maintain(t: int, s: FirewallState) -> FirewallState:
         """s aged to tick t: s itself when nothing changes, else one new

@@ -98,15 +98,20 @@ CLAUSES = {
 # per-step axioms
 
 
-def check_step(cfg: SwitchConfig, step: TraceStep) -> Verdict:
+def check_step(cfg: SwitchConfig, step: TraceStep,
+               replication: Optional[dict] = None) -> Verdict:
+    """The step's per-step clauses.  replication is a table TmMeta ->
+    (copies, mandatory) that the checker fills from the engines itself
+    and that may be shared by the steps of one trace under cfg; by
+    default each call starts a fresh one."""
     if step.kind == INGRESS:
-        return _check_ingress(cfg, step)
+        return _check_ingress(cfg, step, {} if replication is None else replication)
     if step.kind == EGRESS:
         return _check_egress(cfg, step)
     return _bad("trace.step_kind", f"kind {step.kind!r}")
 
 
-def _check_ingress(cfg: SwitchConfig, step: TraceStep) -> Verdict:
+def _check_ingress(cfg: SwitchConfig, step: TraceStep, replication: dict) -> Verdict:
     pre_s, pre_q = step.pre_state, step.pre_queues
     post_s, post_q = step.post_state, step.post_queues
 
@@ -160,7 +165,11 @@ def _check_ingress(cfg: SwitchConfig, step: TraceStep) -> Verdict:
     if post_q.q_mirror != ():
         return _bad("ingress.mirror_empty")
 
-    copies = engines.replication_engine(cfg.mc, tm)
+    fixed = replication.get(tm)
+    if fixed is None:
+        copies = tuple(engines.replication_engine(cfg.mc, tm))
+        fixed = replication[tm] = (copies, engines.mandatory_mask(cfg.qac, copies))
+    copies, mandatory = fixed
     candidates = tuple((em, raw_out) for em in copies)
 
     n = len(pre_q.q_egress)
@@ -174,7 +183,6 @@ def _check_ingress(cfg: SwitchConfig, step: TraceStep) -> Verdict:
     kept = _subsequence_mask(appended, candidates)
     if sum(kept) != len(appended):
         return _bad("ingress.qac_subsequence", "admitted copies out of order")
-    mandatory = engines.mandatory_mask(cfg.qac, copies)
     for must, got in zip(mandatory, kept):
         if must and not got:
             return _bad("ingress.qac_mandatory")
@@ -298,10 +306,13 @@ def fold_trace(fold: Fold, trace: Trace) -> Verdict:
 
 
 class AxiomsFold(Fold):
-    """Continuity plus every per-step clause; first violation wins."""
+    """Continuity plus every per-step clause; first violation wins.  The
+    fold keeps its own replication table for check_step, computed by the
+    checker and never taken from the trace."""
 
     def __init__(self, cfg: SwitchConfig, initial_state, initial_queues) -> None:
         self.cfg = cfg
+        self.replication: dict = {}  # TmMeta -> (copies, mandatory)
         self.prev = (initial_state, initial_queues)
         self.n = 0  # steps taken
 
@@ -309,7 +320,7 @@ class AxiomsFold(Fold):
         prev_s, prev_q = self.prev
         if step.pre_state != prev_s or step.pre_queues != prev_q:
             return _bad("trace.continuity", "step does not start at the previous post-state", i)
-        v = check_step(self.cfg, step)
+        v = check_step(self.cfg, step, self.replication)
         if not v:
             return replace(v, step=i)
         self.prev = (step.post_state, step.post_queues)

@@ -10,6 +10,12 @@ copies to admit) the caller asks its oracle and passes the answer in,
 so each engine is a deterministic function of its inputs and the
 answer, and rejects an answer out of range or against the admission
 policy.
+
+Purity is also what lets a caller table an engine.  For one config,
+replication_engine and mandatory_mask are functions of the TmMeta
+alone, so a switch run and an axioms fold each keep a table TmMeta ->
+(copies, mandatory mask) that dies with them: an engine replaced after
+a run has started is seen by every run that starts after it.
 """
 
 from __future__ import annotations

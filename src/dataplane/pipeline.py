@@ -10,7 +10,11 @@ Determinism is load-bearing twice.  The byte-identical replay of
 step's recorded pipeline call as its own recomputation when the
 function, components and arguments are the same.  A component whose
 result depends on anything but its arguments (a clock, a global, a
-random source) would make both unsound.
+random source) would make both unsound.  Components also keep state,
+so unlike the engines (see `engines`) their results are not tabled:
+only a step's own recorded call stands in for a rerun.  A component
+may memoise a pure helper of its own, as the firewall does its hash
+positions.
 
 Data shapes (apps register functions with exactly these signatures):
 

@@ -273,11 +273,13 @@ def _finished(decisions: dict, kind: str) -> dict:
 
 
 def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
-                 o: Oracle, decisions: dict) -> TraceStep:
+                 o: Oracle, decisions: dict, replication: dict) -> TraceStep:
     """One clock tick of the ingress side.  decisions holds the step kind
     the oracle asked for; each further answer goes into it as the oracle
     gives it, before an engine checks it, so a step that faults leaves
-    behind exactly the answers it consumed.
+    behind exactly the answers it consumed.  replication is the run's
+    table TmMeta -> (m_repl, mandatory), filled here on a miss; an
+    engine error leaves it as it was.
 
     Frame: s_e, q_mirror and q_output never change here; t always
     advances by 1.
@@ -305,8 +307,11 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
         out, s_i2 = result
         if out is not None:
             tm, raw_out = out
-            m_repl = tuple(engines.replication_engine(cfg.mc, tm))
-            mandatory = engines.mandatory_mask(cfg.qac, m_repl)
+            fixed = replication.get(tm)
+            if fixed is None:
+                m_repl = tuple(engines.replication_engine(cfg.mc, tm))
+                fixed = replication[tm] = (m_repl, engines.mandatory_mask(cfg.qac, m_repl))
+            m_repl, mandatory = fixed
             # no copies, no question
             mask = decisions["admitted_mask"] = (
                 list(map(bool, o.admitted_subset(mandatory))) if m_repl else [])
@@ -351,12 +356,17 @@ class Run:
     far.  step() takes one oracle-chosen step and returns it.  An engine
     error instead makes it return None, and fault and fault_decisions
     then keep the error and the oracle choices that step consumed, so a
-    replay can reproduce it."""
+    replay can reproduce it.
+
+    The replication engine and the admission policy are pure, so for a
+    given config they are functions of the TmMeta alone; replication
+    tables them, and lives no longer than the run."""
 
     def __init__(self, cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
                  o: Oracle) -> None:
         self.cfg, self.oracle = cfg, o
         self.state, self.queues = st, qs
+        self.replication: dict = {}  # TmMeta -> (m_repl, mandatory)
         self.fault: Optional[str] = None
         self.fault_decisions: Optional[dict] = None
 
@@ -368,8 +378,10 @@ class Run:
         decisions: dict = {}  # the step's answers, in the order it asks
         try:
             requested = decisions["requested_kind"] = o.step_kind(qs)
-            take = egress_step if requested == EGRESS and egress_enabled(qs) else ingress_step
-            step = take(cfg, st, qs, o, decisions)
+            if requested == EGRESS and egress_enabled(qs):
+                step = egress_step(cfg, st, qs, o, decisions)
+            else:
+                step = ingress_step(cfg, st, qs, o, decisions, self.replication)
         except (EngineError, EgressParseFailure) as e:
             self.fault = f"{type(e).__name__}: {e}"
             self.fault_decisions = decisions

@@ -19,6 +19,7 @@ separately:
                          packet generator.
 * ``RefFirewall``      - exact last-seen-time table, the ideal the Bloom
                          pane construction approximates one-sidedly.
+* ``ref_firewall_positions`` - the firewall's filter hash, uncached.
 * ``forge_catalog``    - honest traces with one surgical edit each,
                          labelled with the clause the edit violates.
 """
@@ -443,6 +444,24 @@ class RefFirewall:
     def must_admit(self, key: int, t: int) -> bool:
         t0 = self.last.get(key)
         return t0 is not None and t - t0 <= self.window
+
+
+def ref_firewall_positions(cfg, key: int) -> list[int]:
+    """The filter positions the firewall sets and tests for a flow key,
+    restated without the app's memo: one seeded (a, b) pair per hash,
+    drawn as the app draws them, then the affine step, the splitmix64
+    fold and the reduction mod bits."""
+    rng = random.Random(cfg.hash_seed)
+    m64 = (1 << 64) - 1
+    out = []
+    for _ in range(cfg.hash_count):
+        a = rng.getrandbits(64) | 1
+        b = rng.getrandbits(64)
+        h = (a * key + b) & m64
+        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & m64
+        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & m64
+        out.append((h ^ (h >> 31)) % cfg.bits)
+    return out
 
 
 class FwDriver:

@@ -14,13 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dataplane.packet_format import BitString, extract, ExtractStatus
-from dataplane.headers import SAMPLE_HEADER, SAMPLE_MARKER
+from dataplane.headers import IP_PROTO_TCP, SAMPLE_HEADER, SAMPLE_MARKER
 from dataplane.engines import (
     L1Node, McConfig, PktGenConfig, PktGenState, QacAlwaysReady, QacMinimal,
 )
 from dataplane.switch import FifoDrainOracle, SwitchQueues, run
 from dataplane.apps import (
+    FLOW_POSITIONS_KEPT,
     FirewallConfig,
+    FirewallState,
     IdentityConfig,
     SamplerConfig,
     SamplerState,
@@ -42,6 +44,7 @@ from support import (
     bare_ip_pkt,
     drain_run,
     flow_pair as _flow,
+    ref_firewall_positions,
     tcp_pkt,
     udp_pkt,
 )
@@ -207,6 +210,38 @@ class TestFirewall:
                         assert admitted, (scenario, t, i)
                 else:
                     fw.keepalive(t)
+
+    def test_flow_memo_exact_past_its_bound(self):
+        # more flows than the app keeps positions for, and every flow
+        # asked about again after the memo evicted it.  The window
+        # outlasts the run, so maintenance never moves and both panes
+        # are the union of the inserted flows' positions
+        cfg = FirewallConfig(inside_port=1, outside_port=2, window=1 << 30, bits=1 << 16)
+        fw = FwDriver(cfg)
+        n = FLOW_POSITIONS_KEPT + 100
+        union = 0
+
+        def key(i):  # flow_pair(i) as the firewall keys it
+            return ((0xC0A80000 + i) << 80 | (0x0A000000 + i) << 48 | 443 << 32
+                    | (40000 + i) << 16 | IP_PROTO_TCP)
+
+        def ref_admits(i):
+            return all(union >> pos & 1 for pos in ref_firewall_positions(cfg, key(i)))
+
+        verdicts = []  # (the firewall's, the reference's)
+        for i in range(n):
+            out, back = _flow(i)
+            fw.outbound(3 * i, out)
+            for pos in ref_firewall_positions(cfg, key(i)):
+                union |= 1 << pos
+            verdicts.append((fw.inbound(3 * i + 1, back), ref_admits(i)))
+            # a flow nobody opened, mostly refused
+            verdicts.append((fw.inbound(3 * i + 2, _flow(n + i)[1]), ref_admits(n + i)))
+        for i in range(n):
+            verdicts.append((fw.inbound(3 * n + i, _flow(i)[1]), ref_admits(i)))
+        assert [got for got, _ in verdicts] == [want for _, want in verdicts]
+        assert sum(not want for _, want in verdicts) > n // 2
+        assert fw.state == FirewallState(union, union, 0, 0, 0)
 
     def test_keepalives_cross_the_switch_silently(self):
         cfg = firewall_app(FWCFG)

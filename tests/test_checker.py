@@ -11,7 +11,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dataplane import apps, switch
+from dataplane import apps, engines, switch
 from dataplane.cli import main
 from dataplane.packet_format import (
     BitString, Branch, Concat, ExactValue, HeaderType, TypedValue, compile_format, encode,
@@ -342,6 +342,53 @@ def test_sampler_trace_check_catches_a_dropped_copy(tmp_path, monkeypatch):
     v = sampler_trace_check(tr, SC)
     assert (v.violated_clause, v.detail) == ("sampler.incomplete",
                                              "200 outputs for 250 expected")
+
+
+def test_no_replication_table_outlives_its_run(monkeypatch):
+    # the executor tables replication per Run and the axioms per fold, so
+    # an engine patched in after one run is seen by every later run, of
+    # an equal config or of the very same one, and by every later fold
+    pkts = [tcp_pkt(sp=i) for i in range(8)]
+    first, second = sampler_app(SC), sampler_app(SC)
+    assert first.mc == second.mc and first.mc is not second.mc
+    honest = drain_run(first, pkts)
+    assert sampler_trace_check(honest, SC).ok and check_trace(first, honest).ok
+    drop_last_multicast_copy(monkeypatch)
+    for cfg in (second, first):
+        tr = drain_run(cfg, pkts)
+        v = sampler_trace_check(tr, SC)
+        assert (v.violated_clause, v.detail) == ("sampler.incomplete",
+                                                 "8 outputs for 10 expected")
+        assert check_trace(cfg, tr).ok
+    # the honest run made the monitor copies the patched engine does not
+    v = check_trace(first, honest)
+    assert (v.violated_clause, v.step) == ("ingress.replication",
+                                           _first_sampled_ingress(honest))
+
+
+def _first_sampled_ingress(tr) -> int:
+    return next(i for i, s in enumerate(tr.steps)
+                if s.kind == "ingress" and s.detail.m_repl and len(s.detail.m_repl) > 1)
+
+
+def test_axioms_fold_replicates_once_per_tm_meta(monkeypatch):
+    calls = []
+    real = engines.replication_engine
+    monkeypatch.setattr(engines, "replication_engine",
+                        lambda c, m: calls.append(m) or real(c, m))
+    cfg = sampler_app(SC)
+    tr = drain_run(cfg, [tcp_pkt(sp=i) for i in range(8)])
+    to_forward = apps._tm(ucast=SC.forward_port)
+    to_monitor = apps._tm(mcast_a=SC.monitor_group)
+    assert calls == [to_forward, to_monitor]  # the run's table
+    calls.clear()
+    assert check_trace(cfg, tr).ok
+    assert calls == [to_forward, to_monitor]  # the fold's own
+    # a bare check_step starts a table of its own every call
+    calls.clear()
+    parsed = [s for s in tr.steps if s.kind == "ingress" and s.detail.pipeline_out]
+    assert all(check_step(cfg, s).ok for s in parsed)
+    assert len(calls) == len(parsed) == 8
 
 
 class _NewestArrivalFirst(FifoDrainOracle):

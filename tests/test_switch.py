@@ -9,7 +9,7 @@ import pytest
 
 from dataplane.pipeline import EgressIndication, TmMeta
 from dataplane.engines import McConfig, PktGenConfig, QacAlwaysReady, QacMinimal, Seq
-from dataplane import switch
+from dataplane import engines, switch
 from dataplane.switch import (
     EGRESS,
     FifoDrainOracle,
@@ -204,6 +204,27 @@ class TestRunControl:
         assert r.step() is None and r.fault.startswith("UnknownGroup")
         assert r.fault_decisions == {"requested_kind": "ingress", "input_index": 0}
         assert r.state == st and len(r.queues.q_input) == 2  # the faulted step changed nothing
+
+
+    def test_an_engine_error_is_not_tabled(self, monkeypatch):
+        # the step that names an unknown group faults every time it is
+        # taken, and the run's replication table keeps nothing of it
+        base = identity_app().components
+        calls = []
+        real = engines.replication_engine
+        monkeypatch.setattr(engines, "replication_engine",
+                            lambda c, m: calls.append(m) or real(c, m))
+
+        def broken(d, s):
+            return (_tm(mcast_a=1), d[2]), s
+
+        cfg = SwitchConfig(dataclasses.replace(base, in_control=broken),
+                           McConfig(), PktGenConfig(), QacMinimal(), app_label="b")
+        r = Run(cfg, initial_switch_state(cfg), SwitchQueues(q_input=arrivals(P1, P2)),
+                FifoDrainOracle())
+        for _ in range(2):
+            assert r.step() is None and r.fault.startswith("UnknownGroup")
+        assert len(calls) == 2 and r.replication == {}
 
 
 def _recirc_once_app() -> SwitchConfig:
