@@ -4,7 +4,10 @@ firewall.
 An application is the SwitchConfig its builder returns: the six
 pipeline component functions plus the engine configuration they assume
 (multicast groups, generator timing, admission policy) and the initial
-per-component state, so a switch can be instantiated in one call.
+per-component state, so a switch can be instantiated in one call.  A
+builder takes only its app's config record and sets only the engines
+the app fixes; APPS names the engine sections a config file may set for
+each app, and app_from_config puts them in.
 """
 
 from __future__ import annotations
@@ -114,15 +117,11 @@ def _unicast_to(port: int) -> Callable:
 
 
 def _app(label: str, params, in_control: Callable, *, e_parser: Callable = _e_parser,
-         e_control: Callable = _e_control, mc: Optional[McConfig] = None,
-         pktgen: Optional[PktGenConfig] = None, qac=None,
-         init_ingress=(None, None, None)) -> SwitchConfig:
-    """An app on the shared skeleton; engines left as None get defaults."""
+         e_control: Callable = _e_control, **fixed) -> SwitchConfig:
+    """An app on the shared skeleton; fixed holds the other SwitchConfig
+    fields the app sets (the engines it fixes, its initial state)."""
     comps = Components(_in_parser, in_control, _in_deparser, e_parser, e_control, _e_deparser)
-    return SwitchConfig(components=comps, mc=mc if mc is not None else McConfig(),
-                        pktgen=pktgen if pktgen is not None else PktGenConfig(),
-                        qac=qac if qac is not None else QacMinimal(),
-                        app_label=label, params=params, init_ingress=init_ingress)
+    return SwitchConfig(components=comps, app_label=label, params=params, **fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +136,9 @@ class IdentityConfig:
         port_from_json(self.forward_port, "forward_port")
 
 
-def identity_app(forward_port: int = 1, *, mc: Optional[McConfig] = None,
-                 pktgen: Optional[PktGenConfig] = None,
-                 qac=None) -> SwitchConfig:
+def identity_app(cfg: IdentityConfig = IdentityConfig()) -> SwitchConfig:
     """Sends every parseable packet, unchanged, out one port."""
-    return _app("identity", IdentityConfig(forward_port), _unicast_to(forward_port),
-                mc=mc, pktgen=pktgen, qac=qac)
+    return _app("identity", cfg, _unicast_to(cfg.forward_port))
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +175,7 @@ class SamplerState:
     counter: int = 0  # packets seen so far, mod 2^32
 
 
-def sampler_app(cfg: SamplerConfig = SamplerConfig(), *,
-                pktgen: Optional[PktGenConfig] = None, qac=None) -> SwitchConfig:
+def sampler_app(cfg: SamplerConfig = SamplerConfig()) -> SwitchConfig:
     """Every sample_every-th packet is multicast as two copies: one to
     the monitor with a sample record in front, one to the normal
     forward port with the original bytes restored on egress.  All
@@ -229,7 +224,7 @@ def sampler_app(cfg: SamplerConfig = SamplerConfig(), *,
         return {k: v for k, v in slots.items() if k != "sample"}, s
 
     return _app("sampler", cfg, in_control, e_parser=e_parser, e_control=e_control,
-                mc=mc, pktgen=pktgen, qac=qac, init_ingress=(None, SamplerState(), None))
+                mc=mc, init_ingress=(None, SamplerState(), None))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +305,7 @@ def keepalive_template() -> BitString:
         ipv4=make_ipv4(protocol=0xFF))
 
 
-def firewall_app(cfg: FirewallConfig = FirewallConfig(), *, qac=None) -> SwitchConfig:
+def firewall_app(cfg: FirewallConfig = FirewallConfig()) -> SwitchConfig:
     """Allow-by-default from the inside, allow-by-history from the
     outside.
 
@@ -395,7 +390,7 @@ def firewall_app(cfg: FirewallConfig = FirewallConfig(), *, qac=None) -> SwitchC
 
     pktgen = PktGenConfig(enabled=True, period=cfg.keepalive_period,
                           template=keepalive_template())
-    return _app("firewall", cfg, in_control, pktgen=pktgen, qac=qac,
+    return _app("firewall", cfg, in_control, pktgen=pktgen,
                 init_ingress=(None, FirewallState(), None))
 
 
@@ -476,10 +471,10 @@ def _qac(obj, where: str):
 
 ENGINE_SECTIONS = {"mc": _mc, "pktgen": partial(_decode, PktGenConfig), "qac": _qac}
 
-# app -> (config dataclass, builder, engine sections the app reads)
+# app -> (config dataclass, builder, engine sections the app reads): the
+# one place that says which engines a config file may set for an app
 APPS = {
-    "identity": (IdentityConfig, lambda c, **kw: identity_app(c.forward_port, **kw),
-                 ("mc", "pktgen", "qac")),
+    "identity": (IdentityConfig, identity_app, ("mc", "pktgen", "qac")),
     "sampler": (SamplerConfig, sampler_app, ("pktgen", "qac")),
     "firewall": (FirewallConfig, firewall_app, ("qac",)),
 }
@@ -495,4 +490,4 @@ def app_from_config(obj) -> SwitchConfig:
     cls, build, sections = APPS[kind]
     own = {k: v for k, v in obj.items() if k != "app" and k not in sections}
     engines = {k: ENGINE_SECTIONS[k](obj[k], k) for k in sections if k in obj}
-    return build(_decode(cls, own, ""), **engines)
+    return dataclasses.replace(build(_decode(cls, own, "")), **engines)

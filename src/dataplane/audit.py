@@ -5,8 +5,8 @@ each step from the decisions of the record at hand, requires the step's
 rebuilt record to be that record byte for byte, and then feeds the step
 to the checker's folds, so no step outlives its turn.
 
-The replay consumes only the header's clock and queues and the decisions
-of the step and fault records.  Those are checked here, and a malformed
+The replay consumes only the header's workload and the decisions of the
+step and fault records.  Those are checked here, and a malformed
 value is a ValueError naming its line and key path.  Everything else in
 a record is only compared with its replay.  Only `dataplane check`
 imports this module.
@@ -19,18 +19,12 @@ from typing import Optional
 
 from . import checker, switch
 from .apps import FirewallConfig, SamplerConfig
-from .engines import EgressMeta
 from .packet_format import BitString
 from .switch import EGRESS, INGRESS, Arrival, SwitchQueues, expect, port_from_json
 
 
 def _key(path: str) -> str:
     return f"key {path!r}"
-
-
-def initial_clock(header: dict) -> int:
-    t0 = header.get("t0")
-    return expect(type(t0) is int, t0, "an integer", _key("t0"))
 
 
 def header_digest(header: dict, name: str) -> object:
@@ -40,44 +34,20 @@ def header_digest(header: dict, name: str) -> object:
     return header[name]
 
 
-def _pairs(q: dict, name: str):
-    """(key path, first, second) for each [first, second] item of q[name]."""
-    where = f"queues.{name}"
-    for i, item in enumerate(expect(isinstance(q.get(name), list), q.get(name), "a list",
-                                    _key(where))):
-        w = f"{where}[{i}]"
-        expect(isinstance(item, list) and len(item) == 2, item, "a pair", _key(w))
-        yield w, item[0], item[1]
-
-
-def _egress_meta(em, where: str) -> EgressMeta:
-    expect(isinstance(em, dict) and set(em) == {"port", "rid", "source"}, em,
-           'an object of "port", "rid" and "source"', _key(where))
-    expect(type(em["rid"]) is int, em["rid"], "an integer", _key(f"{where}.rid"))
-    port = port_from_json(em["port"], _key(f"{where}.port"))
-    try:  # EgressMeta checks the source
-        return EgressMeta(port, em["rid"], em["source"])
-    except ValueError as e:
-        raise ValueError(f"{_key(where)}: {e}") from None
-
-
 def queues_from_header(header: dict) -> SwitchQueues:
+    """The queues a run starts with: the header's workload in q_input,
+    and nothing else."""
     q = expect(isinstance(header.get("queues"), dict), header.get("queues"), "an object",
                _key("queues"))
-    p_recirc = q.get("p_recirc")
-    return SwitchQueues(
-        q_input=tuple(Arrival(port_from_json(port, _key(f"{w}[0]")),
-                              BitString.from_json(p, _key(f"{w}[1]")))
-                      for w, port, p in _pairs(q, "q_input")),
-        p_recirc=None if p_recirc is None else BitString.from_json(p_recirc,
-                                                                   _key("queues.p_recirc")),
-        q_mirror=(),
-        q_egress=tuple((_egress_meta(em, f"{w}[0]"), BitString.from_json(p, _key(f"{w}[1]")))
-                       for w, em, p in _pairs(q, "q_egress")),
-        q_output=tuple((port_from_json(port, _key(f"{w}[0]")),
-                        BitString.from_json(p, _key(f"{w}[1]")))
-                       for w, port, p in _pairs(q, "q_output")),
-    )
+    items = expect(isinstance(q.get("q_input"), list), q.get("q_input"), "a list",
+                   _key("queues.q_input"))
+    arrivals = []
+    for i, item in enumerate(items):
+        w = f"queues.q_input[{i}]"
+        expect(isinstance(item, list) and len(item) == 2, item, "a pair", _key(w))
+        arrivals.append(Arrival(port_from_json(item[0], _key(f"{w}[0]")),
+                                BitString.from_json(item[1], _key(f"{w}[1]"))))
+    return SwitchQueues(q_input=tuple(arrivals))
 
 
 _KIND = (lambda v: v in (INGRESS, EGRESS), '"ingress" or "egress"')

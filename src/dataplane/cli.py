@@ -14,7 +14,6 @@ configuration, 3 the simulated switch hit an engine fault.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import random
 import sys
@@ -143,8 +142,7 @@ def cmd_check(args) -> int:
         if switch.config_digest(cfg) != records.checked(audit.header_digest, header,
                                                         "config_digest"):
             raise ValueError("config does not match the trace header")
-        st = dataclasses.replace(initial_switch_state(cfg),
-                                 t=records.checked(audit.initial_clock, header))
+        st = initial_switch_state(cfg)
         if switch.digest(st) != records.checked(audit.header_digest, header, "state_digest"):
             raise ValueError("initial state does not match the trace header")
         qs = records.checked(audit.queues_from_header, header)

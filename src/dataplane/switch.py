@@ -79,9 +79,9 @@ class SwitchConfig:
     """One configured switch; each app builder in `apps` returns one."""
 
     components: Components
-    mc: McConfig
-    pktgen: PktGenConfig
-    qac: "QacMinimal | QacAlwaysReady"
+    mc: McConfig = McConfig()
+    pktgen: PktGenConfig = PktGenConfig()
+    qac: "QacMinimal | QacAlwaysReady" = QacMinimal()
     app_label: str = "custom"
     params: object = None  # the app's config dataclass, in the trace's config digest
     init_ingress: tuple = (None, None, None)  # s_i and s_e of the initial state
@@ -493,20 +493,22 @@ def queue_digests(qs: SwitchQueues) -> dict:
 # ---------------------------------------------------------------------------
 # trace file format: one JSON object per line
 #
-# Format 5.  A record holds no constant and nothing that its other fields
-# give without running a component or an engine.  The header holds the
-# config digest and the full initial queues.  Each step record holds its
-# post snapshot only: the clock, the digests of the state slots whose
-# object the step replaced, and the queue lengths.  Its pre snapshot is
-# the previous record's post (the header for step 0), and its queue
-# change is a delta in the decisions and the detail (consumed arrival,
-# admitted copies, scheduled copy, emitted or recirculated packet).  The
-# end record digests the whole final queues once.  Replay byte-compares
-# every record, so an edit anywhere shows as a divergence.  A digest
-# writes an integer wider than 63 bits, such as a firewall filter pane,
-# as {"int_hex": ...} (see _canon).
+# Format 6.  A record holds no constant and nothing that its other fields
+# give without running a component or an engine.  The header names only
+# what a run can vary: the config (its digest and app), the start state
+# (its digest, which pins the clock) and the workload (q_input).  Every
+# other queue starts empty and the register free, so the header writes
+# none of them.  Each step record holds its post snapshot only: the clock,
+# the digests of the state slots whose object the step replaced, and the
+# queue lengths.  Its pre snapshot is the previous record's post (the
+# header for step 0), and its queue change is a delta in the decisions and
+# the detail (consumed arrival, admitted copies, scheduled copy, emitted
+# or recirculated packet).  The end record digests the whole final queues
+# once.  Replay byte-compares every record, so an edit anywhere shows as a
+# divergence.  A digest writes an integer wider than 63 bits, such as a
+# firewall filter pane, as {"int_hex": ...} (see _canon).
 
-TRACE_FORMAT = 5
+TRACE_FORMAT = 6
 
 
 def _opt_hex(p: Optional[BitString]):
@@ -558,20 +560,19 @@ def step_to_json(step: TraceStep) -> dict:
 
 def header_record(config_digest: str, app_label: str, initial_state: SwitchState,
                   initial_queues: SwitchQueues) -> dict:
+    """Raises ValueError for a run that started with anything queued
+    besides the workload, which the header cannot say."""
     q = initial_queues
+    if q.p_recirc is not None or q.q_mirror or q.q_egress or q.q_output:
+        raise ValueError("a trace can record only a run that starts with the workload "
+                         "alone queued")
     return {
         "type": "header",
         "format": TRACE_FORMAT,
         "config_digest": config_digest,
         "app": app_label,
         "state_digest": digest(initial_state),
-        "t0": initial_state.t,
-        "queues": {
-            "q_input": [[a.port, a.packet.to_json()] for a in q.q_input],
-            "p_recirc": _opt_hex(q.p_recirc),
-            "q_egress": [[_em_json(em), p.to_json()] for em, p in q.q_egress],
-            "q_output": [[port, p.to_json()] for port, p in q.q_output],
-        },
+        "queues": {"q_input": [[a.port, a.packet.to_json()] for a in q.q_input]},
     }
 
 
@@ -604,8 +605,9 @@ def trace_to_lines(trace: Trace) -> list[str]:
 
 
 def write_trace(trace: Trace, path: str) -> None:
+    lines = trace_to_lines(trace)  # before the file exists: a ValueError leaves none
     with open(path, "w") as fh:
-        for line in trace_to_lines(trace):
+        for line in lines:
             fh.write(line + "\n")
 
 

@@ -79,10 +79,12 @@ from dataplane.switch import (
     run,
 )
 from dataplane import checker, engines, switch
-from dataplane.pipeline import ParsedData, egress_pipeline, ingress_pipeline
+from dataplane.pipeline import EgressIndication, ParsedData, egress_pipeline, ingress_pipeline
 from dataplane.apps import (
     FirewallState,
+    IdentityConfig,
     SamplerConfig,
+    deparse_slots,
     firewall_app,
     identity_app,
     initial_switch_state,
@@ -547,6 +549,25 @@ def drain_run(cfg: SwitchConfig, packets, oracle: Oracle | None = None,
     return tr
 
 
+def recirc_once_app() -> SwitchConfig:
+    """Odd TTL recirculates after the egress control decrements it, so a
+    ttl=2 packet loops exactly once through the register."""
+    base = identity_app(IdentityConfig(1)).components
+
+    def e_control(d, s):
+        em, slots = d
+        slots = dict(slots)
+        slots["ipv4"] = slots["ipv4"].replace(ttl=slots["ipv4"]["ttl"] - 1)
+        return slots, s
+
+    def e_deparser(slots, s):
+        ind = EgressIndication(recirculate=slots["ipv4"]["ttl"] & 1)
+        return (ind, deparse_slots(slots)), s
+
+    comps = dataclasses.replace(base, e_control=e_control, e_deparser=e_deparser)
+    return SwitchConfig(components=comps, app_label="ttl_loop")
+
+
 # every key format 3 wrote and format 4 derives, wherever it stood
 FORMAT_3_KEYS = {"mirror_session", "recirc_flag", "bypass_egress", "parsed", "enqueued",
                  "p_g", "outputs", "q_mirror"}
@@ -682,7 +703,7 @@ def forge_catalog() -> list[Forgery]:
     out: list[Forgery] = []
 
     # -- identity app material ------------------------------------------
-    icfg = identity_app(forward_port=1)
+    icfg = identity_app(IdentityConfig(1))
     p_a, p_b = tcp_pkt(sp=1000), udp_pkt(sp=2000)
     tr = drain_run(icfg, [p_a, p_b])
     ing = [s for s in tr.steps if s.kind == "ingress" and s.detail.p_i is not None]

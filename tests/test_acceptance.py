@@ -18,13 +18,13 @@ from dataplane.headers import (
     ETHERNET, INTRINSIC_META, IPV4, PORT_META, SAMPLE_HEADER, SAMPLE_MARKER,
     TCP, UDP,
 )
-from dataplane.engines import EgressMeta, PktGenConfig, QacAlwaysReady, UNICAST
+from dataplane.engines import EgressMeta, PktGenConfig, QacAlwaysReady, QacMinimal, UNICAST
 from dataplane.switch import (
     AdversarialDropOracle, Arrival, FifoDrainOracle, RandomOracle,
     ReplayOracle, SwitchQueues, run, state_digests, write_trace,
 )
 from dataplane.apps import (
-    FirewallConfig, SamplerConfig, SamplerState, firewall_app, identity_app,
+    FirewallConfig, IdentityConfig, SamplerConfig, SamplerState, firewall_app, identity_app,
     initial_switch_state, parse_standard, sampler_app,
 )
 from dataplane.checker import (
@@ -125,7 +125,7 @@ def test_criterion_02_matcher_vs_brute_force():
 def _random_scenario(rng: random.Random):
     kind = rng.choice(("identity", "sampler", "firewall"))
     if kind == "identity":
-        pg = None
+        pg = PktGenConfig()
         if rng.random() < 0.4:
             pg = PktGenConfig(enabled=True, period=rng.randrange(5, 40),
                               batch_count=rng.randrange(1, 3),
@@ -133,12 +133,13 @@ def _random_scenario(rng: random.Random):
                               inter_batch_gap=rng.randrange(1, 5),
                               inter_pkt_gap=rng.randrange(1, 4),
                               template=tcp_pkt(payload=b"gen"))
-        qac = QacAlwaysReady() if rng.random() < 0.5 else None
-        cfg = identity_app(forward_port=rng.randrange(1, 9), pktgen=pg, qac=qac)
+        qac = QacAlwaysReady() if rng.random() < 0.5 else QacMinimal()
+        cfg = dataclasses.replace(identity_app(IdentityConfig(rng.randrange(1, 9))),
+                                  pktgen=pg, qac=qac)
     elif kind == "sampler":
         scfg = SamplerConfig(sample_every=rng.randrange(1, 7))
-        qac = QacAlwaysReady() if rng.random() < 0.5 else None
-        cfg = sampler_app(scfg, qac=qac)
+        qac = QacAlwaysReady() if rng.random() < 0.5 else QacMinimal()
+        cfg = dataclasses.replace(sampler_app(scfg), qac=qac)
     else:
         w = rng.randrange(16, 65)
         fcfg = FirewallConfig(window=w,
@@ -252,13 +253,13 @@ def test_criterion_05_sampler_theorem():
         if mode < 0.45:
             qac, oracle, exact = QacAlwaysReady(), FifoDrainOracle(), True
         elif mode < 0.8:
-            qac = None
+            qac = QacMinimal()
             oracle = RandomOracle(rng.getrandbits(30), reorder=False)
             exact = False
         else:
-            qac, oracle, exact = None, AdversarialDropOracle(), False
+            qac, oracle, exact = QacMinimal(), AdversarialDropOracle(), False
         cfg = dataclasses.replace(
-            sampler_app(scfg, qac=qac),
+            sampler_app(scfg), qac=qac,
             init_ingress=(None, SamplerState(counter=n), None))
         qs = SwitchQueues(q_input=arrivals(*_stream(rng, length)))
         tr = run(cfg, initial_switch_state(cfg), qs, 12 * length + 200,

@@ -18,8 +18,11 @@ from dataplane.headers import IP_PROTO_TCP, SAMPLE_HEADER, SAMPLE_MARKER
 from dataplane.engines import (
     L1Node, McConfig, PktGenConfig, PktGenState, QacAlwaysReady, QacMinimal,
 )
-from dataplane.switch import FifoDrainOracle, SwitchQueues, run
+from dataplane.pipeline import Components
+from dataplane.switch import FifoDrainOracle, SwitchConfig, SwitchQueues, run
 from dataplane.apps import (
+    APPS,
+    ENGINE_SECTIONS,
     FLOW_POSITIONS_KEPT,
     FirewallConfig,
     FirewallState,
@@ -53,7 +56,7 @@ from support import (
 class TestIdentity:
     def test_forwards_everything(self):
         pkts = [tcp_pkt(sp=i) for i in range(4)]
-        tr = drain_run(identity_app(forward_port=6), pkts)
+        tr = drain_run(identity_app(IdentityConfig(6)), pkts)
         assert [p for _, p in tr.final_queues.q_output] == pkts
         assert {port for port, _ in tr.final_queues.q_output} == {6}
 
@@ -359,6 +362,39 @@ class TestAppFromConfig:
             assert app_from_config({"qac": obj}).qac == pol
         with pytest.raises(ValueError):
             app_from_config({"qac": {"kind": "mystery"}})
+
+    # one section of each engine and its decoded value, none of them a
+    # value any builder sets
+    SECTIONS = {
+        "mc": ({"groups": {"5": [{"dev_port_list": [1], "rid": 3}]}, "cpu_port": 65},
+               McConfig(groups={5: (L1Node(dev_port_list=(1,), rid=3),)}, cpu_port=65)),
+        "pktgen": ({"enabled": True, "period": 50, "template": "01"},
+                   PktGenConfig(enabled=True, period=50, template=BitString(1, 8))),
+        "qac": ({"kind": "always_ready", "ready_ports": [1, 2]},
+                QacAlwaysReady(ready_ports=frozenset({1, 2}))),
+    }
+
+    @pytest.mark.parametrize("section", sorted(ENGINE_SECTIONS))
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_engine_sections_of_every_app(self, app, section):
+        # APPS alone says which engines a config may set: a listed section
+        # becomes that SwitchConfig field and changes nothing else the
+        # bare builder gives, and an unlisted one is refused by name
+        cls, build, sections = APPS[app]
+        obj, want = self.SECTIONS[section]
+        config = {"app": app, section: obj}
+        if section not in sections:
+            with pytest.raises(ValueError, match=re.escape(f"unknown config keys ['{section}']")):
+                app_from_config(config)
+            return
+        got, bare = app_from_config(config), build(cls())
+        assert getattr(got, section) == want != getattr(bare, section)
+        for f in dataclasses.fields(SwitchConfig):
+            if f.name not in (section, "components"):
+                assert getattr(got, f.name) == getattr(bare, f.name), f.name
+        for f in dataclasses.fields(Components):  # the same code, closed over anew
+            assert (getattr(got.components, f.name).__code__
+                    is getattr(bare.components, f.name).__code__), f.name
 
     def test_params_are_the_decoded_app_config(self):
         assert app_from_config({"forward_port": 4}).params == IdentityConfig(forward_port=4)

@@ -68,6 +68,7 @@ from dataplane.checker import (
 )
 
 from support import (
+    AlwaysIngressOracle,
     arrivals,
     count_pipeline_calls,
     drain_run,
@@ -77,6 +78,7 @@ from support import (
     mangle,
     rand_packet,
     rand_typed,
+    recirc_once_app,
     ref_is_subsequence,
     ref_parse_sampled,
     ref_parse_standard,
@@ -168,6 +170,52 @@ def test_trace_continuity_forgery():
     tr.steps[1] = hacked
     v = check_trace(cfg, tr)
     assert not v.ok and v.violated_clause == "trace.continuity" and v.step == 1
+
+
+def test_edited_final_queues_break_trace_continuity_at_step_n():
+    cfg = identity_app()
+    tr = drain_run(cfg, [tcp_pkt(), udp_pkt()])
+    tr.final_queues = dataclasses.replace(tr.final_queues, q_output=())
+    v = check_trace(cfg, tr)
+    assert not v.ok and v.violated_clause == "trace.continuity" and v.step == len(tr.steps)
+
+
+# ---------------------------------------------------------------------------
+# branches of the per-step clauses that no forgery of the catalog reaches
+
+
+def _with_queues(step, **kw):
+    return dataclasses.replace(step, post_queues=dataclasses.replace(step.post_queues, **kw))
+
+
+def test_recirculation_passes_and_also_emitting_is_egress_output_ports():
+    cfg = recirc_once_app()
+    tr = drain_run(cfg, [tcp_pkt(ttl=2)])
+    assert check_trace(cfg, tr).ok
+    s = next(s for s in tr.steps if s.kind == "egress" and s.detail.indication.recirculate)
+    assert s.post_queues.p_recirc is not None
+    forged = _with_queues(s, q_output=(*s.post_queues.q_output, (1, s.post_queues.p_recirc)))
+    assert check_step(cfg, forged).violated_clause == "egress.output_ports"
+
+
+def test_generated_packet_with_moving_input_queue_is_ingress_input_ports():
+    cfg = dataclasses.replace(identity_app(), pktgen=PktGenConfig(
+        enabled=True, period=5, template=tcp_pkt(sp=1)))
+    tr = run(cfg, initial_switch_state(cfg),
+             SwitchQueues(q_input=arrivals(tcp_pkt(), udp_pkt())), 10, AlwaysIngressOracle())
+    s = next(s for s in tr.steps if s.detail.p_g is not None and s.pre_queues.q_input)
+    assert check_step(cfg, s).ok
+    forged = _with_queues(s, q_input=s.pre_queues.q_input[1:])
+    v = check_step(cfg, forged)
+    assert v.violated_clause == "ingress.input_ports" and "generator" in v.detail
+
+
+def test_empty_input_queue_changing_is_ingress_input_ports():
+    cfg = identity_app()
+    s = run(cfg, initial_switch_state(cfg), SwitchQueues(), 1, FifoDrainOracle()).steps[0]
+    assert not s.pre_queues.q_input and check_step(cfg, s).ok
+    v = check_step(cfg, _with_queues(s, q_input=arrivals(tcp_pkt())))
+    assert v.violated_clause == "ingress.input_ports" and "empty" in v.detail
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +466,7 @@ def test_sampler_generated_packets_are_not_arrivals():
     # the generator preempts a non-empty input queue without taking from it
     pktgen = PktGenConfig(enabled=True, period=3, template=tcp_pkt(sp=999))
     pkts = [tcp_pkt(sp=i, payload=bytes([i])) for i in range(11)]
-    tr = drain_run(sampler_app(SC, pktgen=pktgen), pkts)
+    tr = drain_run(dataclasses.replace(sampler_app(SC), pktgen=pktgen), pkts)
     assert any(s.kind == "ingress" and s.detail.p_g is not None and s.pre_queues.q_input
                for s in tr.steps)
     assert sampler_trace_check(tr, SC).ok
@@ -453,7 +501,7 @@ class TestLangsec:
             _langsec_one(sampler_app(SC), tcp_pkt())
 
     def test_generator_preemption_detected(self):
-        noisy = sampler_app(SC, pktgen=PktGenConfig(
+        noisy = dataclasses.replace(sampler_app(SC), pktgen=PktGenConfig(
             enabled=True, period=5, template=tcp_pkt(sp=1)))
         with pytest.raises(PreconditionUnmet):
             _langsec_one(noisy, tcp_pkt().take(10))
@@ -489,6 +537,24 @@ class TestLangsec:
                                             q_output=((1, tcp_pkt()),)))
         v = fold_trace(LangsecFold(cfg), tr)
         assert not v.ok and v.violated_clause == "langsec.queue_frame"
+
+    def test_egress_step_is_langsec_queue_frame(self):
+        cfg = identity_app()
+        tr = drain_run(cfg, [tcp_pkt()])
+        tr.steps = [s for s in tr.steps if s.kind == "egress"]
+        v = fold_trace(LangsecFold(cfg), tr)
+        assert not v.ok and v.violated_clause == "langsec.queue_frame" and v.step == 0
+
+    def test_two_arrivals_dropped_is_langsec_queue_frame(self):
+        cfg = identity_app()
+        tr = run(cfg, initial_switch_state(cfg),
+                 SwitchQueues(q_input=arrivals(tcp_pkt().take(30), tcp_pkt().take(20))), 1,
+                 FifoDrainOracle())
+        tr.steps[0] = dataclasses.replace(
+            tr.steps[0], post_queues=dataclasses.replace(tr.steps[0].post_queues, q_input=()))
+        v = fold_trace(LangsecFold(cfg), tr)
+        assert not v.ok and v.violated_clause == "langsec.queue_frame" and v.step == 0
+        assert "at most one" in v.detail
 
     def test_trace_form_requires_generator_off(self):
         cfg = firewall_app(FirewallConfig())

@@ -6,6 +6,7 @@ tmp_path.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -502,7 +503,8 @@ class TestCheck:
         lambda h: h.update(format=2),
         lambda h: h.update(format=3),
         lambda h: h.update(format=4),
-    ], ids=["no-format", "format-1", "format-2", "format-3", "format-4"])
+        lambda h: h.update(format=5),
+    ], ids=["no-format", "format-1", "format-2", "format-3", "format-4", "format-5"])
     def test_other_trace_format_rejected(self, identity_cfg, tmp_path, capsys,
                                          edit):
         tr = _sim_trace(capsys, tmp_path, identity_cfg, steps=3, drain=False)
@@ -510,7 +512,7 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", tr, "--config", identity_cfg)
         assert code == 2 and out == ""
         assert err.startswith("error: trace format") and len(err.splitlines()) == 1
-        assert err.endswith(" is not supported; this version reads format 5\n")
+        assert err.endswith(" is not supported; this version reads format 6\n")
 
     def test_tampered_end_queues_diverge(self, identity_cfg, tmp_path, capsys):
         wl = str(tmp_path / "w.jsonl")
@@ -579,6 +581,26 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", tr, "--config", identity_cfg)
         assert code == 2 and out == ""
         assert err == f"error: trace line {index + 1}: {message}\n"
+
+    def test_edited_state_digest_rejected(self, identity_cfg, tmp_path, capsys):
+        tr = _sim_trace(capsys, tmp_path, identity_cfg, steps=3, drain=False)
+        self._edit_record(tr, 0, lambda h: h.update(state_digest="0" * 16))
+        code, out, err = run_cli(capsys, "check", tr, "--config", identity_cfg)
+        assert code == 2 and out == ""
+        assert err == "error: initial state does not match the trace header\n"
+
+    def test_run_started_at_another_clock_rejected(self, identity_cfg, tmp_path, capsys):
+        # the header names no clock: check starts where the config puts a
+        # run, at t=0, and the state digest refuses any other start
+        cfg = app_from_config(CONFIGS["identity"])
+        st = dataclasses.replace(initial_switch_state(cfg), t=5)
+        trace = switch.run(cfg, st, switch.SwitchQueues(q_input=(switch.Arrival(1, tcp_pkt()),)),
+                           4, switch.FifoDrainOracle())
+        tr = str(tmp_path / "t.jsonl")
+        switch.write_trace(trace, tr)
+        code, out, err = run_cli(capsys, "check", tr, "--config", identity_cfg)
+        assert code == 2 and out == ""
+        assert err == "error: initial state does not match the trace header\n"
 
     @pytest.mark.parametrize("key", ["config_digest", "state_digest"])
     def test_missing_header_digest_named(self, identity_cfg, tmp_path, capsys, key):
@@ -948,15 +970,15 @@ def test_sim_survives_mutated_inputs(sim_inputs, data):
 PINNED_SPECS = {"identity": "axioms", "sampler": "sampler", "firewall": "firewall:32"}
 # (app, policy) -> (trace file, stdout of `check --spec PINNED_SPECS[app]`)
 PINNED = {
-    ("identity", "fifo-drain"): ("2a1450e851301457", "b5e71a2955ad08c6"),
-    ("identity", "random"): ("c17e0cdd1ee9094a", "ced8e81ec5428525"),
-    ("identity", "adversarial-drop"): ("eb58bc4ee0d1c541", "24ddd97e5591df4b"),
-    ("sampler", "fifo-drain"): ("a6d99ebde724ce8c", "6e01e3171f018f20"),
-    ("sampler", "random"): ("6be5066cc183c82f", "e66c4d7c13844faa"),
-    ("sampler", "adversarial-drop"): ("d05617887445bce5", "a85e1342f7eaecca"),
-    ("firewall", "fifo-drain"): ("80d34898de8e551c", "0366738331950a2b"),
-    ("firewall", "random"): ("98f00ef252b93639", "0366738331950a2b"),
-    ("firewall", "adversarial-drop"): ("b13354fee2b8f8ff", "576296677ab0a1ca"),
+    ("identity", "fifo-drain"): ("767a97c4946d567b", "b5e71a2955ad08c6"),
+    ("identity", "random"): ("6376bc33b0e7f255", "ced8e81ec5428525"),
+    ("identity", "adversarial-drop"): ("b9fd5da4cdf4c7b8", "24ddd97e5591df4b"),
+    ("sampler", "fifo-drain"): ("0d3e13daaf4ab89b", "6e01e3171f018f20"),
+    ("sampler", "random"): ("f0ad5d11c6c7ab59", "e66c4d7c13844faa"),
+    ("sampler", "adversarial-drop"): ("3c3b5173f0afe7a2", "a85e1342f7eaecca"),
+    ("firewall", "fifo-drain"): ("f6a3377b14898200", "0366738331950a2b"),
+    ("firewall", "random"): ("0f3e2936351a0379", "0366738331950a2b"),
+    ("firewall", "adversarial-drop"): ("926818762d9ee41a", "576296677ab0a1ca"),
 }
 
 

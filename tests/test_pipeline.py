@@ -13,7 +13,7 @@ from dataplane.pipeline import (
     ingress_pipeline,
 )
 from dataplane.engines import EgressMeta, UNICAST
-from dataplane.apps import deparse_slots, identity_app, parse_standard
+from dataplane.apps import IdentityConfig, deparse_slots, identity_app, parse_standard
 
 from support import tcp_pkt, udp_pkt
 
@@ -54,7 +54,7 @@ def test_indication_flag():
 
 class TestIngressPipeline:
     def test_identity_preserves_bits(self):
-        comps = identity_app(forward_port=5).components
+        comps = identity_app(IdentityConfig(5)).components
         p = tcp_pkt(payload=b"hello")
         out, state = ingress_pipeline(comps, 0, 0, p, (None, None, None))
         assert out is not None

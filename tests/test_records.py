@@ -69,7 +69,7 @@ def _walk(roots) -> dict:
 def samples() -> dict:
     sampler = sampler_app(apps.SamplerConfig(sample_every=2))
     fw = firewall_app(FirewallConfig(window=8, keepalive_period=4))
-    ident = identity_app(1, qac=QacAlwaysReady(frozenset({1, 2})))
+    ident = dataclasses.replace(identity_app(), qac=QacAlwaysReady(frozenset({1, 2})))
     pkts = [tcp_pkt(sp=i) for i in range(4)] + [udp_pkt(sp=9)]
     traces = [drain_run(sampler, pkts), drain_run(ident, pkts)]
     flows = [p for i in range(3) for p in flow_pair(i)]

@@ -7,8 +7,10 @@ import random
 
 import pytest
 
-from dataplane.pipeline import EgressIndication, TmMeta
-from dataplane.engines import McConfig, PktGenConfig, QacAlwaysReady, QacMinimal, Seq
+from dataplane.pipeline import TmMeta
+from dataplane.engines import (
+    UNICAST, EgressMeta, McConfig, PktGenConfig, QacAlwaysReady, QacMinimal, Seq,
+)
 from dataplane import engines, switch
 from dataplane.switch import (
     EGRESS,
@@ -38,7 +40,6 @@ from dataplane.apps import (
     SamplerConfig,
     SamplerState,
     app_from_config,
-    deparse_slots,
     firewall_app,
     identity_app,
     initial_switch_state,
@@ -55,6 +56,7 @@ from support import (
     drained,
     flow_pair,
     rand_packet,
+    recirc_once_app,
     tcp_pkt,
     udp_pkt,
 )
@@ -69,7 +71,7 @@ def _slots(st):
 
 class TestIdentityRun:
     def test_fifo_preserves_order(self):
-        tr = drain_run(identity_app(forward_port=9), [P1, P2, P3])
+        tr = drain_run(identity_app(IdentityConfig(9)), [P1, P2, P3])
         assert [(port, p) for port, p in tr.final_queues.q_output] \
             == [(9, P1), (9, P2), (9, P3)]
 
@@ -227,29 +229,9 @@ class TestRunControl:
         assert len(calls) == 2 and r.replication == {}
 
 
-def _recirc_once_app() -> SwitchConfig:
-    """Odd TTL recirculates after the egress control decrements it, so a
-    ttl=2 packet loops exactly once through the register."""
-    base = identity_app(forward_port=1).components
-
-    def e_control(d, s):
-        em, slots = d
-        slots = dict(slots)
-        slots["ipv4"] = slots["ipv4"].replace(ttl=slots["ipv4"]["ttl"] - 1)
-        return slots, s
-
-    def e_deparser(slots, s):
-        ind = EgressIndication(recirculate=slots["ipv4"]["ttl"] & 1)
-        return (ind, deparse_slots(slots)), s
-
-    comps = dataclasses.replace(base, e_control=e_control, e_deparser=e_deparser)
-    return SwitchConfig(components=comps, mc=McConfig(), pktgen=PktGenConfig(),
-                        qac=QacMinimal(), app_label="ttl_loop")
-
-
 class TestRecirculation:
     def test_register_loop(self):
-        cfg = _recirc_once_app()
+        cfg = recirc_once_app()
         tr = drain_run(cfg, [tcp_pkt(ttl=2)])
         kinds = [s.kind for s in tr.steps]
         assert kinds == [INGRESS, EGRESS, INGRESS, EGRESS]
@@ -395,16 +377,16 @@ class TestTraceSerialization:
 
     @pytest.mark.parametrize("cfg, packets", [
         (identity_app(), [P1, P2, P3]),
-        (_recirc_once_app(), [tcp_pkt(ttl=2), tcp_pkt(ttl=4)]),
+        (recirc_once_app(), [tcp_pkt(ttl=2), tcp_pkt(ttl=4)]),
     ], ids=["identity", "recirculating"])
     def test_record_layout(self, cfg, packets):
         tr = drain_run(cfg, packets, RandomOracle(7))
         lines = trace_to_lines(tr)
         recs = [json.loads(line) for line in lines]
         header, steps, end = recs[0], recs[1:-1], recs[-1]
-        assert header["format"] == TRACE_FORMAT == 5
+        assert header["format"] == TRACE_FORMAT == 6
         assert header["state_digest"] == digest(tr.initial_state)
-        assert set(header["queues"]) == {"q_input", "p_recirc", "q_egress", "q_output"}
+        assert set(header["queues"]) == {"q_input"}
         assert len(steps) == len(tr.steps)
         for rec, step in zip(steps, tr.steps):
             # one snapshot per step: the post state's clock and replaced
@@ -425,6 +407,22 @@ class TestTraceSerialization:
         assert set(end["final_queues"]) == {"q_input", "q_egress", "q_output", "p_recirc",
                                             "lens"}
         assert_format_4_loses_nothing(tr, lines)
+
+    @pytest.mark.parametrize("loaded", [
+        {"p_recirc": P1},
+        {"q_egress": ((EgressMeta(1, 0, UNICAST), P1),)},
+        {"q_output": ((1, P1),)},
+    ], ids=["p_recirc", "q_egress", "q_output"])
+    def test_only_the_workload_starts_queued(self, tmp_path, loaded):
+        # the header names the workload and no other queue, so a run that
+        # started with more has no trace, and no file is begun
+        cfg = identity_app()
+        tr = run(cfg, initial_switch_state(cfg), SwitchQueues(q_input=arrivals(P2), **loaded),
+                 3, FifoDrainOracle())
+        path = tmp_path / "t.jsonl"
+        with pytest.raises(ValueError, match="workload alone"):
+            write_trace(tr, str(path))
+        assert not path.exists()
 
     @staticmethod
     def _canon_calls_per_step(monkeypatch, n):
@@ -549,7 +547,7 @@ class TestTraceSerialization:
         # each as the oracle gave it (a mask, whatever iterable of truth
         # values, as a list of bools), and replays to the fault
         oracle = type("Answering", (FifoDrainOracle,), answers)()
-        cfg = identity_app(qac=policy)
+        cfg = dataclasses.replace(identity_app(), qac=policy)
         st, qs = initial_switch_state(cfg), SwitchQueues(q_input=arrivals(P1))
         tr = run(cfg, st, qs, 5, oracle)
         assert tr.fault == fault and tr.fault_decisions == consumed
