@@ -1,6 +1,6 @@
 """Check a recorded trace in one pass.
 
-`Records` reads a trace file one record at a time.  `Lockstep` replays
+`Records` reads a trace file one record at a time.  `replay` replays
 each step from the decisions of the record at hand, requires the step's
 rebuilt record to be that record byte for byte, and then feeds the step
 to the checker's folds, so no step outlives its turn.
@@ -144,52 +144,32 @@ class Records:
             raise ValueError(f"trace line {self.n}: {e}") from None
 
 
-class Lockstep:
+def replay(records: Records, folds: list, cfg, st, qs) -> tuple:
     """Replay in step with reading the records: each step takes its
-    decisions from the record at hand, and the folds take the step once
-    its rebuilt record is that record, byte for byte."""
-
-    def __init__(self, records: Records, folds: list) -> None:
-        self.records = records
-        self.folds = folds  # (label, checker.Fold)
-        self.steps = 0
-        self.unmet = None  # (label, the PreconditionUnmet a fold raised)
-
-    def run(self, cfg, st, qs) -> Optional[switch.Run]:
-        """The replayed Run, or None when a record is not reproduced;
-        records.pos is then that record's position."""
-        r = self.records
-        if not self._match(switch.header_record(switch.config_digest(cfg), cfg.app_label,
-                                                st, qs)):
-            return None
-        # each step's decisions come from the record at hand when it begins
-        decisions = iter(lambda: r.checked(record_decisions, r.rec), None)
-        replay = switch.Run(cfg, st, qs, switch.ReplayOracle(decisions))
-        while r.rec is not None and r.rec.get("type") in ("step", "fault"):
-            step = replay.step()
-            if step is None:
-                break
-            if not self._match(switch.step_to_json(step)):
-                return None
-            if self.unmet is None:  # an unmet precondition ends every verdict
-                for label, fold in self.folds:
-                    try:
-                        fold.feed(self.steps, step)
-                    except checker.PreconditionUnmet as e:
-                        self.unmet = (label, e)
-                        break
-            self.steps += 1
-        tail = [switch.fault_record(replay)] if replay.fault is not None else []
-        tail.append(switch.end_record(self.steps, replay.state, replay.queues))
-        if not all(self._match(rec) for rec in tail):
-            return None
-        return replay if r.rec is None else None  # nothing after the end
-
-    def _match(self, rec: dict) -> bool:
-        """Whether rec is the record at hand, moving past it if so."""
-        r = self.records
-        line = switch.dump_record(rec)
-        if r.rec is None or line != r.line.strip():
-            return False
-        r.advance()
-        return True
+    decisions from the record at hand, and the folds, (label, Fold)
+    pairs, take the step once its rebuilt record is that record, byte
+    for byte.  Returns (run, steps, unmet): run is the replayed Run, or
+    None when a record is not reproduced, records.pos then being its
+    position; steps counts the step records; unmet is (label, the
+    PreconditionUnmet a fold raised) or None."""
+    decisions = iter(lambda: records.checked(record_decisions, records.rec), None)
+    run = switch.Run(cfg, st, qs, switch.ReplayOracle(decisions))
+    at_step = lambda s, q: records.rec is not None and records.rec.get("type") in ("step", "fault")
+    n, unmet = 0, None
+    for step, rec in switch.trace_records(
+            switch.config_digest(cfg), cfg.app_label, st, qs, run.steps(at_step),
+            lambda: (run.fault, run.fault_decisions, run.state, run.queues)):
+        if records.rec is None or switch.dump_record(rec) != records.line.strip():
+            return None, n, unmet
+        records.advance()
+        if step is None:
+            continue
+        if unmet is None:  # an unmet precondition ends every verdict
+            for label, fold in folds:
+                try:
+                    fold.feed(n, step)
+                except checker.PreconditionUnmet as e:
+                    unmet = (label, e)
+                    break
+        n += 1
+    return (run if records.rec is None else None), n, unmet  # nothing after the end

@@ -159,14 +159,13 @@ def cmd_check(args) -> int:
 
         # one pass: the replay reproduces the file record by record, and
         # stops at the first record it does not reproduce
-        lock = audit.Lockstep(records, folds)
-        replayed = lock.run(cfg, st, qs)
+        replayed, n_steps, unmet = audit.replay(records, folds, cfg, st, qs)
     if replayed is None:
         print(f"replay: VIOLATION clause=trace.divergence step={max(records.pos - 1, 0)}")
         return 1
-    print(f"replay: ok ({lock.steps} steps)")
-    if lock.unmet is not None:
-        label, e = lock.unmet
+    print(f"replay: ok ({n_steps} steps)")
+    if unmet is not None:
+        label, e = unmet
         print(f"{label}: precondition unmet ({e})", file=sys.stderr)
         return 2
 

@@ -381,13 +381,12 @@ def pktgen_tick(c: PktGenConfig, t: int, s: PktGenState) -> tuple[Optional[BitSt
 
 def packet_generator(c: PktGenConfig, t: int, s: PktGenState,
                      p_recirc: Optional[BitString]
-                     ) -> tuple[Optional[BitString], Optional[BitString], PktGenState]:
-    """Recirculated packets preempt generation and drain the register;
-    otherwise this is pktgen_tick with the register left empty."""
+                     ) -> tuple[Optional[BitString], PktGenState]:
+    """Recirculated packets preempt generation; otherwise this is
+    pktgen_tick.  Either way the register is empty after the tick."""
     if p_recirc is not None:
-        return p_recirc, None, s
-    p_g, s2 = pktgen_tick(c, t, s)
-    return p_g, None, s2
+        return p_recirc, s
+    return pktgen_tick(c, t, s)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import engines
 from .engines import (
@@ -282,9 +283,9 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
     engine error leaves it as it was.
 
     Frame: s_e, q_mirror and q_output never change here; t always
-    advances by 1.
+    advances by 1, and the register is empty after it.
     """
-    p_g, p_recirc2, s_g2 = engines.packet_generator(cfg.pktgen, st.t, st.s_g, qs.p_recirc)
+    p_g, s_g2 = engines.packet_generator(cfg.pktgen, st.t, st.s_g, qs.p_recirc)
     from_recirc = qs.p_recirc is not None
 
     in_idx = None
@@ -319,7 +320,7 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
             enqueued = q_egress2[len(qs.q_egress):]
 
     st2 = SwitchState(t=st.t + 1, s_g=s_g2, s_i=s_i2, s_e=st.s_e)
-    qs2 = SwitchQueues(q_input=q_input2, p_recirc=p_recirc2, q_mirror=qs.q_mirror,
+    qs2 = SwitchQueues(q_input=q_input2, p_recirc=None, q_mirror=qs.q_mirror,
                        q_egress=q_egress2, q_output=qs.q_output)
     return TraceStep(INGRESS, st, qs, st2, qs2, _finished(decisions, INGRESS),
                      IngressDetail(p_g=p_g, from_recirc=from_recirc, in_port=in_port,
@@ -353,10 +354,10 @@ def egress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
 
 class Run:
     """A run in progress: the state and queues after the steps taken so
-    far.  step() takes one oracle-chosen step and returns it.  An engine
-    error instead makes it return None, and fault and fault_decisions
-    then keep the error and the oracle choices that step consumed, so a
-    replay can reproduce it.
+    far.  steps() takes them one oracle-chosen step at a time.  An
+    engine error ends it, and fault and fault_decisions then keep the
+    error and the oracle choices that step consumed, so a replay can
+    reproduce it.
 
     The replication engine and the admission policy are pure, so for a
     given config they are functions of the TmMeta alone; replication
@@ -389,6 +390,13 @@ class Run:
         self.state, self.queues = step.post_state, step.post_queues
         return step
 
+    def steps(self, more: Callable[[SwitchState, SwitchQueues], bool]
+              ) -> Iterator[TraceStep]:
+        """The run's steps, each taken only when the next one is asked
+        for, while more(state, queues) holds and no step faults."""
+        while more(self.state, self.queues) and (step := self.step()) is not None:
+            yield step
+
 
 def run(cfg: SwitchConfig, init_state: SwitchState, init_queues: SwitchQueues,
         n_steps: int, o: Oracle,
@@ -402,14 +410,8 @@ def run(cfg: SwitchConfig, init_state: SwitchState, init_queues: SwitchQueues,
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     r = Run(cfg, init_state, init_queues, o)
-    steps: list[TraceStep] = []
-    for _ in range(n_steps):
-        if stop_when is not None and stop_when(r.state, r.queues):
-            break
-        step = r.step()
-        if step is None:
-            break
-        steps.append(step)
+    more = lambda st, qs: stop_when is None or not stop_when(st, qs)
+    steps = list(islice(r.steps(more), n_steps))
     return Trace(config_digest=config_digest(cfg), app_label=cfg.app_label,
                  initial_state=init_state, initial_queues=init_queues,
                  steps=steps, final_state=r.state, final_queues=r.queues, fault=r.fault,
@@ -581,27 +583,31 @@ def dump_record(rec: dict) -> str:
     return _JSON.encode(rec)
 
 
-def fault_record(r: "Trace | Run") -> dict:
-    return {"type": "fault", "error": r.fault, "decisions": r.fault_decisions or {}}
-
-
-def end_record(n_steps: int, final_state: SwitchState, final_queues: SwitchQueues) -> dict:
-    """The number of outputs is final_queues.lens[2]."""
-    return {"type": "end",
-            "steps": n_steps,
-            "final_state_digest": digest(final_state),
-            "final_queues": queue_digests(final_queues)}
+def trace_records(config_digest: str, app_label: str, initial_state: SwitchState,
+                  initial_queues: SwitchQueues, steps: Iterable[TraceStep],
+                  end: Callable[[], tuple]) -> Iterator[tuple]:
+    """The records of a run, in file order, each as (step, record): the
+    header, one record per step of steps, which may be lazy, a fault
+    record if the run faulted, then the end record.  step is None but
+    for step records.  Once steps is used up, end() gives the run's
+    (fault, fault_decisions, final_state, final_queues)."""
+    yield None, header_record(config_digest, app_label, initial_state, initial_queues)
+    n = 0
+    for n, step in enumerate(steps, 1):
+        yield step, step_to_json(step)
+    fault, fault_decisions, final_state, final_queues = end()
+    if fault is not None:
+        yield None, {"type": "fault", "error": fault, "decisions": fault_decisions or {}}
+    # the number of outputs is final_queues.lens[2]
+    yield None, {"type": "end", "steps": n, "final_state_digest": digest(final_state),
+                 "final_queues": queue_digests(final_queues)}
 
 
 def trace_to_lines(trace: Trace) -> list[str]:
-    lines = [dump_record(header_record(trace.config_digest, trace.app_label,
-                                       trace.initial_state, trace.initial_queues))]
-    lines += [dump_record(step_to_json(s)) for s in trace.steps]
-    if trace.fault is not None:
-        lines.append(dump_record(fault_record(trace)))
-    lines.append(dump_record(end_record(len(trace.steps), trace.final_state,
-                                        trace.final_queues)))
-    return lines
+    return [dump_record(rec) for _, rec in trace_records(
+        trace.config_digest, trace.app_label, trace.initial_state, trace.initial_queues,
+        trace.steps, lambda: (trace.fault, trace.fault_decisions, trace.final_state,
+                              trace.final_queues))]
 
 
 def write_trace(trace: Trace, path: str) -> None:

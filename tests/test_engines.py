@@ -201,9 +201,9 @@ class TestPktGen:
     def test_recirculation_preempts(self):
         held = BitString(0xAA, 8)
         s = PktGenState()
-        p, reg, s2 = packet_generator(self.CFG, 0, s, held)
-        # register drains, generator state frozen even at a boundary
-        assert (p, reg, s2) == (held, None, s)
+        p, s2 = packet_generator(self.CFG, 0, s, held)
+        # generator state frozen even at a boundary
+        assert (p, s2) == (held, s)
 
 
 class TestInputPorts:

@@ -25,6 +25,12 @@ Every immutable record of the package is a `record`, never the stdlib's
 `object.__setattr__`.  `switch.Trace`, which a run fills in, is the one
 dataclass left: a plain, mutable one.
 
+One code path builds the records of a trace and one loop takes the
+steps of a run: within the package, `header_record` and `step_to_json`
+are called only by `switch.trace_records`, and a Run's `.step()` only by
+`Run.steps`, so `sim`'s writer and `check`'s replay walk the same
+generator.
+
 The checker judges the steps the switch took and never takes one
 itself: it binds neither the switch module nor any of its steppers or
 oracles, so it cannot make the step it then judges.
@@ -189,6 +195,52 @@ def test_only_the_switch_asks_the_oracle():
 def test_oracle_question_scanner():
     src = "def f(o, q):\n    q.step_kind\n    return o.sched_index(len(q))\n"
     assert oracle_questions(src) == ["sched_index (line 3)"]
+
+
+RECORD_AND_STEP_CALLS = ("header_record", "step_to_json", "fault_record", "end_record",
+                         ".step()")
+
+
+def _call_name(call: ast.Call):
+    f = call.func
+    if isinstance(f, ast.Attribute) and f.attr == "step":
+        return None if call.args or call.keywords else ".step()"  # a Fold's step takes two
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+
+def calls_in_functions(source: str, names) -> list[tuple[str, str]]:
+    """(function, call) for each call in source named in names, the
+    function that makes it qualified by its class, and "" at top level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call) and _call_name(child) in names:
+                found.append((where, _call_name(child)))
+            visit(child, where)
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_one_record_builder_and_one_step_loop():
+    made = {(p.name, where, name) for p in PACKAGE
+            for where, name in calls_in_functions(p.read_text(), RECORD_AND_STEP_CALLS)}
+    assert made == {("switch.py", "trace_records", "header_record"),
+                    ("switch.py", "trace_records", "step_to_json"),
+                    ("switch.py", "Run.steps", ".step()")}
+
+
+def test_record_and_step_call_scanner():
+    src = ("class Run:\n    def steps(self):\n        yield self.step()\n"
+           "def f(r, fold):\n    fold.step(0, r)\n"
+           "    return [switch.step_to_json(s) for s in r.steps(g())]\n"
+           "header_record(end_record(1))\n")
+    assert calls_in_functions(src, RECORD_AND_STEP_CALLS) == [
+        ("Run.steps", ".step()"), ("f", "step_to_json"), ("", "header_record"),
+        ("", "end_record")]
 
 
 def test_the_checker_never_steps_the_switch():

@@ -334,6 +334,30 @@ class TestTraceSerialization:
         assert [r.step() for _ in tr.steps] == tr.steps
         assert (r.state, r.queues) == (tr.final_state, tr.final_queues)
 
+    def test_run_steps_draw_each_decision_inside_next(self):
+        # check reads a record only when its step begins: Run.steps must
+        # ask the oracle nothing until next() asks for the step
+        cfg = identity_app()
+        tr = drain_run(cfg, [P1, P2, P3], FifoDrainOracle())
+        answers = [tr.steps[0].decisions, tr.steps[1].decisions,
+                   {"requested_kind": INGRESS, "input_index": 9}]
+        drawn = []
+
+        def draws():
+            for i, d in enumerate(answers):
+                drawn.append(i)
+                yield d
+
+        r = Run(cfg, tr.initial_state, tr.initial_queues, ReplayOracle(draws()))
+        steps = r.steps(lambda st, qs: True)
+        assert drawn == []
+        for i in range(2):
+            assert next(steps) == tr.steps[i] and drawn == list(range(i + 1))
+        assert next(steps, None) is None and drawn == [0, 1, 2]
+        assert r.fault == "OracleOutOfRange: input index 9 for queue of 2"
+        assert r.fault_decisions == {"requested_kind": INGRESS, "input_index": 9}
+        assert (r.state, r.queues) == (tr.steps[1].post_state, tr.steps[1].post_queues)
+
     def test_replay_of_a_null_index_faults(self):
         cfg = identity_app()
         tr = drain_run(cfg, [P1, P2], FifoDrainOracle())
