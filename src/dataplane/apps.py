@@ -1,13 +1,13 @@
 """Bundled applications: identity forwarder, packet sampler, stateful
 firewall.
 
-An application is the SwitchConfig its builder returns: the six
-pipeline component functions plus the engine configuration they assume
-(multicast groups, generator timing, admission policy) and the initial
-per-component state, so a switch can be instantiated in one call.  A
-builder takes only its app's config record and sets only the engines
-the app fixes; APPS names the engine sections a config file may set for
-each app, and app_from_config puts them in.
+An application is the SwitchConfig its builder returns: the six pipeline
+component functions plus the engine configuration they assume (multicast
+groups, generator timing, admission policy), the initial per-component
+state and the actions its ingress control can emit, so a switch can be
+instantiated in one call.  A builder takes only its app's config record
+and sets only the engines the app fixes; APPS names the engine sections
+a config file may set for each app, and app_from_config puts them in.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def _tm(*, ucast: Optional[int] = None, mcast_a: int = 0, drop: int = 0) -> TmMe
 # parse_standard and deparse_slots through this module's globals.  The
 # metadata a stock component emits depends on the app's config at most,
 # so each value is built once, at import or with the app, and emitted
-# for every packet.
+# for every packet; the TmMeta values are the app's declared actions.
 
 _NO_RECIRCULATE = EgressIndication()
 
@@ -106,22 +106,13 @@ def _e_deparser(slots, s):
     return (_NO_RECIRCULATE, deparse_slots(slots)), s
 
 
-def _unicast_to(port: int) -> Callable:
-    """Ingress control that sends every packet out of one port."""
-    tm = _tm(ucast=port)
-
-    def in_control(d, s):
-        t, in_port, slots = d
-        return (tm, slots), s
-    return in_control
-
-
-def _app(label: str, params, in_control: Callable, *, e_parser: Callable = _e_parser,
-         e_control: Callable = _e_control, **fixed) -> SwitchConfig:
-    """An app on the shared skeleton; fixed holds the other SwitchConfig
-    fields the app sets (the engines it fixes, its initial state)."""
+def _app(label: str, params, in_control: Callable, actions: tuple, *,
+         e_parser: Callable = _e_parser, e_control: Callable = _e_control, **fixed) -> SwitchConfig:
+    """An app on the shared skeleton whose in_control emits actions; fixed
+    holds the other SwitchConfig fields the app sets (the engines it
+    fixes, its initial state)."""
     comps = Components(_in_parser, in_control, _in_deparser, e_parser, e_control, _e_deparser)
-    return SwitchConfig(components=comps, app_label=label, params=params, **fixed)
+    return SwitchConfig(comps, app_label=label, params=params, actions=actions, **fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +129,12 @@ class IdentityConfig:
 
 def identity_app(cfg: IdentityConfig = IdentityConfig()) -> SwitchConfig:
     """Sends every parseable packet, unchanged, out one port."""
-    return _app("identity", cfg, _unicast_to(cfg.forward_port))
+    tm = _tm(ucast=cfg.forward_port)
+
+    def in_control(d, s):
+        t, in_port, slots = d
+        return (tm, slots), s
+    return _app("identity", cfg, in_control, (tm,))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +219,8 @@ def sampler_app(cfg: SamplerConfig = SamplerConfig()) -> SwitchConfig:
             return {"sample": slots["sample"]}, s
         return {k: v for k, v in slots.items() if k != "sample"}, s
 
-    return _app("sampler", cfg, in_control, e_parser=e_parser, e_control=e_control,
-                mc=mc, init_ingress=(None, SamplerState(), None))
+    return _app("sampler", cfg, in_control, (to_forward, to_monitor), e_parser=e_parser,
+                e_control=e_control, mc=mc, init_ingress=(None, SamplerState(), None))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +386,7 @@ def firewall_app(cfg: FirewallConfig = FirewallConfig()) -> SwitchConfig:
 
     pktgen = PktGenConfig(enabled=True, period=cfg.keepalive_period,
                           template=keepalive_template())
-    return _app("firewall", cfg, in_control, pktgen=pktgen,
+    return _app("firewall", cfg, in_control, (drop, to_inside, to_outside), pktgen=pktgen,
                 init_ingress=(None, FirewallState(), None))
 
 

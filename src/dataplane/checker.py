@@ -75,6 +75,7 @@ CLAUSES = {
     "ingress.reject_isolation": "a parser reject leaves control/deparser state and all queues alone",
     "ingress.pipeline": "ingress parser/control/deparser recomputation matches the recorded states",
     "ingress.mirror_empty": "mirror buffer stays empty under the empty mirror table",
+    "ingress.undeclared_action": "the control emits only actions its app declares, each with copies",
     "ingress.replication": "every enqueued copy comes from the replication walk with the deparsed bits",
     "ingress.qac_prefix": "previously queued copies survive admission in place",
     "ingress.qac_subsequence": "admitted copies are an in-order subsequence of the replication output",
@@ -100,12 +101,12 @@ CLAUSES = {
 
 def check_step(cfg: SwitchConfig, step: TraceStep,
                replication: Optional[dict] = None) -> Verdict:
-    """The step's per-step clauses.  replication is a table TmMeta ->
-    (copies, mandatory) that the checker fills from the engines itself
-    and that may be shared by the steps of one trace under cfg; by
-    default each call starts a fresh one."""
+    """The step's per-step clauses.  replication is cfg's
+    engines.replication_table, which the steps of one trace may share; by
+    default each ingress step builds its own."""
     if step.kind == INGRESS:
-        return _check_ingress(cfg, step, {} if replication is None else replication)
+        return _check_ingress(cfg, step, replication if replication is not None
+                              else engines.replication_table(cfg.mc, cfg.qac, cfg.actions))
     if step.kind == EGRESS:
         return _check_egress(cfg, step)
     return _bad("trace.step_kind", f"kind {step.kind!r}")
@@ -164,9 +165,8 @@ def _check_ingress(cfg: SwitchConfig, step: TraceStep, replication: dict) -> Ver
         return _bad("ingress.mirror_empty")
 
     fixed = replication.get(tm)
-    if fixed is None:
-        copies = tuple(engines.replication_engine(cfg.mc, tm))
-        fixed = replication[tm] = (copies, engines.mandatory_mask(cfg.qac, copies))
+    if type(fixed) is not tuple:
+        return _bad("ingress.undeclared_action", f"{tm}: {fixed or 'not declared'}")
     copies, mandatory = fixed
     candidates = tuple((em, raw_out) for em in copies)
 
@@ -305,12 +305,12 @@ def fold_trace(fold: Fold, trace: Trace) -> Verdict:
 
 class AxiomsFold(Fold):
     """Continuity plus every per-step clause; first violation wins.  The
-    fold keeps its own replication table for check_step, computed by the
-    checker and never taken from the trace."""
+    fold builds its own replication table for check_step when it starts,
+    from the config's declared actions, never from the trace."""
 
     def __init__(self, cfg: SwitchConfig, initial_state, initial_queues) -> None:
         self.cfg = cfg
-        self.replication: dict = {}  # TmMeta -> (copies, mandatory)
+        self.replication = engines.replication_table(cfg.mc, cfg.qac, cfg.actions)
         self.prev = (initial_state, initial_queues)
         self.n = 0  # steps taken
 

@@ -13,9 +13,10 @@ policy.
 
 Purity is also what lets a caller table an engine.  For one config,
 replication_engine and mandatory_mask are functions of the TmMeta
-alone, so a switch run and an axioms fold each keep a table TmMeta ->
-(copies, mandatory mask) that dies with them: an engine replaced after
-a run has started is seen by every run that starts after it.
+alone, and an app declares each TmMeta its control can emit, so a run
+and an axioms fold each build a replication_table as they start, which
+dies with them: an engine replaced after a run has started is seen by
+every run that starts after it.
 """
 
 from __future__ import annotations
@@ -157,6 +158,10 @@ class OracleOutOfRange(EngineError):
 
 class PolicyViolation(EngineError):
     pass
+
+
+class UndeclaredAction(EngineError):
+    """The control emitted a TmMeta its app does not declare."""
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +451,19 @@ def mandatory_mask(policy, ms: Sequence[EgressMeta]) -> tuple[bool, ...]:
     if isinstance(policy, QacAlwaysReady):
         return tuple(policy.is_ready(m.egress_port) for m in ms)
     return (False,) * len(ms)
+
+
+def replication_table(c: McConfig, policy, actions: Sequence[TmMeta]) -> dict:
+    """Each action -> (copies, mandatory mask), or the EngineError its
+    replication walk raised, which a step emitting the action raises."""
+    table: dict = {}
+    for m in actions:
+        try:
+            copies = tuple(replication_engine(c, m))
+            table[m] = (copies, mandatory_mask(policy, copies))
+        except EngineError as e:
+            table[m] = e
+    return table
 
 
 def queue_admission(ms: Sequence[EgressMeta], p: BitString, q_egress: tuple,

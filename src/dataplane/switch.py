@@ -87,6 +87,7 @@ class SwitchConfig:
     params: object = None  # the app's config dataclass, in the trace's config digest
     init_ingress: tuple = (None, None, None)  # s_i and s_e of the initial state
     init_egress: tuple = (None, None, None)
+    actions: tuple[TmMeta, ...] = ()  # every TmMeta in_control emits; code, not digested
 
 
 def egress_enabled(qs: SwitchQueues) -> bool:
@@ -279,8 +280,8 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
     the oracle asked for; each further answer goes into it as the oracle
     gives it, before an engine checks it, so a step that faults leaves
     behind exactly the answers it consumed.  replication is the run's
-    table TmMeta -> (m_repl, mandatory), filled here on a miss; an
-    engine error leaves it as it was.
+    engines.replication_table: a TmMeta it maps to an engine error
+    raises that error, and one it lacks raises UndeclaredAction.
 
     Frame: s_e, q_mirror and q_output never change here; t always
     advances by 1, and the register is empty after it.
@@ -309,9 +310,9 @@ def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
         if out is not None:
             tm, raw_out = out
             fixed = replication.get(tm)
-            if fixed is None:
-                m_repl = tuple(engines.replication_engine(cfg.mc, tm))
-                fixed = replication[tm] = (m_repl, engines.mandatory_mask(cfg.qac, m_repl))
+            if type(fixed) is not tuple:
+                fixed = fixed or engines.UndeclaredAction(f"the app does not declare {tm}")
+                raise fixed.with_traceback(None)  # a stored error is raised afresh
             m_repl, mandatory = fixed
             # no copies, no question
             mask = decisions["admitted_mask"] = (
@@ -361,13 +362,14 @@ class Run:
 
     The replication engine and the admission policy are pure, so for a
     given config they are functions of the TmMeta alone; replication
-    tables them, and lives no longer than the run."""
+    tables them for the config's actions as the run starts, and lives
+    no longer than the run."""
 
     def __init__(self, cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
                  o: Oracle) -> None:
         self.cfg, self.oracle = cfg, o
         self.state, self.queues = st, qs
-        self.replication: dict = {}  # TmMeta -> (m_repl, mandatory)
+        self.replication = engines.replication_table(cfg.mc, cfg.qac, cfg.actions)
         self.fault: Optional[str] = None
         self.fault_decisions: Optional[dict] = None
 

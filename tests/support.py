@@ -552,7 +552,7 @@ def drain_run(cfg: SwitchConfig, packets, oracle: Oracle | None = None,
 def recirc_once_app() -> SwitchConfig:
     """Odd TTL recirculates after the egress control decrements it, so a
     ttl=2 packet loops exactly once through the register."""
-    base = identity_app(IdentityConfig(1)).components
+    base = identity_app(IdentityConfig(1))
 
     def e_control(d, s):
         em, slots = d
@@ -564,8 +564,8 @@ def recirc_once_app() -> SwitchConfig:
         ind = EgressIndication(recirculate=slots["ipv4"]["ttl"] & 1)
         return (ind, deparse_slots(slots)), s
 
-    comps = dataclasses.replace(base, e_control=e_control, e_deparser=e_deparser)
-    return SwitchConfig(components=comps, app_label="ttl_loop")
+    comps = dataclasses.replace(base.components, e_control=e_control, e_deparser=e_deparser)
+    return SwitchConfig(components=comps, app_label="ttl_loop", actions=base.actions)
 
 
 # every key format 3 wrote and format 4 derives, wherever it stood
@@ -742,6 +742,8 @@ def forge_catalog() -> list[Forgery]:
     add("ingress.no_packet_frame", icfg,
         _r(s_id, post_state=_r(s_id.post_state, s_i=(None, "x", None))))
     add("trace.step_kind", icfg, _r(s_in, kind="sideways"))
+    add("ingress.undeclared_action", _r(icfg, actions=()), s_in,
+        "an honest step judged under a config that declares no action")
 
     # replication/admission edits need the enqueued copy
     raw = s_in.detail.enqueued[0][1]

@@ -47,6 +47,7 @@ from dataplane.headers import (
 from dataplane.checker import (
     ALL_CLAUSES,
     CLAUSES,
+    AxiomsFold,
     LangsecFold,
     PreconditionUnmet,
     Verdict,
@@ -420,23 +421,40 @@ def _first_sampled_ingress(tr) -> int:
 
 
 def test_axioms_fold_replicates_once_per_tm_meta(monkeypatch):
+    # the run and the fold each walk every declared action once, in
+    # declaration order, before their first step
     calls = []
     real = engines.replication_engine
     monkeypatch.setattr(engines, "replication_engine",
                         lambda c, m: calls.append(m) or real(c, m))
     cfg = sampler_app(SC)
-    tr = drain_run(cfg, [tcp_pkt(sp=i) for i in range(8)])
-    to_forward = apps._tm(ucast=SC.forward_port)
-    to_monitor = apps._tm(mcast_a=SC.monitor_group)
-    assert calls == [to_forward, to_monitor]  # the run's table
+    declared = [apps._tm(ucast=SC.forward_port), apps._tm(mcast_a=SC.monitor_group)]
+    assert list(cfg.actions) == declared
+    switch.Run(cfg, initial_switch_state(cfg), SwitchQueues(), FifoDrainOracle())
+    assert calls == declared  # the run's table, with no step taken
     calls.clear()
-    assert check_trace(cfg, tr).ok
-    assert calls == [to_forward, to_monitor]  # the fold's own
-    # a bare check_step starts a table of its own every call
+    tr = drain_run(cfg, [tcp_pkt(sp=i) for i in range(8)])
+    assert calls == declared
+    calls.clear()
+    fold = AxiomsFold(cfg, tr.initial_state, tr.initial_queues)
+    assert calls == declared  # the fold's own, with no step fed
+    assert fold_trace(fold, tr).ok and calls == declared
+    # a bare check_step builds a table of its own every ingress call
     calls.clear()
     parsed = [s for s in tr.steps if s.kind == "ingress" and s.detail.pipeline_out]
     assert all(check_step(cfg, s).ok for s in parsed)
-    assert len(calls) == len(parsed) == 8
+    assert len(parsed) == 8 and calls == declared * 8
+
+
+def test_an_action_whose_walk_fails_has_no_copies():
+    # the checker's table keeps the error of a declared action's walk, so
+    # a step emitting that action is blamed like one emitting no declared
+    # action at all
+    cfg = sampler_app(SamplerConfig(sample_every=1))
+    tr = drain_run(cfg, [tcp_pkt()])
+    v = check_trace(dataclasses.replace(cfg, mc=engines.McConfig()), tr)
+    assert (v.violated_clause, v.step) == ("ingress.undeclared_action", 0)
+    assert v.detail.endswith(": multicast group 100 not configured")
 
 
 class _NewestArrivalFirst(FifoDrainOracle):
@@ -874,7 +892,8 @@ def test_clause_registry_pinned():
         "ingress.clock", "ingress.frame.s_e", "ingress.frame.q_output",
         "ingress.pktgen_behavior", "ingress.input_ports",
         "ingress.no_packet_frame", "ingress.reject_isolation",
-        "ingress.pipeline", "ingress.mirror_empty", "ingress.replication",
+        "ingress.pipeline", "ingress.mirror_empty", "ingress.undeclared_action",
+        "ingress.replication",
         "ingress.qac_prefix", "ingress.qac_subsequence", "ingress.qac_mandatory",
         "egress.enabled", "egress.clock", "egress.frame.s_g",
         "egress.frame.s_i", "egress.frame.q_input", "egress.frame.q_mirror",

@@ -1067,6 +1067,8 @@ def _any_packet(draw):
 @given(workload=st.lists(st.tuples(st.one_of(st.sampled_from([1, 2, 3]), st.integers(0, 511)),
                                    _any_packet()), min_size=1, max_size=12))
 def test_stock_apps_meet_their_specs(tmp_path, workload):
+    # `sim` exits 3 on UndeclaredAction, so its exit 0 also says that every
+    # TmMeta a stock app emits on these workloads is among its actions
     wl, tr = tmp_path / "w.jsonl", str(tmp_path / "t.jsonl")
     wl.write_text("".join(_dump({"port": port, "packet": p.to_json()}) + "\n"
                           for port, p in workload))

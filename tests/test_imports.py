@@ -31,6 +31,12 @@ are called only by `switch.trace_records`, and a Run's `.step()` only by
 `Run.steps`, so `sim`'s writer and `check`'s replay walk the same
 generator.
 
+One builder tables replication: within the package,
+`replication_engine` and `mandatory_mask` are called only by
+`engines.replication_table`, which a run and an axioms fold each call
+once, as they start, over the app's declared actions.  So no step
+walks the multicast tree, and no table has a miss path.
+
 The checker judges the steps the switch took and never takes one
 itself: it binds neither the switch module nor any of its steppers or
 oracles, so it cannot make the step it then judges.
@@ -241,6 +247,26 @@ def test_record_and_step_call_scanner():
     assert calls_in_functions(src, RECORD_AND_STEP_CALLS) == [
         ("Run.steps", ".step()"), ("f", "step_to_json"), ("", "header_record"),
         ("", "end_record")]
+
+
+REPLICATION_CALLS = ("replication_engine", "mandatory_mask")
+
+
+def test_one_replication_table_builder():
+    made = {(p.name, where, name) for p in PACKAGE
+            for where, name in calls_in_functions(p.read_text(), REPLICATION_CALLS)}
+    assert made == {("engines.py", "replication_table", "replication_engine"),
+                    ("engines.py", "replication_table", "mandatory_mask")}
+
+
+def test_replication_call_scanner():
+    src = ("def replication_table(c, q, actions):\n"
+           "    return {m: mandatory_mask(q, replication_engine(c, m)) for m in actions}\n"
+           "class Run:\n    def step(self, tm):\n"
+           "        return engines.replication_engine(self.mc, tm)\n")
+    assert calls_in_functions(src, REPLICATION_CALLS) == [
+        ("replication_table", "mandatory_mask"), ("replication_table", "replication_engine"),
+        ("Run.step", "replication_engine")]
 
 
 def test_the_checker_never_steps_the_switch():

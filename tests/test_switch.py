@@ -4,6 +4,7 @@ recirculation, and trace serialization."""
 import dataclasses
 import json
 import random
+import traceback
 
 import pytest
 
@@ -54,7 +55,6 @@ from support import (
     assert_format_4_loses_nothing,
     drain_run,
     drained,
-    flow_pair,
     rand_packet,
     recirc_once_app,
     tcp_pkt,
@@ -153,7 +153,8 @@ def test_no_copies_no_oracle_call():
             raise AssertionError("must not be consulted")
 
     cfg = SwitchConfig(dataclasses.replace(base, in_control=dropping),
-                       McConfig(), PktGenConfig(), QacMinimal(), app_label="drop")
+                       McConfig(), PktGenConfig(), QacMinimal(), app_label="drop",
+                       actions=(_tm(drop=1),))
     tr = run(cfg, initial_switch_state(cfg), SwitchQueues(q_input=arrivals(P1)), 1, Boom())
     (step,) = tr.steps
     assert step.detail.m_repl == () and step.post_queues.q_egress == ()
@@ -185,7 +186,8 @@ class TestRunControl:
 
         cfg = SwitchConfig(
             components=dataclasses.replace(base, in_control=broken_control),
-            mc=McConfig(), pktgen=PktGenConfig(), qac=QacMinimal(), app_label="broken")
+            mc=McConfig(), pktgen=PktGenConfig(), qac=QacMinimal(), app_label="broken",
+            actions=(_tm(mcast_a=77),))
         tr = run(cfg, initial_switch_state(cfg),
                  SwitchQueues(q_input=arrivals(P1, P2)), 10, FifoDrainOracle())
         assert tr.fault is not None and tr.fault.startswith("UnknownGroup")
@@ -199,7 +201,8 @@ class TestRunControl:
             return (_tm(mcast_a=1), d[2]), s
 
         cfg = SwitchConfig(dataclasses.replace(base, in_control=broken),
-                           McConfig(), PktGenConfig(), QacMinimal(), app_label="b")
+                           McConfig(), PktGenConfig(), QacMinimal(), app_label="b",
+                           actions=(_tm(mcast_a=1),))
         st = initial_switch_state(cfg)
         r = Run(cfg, st, SwitchQueues(q_input=arrivals(P1, P2)),
                 FifoDrainOracle())
@@ -207,10 +210,9 @@ class TestRunControl:
         assert r.fault_decisions == {"requested_kind": "ingress", "input_index": 0}
         assert r.state == st and len(r.queues.q_input) == 2  # the faulted step changed nothing
 
-
-    def test_an_engine_error_is_not_tabled(self, monkeypatch):
-        # the step that names an unknown group faults every time it is
-        # taken, and the run's replication table keeps nothing of it
+    def test_an_engine_error_is_tabled_once(self, monkeypatch):
+        # a declared action that names an unknown group is walked once, as
+        # the run starts, and every step that emits it faults
         base = identity_app().components
         calls = []
         real = engines.replication_engine
@@ -221,12 +223,40 @@ class TestRunControl:
             return (_tm(mcast_a=1), d[2]), s
 
         cfg = SwitchConfig(dataclasses.replace(base, in_control=broken),
-                           McConfig(), PktGenConfig(), QacMinimal(), app_label="b")
+                           McConfig(), PktGenConfig(), QacMinimal(), app_label="b",
+                           actions=(_tm(mcast_a=1),))
         r = Run(cfg, initial_switch_state(cfg), SwitchQueues(q_input=arrivals(P1, P2)),
                 FifoDrainOracle())
+        err = r.replication[_tm(mcast_a=1)]
+        assert calls == [_tm(mcast_a=1)] and isinstance(err, engines.UnknownGroup)
+        depths = []
         for _ in range(2):
             assert r.step() is None and r.fault.startswith("UnknownGroup")
-        assert len(calls) == 2 and r.replication == {}
+            depths.append(len(traceback.extract_tb(err.__traceback__)))
+        # raised afresh each time, so its traceback does not pile up
+        assert calls == [_tm(mcast_a=1)] and depths[0] == depths[1]
+
+    def test_an_undeclared_action_faults_and_replays(self):
+        # identity declares unicast to port 1 alone; a control that also
+        # sends packets from port 5 to port 2 faults at the first of them
+        base = identity_app()
+
+        def two_ways(d, s):
+            t, in_port, slots = d
+            return (_tm(ucast=2 if in_port == 5 else 1), slots), s
+
+        cfg = dataclasses.replace(
+            base, components=dataclasses.replace(base.components, in_control=two_ways))
+        st = initial_switch_state(cfg)
+        qs = SwitchQueues(q_input=arrivals(P1) + arrivals(P2, port=5))
+        tr = run(cfg, st, qs, 10, FifoDrainOracle())
+        assert [s.kind for s in tr.steps] == [INGRESS, EGRESS]
+        assert tr.fault == f"UndeclaredAction: the app does not declare {_tm(ucast=2)}"
+        assert tr.fault_decisions == {"requested_kind": INGRESS, "input_index": 0}
+        lines = trace_to_lines(tr)
+        assert json.loads(lines[-2])["type"] == "fault"
+        replay = ReplayOracle([*(s.decisions for s in tr.steps), tr.fault_decisions])
+        assert trace_to_lines(run(cfg, st, qs, len(tr.steps) + 1, replay)) == lines
 
 
 class TestRecirculation:
@@ -374,20 +404,10 @@ class TestTraceSerialization:
         assert trace_to_lines(a) == trace_to_lines(b)
 
     def test_tm_record_is_the_canonical_form(self):
-        # every TmMeta the stock apps emit, and random ones: the record's
+        # every TmMeta the stock apps declare, and random ones: the record's
         # tm_meta is the generic _canon walk's, so the record bytes are too
-        pkts = [rand_packet(random.Random(i)) for i in range(8)]
-        runs = [(identity_app(), arrivals(*pkts)),
-                (sampler_app(SamplerConfig(sample_every=2)), arrivals(*pkts)),
-                (firewall_app(FirewallConfig(window=16, keepalive_period=4)),
-                 sum((arrivals(out, port=1) + arrivals(back, port=2)
-                      for out, back in map(flow_pair, range(4))), ()))]
-        stock = set()
-        for cfg, q_input in runs:
-            tr = run(cfg, initial_switch_state(cfg), SwitchQueues(q_input=q_input), 40,
-                     FifoDrainOracle())
-            stock |= {s.detail.pipeline_out[0] for s in tr.steps
-                      if s.kind == INGRESS and s.detail.pipeline_out is not None}
+        stock = {tm for cfg in (identity_app(), sampler_app(), firewall_app())
+                 for tm in cfg.actions}
         assert stock == {_tm(ucast=1), _tm(ucast=2), _tm(mcast_a=100), _tm(drop=1)}
         rng = random.Random(16)
         widths = {"copy_to_cpu": 1, "mcast_grp_a": 16, "mcast_grp_b": 16,
@@ -533,7 +553,8 @@ class TestTraceSerialization:
         comps = dataclasses.replace(base, in_control=in_control, e_control=e_control)
         cfg = SwitchConfig(comps, McConfig(), PktGenConfig(), QacMinimal(), app_label="k",
                            init_ingress=(None, SamplerState(), None),
-                           init_egress=(None, SamplerState(), None))
+                           init_egress=(None, SamplerState(), None),
+                           actions=identity_app().actions)
         tr = drain_run(cfg, [tcp_pkt(sp=i) for i in range(6)], RandomOracle(2))
 
         def control_slot(st, kind):
@@ -598,7 +619,8 @@ class TestTraceSerialization:
             return (_tm(mcast_a=1), d[2]), s
 
         cfg = SwitchConfig(dataclasses.replace(base, in_control=broken),
-                           McConfig(), PktGenConfig(), QacMinimal(), app_label="b")
+                           McConfig(), PktGenConfig(), QacMinimal(), app_label="b",
+                           actions=(_tm(mcast_a=1),))
         tr = run(cfg, initial_switch_state(cfg),
                  SwitchQueues(q_input=arrivals(P1)), 5, FifoDrainOracle())
         path = tmp_path / "f.jsonl"
