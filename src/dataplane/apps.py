@@ -46,26 +46,23 @@ def switch_config(cfg: SwitchConfig) -> SwitchConfig:
 # stock parsers: the declared formats in headers, compiled
 
 
-def _parse(bindings: Callable, p: BitString) -> Optional[ParsedData]:
-    slots = bindings(p)
-    if slots is None:
-        return None
-    payload = slots.pop("payload")
-    return ParsedData(slots, payload)
+def _parser(bindings: Callable) -> Callable[[BitString], Optional[ParsedData]]:
+    """The parser over the compiled matcher bindings.  It calls bindings
+    itself, so a parse is one frame below the component that asks."""
+    def parse(p: BitString) -> Optional[ParsedData]:
+        """Split a wire packet along the matcher's format.  Returns None
+        when the input is too short for the headers its own protocol
+        field promises; trailing bits become the payload."""
+        slots = bindings(p)
+        if slots is None:
+            return None
+        payload = slots.pop("payload")
+        return ParsedData(slots, payload)
+    return parse
 
 
-def parse_standard(p: BitString) -> Optional[ParsedData]:
-    """Split a wire packet along STANDARD_FORMAT.
-
-    Returns None when the input is too short for the headers its own
-    protocol field promises; trailing bits become the payload.
-    """
-    return _parse(standard_bindings, p)
-
-
-def parse_sampled(p: BitString) -> Optional[ParsedData]:
-    """Like parse_standard, along SAMPLED_FORMAT: a sample record up front."""
-    return _parse(sampled_bindings, p)
+parse_standard = _parser(standard_bindings)
+parse_sampled = _parser(sampled_bindings)  # a sample record up front
 
 
 def _tm(*, ucast: Optional[int] = None, mcast_a: int = 0, drop: int = 0) -> TmMeta:

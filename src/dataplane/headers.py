@@ -86,12 +86,17 @@ IP_PROTO_TCP = 6
 IP_PROTO_UDP = 17
 
 
+# the predicates read the protocol bits off the word themselves, as
+# ipv4["protocol"] does, without its lookup and call
+_PROTO_SHIFT, _PROTO_MASK = IPV4.layout["protocol"]
+
+
 def is_tcp(ipv4: TypedValue) -> bool:
-    return ipv4["protocol"] == IP_PROTO_TCP
+    return ipv4.word >> _PROTO_SHIFT & _PROTO_MASK == IP_PROTO_TCP
 
 
 def is_udp(ipv4: TypedValue) -> bool:
-    return ipv4["protocol"] == IP_PROTO_UDP
+    return ipv4.word >> _PROTO_SHIFT & _PROTO_MASK == IP_PROTO_UDP
 
 
 def standard_packet_format() -> Format:

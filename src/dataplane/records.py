@@ -12,7 +12,9 @@ What differs is the cost of building one.  A frozen dataclass's
 generated once per class, stores through the slot descriptors and then
 calls ``__post_init__``.  A class that defines its own ``__init__`` or
 ``__repr__`` keeps it, and one that lists names in ``__slots__`` keeps
-them as slots outside its fields.
+them as slots outside its fields.  And ``==`` tests identity first: most
+compares in a check are of a record with itself, whose field tuples,
+which compare identical members as equal, need not be built.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ def record(cls: type) -> type:
     src = (f"def __init__({', '.join(params)}):\n"
            + "".join(f"    {s}\n" for s in stores or ["pass"])
            + "def __eq__(self, other):\n"
+           + "    if other is self:\n"
+           + "        return True\n"
            + "    if other.__class__ is self.__class__:\n"
            + f"        return {_tuple('self', compared)} == {_tuple('other', compared)}\n"
            + "    return NotImplemented\n"

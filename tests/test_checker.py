@@ -6,7 +6,6 @@ import dataclasses
 import inspect
 import json
 import random
-from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +30,7 @@ from dataplane.apps import (
     FirewallConfig,
     SamplerConfig,
     SamplerState,
-    _parse,
+    _parser,
     firewall_app,
     flow_key,
     identity_app,
@@ -667,7 +666,7 @@ class TestParserChecks:
         corpus, sampled = _parser_corpus()
         for fmt, packets in ((standard_packet_format(), corpus),
                              (sampled_packet_format(), sampled)):
-            mutant = partial(_parse, compile_format(_rewrite(fmt, mutate)))
+            mutant = _parser(compile_format(_rewrite(fmt, mutate)))
             v = format_acceptance_check(mutant, fmt, packets)
             assert not v.ok
             assert v.violated_clause in ("parser.format_acceptance", "parser.roundtrip")

@@ -266,6 +266,13 @@ class TestAdmission:
         q = queue_admission(COPIES, PKT, (), mandatory, list(mandatory))
         assert q == ((COPIES[0], PKT),)
 
+    def test_one_copy(self):
+        old, one = ((COPIES[0], PKT),), COPIES[2:]
+        assert queue_admission(one, PKT, old, (False,), [True]) == old + ((COPIES[2], PKT),)
+        assert queue_admission(one, PKT, old, (False,), [False]) == old
+        with pytest.raises(PolicyViolation):
+            queue_admission(one, PKT, old, (True,), [False])
+
     def test_bad_mask_length(self):
         for mask in ([True], [True] * 4):
             with pytest.raises(OracleOutOfRange,

@@ -1,5 +1,7 @@
 """Header catalog: field widths, packet assembly, the two wire formats."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -54,6 +56,15 @@ def test_protocol_predicates():
     assert is_udp(make_ipv4(protocol=IP_PROTO_UDP))
     assert not is_tcp(make_ipv4(protocol=IP_PROTO_UDP))
     assert not is_udp(make_ipv4(protocol=1))
+    # every protocol value, amid random other fields: the predicates read
+    # the protocol bits alone
+    rng = random.Random(27)
+    for proto in range(256):
+        ipv4 = TypedValue(IPV4, {name: proto if name == "protocol" else rng.getrandbits(width)
+                                 for name, width in IPV4.fields})
+        assert ipv4["protocol"] == proto
+        assert is_tcp(ipv4) is (ipv4["protocol"] == 6)
+        assert is_udp(ipv4) is (ipv4["protocol"] == 17)
 
 
 def test_build_packet_widths():

@@ -6,7 +6,8 @@ own methods.  On sample instances taken from real runs, the record and
 its twin must agree on `==`, `hash`, `repr`, `dataclasses.replace`,
 `fields` and `asdict`, and on what copying, deep copying and pickling
 give back; both refuse assignment and deletion, and both run the
-class's `__post_init__` checks.
+class's `__post_init__` checks.  A record equals itself and its copies,
+as its twin does, even when a field is NaN or its `__eq__` raises.
 """
 
 import copy
@@ -150,6 +151,33 @@ def test_eq_hash_repr_agree(case):
         for b in pool:
             tb = twin_of(b)
             assert (a == b) is (ta == tb) and (a != b) is (ta != tb)
+
+
+def test_a_record_equals_itself_as_its_twin_does(case):
+    """== tests identity first; the twin's field tuples compare
+    identical members as equal, so the answers agree."""
+    cls, xs, _, twin_of = case
+    for a in xs:
+        ta = twin_of(a)
+        assert (a == a) is (ta == ta) is True and (a != a) is (ta != ta) is False
+        assert (a == copy.copy(a)) is (ta == copy.copy(ta)) is True
+
+
+class _Unequal:
+    def __eq__(self, other):
+        raise AssertionError("compared")
+
+    __hash__ = object.__hash__
+
+
+@pytest.mark.parametrize("make", [lambda: switch.Arrival(1, float("nan")),
+                                  lambda: switch.SwitchState(0, None, (_Unequal(),), ())],
+                         ids=["nan", "raising-eq"])
+def test_a_record_equals_itself_whatever_its_fields(make):
+    a = make()
+    ta = _twin(type(a))(*_values(a))
+    assert (a == a) is (ta == ta) is True
+    assert (a == copy.copy(a)) is (ta == copy.copy(ta)) is True
 
 
 def test_replace_and_asdict_agree(case):
