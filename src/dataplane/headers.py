@@ -86,8 +86,7 @@ IP_PROTO_TCP = 6
 IP_PROTO_UDP = 17
 
 
-# the predicates read the protocol bits off the word themselves, as
-# ipv4["protocol"] does, without its lookup and call
+# ipv4["protocol"]'s shift and mask, which the predicates apply themselves
 _PROTO_SHIFT, _PROTO_MASK = IPV4.layout["protocol"]
 
 

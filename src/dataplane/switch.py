@@ -271,10 +271,13 @@ class Trace:
 
 
 def _finished(decisions: dict, kind: str) -> dict:
-    """decisions as a step record holds them, in a new dict: None for
-    each question the step did not ask, and the kind it took."""
-    return {"input_index": None, "admitted_mask": None, "sched_index": None,
-            **decisions, "kind": kind}
+    """decisions as a step record holds them: the kind the step took, and
+    None for each question it did not ask.  Filled in place: a new dict
+    built from it measured about 150 ns slower per step."""
+    decisions["kind"] = kind
+    for question in ("input_index", "admitted_mask", "sched_index"):
+        decisions.setdefault(question, None)
+    return decisions
 
 
 def ingress_step(cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
