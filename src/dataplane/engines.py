@@ -481,7 +481,7 @@ def queue_admission(ms: Sequence[EgressMeta], p: BitString, q_egress: tuple,
         for keep, must in zip(mask, mandatory):
             if must and not keep:
                 raise PolicyViolation("oracle dropped a copy destined to an always-ready port")
-    if len(ms) == 1:  # a unicast copy, without the generator
+    if len(ms) == 1:  # one copy: no generator
         return q_egress + ((ms[0], p),) if mask[0] else q_egress
     return q_egress + tuple((m, p) for m, keep in zip(ms, mask) if keep)
 

@@ -39,7 +39,7 @@ walks the multicast tree, and no table has a miss path.
 
 The two step functions build their records positionally: within
 `switch.ingress_step` and `switch.egress_step`, no call of a step record
-class passes a keyword argument, which costs 1.7-2.0x the positional
+class passes a keyword argument, which costs 1.5-2.0x the positional
 call on every step.
 
 The checker judges the steps the switch took and never takes one
