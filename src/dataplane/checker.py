@@ -99,14 +99,12 @@ CLAUSES = {
 # per-step axioms
 
 
-def check_step(cfg: SwitchConfig, step: TraceStep,
-               replication: Optional[dict] = None) -> Verdict:
+def check_step(cfg: SwitchConfig, step: TraceStep, replication: dict) -> Verdict:
     """The step's per-step clauses.  replication is cfg's
-    engines.replication_table, which the steps of one trace may share; by
-    default each ingress step builds its own."""
+    engines.replication_table; it is required, so the steps of one trace
+    share one table."""
     if step.kind == INGRESS:
-        return _check_ingress(cfg, step, replication if replication is not None
-                              else engines.replication_table(cfg.mc, cfg.qac, cfg.actions))
+        return _check_ingress(cfg, step, replication)
     if step.kind == EGRESS:
         return _check_egress(cfg, step)
     return _bad("trace.step_kind", f"kind {step.kind!r}")

@@ -41,8 +41,7 @@ class Seq:
     tuple of at most CHUNK items.  pop(i) and `+ items` copy one chunk
     and the outer tuple and share every other chunk, so the snapshots a
     run keeps of a queue share their structure.  A Seq equals, and
-    hashes like, any tuple or Seq of the same items; a slice of it is a
-    tuple."""
+    hashes like, any tuple or Seq of the same items."""
 
     __slots__ = ("chunks", "_len")
 
@@ -62,9 +61,7 @@ class Seq:
     def __iter__(self):
         return chain.from_iterable(self.chunks)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
+    def __getitem__(self, i: int):
         k, j = self._locate(i)
         return self.chunks[k][j]
 
@@ -115,9 +112,6 @@ class Seq:
             chunks, items = chunks[:-1], chunks[-1] + items
         s.chunks = chunks + Seq(items).chunks
         return s
-
-    def __radd__(self, items) -> "Seq":
-        return Seq(items) + self
 
     def __eq__(self, other) -> bool:
         if self is other:

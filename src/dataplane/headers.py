@@ -17,7 +17,7 @@ deparse_slots emits headers in the order SAMPLED_FORMAT binds them.
 from __future__ import annotations
 
 from .packet_format import (
-    BitString, Branch, Concat, Empty, ExactPlain, ExactValue, Format,
+    BitString, Branch, Concat, Empty, ExactPlain, ExactValue,
     HeaderType, TypedValue, _bits, compile_format, seq, value_bindings,
 )
 
@@ -98,35 +98,27 @@ def is_udp(ipv4: TypedValue) -> bool:
     return ipv4.word >> _PROTO_SHIFT & _PROTO_MASK == IP_PROTO_UDP
 
 
-def standard_packet_format() -> Format:
-    """meta ; port_meta ; ethernet ; ipv4 ; (tcp | udp | nothing) ; payload"""
-    return seq(
-        ExactValue("meta", INTRINSIC_META),
-        ExactValue("port_md", PORT_META),
-        ExactValue("ethernet", ETHERNET),
-        ExactValue("ipv4", IPV4),
+# meta ; port_meta ; ethernet ; ipv4 ; (tcp | udp | nothing) ; payload
+STANDARD_FORMAT = seq(
+    ExactValue("meta", INTRINSIC_META),
+    ExactValue("port_md", PORT_META),
+    ExactValue("ethernet", ETHERNET),
+    ExactValue("ipv4", IPV4),
+    Branch(
+        lambda env: is_tcp(env["ipv4"]),
+        ExactValue("tcp", TCP),
         Branch(
-            lambda env: is_tcp(env["ipv4"]),
-            ExactValue("tcp", TCP),
-            Branch(
-                lambda env: is_udp(env["ipv4"]),
-                ExactValue("udp", UDP),
-                Empty(),
-                label="is_udp",
-            ),
-            label="is_tcp",
+            lambda env: is_udp(env["ipv4"]),
+            ExactValue("udp", UDP),
+            Empty(),
+            label="is_udp",
         ),
-        ExactPlain("payload"),
-    )
-
-
-def sampled_packet_format() -> Format:
-    """sample ; the standard packet format"""
-    return Concat(ExactValue("sample", SAMPLE_HEADER), standard_packet_format())
-
-
-STANDARD_FORMAT = standard_packet_format()
-SAMPLED_FORMAT = sampled_packet_format()
+        label="is_tcp",
+    ),
+    ExactPlain("payload"),
+)
+# sample ; the standard packet format
+SAMPLED_FORMAT = Concat(ExactValue("sample", SAMPLE_HEADER), STANDARD_FORMAT)
 # match_bindings(., STANDARD_FORMAT) and match_bindings(., SAMPLED_FORMAT)
 standard_bindings = compile_format(STANDARD_FORMAT)
 sampled_bindings = compile_format(SAMPLED_FORMAT)

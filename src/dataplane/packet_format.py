@@ -97,13 +97,6 @@ class BitString:
         rem = self.nbits - n
         return _bits(self.value & ((1 << rem) - 1), rem)
 
-    def slice(self, start: int, width: int) -> "BitString":
-        """Width bits beginning at bit offset start."""
-        if start < 0 or width < 0 or start + width > self.nbits:
-            raise ValueError(f"slice [{start}, {start + width}) out of {self.nbits} bits")
-        shift = self.nbits - start - width
-        return _bits((self.value >> shift) & ((1 << width) - 1), width)
-
     @classmethod
     def from_bytes(cls, data: bytes) -> "BitString":
         return cls(int.from_bytes(data, "big"), 8 * len(data))

@@ -9,7 +9,7 @@ separately:
                          split point instead of committing to one.
 * ``ref_parse_standard`` / ``ref_parse_sampled`` - the stock layouts as
                          hand-coded extract chains, decoding each field
-                         with ``BitString.slice``.
+                         with ``BitString.drop`` and ``take``.
 * ``ref_sampler_outputs`` - the sampler's expected output stream, its
                          sample records built from ``ref_parse_standard``.
 * ``ref_is_subsequence`` / ``ref_sampler_check`` - quadratic
@@ -179,12 +179,12 @@ def ref_matches(p: BitString, f) -> bool:
             if pos + w <= len(p):
                 vals, off = {}, pos
                 for fname, fw in g.htype.fields:
-                    vals[fname] = p.slice(off, fw).value
+                    vals[fname] = p.drop(off).take(fw).value
                     off += fw
                 yield off, {**env, g.name: TypedValue(g.htype, vals)}
         elif isinstance(g, ExactPlain):
             for end in range(pos, len(p) + 1):
-                yield end, {**env, g.name: p.slice(pos, end - pos)}
+                yield end, {**env, g.name: p.drop(pos).take(end - pos)}
         elif isinstance(g, Concat):
             for mid, e1 in ends(g.left, pos, env):
                 yield from ends(g.right, mid, e1)
@@ -216,7 +216,7 @@ def _ref_parse(p: BitString, prefix: tuple) -> ParsedData | None:
             return False
         vals = {}
         for fname, width in htype.fields:
-            vals[fname] = p.slice(pos, width).value
+            vals[fname] = p.drop(pos).take(width).value
             pos += width
         slots[name] = TypedValue(htype, vals)
         return True
@@ -549,6 +549,11 @@ def drain_run(cfg: SwitchConfig, packets, oracle: Oracle | None = None,
     return tr
 
 
+def replication_of(cfg: SwitchConfig) -> dict:
+    """cfg's replication table, which check_step takes."""
+    return engines.replication_table(cfg.mc, cfg.qac, cfg.actions)
+
+
 def recirc_once_app() -> SwitchConfig:
     """Odd TTL recirculates after the egress control decrements it, so a
     ttl=2 packet loops exactly once through the register."""
@@ -764,7 +769,7 @@ def forge_catalog() -> list[Forgery]:
         _r(s_eg, post_state=_r(s_eg.post_state, s_i=(None, "x", None))))
     add("egress.frame.q_input", icfg,
         _r(s_eg, post_queues=_r(s_eg.post_queues,
-                                q_input=s_eg.post_queues.q_input[1:])))
+                                q_input=tuple(s_eg.post_queues.q_input)[1:])))
     add("egress.frame.q_mirror", icfg,
         _r(s_eg, post_queues=_r(s_eg.post_queues, q_mirror=(("m", p_a),))))
     add("egress.enabled", icfg,
@@ -775,7 +780,7 @@ def forge_catalog() -> list[Forgery]:
     last_out = s_eg.post_queues.q_output[-1]
     add("egress.output_ports", icfg,
         _r(s_eg, post_queues=_r(s_eg.post_queues,
-                                q_output=s_eg.post_queues.q_output[:-1]
+                                q_output=tuple(s_eg.post_queues.q_output)[:-1]
                                 + ((last_out[0], _flip_bit(last_out[1])),))),
         "transmitted bytes differ from the deparser's output")
 

@@ -35,7 +35,7 @@ from dataplane.checker import (
 from support import (
     FwDriver, PastTheEndOracle, RefFirewall, arrivals, executed_pktgen_times, flow_pair,
     forge_catalog, mangle, rand_packet, random_format, ref_matches,
-    ref_pktgen_times, sample_matching_input, tcp_pkt, udp_pkt,
+    ref_pktgen_times, replication_of, sample_matching_input, tcp_pkt, udp_pkt,
 )
 
 
@@ -181,8 +181,9 @@ def test_criterion_03_executor_within_axioms():
         tr = run(cfg, initial_switch_state(cfg),
                  SwitchQueues(q_input=pkts), n_steps, oracle)
         assert tr.fault is None, (kind, tr.fault)
+        table = replication_of(cfg)
         for step in tr.steps:
-            if not check_step(cfg, step).ok:
+            if not check_step(cfg, step, table).ok:
                 bad += 1
         total += len(tr.steps)
     elapsed = time.perf_counter() - t0
@@ -198,7 +199,7 @@ def test_criterion_04_forgeries_rejected():
     catalog = forge_catalog()
     wrong = []
     for f in catalog:
-        v = check_step(f.cfg, f.step)
+        v = check_step(f.cfg, f.step, replication_of(f.cfg))
         if v.ok or v.violated_clause != f.clause:
             wrong.append((f.clause, v.violated_clause))
 

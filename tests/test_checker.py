@@ -40,8 +40,8 @@ from dataplane.apps import (
     sampler_app,
 )
 from dataplane.headers import (
-    ETHERNET, INTRINSIC_META, IP_PROTO_TCP, IP_PROTO_UDP, IPV4, PORT_META, SAMPLE_HEADER, TCP,
-    UDP, sampled_packet_format, standard_packet_format,
+    ETHERNET, INTRINSIC_META, IP_PROTO_TCP, IP_PROTO_UDP, IPV4, PORT_META, SAMPLE_HEADER,
+    SAMPLED_FORMAT, STANDARD_FORMAT, TCP, UDP,
 )
 from dataplane.checker import (
     ALL_CLAUSES,
@@ -84,6 +84,7 @@ from support import (
     ref_parse_standard,
     ref_sampler_check,
     ref_sampler_outputs,
+    replication_of,
     tcp_pkt,
     udp_pkt,
 )
@@ -132,7 +133,7 @@ FORGERIES = forge_catalog()
 
 @pytest.mark.parametrize("forgery", FORGERIES, ids=[f.clause for f in FORGERIES])
 def test_forgery_blamed_on_exact_clause(forgery):
-    v = check_step(forgery.cfg, forgery.step)
+    v = check_step(forgery.cfg, forgery.step, replication_of(forgery.cfg))
     assert not v.ok, forgery.clause
     assert v.violated_clause == forgery.clause, (v.violated_clause, v.detail)
 
@@ -151,7 +152,9 @@ def test_forgery_blamed_alike_with_and_without_its_call(forgery):
     # may lend it only where a recomputation would say the same
     bare = dataclasses.replace(forgery.step, call=None)
     assert bare == forgery.step  # the call takes no part in equality
-    v_call, v_bare = check_step(forgery.cfg, forgery.step), check_step(forgery.cfg, bare)
+    table = replication_of(forgery.cfg)
+    v_call, v_bare = (check_step(forgery.cfg, forgery.step, table),
+                      check_step(forgery.cfg, bare, table))
     assert v_call.violated_clause == v_bare.violated_clause == forgery.clause
 
 
@@ -195,7 +198,7 @@ def test_recirculation_passes_and_also_emitting_is_egress_output_ports():
     s = next(s for s in tr.steps if s.kind == "egress" and s.detail.indication.recirculate)
     assert s.post_queues.p_recirc is not None
     forged = _with_queues(s, q_output=(*s.post_queues.q_output, (1, s.post_queues.p_recirc)))
-    assert check_step(cfg, forged).violated_clause == "egress.output_ports"
+    assert check_step(cfg, forged, replication_of(cfg)).violated_clause == "egress.output_ports"
 
 
 def test_generated_packet_with_moving_input_queue_is_ingress_input_ports():
@@ -204,17 +207,19 @@ def test_generated_packet_with_moving_input_queue_is_ingress_input_ports():
     tr = run(cfg, initial_switch_state(cfg),
              SwitchQueues(q_input=arrivals(tcp_pkt(), udp_pkt())), 10, AlwaysIngressOracle())
     s = next(s for s in tr.steps if s.detail.p_g is not None and s.pre_queues.q_input)
-    assert check_step(cfg, s).ok
-    forged = _with_queues(s, q_input=s.pre_queues.q_input[1:])
-    v = check_step(cfg, forged)
+    table = replication_of(cfg)
+    assert check_step(cfg, s, table).ok
+    forged = _with_queues(s, q_input=tuple(s.pre_queues.q_input)[1:])
+    v = check_step(cfg, forged, table)
     assert v.violated_clause == "ingress.input_ports" and "generator" in v.detail
 
 
 def test_empty_input_queue_changing_is_ingress_input_ports():
     cfg = identity_app()
     s = run(cfg, initial_switch_state(cfg), SwitchQueues(), 1, FifoDrainOracle()).steps[0]
-    assert not s.pre_queues.q_input and check_step(cfg, s).ok
-    v = check_step(cfg, _with_queues(s, q_input=arrivals(tcp_pkt())))
+    table = replication_of(cfg)
+    assert not s.pre_queues.q_input and check_step(cfg, s, table).ok
+    v = check_step(cfg, _with_queues(s, q_input=arrivals(tcp_pkt())), table)
     assert v.violated_clause == "ingress.input_ports" and "empty" in v.detail
 
 
@@ -438,11 +443,11 @@ def test_axioms_fold_replicates_once_per_tm_meta(monkeypatch):
     fold = AxiomsFold(cfg, tr.initial_state, tr.initial_queues)
     assert calls == declared  # the fold's own, with no step fed
     assert fold_trace(fold, tr).ok and calls == declared
-    # a bare check_step builds a table of its own every ingress call
+    # check_step walks no tree: it reads the table it is handed
     calls.clear()
     parsed = [s for s in tr.steps if s.kind == "ingress" and s.detail.pipeline_out]
-    assert all(check_step(cfg, s).ok for s in parsed)
-    assert len(parsed) == 8 and calls == declared * 8
+    assert all(check_step(cfg, s, fold.replication).ok for s in parsed)
+    assert len(parsed) == 8 and calls == []
 
 
 def test_an_action_whose_walk_fails_has_no_copies():
@@ -643,9 +648,9 @@ class TestParserChecks:
 
     def test_format_acceptance(self):
         corpus, sampled = _parser_corpus()
-        assert format_acceptance_check(ref_parse_standard, standard_packet_format(),
+        assert format_acceptance_check(ref_parse_standard, STANDARD_FORMAT,
                                        corpus).ok
-        assert format_acceptance_check(ref_parse_sampled, sampled_packet_format(),
+        assert format_acceptance_check(ref_parse_sampled, SAMPLED_FORMAT,
                                        sampled).ok
         # the stock parsers are compiled from the formats; hold them
         # against the hand-coded chains, slot for slot
@@ -657,15 +662,15 @@ class TestParserChecks:
         # the formats' matcher interprets them; the stock parsers run
         # them compiled, so this compares two implementations
         corpus, sampled = _parser_corpus()
-        assert format_acceptance_check(parse_standard, standard_packet_format(), corpus).ok
-        assert format_acceptance_check(parse_sampled, sampled_packet_format(), sampled).ok
+        assert format_acceptance_check(parse_standard, STANDARD_FORMAT, corpus).ok
+        assert format_acceptance_check(parse_sampled, SAMPLED_FORMAT, sampled).ok
 
     @pytest.mark.parametrize("mutate", [_wide_ethertype, _swapped_l4_arms],
                              ids=["ethertype-one-bit-wider", "tcp-udp-arms-swapped"])
     def test_mutant_compiled_parser_caught(self, mutate):
         corpus, sampled = _parser_corpus()
-        for fmt, packets in ((standard_packet_format(), corpus),
-                             (sampled_packet_format(), sampled)):
+        for fmt, packets in ((STANDARD_FORMAT, corpus),
+                             (SAMPLED_FORMAT, sampled)):
             mutant = _parser(compile_format(_rewrite(fmt, mutate)))
             v = format_acceptance_check(mutant, fmt, packets)
             assert not v.ok
@@ -679,7 +684,7 @@ class TestParserChecks:
             return got
 
         short = tcp_pkt().take(402)
-        v = format_acceptance_check(lax, standard_packet_format(), [short])
+        v = format_acceptance_check(lax, STANDARD_FORMAT, [short])
         assert not v.ok and v.violated_clause == "parser.format_acceptance"
 
     def test_lossy_parser_caught(self):
@@ -692,7 +697,7 @@ class TestParserChecks:
             from dataplane.pipeline import ParsedData
             return ParsedData(slots, got.payload)
 
-        v = format_acceptance_check(lossy, standard_packet_format(),
+        v = format_acceptance_check(lossy, STANDARD_FORMAT,
                                     [tcp_pkt(src=5)])
         assert not v.ok and v.violated_clause == "parser.roundtrip"
 

@@ -18,7 +18,7 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dataplane import switch
+from dataplane import cli, switch
 from dataplane.apps import (
     KEEPALIVE_ETHERTYPE, SamplerConfig, app_from_config, initial_switch_state, parse_standard,
 )
@@ -192,6 +192,14 @@ class TestSim:
         code, _, err = run_cli(capsys, "sim", "--config", "/nope/none.json")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_a_bug_is_not_bad_usage(self, identity_cfg, monkeypatch):
+        # exit 2 is for bad input; a KeyError is a bug and propagates
+        def broken(args):
+            raise KeyError("unregistered clause 'x'")
+        monkeypatch.setattr(cli, "cmd_sim", broken)
+        with pytest.raises(KeyError):
+            main(["sim", "--config", identity_cfg])
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "typo.json", {"app": "sampler", "sample_evry": 4})

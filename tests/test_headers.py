@@ -33,9 +33,7 @@ from dataplane.headers import (
     make_tcp,
     make_udp,
     sampled_bindings,
-    sampled_packet_format,
     standard_bindings,
-    standard_packet_format,
 )
 
 from support import STOCK_SLOT_TYPES, bare_ip_pkt, tcp_pkt, udp_pkt
@@ -90,29 +88,29 @@ def test_build_packet_layout():
 
 class TestStandardFormat:
     def test_tcp_binds_l4(self):
-        ok, env = matches(tcp_pkt(sp=99, payload=b"xy"), standard_packet_format())
+        ok, env = matches(tcp_pkt(sp=99, payload=b"xy"), STANDARD_FORMAT)
         assert ok
         assert env["tcp"]["src_port"] == 99
         assert env["payload"] == BitString.from_bytes(b"xy")
         assert "udp" not in env
 
     def test_udp_binds_l4(self):
-        ok, env = matches(udp_pkt(dp=53), standard_packet_format())
+        ok, env = matches(udp_pkt(dp=53), STANDARD_FORMAT)
         assert ok and env["udp"]["dst_port"] == 53 and "tcp" not in env
 
     def test_other_protocol_skips_l4(self):
         ok, env = matches(bare_ip_pkt(protocol=1, payload=b"z"),
-                          standard_packet_format())
+                          STANDARD_FORMAT)
         assert ok and "tcp" not in env and "udp" not in env
 
     def test_minimum_width(self):
-        assert matches(bare_ip_pkt(), standard_packet_format())[0]
+        assert matches(bare_ip_pkt(), STANDARD_FORMAT)[0]
         short = bare_ip_pkt().take(399)
-        assert not matches(short, standard_packet_format())[0]
+        assert not matches(short, STANDARD_FORMAT)[0]
 
     def test_truncated_l4_rejected(self):
         p = tcp_pkt()
-        assert not matches(p.take(len(p) - 1), standard_packet_format())[0]
+        assert not matches(p.take(len(p) - 1), STANDARD_FORMAT)[0]
 
 
 class TestSampledFormat:
@@ -120,11 +118,11 @@ class TestSampledFormat:
         from dataplane.packet_format import encode
         inner = udp_pkt()
         p = encode(make_sample(src_addr=1, dst_addr=2)) + inner
-        ok, env = matches(p, sampled_packet_format())
+        ok, env = matches(p, SAMPLED_FORMAT)
         assert ok and env["sample"]["marker_ethertype"] == SAMPLE_MARKER
 
     def test_rejects_plain_packet(self):
-        assert not matches(udp_pkt(), sampled_packet_format())[0]
+        assert not matches(udp_pkt(), SAMPLED_FORMAT)[0]
 
 
 def test_make_defaults_in_range():

@@ -11,6 +11,9 @@ used.
 A top-level `def`, `class` or assignment in the package or in
 `tests/support.py` that no file of the package, its tests or its
 benchmark names outside the definition itself is code no path needs.
+Nor may the package define one that only its tests name, beyond the
+few `TEST_ONLY` lists with their reasons: code only tests use lives in
+`tests/support.py`.
 A name counts as named when it appears as a name, an attribute, an
 imported name or a string that parses as an expression reading it (a
 string annotation, a `getattr` key).
@@ -169,6 +172,21 @@ def unnamed_definitions(sources: dict[str, str], package: list[str]) -> list[str
 def test_every_package_definition_is_named():
     sources = {str(p): p.read_text() for p in READERS}
     assert unnamed_definitions(sources, [str(p) for p in DEFINERS]) == []
+
+
+# the package definitions that only tests name, each with its reason
+TEST_ONLY = {
+    "checker.py: parser_oblivious_check": "a proof obligation that `prove` is to call",
+    "checker.py: format_acceptance_check": "a proof obligation that `prove` is to call",
+    "packet_format.py: match_bindings": "the interpreter the compiled parser is tested against",
+}
+
+
+def test_no_new_definition_only_tests_take():
+    readers = PACKAGE + sorted(TESTS.parent.joinpath("perfbench").glob("*.py"))
+    sources = {str(p): p.read_text() for p in readers}
+    found = unnamed_definitions(sources, [str(p) for p in PACKAGE])
+    assert sorted(f.split(" (line")[0] for f in found) == sorted(TEST_ONLY)
 
 
 class TestDefinitionScanner:
