@@ -31,7 +31,7 @@ from .headers import (
     ETHERNET, INTRINSIC_META, IP_PROTO_TCP, IP_PROTO_UDP, IPV4, PORT_META, TCP, UDP,
     deparse_slots, make_sample,
 )
-from .packet_format import BitString, Format, HeaderType, encode, matches
+from .packet_format import BitString, Format, HeaderType, encode, match_report
 from .pipeline import egress_pipeline, ingress_pipeline
 from .records import record
 from .switch import EGRESS, INGRESS, Arrival, SwitchConfig, Trace, TraceStep
@@ -569,7 +569,7 @@ def format_acceptance_check(parse_fn: Callable[[BitString], object],
     input bit for bit."""
     for i, p in enumerate(packets):
         parsed = parse_fn(p)
-        accepted, _env = matches(p, fmt)
+        accepted = match_report(p, fmt)["ok"]
         if (parsed is not None) != accepted:
             word = "accepts" if parsed is not None else "rejects"
             return _bad("parser.format_acceptance",

@@ -134,8 +134,9 @@ def cmd_check(args) -> int:
         header = records.rec
         if header is None or header.get("type") != "header":
             raise ValueError("trace has no header record")
-        if header.get("format") != switch.TRACE_FORMAT:
-            raise ValueError(f"trace format {header.get('format')!r} is not supported; "
+        fmt = header.get("format")
+        if type(fmt) is not int or fmt != switch.TRACE_FORMAT:
+            raise ValueError(f"trace format {fmt!r} is not supported; "
                              f"this version reads format {switch.TRACE_FORMAT}")
 
         cfg = app_from_config(_load_config(args.config))

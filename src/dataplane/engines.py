@@ -360,13 +360,17 @@ def _after_emit(c: PktGenConfig, t: int, batch_idx: int, pkt_idx: int) -> PktGen
     return PktGenState(IDLE)
 
 
-def pktgen_tick(c: PktGenConfig, t: int, s: PktGenState) -> tuple[Optional[BitString], PktGenState]:
-    """One tick of the periodic generator.
-
-    A burst starts whenever the generator is idle at a period boundary.
-    Within a batch, packets are inter_pkt_gap apart; the next batch
-    starts inter_batch_gap after the last packet of the previous one.
-    """
+def packet_generator(c: PktGenConfig, t: int, s: PktGenState,
+                     p_recirc: Optional[BitString]
+                     ) -> tuple[Optional[BitString], PktGenState]:
+    """One tick of packet generation.  A recirculated packet preempts the
+    generator and leaves its state alone; either way the register is
+    empty after the tick.  Otherwise the generator starts a burst
+    whenever it is idle at a period boundary; within a batch, packets
+    are inter_pkt_gap apart, and the next batch starts inter_batch_gap
+    after the last packet of the previous one."""
+    if p_recirc is not None:
+        return p_recirc, s
     if not c.enabled:
         return None, s
     if s.phase == IDLE:
@@ -376,16 +380,6 @@ def pktgen_tick(c: PktGenConfig, t: int, s: PktGenState) -> tuple[Optional[BitSt
     if t == s.next_fire:
         return c.template, _after_emit(c, t, s.batch_idx, s.pkt_idx + 1)
     return None, s
-
-
-def packet_generator(c: PktGenConfig, t: int, s: PktGenState,
-                     p_recirc: Optional[BitString]
-                     ) -> tuple[Optional[BitString], PktGenState]:
-    """Recirculated packets preempt generation; otherwise this is
-    pktgen_tick.  Either way the register is empty after the tick."""
-    if p_recirc is not None:
-        return p_recirc, s
-    return pktgen_tick(c, t, s)
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ STANDARD_FORMAT = seq(
 )
 # sample ; the standard packet format
 SAMPLED_FORMAT = Concat(ExactValue("sample", SAMPLE_HEADER), STANDARD_FORMAT)
-# match_bindings(., STANDARD_FORMAT) and match_bindings(., SAMPLED_FORMAT)
+# the bindings of complete matches of STANDARD_FORMAT and SAMPLED_FORMAT
 standard_bindings = compile_format(STANDARD_FORMAT)
 sampled_bindings = compile_format(SAMPLED_FORMAT)
 

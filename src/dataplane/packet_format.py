@@ -25,13 +25,12 @@ names bound to its left.  Because every non-terminal piece has an
 environment-determined width, the concat split point is forced and
 matching is deterministic.
 
-Each format has two matchers.  ``matches``, ``match_report`` and
-``match_bindings`` interpret the format tree, node by node: they are
-the spec.  ``compile_format`` stages a format once into a parser that
-computes the same bindings with fixed bounds tests, shifts and masks;
-the stock parsers run these compiled parsers.  Both matchers bind into
-one type, :class:`Environment`, a dict whose lookup of an unbound name
-raises :class:`UnresolvedCondition`.
+Each format has two matchers.  ``match_report`` interprets the format
+tree, node by node: it is the spec.  ``compile_format`` stages a format
+once into a parser that computes the same bindings with fixed bounds
+tests, shifts and masks; the stock parsers run these compiled parsers.
+Both matchers bind into one type, :class:`Environment`, a dict whose
+lookup of an unbound name raises :class:`UnresolvedCondition`.
 """
 
 from __future__ import annotations
@@ -100,11 +99,6 @@ class BitString:
     @classmethod
     def from_bytes(cls, data: bytes) -> "BitString":
         return cls(int.from_bytes(data, "big"), 8 * len(data))
-
-    def to_bytes(self) -> bytes:
-        if self.nbits % 8:
-            raise ValueError(f"{self.nbits} bits is not byte aligned")
-        return self.value.to_bytes(self.nbits // 8, "big")
 
     @classmethod
     def from_hex(cls, text: str, len_bits: Optional[int] = None) -> "BitString":
@@ -247,11 +241,6 @@ class TypedValue:
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.values)
-
-    def replace(self, **changes: int) -> "TypedValue":
-        d = self.as_dict()
-        d.update(changes)
-        return TypedValue(self.htype, d)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}={v:#x}" for n, v in self.values)
@@ -423,48 +412,26 @@ def _match_prefix(f: Format, p: BitString, pos: int, env: Environment) -> int:
     raise TypeError(f"not a Format: {f!r}")
 
 
-def _match(p: BitString, f: Format) -> tuple[Environment, Optional[int], str]:
-    """(env, fail_bit, reason) of matching p against f; fail_bit is None
-    on a complete match."""
+def match_report(p: BitString, f: Format) -> dict:
+    """Decide whether p is exactly described by f, as a diagnostic dict
+    {"ok", "env", "fail_bit", "reason"}.  On success env holds one
+    binding per matched ExactValue / ExactPlain and fail_bit is None; on
+    failure env holds whatever was bound before the mismatch."""
+    check_well_formed(f)
     env = Environment()
     try:
         end = _match_prefix(f, p, 0, env)
     except MatchFailure as e:
-        return env, e.offset, e.reason
-    if end != p.nbits:
-        return env, end, f"{p.nbits - end} trailing bits"
-    return env, None, ""
-
-
-def match_bindings(p: BitString, f: Format) -> Optional[Environment]:
-    """The bindings of a complete match of p against f, or None.  Unlike
-    matches, f is not validated: it must have passed check_well_formed."""
-    env, fail_bit, _ = _match(p, f)
-    return env if fail_bit is None else None
-
-
-def matches(p: BitString, f: Format) -> tuple[bool, Environment]:
-    """Decide whether p is exactly described by f.
-
-    On success the environment holds one binding per matched
-    ExactValue / ExactPlain.  On failure it holds whatever was bound
-    before the mismatch, which is occasionally useful for diagnostics.
-    """
-    report = match_report(p, f)
-    return report["ok"], report["env"]
-
-
-def match_report(p: BitString, f: Format) -> dict:
-    """Like matches, but returns a diagnostic dict for tooling:
-    {"ok", "env", "fail_bit", "reason"}."""
-    check_well_formed(f)
-    env, fail_bit, reason = _match(p, f)
+        fail_bit, reason = e.offset, e.reason
+    else:
+        fail_bit, reason = ((None, "") if end == p.nbits
+                            else (end, f"{p.nbits - end} trailing bits"))
     return {"ok": fail_bit is None, "env": env, "fail_bit": fail_bit, "reason": reason}
 
 
 # ---------------------------------------------------------------------------
-# compiled matching: the same function as match_bindings, staged once per
-# format into closures over fixed widths, shifts and masks
+# compiled matching: the bindings of match_report's complete matches, staged
+# once per format into closures over fixed widths, shifts and masks
 
 
 # a stage matches from bit pos of the word value of nbits bits, binding
@@ -547,10 +514,11 @@ def _stage_plain(name: str) -> _Stage:
 
 
 def compile_format(f: Format) -> Callable[[BitString], Optional[Environment]]:
-    """A parser equal to match_bindings(., f) for the well-formed f.  It
-    is staged once, here: each Concat chain becomes its list of pieces,
-    each maximal run of ExactValues one bounds test and one shift, each
-    Branch one call of its condition on the bindings so far.  Raises
+    """A parser returning match_report(., f)'s env on a complete match
+    and None otherwise.  It is staged once, here: each Concat chain
+    becomes its list of pieces, each maximal run of ExactValues one
+    bounds test and one shift, each Branch one call of its condition on
+    the bindings so far.  Raises
     IllFormedFormat as check_well_formed does.
 
     The bindings are an Environment, the interpreter's own type: a dict,

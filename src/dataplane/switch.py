@@ -24,6 +24,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -526,12 +527,9 @@ def _em_json(em: EgressMeta) -> dict:
     return {"port": em.egress_port, "rid": em.rid, "source": em.source}
 
 
-def _tm_json(tm: TmMeta) -> dict:
-    """_canon(tm), written out."""
-    return {"__kind": "TmMeta", "ucast_egress_port": tm.ucast_egress_port,
-            "copy_to_cpu": tm.copy_to_cpu, "mcast_grp_a": tm.mcast_grp_a,
-            "mcast_grp_b": tm.mcast_grp_b, "level1_exclusion_id": tm.level1_exclusion_id,
-            "level2_exclusion_id": tm.level2_exclusion_id, "rid": tm.rid, "drop": tm.drop}
+# an app emits only its few declared actions, so each TmMeta's record is
+# built once; the records share it and nothing writes to it
+_tm_canon = lru_cache(maxsize=64)(_canon)
 
 
 def step_to_json(step: TraceStep) -> dict:
@@ -552,7 +550,7 @@ def step_to_json(step: TraceStep) -> dict:
                          "p_i": _opt_hex(d.p_i)}
         if d.pipeline_out is not None:  # parsed exactly when tm_meta is there
             tm, raw_out = d.pipeline_out
-            rec["detail"]["tm_meta"] = _tm_json(tm)
+            rec["detail"]["tm_meta"] = _tm_canon(tm)
             rec["detail"]["raw_out"] = raw_out.to_json()
             rec["detail"]["m_repl"] = [_em_json(em) for em in d.m_repl]
     else:

@@ -40,6 +40,7 @@ from dataplane.packet_format import (
     TypedValue,
     check_well_formed,
     encode,
+    match_report,
     seq,
 )
 from dataplane.headers import (
@@ -67,7 +68,7 @@ from dataplane.engines import (
     PktGenState,
     QacAlwaysReady,
     UNICAST,
-    pktgen_tick,
+    packet_generator,
 )
 from dataplane.switch import (
     Arrival,
@@ -161,8 +162,20 @@ def rand_typed(rng: random.Random, htype: HeaderType) -> TypedValue:
     return TypedValue(htype, {n: rng.getrandbits(w) for n, w in htype.fields})
 
 
+def with_fields(v: TypedValue, **changes: int) -> TypedValue:
+    """v with the named fields set, range-checked like any new value."""
+    return TypedValue(v.htype, {**v.as_dict(), **changes})
+
+
 # ---------------------------------------------------------------------------
 # reference format matcher: enumerate every denotation
+
+
+def interpreted(p: BitString, f) -> Environment | None:
+    """The interpreter's bindings of a complete match of p against f, or
+    None: what compile_format(f) is to return."""
+    report = match_report(p, f)
+    return report["env"] if report["ok"] else None
 
 
 def ref_matches(p: BitString, f) -> bool:
@@ -421,7 +434,7 @@ def executed_pktgen_times(c: PktGenConfig, horizon: int) -> list[int]:
     s = PktGenState()
     out = []
     for t in range(horizon):
-        p, s = pktgen_tick(c, t, s)
+        p, s = packet_generator(c, t, s, None)
         if p is not None:
             out.append(t)
     return out
@@ -562,7 +575,7 @@ def recirc_once_app() -> SwitchConfig:
     def e_control(d, s):
         em, slots = d
         slots = dict(slots)
-        slots["ipv4"] = slots["ipv4"].replace(ttl=slots["ipv4"]["ttl"] - 1)
+        slots["ipv4"] = with_fields(slots["ipv4"], ttl=slots["ipv4"]["ttl"] - 1)
         return slots, s
 
     def e_deparser(slots, s):

@@ -89,7 +89,7 @@ class TestSampler:
         assert rec["src_port"] == 7777 and rec["dst_port"] == 53
         assert rec["sample_count"] == 1
         # payload rides along behind the record
-        assert rest.to_bytes() == b"PAYLOAD"
+        assert rest == BitString.from_bytes(b"PAYLOAD")
 
     def test_no_l4_ports_are_zero(self):
         p = bare_ip_pkt(protocol=1, payload=b"q")

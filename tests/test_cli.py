@@ -512,7 +512,10 @@ class TestCheck:
         lambda h: h.update(format=3),
         lambda h: h.update(format=4),
         lambda h: h.update(format=5),
-    ], ids=["no-format", "format-1", "format-2", "format-3", "format-4", "format-5"])
+        lambda h: h.update(format=6.0),
+        lambda h: h.update(format=True),
+    ], ids=["no-format", "format-1", "format-2", "format-3", "format-4", "format-5",
+            "format-6.0", "format-true"])
     def test_other_trace_format_rejected(self, identity_cfg, tmp_path, capsys,
                                          edit):
         tr = _sim_trace(capsys, tmp_path, identity_cfg, steps=3, drain=False)

@@ -40,7 +40,6 @@ from dataplane.engines import (
     output_ports,
     packet_generator,
     packet_scheduler,
-    pktgen_tick,
     queue_admission,
     replication_engine,
     resolve_lag,
@@ -176,16 +175,16 @@ class TestPktGen:
         assert executed_pktgen_times(PktGenConfig(enabled=False), 100) == []
 
     def test_emits_template(self):
-        p, s = pktgen_tick(self.CFG, 0, PktGenState())
+        p, s = packet_generator(self.CFG, 0, PktGenState(), None)
         assert p == BitString(0xCAFE, 16)
 
     def test_burst_waits_for_boundary(self):
         # idle at t=1: nothing until t=100
         s = PktGenState()
         for t in range(1, 100):
-            p, s = pktgen_tick(self.CFG, t, s)
+            p, s = packet_generator(self.CFG, t, s, None)
             assert p is None
-        p, _ = pktgen_tick(self.CFG, 100, s)
+        p, _ = packet_generator(self.CFG, 100, s, None)
         assert p is not None
 
     def test_idle_state_invariant(self):

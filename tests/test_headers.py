@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dataplane.apps import parse_sampled, parse_standard
 from dataplane.packet_format import (
-    BitString, ExtractStatus, TypedValue, encode, extract, match_bindings, matches,
+    BitString, ExtractStatus, TypedValue, encode, extract, match_report,
 )
 from dataplane.headers import (
     ETHERNET,
@@ -36,7 +36,7 @@ from dataplane.headers import (
     standard_bindings,
 )
 
-from support import STOCK_SLOT_TYPES, bare_ip_pkt, tcp_pkt, udp_pkt
+from support import STOCK_SLOT_TYPES, bare_ip_pkt, interpreted, tcp_pkt, udp_pkt, with_fields
 
 
 def test_widths():
@@ -88,29 +88,29 @@ def test_build_packet_layout():
 
 class TestStandardFormat:
     def test_tcp_binds_l4(self):
-        ok, env = matches(tcp_pkt(sp=99, payload=b"xy"), STANDARD_FORMAT)
-        assert ok
+        r = match_report(tcp_pkt(sp=99, payload=b"xy"), STANDARD_FORMAT)
+        assert r["ok"]
+        env = r["env"]
         assert env["tcp"]["src_port"] == 99
         assert env["payload"] == BitString.from_bytes(b"xy")
         assert "udp" not in env
 
     def test_udp_binds_l4(self):
-        ok, env = matches(udp_pkt(dp=53), STANDARD_FORMAT)
-        assert ok and env["udp"]["dst_port"] == 53 and "tcp" not in env
+        r = match_report(udp_pkt(dp=53), STANDARD_FORMAT)
+        assert r["ok"] and r["env"]["udp"]["dst_port"] == 53 and "tcp" not in r["env"]
 
     def test_other_protocol_skips_l4(self):
-        ok, env = matches(bare_ip_pkt(protocol=1, payload=b"z"),
-                          STANDARD_FORMAT)
-        assert ok and "tcp" not in env and "udp" not in env
+        r = match_report(bare_ip_pkt(protocol=1, payload=b"z"), STANDARD_FORMAT)
+        assert r["ok"] and "tcp" not in r["env"] and "udp" not in r["env"]
 
     def test_minimum_width(self):
-        assert matches(bare_ip_pkt(), STANDARD_FORMAT)[0]
+        assert match_report(bare_ip_pkt(), STANDARD_FORMAT)["ok"]
         short = bare_ip_pkt().take(399)
-        assert not matches(short, STANDARD_FORMAT)[0]
+        assert not match_report(short, STANDARD_FORMAT)["ok"]
 
     def test_truncated_l4_rejected(self):
         p = tcp_pkt()
-        assert not matches(p.take(len(p) - 1), STANDARD_FORMAT)[0]
+        assert not match_report(p.take(len(p) - 1), STANDARD_FORMAT)["ok"]
 
 
 class TestSampledFormat:
@@ -118,11 +118,11 @@ class TestSampledFormat:
         from dataplane.packet_format import encode
         inner = udp_pkt()
         p = encode(make_sample(src_addr=1, dst_addr=2)) + inner
-        ok, env = matches(p, SAMPLED_FORMAT)
-        assert ok and env["sample"]["marker_ethertype"] == SAMPLE_MARKER
+        r = match_report(p, SAMPLED_FORMAT)
+        assert r["ok"] and r["env"]["sample"]["marker_ethertype"] == SAMPLE_MARKER
 
     def test_rejects_plain_packet(self):
-        assert not matches(udp_pkt(), SAMPLED_FORMAT)[0]
+        assert not match_report(udp_pkt(), SAMPLED_FORMAT)["ok"]
 
 
 def test_make_defaults_in_range():
@@ -187,7 +187,7 @@ def wire_packets(draw):
     if draw(st.booleans()):
         names.append("sample")
     slots = {name: value(name) for name in names}
-    slots["ipv4"] = slots["ipv4"].replace(protocol=protocol)
+    slots["ipv4"] = with_fields(slots["ipv4"], protocol=protocol)
     n = draw(st.integers(0, 40))
     return deparse_slots(slots) + BitString(draw(st.integers(0, (1 << n) - 1)), n)
 
@@ -201,7 +201,7 @@ def _agree(p: BitString) -> None:
     the same order, and reject what it rejects."""
     for fmt, compiled in ((STANDARD_FORMAT, standard_bindings),
                           (SAMPLED_FORMAT, sampled_bindings)):
-        got, want = compiled(p), match_bindings(p, fmt)
+        got, want = compiled(p), interpreted(p, fmt)
         assert got == want, (fmt is SAMPLED_FORMAT, p)
         if got is not None:
             assert list(got) == list(want)

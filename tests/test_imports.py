@@ -18,6 +18,14 @@ A name counts as named when it appears as a name, an attribute, an
 imported name or a string that parses as an expression reading it (a
 string annotation, a `getattr` key).
 
+Likewise every public method (no leading underscore) of a class of the
+package is named by the package or its benchmark outside its own class
+body, so a method only tests call is caught too.  An attribute read off
+an imported module, such as `dataclasses.replace`, does not name one.
+The scan goes by bare name, so a method slips through while anything
+else of that name is named: were `TypedValue.replace` back, `checker`'s
+`from dataclasses import replace` would hide it.
+
 Only `switch` asks the oracle its questions, and the engines take the
 answers: no other module of the package calls an oracle method, and no
 `engines` function takes an `oracle` parameter.  So each answer is
@@ -118,15 +126,23 @@ class TestScanner:
         assert unused_imports("from a import b as c\nb()\n") == ["c (line 1)"]
 
 
-def _named(node: ast.AST) -> set[str]:
-    """The names node reads or binds: names, attributes, imported names,
-    and the names of strings that parse as expressions."""
+def _named(node: ast.AST, skip: ast.AST | None = None, modules: frozenset = frozenset()
+           ) -> set[str]:
+    """The names node reads or binds outside skip: names, attributes
+    other than those read off a name in modules, imported names, and the
+    names of strings that parse as expressions."""
     names = set()
-    for sub in ast.walk(node):
+    stack = [node]
+    while stack:
+        sub = stack.pop()
+        if sub is skip:
+            continue
+        stack.extend(ast.iter_child_nodes(sub))
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            if not (isinstance(sub.value, ast.Name) and sub.value.id in modules):
+                names.add(sub.attr)
         elif isinstance(sub, ast.alias):
             names.add(sub.asname or sub.name)
             names.update(sub.name.split("."))
@@ -178,7 +194,6 @@ def test_every_package_definition_is_named():
 TEST_ONLY = {
     "checker.py: parser_oblivious_check": "a proof obligation that `prove` is to call",
     "checker.py: format_acceptance_check": "a proof obligation that `prove` is to call",
-    "packet_format.py: match_bindings": "the interpreter the compiled parser is tested against",
 }
 
 
@@ -189,6 +204,44 @@ def test_no_new_definition_only_tests_take():
     assert sorted(f.split(" (line")[0] for f in found) == sorted(TEST_ONLY)
 
 
+def _module_names(tree: ast.AST) -> frozenset:
+    """The names tree binds to modules: `import m`, `import m as n` and
+    `from . import m`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+            names.update(a.asname or a.name for a in node.names)
+    return frozenset(names)
+
+
+def unnamed_methods(sources: dict[str, str], package: list[str]) -> list[str]:
+    """The public methods of the classes of the package files that no
+    file in sources names outside the method's own class body."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    modules = {path: _module_names(tree) for path, tree in trees.items()}
+    named = {path: _named(tree, modules=modules[path]) for path, tree in trees.items()}
+    found = []
+    for path in package:
+        elsewhere = set().union(*(names for p, names in named.items() if p != path))
+        for cls in ast.walk(trees[path]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            outside = elsewhere | _named(trees[path], skip=cls, modules=modules[path])
+            found += [f"{Path(path).name}: {cls.name}.{fn.name} (line {fn.lineno})"
+                      for fn in cls.body
+                      if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not fn.name.startswith("_") and fn.name not in outside]
+    return found
+
+
+def test_every_public_method_is_named():
+    readers = PACKAGE + sorted(TESTS.parent.joinpath("perfbench").glob("*.py"))
+    sources = {str(p): p.read_text() for p in readers}
+    assert unnamed_methods(sources, [str(p) for p in PACKAGE]) == []
+
+
 class TestDefinitionScanner:
     def test_unnamed_definition_reported(self):
         src = {"m.py": "def f():\n    return f()\n\nX = 1\nY = X\n", "t.py": "Y\n"}
@@ -197,6 +250,20 @@ class TestDefinitionScanner:
     def test_attribute_and_string_count(self):
         src = {"m.py": "class A: pass\nB = 2\n", "t.py": "m.A\ngetattr(m, 'B')\n"}
         assert unnamed_definitions(src, ["m.py"]) == []
+
+    def test_method_named_only_in_its_class_reported(self):
+        src = {"m.py": "class A:\n    def f(self):\n        return self.f()\n"
+                       "    def g(self):\n        pass\n    def _h(self):\n        pass\n"
+                       "A().g()\n"}
+        assert unnamed_methods(src, ["m.py"]) == ["m.py: A.f (line 2)"]
+
+    def test_attribute_of_a_module_does_not_name_a_method(self):
+        src = {"m.py": "class A:\n    def f(self):\n        pass\n",
+               "t.py": "import dataclasses\nfrom . import m as mm\n"
+                       "dataclasses.f(1)\nmm.f\n"}
+        assert unnamed_methods(src, ["m.py"]) == ["m.py: A.f (line 2)"]
+        src["t.py"] += "a.f()\n"
+        assert unnamed_methods(src, ["m.py"]) == []
 
 
 ORACLE_QUESTIONS = ("step_kind", "input_index", "admitted_subset", "sched_index")

@@ -27,9 +27,7 @@ from dataplane.packet_format import (
     compile_format,
     encode,
     extract,
-    match_bindings,
     match_report,
-    matches,
     seq,
 )
 from dataplane.headers import (
@@ -38,8 +36,8 @@ from dataplane.headers import (
 )
 
 from support import (
-    mangle, rand_packet, rand_typed, random_format, ref_matches,
-    sample_matching_input,
+    interpreted, mangle, rand_packet, rand_typed, random_format, ref_matches,
+    sample_matching_input, with_fields,
 )
 
 
@@ -90,7 +88,7 @@ class TestTypedValue:
     def test_replace(self):
         v = TypedValue(UDP, {"src_port": 1, "dst_port": 2, "length": 8,
                              "checksum": 0})
-        w = v.replace(dst_port=9)
+        w = with_fields(v, dst_port=9)
         assert w["dst_port"] == 9 and w["src_port"] == 1 and v["dst_port"] == 2
 
 
@@ -99,7 +97,7 @@ class TestCodec:
         # dst=ff:..:ff src=00:..:00 type=0x0800, laid out field by field
         v = TypedValue(ETHERNET, {"dst": 0xFFFF_FFFF_FFFF, "src": 0,
                                   "ethertype": 0x0800})
-        assert encode(v).to_bytes() == bytes.fromhex("ffffffffffff" + "0" * 12 + "0800")
+        assert encode(v) == BitString.from_bytes(bytes.fromhex("ffffffffffff" + "0" * 12 + "0800"))
 
     def test_extract_exact(self):
         wire = BitString.from_bytes(bytes.fromhex("ffffffffffff" + "0" * 12 + "0800"))
@@ -158,35 +156,33 @@ class TestWellFormedness:
 class TestMatching:
     def test_exact_value_binds(self):
         p = BitString(0xAB, 8)
-        ok, env = matches(p, ExactValue("x", H2))
-        assert ok and env["x"]["a"] == 0xA and env["x"]["b"] == 0xB
+        r = match_report(p, ExactValue("x", H2))
+        assert r["ok"] and r["env"]["x"]["a"] == 0xA and r["env"]["x"]["b"] == 0xB
 
     def test_trailing_bits_fail(self):
-        ok, _ = matches(BitString(0xAB5, 12), ExactValue("x", H2))
-        assert not ok
+        assert not match_report(BitString(0xAB5, 12), ExactValue("x", H2))["ok"]
 
     def test_plain_takes_rest(self):
         f = seq(ExactValue("x", H2), ExactPlain("rest"))
-        ok, env = matches(BitString(0xAB5, 12), f)
-        assert ok and env["rest"] == BitString(0x5, 4)
+        r = match_report(BitString(0xAB5, 12), f)
+        assert r["ok"] and r["env"]["rest"] == BitString(0x5, 4)
 
     def test_plain_may_be_empty(self):
-        ok, env = matches(BitString(0xAB, 8),
-                          seq(ExactValue("x", H2), ExactPlain("rest")))
-        assert ok and len(env["rest"]) == 0
+        r = match_report(BitString(0xAB, 8), seq(ExactValue("x", H2), ExactPlain("rest")))
+        assert r["ok"] and len(r["env"]["rest"]) == 0
 
     def test_branch_selects_arm(self):
         f = Concat(ExactValue("x", H2),
                    Branch(lambda e: e["x"]["a"] == 0xA,
                           ExactValue("then", H2), Empty(), label="is_a"))
-        assert matches(BitString(0xAB01, 16), f)[0]
-        assert matches(BitString(0xAB, 8), f)[0] is False      # arm demands 8 more
-        assert matches(BitString(0x1B, 8), f)[0]               # else-arm is empty
+        assert match_report(BitString(0xAB01, 16), f)["ok"]
+        assert match_report(BitString(0xAB, 8), f)["ok"] is False      # arm demands 8 more
+        assert match_report(BitString(0x1B, 8), f)["ok"]               # else-arm is empty
 
     def test_unbound_condition_raises(self):
         f = Branch(lambda e: e["nope"]["a"] == 0, Empty(), Empty())
         with pytest.raises(UnresolvedCondition):
-            matches(BitString(), f)
+            match_report(BitString(), f)
 
     def test_environment_missing_name(self):
         with pytest.raises(UnresolvedCondition):
@@ -216,12 +212,12 @@ class TestMatching:
                 for r in (q, encode(rand_typed(rng, SAMPLE_HEADER)) + q):
                     cases += [(STANDARD_FORMAT, r), (SAMPLED_FORMAT, r)]
         for f, p in cases:
-            got, _ = matches(p, f)
+            got = match_report(p, f)["ok"]
             assert got == ref_matches(p, f), (f, p)
 
 
 class TestCompileFormat:
-    """compile_format(f) is match_bindings(., f), staged."""
+    """compile_format(f) is the interpreter's complete matches, staged."""
 
     def test_random_formats_agree_with_the_interpreter(self):
         rng = random.Random(0xC0DE)
@@ -234,7 +230,7 @@ class TestCompileFormat:
             cases += [p.take(k) for k in range(len(p))]
             cases += [BitString(p.value ^ (1 << i), len(p)) for i in range(len(p))]
             for q in cases:
-                got, want = parse(q), match_bindings(q, f)
+                got, want = parse(q), interpreted(q, f)
                 assert got == want, (f, q)
                 if got is not None:
                     assert list(got) == list(want)
@@ -270,7 +266,7 @@ class TestCompileFormat:
 
     def test_get_of_an_unbound_name_agrees_with_the_interpreter(self):
         f = Branch(lambda e: e.get("nope") is None, Empty(), Empty())
-        assert compile_format(f)(BitString()) == match_bindings(BitString(), f) == {}
+        assert compile_format(f)(BitString()) == interpreted(BitString(), f) == {}
 
     def test_ill_formed_refused(self):
         with pytest.raises(IllFormedFormat):
