@@ -11,17 +11,18 @@ so each engine is a deterministic function of its inputs and the
 answer, and rejects an answer out of range or against the admission
 policy.
 
-Purity is also what lets a caller table an engine.  For one config,
-replication_engine and mandatory_mask are functions of the TmMeta
-alone, and an app declares each TmMeta its control can emit, so a run
-and an axioms fold each build a replication_table as they start, which
-dies with them: an engine replaced after a run has started is seen by
-every run that starts after it.
+Replication is one walk, replication_engine, over McConfig's group,
+LAG and exclusion tables; nothing else reads them.  Purity is also what
+lets a caller table it.  For one config, replication_engine and
+mandatory_mask are functions of the TmMeta alone, and an app declares
+each TmMeta its control can emit, so a run and an axioms fold each
+build a replication_table as they start, which dies with them: an
+engine replaced after a run has started is seen by every run that
+starts after it.
 """
 
 from __future__ import annotations
 
-import warnings
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -210,6 +211,9 @@ class McConfig:
                 raise ValueError(f"lag {lag_id} has no members")
             for p in members:
                 _check_port(p)
+        for ports in l2.values():
+            for p in ports:
+                _check_port(p)
         _check_port(cpu_port)
         object.__setattr__(self, "groups",
                            tuple(sorted((g, tuple(ns)) for g, ns in groups.items())))
@@ -218,24 +222,6 @@ class McConfig:
         object.__setattr__(self, "l2_exclusion",
                            tuple(sorted((x, frozenset(ps)) for x, ps in l2.items())))
         object.__setattr__(self, "cpu_port", cpu_port)
-
-    def group(self, gid: int) -> Optional[tuple[L1Node, ...]]:
-        for g, nodes in self.groups:
-            if g == gid:
-                return nodes
-        return None
-
-    def lag_members(self, lag_id: int) -> Optional[tuple[int, ...]]:
-        for l, members in self.lags:
-            if l == lag_id:
-                return members
-        return None
-
-    def excluded_ports(self, xid: int) -> frozenset[int]:
-        for x, ports in self.l2_exclusion:
-            if x == xid:
-                return ports
-        return frozenset()
 
 
 @record
@@ -250,60 +236,41 @@ class EgressMeta:
             raise ValueError(f"bad copy source: {self.source!r}")
 
 
-def resolve_lag(c: McConfig, lag_id: int, m: TmMeta) -> int:
-    """Deterministic member pick:
-    index = (level1_exclusion_id + rid + lag_id) mod member count."""
-    members = c.lag_members(lag_id)
-    if members is None:
-        raise UnknownLag(f"lag {lag_id} not configured")
-    idx = (m.level1_exclusion_id + m.rid + lag_id) % len(members)
-    return members[idx]
+def replication_engine(c: McConfig, m: TmMeta) -> list[EgressMeta]:
+    """The copies of one packet: multicast first, the unicast copy last.
 
-
-def multicast_engine(c: McConfig, m: TmMeta) -> list[EgressMeta]:
-    """Walk the two-level group tree for both group ids.
-
-    Level-1 nodes are pruned when their exclusion id matches the
-    packet's; level-2 prunes individual ports via the exclusion table.
-    A drop-marked packet produces no copies at all.
+    The two-level group tree is walked for group A, then group B; the
+    CPU copy follows them.  A level-1 node is pruned when its exclusion
+    id matches the packet's; otherwise it gives its ports, then one
+    member of each of its LAGs, picked deterministically:
+    index = (level1_exclusion_id + rid + lag_id) mod member count.
+    Level 2 prunes single ports, LAG-picked ones included, via the
+    exclusion table.  A drop-marked packet produces no copies at all.
     """
     if m.drop:
         return []
     out: list[EgressMeta] = []
-    excluded = c.excluded_ports(m.level2_exclusion_id)
+    groups, lags = dict(c.groups), dict(c.lags)
+    excluded = dict(c.l2_exclusion).get(m.level2_exclusion_id, frozenset())
     for gid, source in ((m.mcast_grp_a, MULTICAST_A), (m.mcast_grp_b, MULTICAST_B)):
         if gid == 0:
             continue
-        nodes = c.group(gid)
-        if nodes is None:
+        if gid not in groups:
             raise UnknownGroup(f"multicast group {gid} not configured")
-        for node in nodes:
+        for node in groups[gid]:
             if node.l1_xid_valid and node.l1_xid == m.level1_exclusion_id:
                 continue
-            for port in node.dev_port_list:
-                if port not in excluded:
-                    out.append(EgressMeta(port, node.rid, source))
+            ports = list(node.dev_port_list)
             for lag_id in node.lag_list:
-                port = resolve_lag(c, lag_id, m)
-                if port not in excluded:
-                    out.append(EgressMeta(port, node.rid, source))
+                if lag_id not in lags:
+                    raise UnknownLag(f"lag {lag_id} not configured")
+                members = lags[lag_id]
+                ports.append(members[(m.level1_exclusion_id + m.rid + lag_id) % len(members)])
+            out += [EgressMeta(p, node.rid, source) for p in ports if p not in excluded]
     if m.copy_to_cpu:
         out.append(EgressMeta(c.cpu_port, 0, CPU_COPY))
-    return out
-
-
-def unicast_engine(m: TmMeta) -> Optional[EgressMeta]:
-    if m.ucast_egress_port is None or m.drop:
-        return None
-    return EgressMeta(m.ucast_egress_port, m.rid, UNICAST)
-
-
-def replication_engine(c: McConfig, m: TmMeta) -> list[EgressMeta]:
-    """Multicast copies first, the unicast copy last."""
-    out = multicast_engine(c, m)
-    u = unicast_engine(m)
-    if u is not None:
-        out.append(u)
+    if m.ucast_egress_port is not None:
+        out.append(EgressMeta(m.ucast_egress_port, m.rid, UNICAST))
     return out
 
 
@@ -331,10 +298,6 @@ class PktGenConfig:
                      "inter_batch_gap", "inter_pkt_gap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.enabled and self.period == 1:
-            # legal but degenerate; the period is meant to be much larger.  Level 3
-            # is the caller of the record's generated __init__, which calls this
-            warnings.warn("pktgen period of 1 tick fires continuously", stacklevel=3)
 
 
 @record
@@ -430,14 +393,13 @@ class QacAlwaysReady:
             for p in self.ready_ports:
                 _check_port(p)
 
-    def is_ready(self, port: int) -> bool:
-        return self.ready_ports is None or port in self.ready_ports
-
 
 def mandatory_mask(policy, ms: Sequence[EgressMeta]) -> tuple[bool, ...]:
-    """Which copies the policy forbids dropping."""
+    """Which copies the policy forbids dropping: under QacAlwaysReady,
+    those destined to a ready port."""
     if isinstance(policy, QacAlwaysReady):
-        return tuple(policy.is_ready(m.egress_port) for m in ms)
+        ready = policy.ready_ports
+        return tuple(ready is None or m.egress_port in ready for m in ms)
     return (False,) * len(ms)
 
 

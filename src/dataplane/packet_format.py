@@ -343,40 +343,38 @@ def seq(*formats: Format) -> Format:
     return out
 
 
+def _pieces(f: Format) -> list[Format]:
+    """f as the list of its concatenated pieces."""
+    if isinstance(f, Concat):
+        return _pieces(f.left) + _pieces(f.right)
+    return [f]
+
+
 def check_well_formed(f: Format) -> None:
-    """Raise IllFormedFormat on duplicate bindings or an ExactPlain
-    outside terminal position (which would make a concat split
-    ambiguous)."""
-    names: set[str] = set()
+    """Raise IllFormedFormat on a name bound twice along one path, or an
+    ExactPlain that is not the last piece of its path (which would make
+    a concat split ambiguous).  The paths are the ones _stage compiles:
+    each arm of a branch followed by the pieces after the branch."""
 
-    def walk(g: Format, terminal: bool) -> None:
-        if isinstance(g, (Empty,)):
-            return
-        if isinstance(g, (ExactValue, ExactPlain)):
-            if g.name in names:
-                raise IllFormedFormat(f"duplicate binding {g.name!r}")
-            names.add(g.name)
-            if isinstance(g, ExactPlain) and not terminal:
-                raise IllFormedFormat(
-                    f"ExactPlain({g.name!r}) in non-terminal position has no determined width")
-            return
-        if isinstance(g, Concat):
-            walk(g.left, False)
-            walk(g.right, terminal)
-            return
-        if isinstance(g, Branch):
-            # arms bind alternatively, so they may reuse names between them
-            before = set(names)
-            walk(g.then, terminal)
-            then_names = set(names)
-            names.clear()
-            names.update(before)
-            walk(g.els, terminal)
-            names.update(then_names)
-            return
-        raise TypeError(f"not a Format: {g!r}")
+    def walk(pieces: list[Format], names: frozenset[str]) -> None:
+        for i, g in enumerate(pieces):
+            if isinstance(g, Branch):
+                # arms bind alternatively, so they may reuse names between them
+                rest = pieces[i + 1:]
+                walk(_pieces(g.then) + rest, names)
+                walk(_pieces(g.els) + rest, names)
+                return
+            if isinstance(g, (ExactValue, ExactPlain)):
+                if g.name in names:
+                    raise IllFormedFormat(f"duplicate binding {g.name!r}")
+                names |= {g.name}
+                if isinstance(g, ExactPlain) and i + 1 < len(pieces):
+                    raise IllFormedFormat(
+                        f"ExactPlain({g.name!r}) in non-terminal position has no determined width")
+            elif not isinstance(g, Empty):
+                raise TypeError(f"not a Format: {g!r}")
 
-    walk(f, True)
+    walk(_pieces(f), frozenset())
 
 
 class MatchFailure(Exception):
@@ -439,13 +437,6 @@ def match_report(p: BitString, f: Format) -> dict:
 _Stage = Callable[[int, int, int, Environment], Optional[Environment]]
 
 
-def _pieces(f: Format) -> list[Format]:
-    """f as the list of its concatenated pieces, Empty ones dropped."""
-    if isinstance(f, Concat):
-        return _pieces(f.left) + _pieces(f.right)
-    return [] if isinstance(f, Empty) else [f]
-
-
 def _complete(value: int, nbits: int, pos: int, env: Environment) -> Optional[Environment]:
     return env if pos == nbits else None
 
@@ -458,6 +449,8 @@ def _stage(pieces: list[Format]) -> _Stage:
     if not pieces:
         return _complete
     head = pieces[0]
+    if isinstance(head, Empty):
+        return _stage(pieces[1:])
     if isinstance(head, ExactValue):
         run = 1
         while run < len(pieces) and isinstance(pieces[run], ExactValue):

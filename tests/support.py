@@ -532,6 +532,7 @@ BAD_NESTED_CONFIGS = [
     ({"pktgen": {"template": "zz"}}, "pktgen.template"),
     ({"mc": {"groups": {"0": []}}}, "mc"),
     ({"mc": {"groups": {"5": [{"rid": 1 << 16}]}}}, "mc.groups.5[0]"),
+    ({"mc": {"l2_exclusion": {"1": [600]}}}, "mc"),
 ]
 
 
@@ -652,11 +653,14 @@ def count_pipeline_calls(monkeypatch) -> list[str]:
 
 
 def drop_last_multicast_copy(monkeypatch) -> None:
-    """The dropped-copy mutant: every multicast group walk loses its last
-    copy, so a sampled packet leaves without its monitor copy.  The
-    executor and the step axioms share the engine, so the axioms pass."""
-    real = engines.multicast_engine
-    monkeypatch.setattr(engines, "multicast_engine", lambda c, m: real(c, m)[:-1])
+    """The dropped-copy mutant: the replication walk of every action
+    naming a multicast group A loses its last copy, so a sampled packet
+    leaves without its monitor copy, and a unicast action keeps its
+    copy.  The executor and the step axioms share the engine, so the
+    axioms pass."""
+    real = engines.replication_engine
+    monkeypatch.setattr(engines, "replication_engine",
+                        lambda c, m: real(c, m)[:-1] if m.mcast_grp_a else real(c, m))
 
 
 class AlwaysIngressOracle(Oracle):

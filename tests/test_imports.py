@@ -42,6 +42,10 @@ are called only by `switch.trace_records`, and a Run's `.step()` only by
 `Run.steps`, so `sim`'s writer and `check`'s replay walk the same
 generator.
 
+One walk reads the multicast tables: within the package, only
+`engines.replication_engine` reads the `groups`, `lags` or
+`l2_exclusion` attribute of an `McConfig`.
+
 One builder tables replication: within the package,
 `replication_engine` and `mandatory_mask` are called only by
 `engines.replication_table`, which a run and an axioms fold each call
@@ -304,9 +308,10 @@ def _call_name(call: ast.Call):
     return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
 
 
-def calls_in_functions(source: str, names) -> list[tuple[str, str]]:
-    """(function, call) for each call in source named in names, the
-    function that makes it qualified by its class, and "" at top level."""
+def found_in_functions(source: str, name_of) -> list[tuple[str, str]]:
+    """(function, name) for each node of source that name_of names (it
+    returns None for the others), the function holding the node
+    qualified by its class, and "" at top level."""
     found = []
 
     def visit(node, where):
@@ -314,11 +319,20 @@ def calls_in_functions(source: str, names) -> list[tuple[str, str]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{where}.{child.name}".lstrip("."))
                 continue
-            if isinstance(child, ast.Call) and _call_name(child) in names:
-                found.append((where, _call_name(child)))
+            name = name_of(child)
+            if name is not None:
+                found.append((where, name))
             visit(child, where)
     visit(ast.parse(source), "")
     return found
+
+
+def calls_in_functions(source: str, names) -> list[tuple[str, str]]:
+    """(function, call) for each call in source named in names."""
+    def call(node):
+        name = _call_name(node) if isinstance(node, ast.Call) else None
+        return name if name in names else None
+    return found_in_functions(source, call)
 
 
 def test_one_record_builder_and_one_step_loop():
@@ -357,6 +371,31 @@ def test_replication_call_scanner():
     assert calls_in_functions(src, REPLICATION_CALLS) == [
         ("replication_table", "mandatory_mask"), ("replication_table", "replication_engine"),
         ("Run.step", "replication_engine")]
+
+
+MC_TABLES = ("groups", "lags", "l2_exclusion")
+
+
+def table_reads(source: str) -> list[tuple[str, str]]:
+    """(function, attribute) for each read in source of an attribute
+    named as one of McConfig's tables."""
+    def read(node):
+        loaded = isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        return node.attr if loaded and node.attr in MC_TABLES else None
+    return found_in_functions(source, read)
+
+
+def test_one_reader_of_the_multicast_tables():
+    read = {(p.name, where, name) for p in PACKAGE for where, name in table_reads(p.read_text())}
+    assert read == {("engines.py", "replication_engine", name) for name in MC_TABLES}
+
+
+def test_table_read_scanner():
+    src = ("class McConfig:\n    def group(self, gid):\n        return dict(self.groups)[gid]\n"
+           "def f(c, g):\n    c.lags = g.groups\n    return {'lags': 1}\n"
+           "object.__setattr__(c, 'l2_exclusion', ())\nc.l2_exclusion\n")
+    assert table_reads(src) == [("McConfig.group", "groups"), ("f", "groups"),
+                                ("", "l2_exclusion")]
 
 
 STEP_RECORDS = ("SwitchState", "SwitchQueues", "IngressDetail", "EgressDetail", "TraceStep")

@@ -152,6 +152,27 @@ class TestWellFormedness:
         with pytest.raises(IllFormedFormat):
             check_well_formed(Concat(f, ExactValue("y", H2)))
 
+    def test_plain_before_empty_rejected(self):
+        with pytest.raises(IllFormedFormat):
+            check_well_formed(Concat(ExactPlain("p"), Empty()))
+
+    def test_plain_in_arm_before_empty_rejected(self):
+        f = Branch(lambda e: True, ExactPlain("p"), Empty())
+        check_well_formed(f)
+        with pytest.raises(IllFormedFormat):
+            check_well_formed(Concat(f, Empty()))
+
+    def test_same_name_in_both_arms_accepted(self):
+        # an ExactPlain ends each arm, and so its path
+        check_well_formed(seq(ExactValue("x", H2),
+                              Branch(lambda e: True, ExactPlain("y"),
+                                     seq(ExactValue("z", H2), ExactPlain("y")))))
+
+    def test_name_in_one_arm_and_after_branch_rejected(self):
+        f = Branch(lambda e: True, ExactValue("y", H2), ExactValue("z", H2))
+        with pytest.raises(IllFormedFormat):
+            check_well_formed(seq(f, ExactValue("w", H2), ExactPlain("y")))
+
 
 class TestMatching:
     def test_exact_value_binds(self):
