@@ -31,7 +31,7 @@ from .headers import (
     ETHERNET, INTRINSIC_META, IP_PROTO_TCP, IP_PROTO_UDP, IPV4, PORT_META, TCP, UDP,
     deparse_slots, make_sample,
 )
-from .packet_format import BitString, Format, HeaderType, encode, match_report
+from .packet_format import BitString, Format, HeaderType, encode, report_matcher
 from .pipeline import egress_pipeline, ingress_pipeline
 from .records import record
 from .switch import EGRESS, INGRESS, Arrival, SwitchConfig, Trace, TraceStep
@@ -567,9 +567,10 @@ def format_acceptance_check(parse_fn: Callable[[BitString], object],
     """The parser must accept exactly the packets its declared format
     matches, and re-serializing what it parsed must reproduce the
     input bit for bit."""
+    report = report_matcher(fmt)
     for i, p in enumerate(packets):
         parsed = parse_fn(p)
-        accepted = match_report(p, fmt)["ok"]
+        accepted = report(p)["ok"]
         if (parsed is not None) != accepted:
             word = "accepts" if parsed is not None else "rejects"
             return _bad("parser.format_acceptance",

@@ -415,16 +415,26 @@ def match_report(p: BitString, f: Format) -> dict:
     {"ok", "env", "fail_bit", "reason"}.  On success env holds one
     binding per matched ExactValue / ExactPlain and fail_bit is None; on
     failure env holds whatever was bound before the mismatch."""
+    return report_matcher(f)(p)
+
+
+def report_matcher(f: Format) -> Callable[[BitString], dict]:
+    """match_report(., f), with f checked once, here, for a caller that
+    matches many packets.  Raises IllFormedFormat as check_well_formed
+    does."""
     check_well_formed(f)
-    env = Environment()
-    try:
-        end = _match_prefix(f, p, 0, env)
-    except MatchFailure as e:
-        fail_bit, reason = e.offset, e.reason
-    else:
-        fail_bit, reason = ((None, "") if end == p.nbits
-                            else (end, f"{p.nbits - end} trailing bits"))
-    return {"ok": fail_bit is None, "env": env, "fail_bit": fail_bit, "reason": reason}
+
+    def report(p: BitString) -> dict:
+        env = Environment()
+        try:
+            end = _match_prefix(f, p, 0, env)
+        except MatchFailure as e:
+            fail_bit, reason = e.offset, e.reason
+        else:
+            fail_bit, reason = ((None, "") if end == p.nbits
+                                else (end, f"{p.nbits - end} trailing bits"))
+        return {"ok": fail_bit is None, "env": env, "fail_bit": fail_bit, "reason": reason}
+    return report
 
 
 # ---------------------------------------------------------------------------

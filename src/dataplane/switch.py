@@ -20,7 +20,6 @@ replayed decision for decision and audited offline.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import random
 from dataclasses import dataclass
@@ -427,35 +426,82 @@ def run(cfg: SwitchConfig, init_state: SwitchState, init_queues: SwitchQueues,
 # ---------------------------------------------------------------------------
 # canonical encoding and digests
 
+try:  # the interpreter's own sha256, tried first as random does: hashlib loads OpenSSL
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # as json.dumps with these
 
 
-def _canon(obj):
-    """Deterministic JSON-compatible view of states, queues and engine
-    values, which digest hashes.  An integer wider than 63 bits, such as
-    a firewall filter pane, is written in hex: decimal conversion costs
-    time quadratic in its width and is refused beyond 4300 digits."""
-    if obj is None or isinstance(obj, (bool, str)):
-        return obj
-    if isinstance(obj, int):
-        return obj if obj.bit_length() <= 63 else {"int_hex": format(obj, "x")}
-    if isinstance(obj, BitString):
-        return {"hex": obj.to_hex(), "len_bits": obj.nbits}
-    if isinstance(obj, (tuple, list, Seq)):
-        return [_canon(x) for x in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_canon(x) for x in obj)
-    if isinstance(obj, dict):
-        return {str(k): _canon(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if dataclasses.is_dataclass(obj):
-        return {"__kind": type(obj).__name__,
-                **{f.name: _canon(getattr(obj, f.name)) for f in dataclasses.fields(obj)}}
-    raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+def _n4(n: int) -> bytes:
+    return n.to_bytes(4, "big")
+
+
+@lru_cache(maxsize=None)
+def _record_head(cls: type) -> tuple:
+    """(the head of cls's encoding: its tag, length-prefixed class name
+    and field count; cls's field names)"""
+    if not dataclasses.is_dataclass(cls):
+        raise TypeError(f"cannot canonicalize {cls.__name__}")
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    name = cls.__name__.encode()
+    return b"r" + _n4(len(name)) + name + _n4(len(names)), names
+
+
+def _encode(obj, out: list) -> None:
+    """Append obj's canonical bytes to out: a tag byte, then a body that
+    says where it ends.  An int is its length, then its signed big-endian
+    bytes; a str its length, then its UTF-8; a BitString its nbits, then
+    its value in (nbits + 7) // 8 bytes; a tuple or Seq its count, then
+    its items; a frozenset, or a dict's key-value pairs, its count, then
+    the items' encodings in sorted order; a record or dataclass its class
+    name and field count, then its fields in order.  So equal values
+    encode equally, a Seq as its tuple, and distinct values distinctly,
+    an int as wide as a firewall pane in time linear in its width."""
+    t = type(obj)
+    if t is int:
+        body = obj.to_bytes((obj.bit_length() + 8) >> 3, "big", signed=True)
+        out.append(b"i" + _n4(len(body)) + body)
+    elif t is BitString:
+        n = obj.nbits
+        out.append(b"b" + _n4(n) + obj.value.to_bytes((n + 7) >> 3, "big"))
+    elif t is tuple or t is Seq:
+        out.append(b"q" + _n4(len(obj)))
+        for x in obj:
+            _encode(x, out)
+    elif t is str:
+        body = obj.encode()
+        out.append(b"s" + _n4(len(body)) + body)
+    elif obj is None:
+        out.append(b"n")
+    elif t is bool:
+        out.append(b"T" if obj else b"F")
+    elif t is dict:
+        out.append(b"d" + _n4(len(obj)))
+        out.extend(sorted(canonical_bytes(k) + canonical_bytes(v) for k, v in obj.items()))
+    elif t is frozenset:
+        out.append(b"e" + _n4(len(obj)))
+        out.extend(sorted(map(canonical_bytes, obj)))
+    else:
+        head, names = _record_head(t)
+        out.append(head)
+        for name in names:
+            _encode(getattr(obj, name), out)
+
+
+def canonical_bytes(obj) -> bytes:
+    """obj's canonical encoding (see _encode), which digest hashes."""
+    out: list = []
+    _encode(obj, out)
+    return b"".join(out)
 
 
 def digest(obj) -> str:
-    blob = _JSON.encode(_canon(obj))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return _sha256(canonical_bytes(obj)).hexdigest()[:16]
 
 
 def config_digest(cfg: SwitchConfig) -> str:
@@ -501,7 +547,7 @@ def queue_digests(qs: SwitchQueues) -> dict:
 # ---------------------------------------------------------------------------
 # trace file format: one JSON object per line
 #
-# Format 6.  A record holds no constant and nothing that its other fields
+# Format 7.  A record holds no constant and nothing that its other fields
 # give without running a component or an engine.  The header names only
 # what a run can vary: the config (its digest and app), the start state
 # (its digest, which pins the clock) and the workload (q_input).  Every
@@ -513,10 +559,10 @@ def queue_digests(qs: SwitchQueues) -> dict:
 # the detail (consumed arrival, admitted copies, scheduled copy, emitted
 # or recirculated packet).  The end record digests the whole final queues
 # once.  Replay byte-compares every record, so an edit anywhere shows as a
-# divergence.  A digest writes an integer wider than 63 bits, such as a
-# firewall filter pane, as {"int_hex": ...} (see _canon).
+# divergence.  A digest is the first 16 hex digits of the sha256 of the
+# value's canonical bytes (see _encode).
 
-TRACE_FORMAT = 6
+TRACE_FORMAT = 7
 
 
 def _opt_hex(p: Optional[BitString]):
@@ -525,6 +571,13 @@ def _opt_hex(p: Optional[BitString]):
 
 def _em_json(em: EgressMeta) -> dict:
     return {"port": em.egress_port, "rid": em.rid, "source": em.source}
+
+
+def _canon(tm: TmMeta) -> dict:
+    """A TmMeta's JSON view in a step record: its class name, then its
+    fields, each an int or None."""
+    return {"__kind": type(tm).__name__,
+            **{f.name: getattr(tm, f.name) for f in dataclasses.fields(tm)}}
 
 
 # an app emits only its few declared actions, so each TmMeta's record is

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from dataplane import apps, engines, switch
 from dataplane.cli import main
 from dataplane.packet_format import (
-    BitString, Branch, Concat, ExactValue, HeaderType, TypedValue, compile_format, encode,
+    BitString, Branch, Concat, ExactValue, HeaderType, IllFormedFormat, TypedValue,
+    compile_format, encode,
 )
 from dataplane.engines import PktGenConfig
 from dataplane.pipeline import ingress_pipeline
@@ -658,6 +659,13 @@ class TestParserChecks:
         for p in corpus + sampled:
             assert parse_standard(p) == ref_parse_standard(p)
             assert parse_sampled(p) == ref_parse_sampled(p)
+
+    def test_ill_formed_format_refused(self):
+        # checked once, before the first packet, so also with none
+        ill = Concat(ExactValue("x", ETHERNET), ExactValue("x", ETHERNET))
+        for packets in ([], [tcp_pkt()]):
+            with pytest.raises(IllFormedFormat, match="duplicate binding 'x'"):
+                format_acceptance_check(parse_standard, ill, packets)
 
     def test_stock_parsers_accept_their_formats(self):
         # the formats' matcher interprets them; the stock parsers run

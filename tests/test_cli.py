@@ -25,10 +25,12 @@ from dataplane.apps import (
 from dataplane.checker import expected_outputs, sampler_spec_check
 from dataplane.cli import _load_workload, main
 from dataplane.headers import (
-    IP_PROTO_TCP, IP_PROTO_UDP, SAMPLE_MARKER, build_packet, make_ethernet,
+    ETHERNET, IP_PROTO_TCP, IP_PROTO_UDP, SAMPLE_MARKER, build_packet, make_ethernet,
     make_intrinsic_meta, make_ipv4, make_port_meta, make_tcp, make_udp,
 )
-from dataplane.packet_format import BitString
+from dataplane.packet_format import (
+    BitString, Concat, ExactPlain, ExactValue, IllFormedFormat,
+)
 from dataplane.switch import ORACLE_POLICIES
 
 from support import (
@@ -302,23 +304,43 @@ class TestSim:
             main(["sim", "--config", identity_cfg, "--policy", "bogus"])
         assert ei.value.code == 2
 
-    def test_sim_does_not_import_the_check_pass(self, sampler_cfg, tmp_path, capsys):
-        # in a fresh interpreter, so that no earlier test has imported it
-        wl, tr = str(tmp_path / "w.jsonl"), str(tmp_path / "t.jsonl")
-        run_cli(capsys, "gen", "--count", "8", "--seed", "3", "--out", wl)
+    @staticmethod
+    def _fresh_run(argv, unloaded):
+        """stdout of cli.main(argv) in a fresh interpreter, so that no earlier
+        test has imported anything, which asserts that the run exits 0 and
+        that no module in unloaded was imported."""
         script = ("import sys\n"
                   "from dataplane import cli\n"
-                  f"code = cli.main(['sim', '--config', {sampler_cfg!r}, '--input', {wl!r},\n"
-                  f"                 '--drain', '--trace', {tr!r}])\n"
+                  f"code = cli.main({argv!r})\n"
                   "assert code == 0, code\n"
-                  "assert 'dataplane.audit' not in sys.modules\n"
-                  "assert 'dataplane.checker' not in sys.modules\n")
+                  f"loaded = set({unloaded!r}) & set(sys.modules)\n"
+                  "assert not loaded, loaded\n")
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("steps=")
+        return proc.stdout
+
+    def test_sim_does_not_import_the_check_pass(self, sampler_cfg, tmp_path, capsys):
+        wl, tr = str(tmp_path / "w.jsonl"), str(tmp_path / "t.jsonl")
+        run_cli(capsys, "gen", "--count", "8", "--seed", "3", "--out", wl)
+        out = self._fresh_run(["sim", "--config", sampler_cfg, "--input", wl, "--drain",
+                               "--trace", tr], ["dataplane.audit", "dataplane.checker"])
+        assert out.startswith("steps=")
+
+    def test_sim_and_check_load_no_openssl(self, sampler_cfg, tmp_path, capsys):
+        # digests hash with the interpreter's own sha256: hashlib would load
+        # OpenSSL, about 3 MB and 2.5 ms of every process
+        wl, tr = str(tmp_path / "w.jsonl"), str(tmp_path / "t.jsonl")
+        run_cli(capsys, "gen", "--count", "8", "--seed", "3", "--out", wl)
+        openssl = ["hashlib", "_hashlib"]
+        out = self._fresh_run(["sim", "--config", sampler_cfg, "--input", wl, "--drain",
+                               "--trace", tr], openssl)
+        assert out.startswith("steps=")
+        out = self._fresh_run(["check", tr, "--config", sampler_cfg, "--spec", "sampler"],
+                              openssl)
+        assert out.endswith("sampler: ok\n")
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +534,11 @@ class TestCheck:
         lambda h: h.update(format=3),
         lambda h: h.update(format=4),
         lambda h: h.update(format=5),
-        lambda h: h.update(format=6.0),
+        lambda h: h.update(format=6),
+        lambda h: h.update(format=7.0),
         lambda h: h.update(format=True),
     ], ids=["no-format", "format-1", "format-2", "format-3", "format-4", "format-5",
-            "format-6.0", "format-true"])
+            "format-6", "format-7.0", "format-true"])
     def test_other_trace_format_rejected(self, identity_cfg, tmp_path, capsys,
                                          edit):
         tr = _sim_trace(capsys, tmp_path, identity_cfg, steps=3, drain=False)
@@ -523,7 +546,7 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", tr, "--config", identity_cfg)
         assert code == 2 and out == ""
         assert err.startswith("error: trace format") and len(err.splitlines()) == 1
-        assert err.endswith(" is not supported; this version reads format 6\n")
+        assert err.endswith(" is not supported; this version reads format 7\n")
 
     def test_tampered_end_queues_diverge(self, identity_cfg, tmp_path, capsys):
         wl = str(tmp_path / "w.jsonl")
@@ -981,15 +1004,15 @@ def test_sim_survives_mutated_inputs(sim_inputs, data):
 PINNED_SPECS = {"identity": "axioms", "sampler": "sampler", "firewall": "firewall:32"}
 # (app, policy) -> (trace file, stdout of `check --spec PINNED_SPECS[app]`)
 PINNED = {
-    ("identity", "fifo-drain"): ("767a97c4946d567b", "b5e71a2955ad08c6"),
-    ("identity", "random"): ("6376bc33b0e7f255", "ced8e81ec5428525"),
-    ("identity", "adversarial-drop"): ("b9fd5da4cdf4c7b8", "24ddd97e5591df4b"),
-    ("sampler", "fifo-drain"): ("0d3e13daaf4ab89b", "6e01e3171f018f20"),
-    ("sampler", "random"): ("f0ad5d11c6c7ab59", "e66c4d7c13844faa"),
-    ("sampler", "adversarial-drop"): ("3c3b5173f0afe7a2", "a85e1342f7eaecca"),
-    ("firewall", "fifo-drain"): ("f6a3377b14898200", "0366738331950a2b"),
-    ("firewall", "random"): ("0f3e2936351a0379", "0366738331950a2b"),
-    ("firewall", "adversarial-drop"): ("926818762d9ee41a", "576296677ab0a1ca"),
+    ("identity", "fifo-drain"): ("6042908040dda55e", "b5e71a2955ad08c6"),
+    ("identity", "random"): ("a745c65befd378e9", "ced8e81ec5428525"),
+    ("identity", "adversarial-drop"): ("d3d4f4d964753f38", "24ddd97e5591df4b"),
+    ("sampler", "fifo-drain"): ("7f4f1f78061065b3", "6e01e3171f018f20"),
+    ("sampler", "random"): ("264ce23a3de1db78", "e66c4d7c13844faa"),
+    ("sampler", "adversarial-drop"): ("cde8dbcf197cb05f", "a85e1342f7eaecca"),
+    ("firewall", "fifo-drain"): ("eb467497efb348cc", "0366738331950a2b"),
+    ("firewall", "random"): ("1da3e6465575702a", "0366738331950a2b"),
+    ("firewall", "adversarial-drop"): ("4ad860f8e6e95717", "576296677ab0a1ca"),
 }
 
 
@@ -1019,7 +1042,7 @@ def test_trace_bytes_pinned(pinned_workload, tmp_path, app, policy):
 def test_widest_firewall_filter_runs(pinned_workload, tmp_path):
     # a pane of the largest accepted width is an integer of about 19,700
     # decimal digits, past the interpreter's 4300-digit limit on turning
-    # an integer into decimal text; the digests write it in hex
+    # an integer into decimal text; the digests hash its 8 KB of bytes
     cfg = write_config(tmp_path, "c.json", {**CONFIGS["firewall"], "bits": 65536})
     tr = str(tmp_path / "t.jsonl")
     code, out, err = _quiet_main("sim", "--config", cfg, "--input", pinned_workload,
@@ -1182,6 +1205,14 @@ class TestFmt:
         code, out, _ = run_cli(capsys, "fmt", "standard", f"@{f}")
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    def test_ill_formed_format_refused(self, monkeypatch):
+        # an ill-formed declared format is a bug in the program, not in the
+        # input, so it escapes the exit-2 boundary
+        ill = Concat(ExactPlain("p"), ExactValue("x", ETHERNET))
+        monkeypatch.setitem(cli.FORMATS, "standard", ill)
+        with pytest.raises(IllFormedFormat, match="non-terminal"):
+            main(["fmt", "standard", tcp_pkt().to_hex()])
 
 
 def test_bad_usage_exits_two():

@@ -414,7 +414,7 @@ class TestSeq:
     def test_digest_of_a_seq_is_the_digest_of_its_tuple(self, sm):
         s, t = sm
         assert switch.digest(s) == switch.digest(t)
-        assert switch._canon(s) == switch._canon(t)
+        assert switch.canonical_bytes(s) == switch.canonical_bytes(t)
 
     def test_of_converts_once(self):
         s = Seq.of((1, 2))

@@ -2,17 +2,22 @@
 recirculation, and trace serialization."""
 
 import dataclasses
+import hashlib
 import json
 import random
 import traceback
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dataplane.pipeline import TmMeta
 from dataplane.engines import (
     UNICAST, EgressMeta, McConfig, PktGenConfig, QacAlwaysReady, QacMinimal, Seq,
 )
 from dataplane import engines, switch
+from dataplane.packet_format import BitString
+from dataplane.records import record
 from dataplane.switch import (
     EGRESS,
     FifoDrainOracle,
@@ -23,6 +28,7 @@ from dataplane.switch import (
     SwitchConfig,
     SwitchQueues,
     TRACE_FORMAT,
+    canonical_bytes,
     config_digest,
     digest,
     egress_enabled,
@@ -320,17 +326,100 @@ class TestDigests:
         assert config_digest(a) != config_digest(b)
 
     @pytest.mark.parametrize("config, digests", [
-        ({"app": "identity", "forward_port": 2}, ("2eca42cf30a38dd5", "bbaaf906cbb37a61")),
+        ({"app": "identity", "forward_port": 2}, ("29e9b5b06d2564ce", "3041a97b20b76238")),
         ({"app": "sampler", "forward_port": 1, "monitor_port": 3, "sample_every": 4},
-         ("170b8958da0f5d7d", "c677097a038ea87a")),
+         ("f07f9b1c5b257573", "909b8e97087f9c92")),
         ({"app": "firewall", "inside_port": 1, "outside_port": 2, "window": 100,
-          "keepalive_period": 100}, ("cbddef6a41234c54", "548e3381cbcdbd1f")),
+          "keepalive_period": 100}, ("3c8621caba147378", "6d10be3279cc583e")),
     ], ids=["identity", "sampler", "firewall"])
     def test_readme_config_digests_are_pinned(self, config, digests):
         # every trace header carries both, so a change here breaks every
         # recorded trace
         cfg = app_from_config(config)
         assert (config_digest(cfg), digest(initial_switch_state(cfg))) == digests
+
+
+@record
+class _Pair:
+    a: object
+    b: object
+
+
+@record
+class _Twin:
+    """_Pair's fields under another class name."""
+
+    a: object
+    b: object
+
+
+# ints on both sides of 63 bits and of zero; short bit strings, so that
+# equal values of different lengths are drawn; no bools, which equal 1
+# and 0 but encode apart
+_INTS = st.one_of(st.integers(-3, 3), st.integers(2**63 - 2, 2**63 + 1),
+                  st.integers(-2**63 - 1, -2**63 + 2), st.integers(-2**90, 2**90))
+_BITS = st.integers(0, 9).flatmap(
+    lambda n: st.builds(BitString, st.integers(0, (1 << n) - 1), st.just(n)))
+_SCALARS = st.one_of(_INTS, _BITS, st.sampled_from(["", "a", "ab"]), st.none())
+_VALUES = st.recursive(_SCALARS, lambda kids: st.one_of(
+    st.lists(kids, max_size=3).map(tuple),
+    st.builds(_Pair, kids, kids),
+    st.builds(_Twin, kids, kids),
+    st.frozensets(_SCALARS, max_size=3),
+    st.dictionaries(_SCALARS, kids, max_size=3),
+), max_leaves=8)
+
+
+def _equal_copy(v):
+    """v rebuilt as new objects of equal value: each tuple a Seq, each
+    record a copy, each dict and set in reverse insertion order."""
+    if type(v) is tuple:
+        return Seq(_equal_copy(x) for x in v)
+    if type(v) in (_Pair, _Twin):
+        return type(v)(_equal_copy(v.a), _equal_copy(v.b))
+    if type(v) is dict:
+        return {k: _equal_copy(x) for k, x in reversed(v.items())}
+    if type(v) is frozenset:
+        return frozenset(reversed(list(v)))
+    return v
+
+
+class TestCanonicalBytes:
+    @given(_VALUES)
+    @example(frozenset({1, 9}))  # 1 and 9 share a slot: they iterate in insertion order
+    def test_equal_values_encode_equally(self, v):
+        twin = _equal_copy(v)
+        assert twin == v and canonical_bytes(twin) == canonical_bytes(v)
+
+    @given(_VALUES, _VALUES)
+    @example(BitString(1, 3), BitString(1, 4))
+    @example(((1, 2), 3), (1, 2, 3))
+    @example(((1,), 2), ((1, 2),))
+    @example((0x169, 2), (1, 0x6902))  # b"i" is 0x69: ints need their lengths
+    @example(("as", ""), ("a", "s"))
+    @example(2**63, -2**63)
+    @example(-1, 255)
+    @example(_Pair(1, 2), _Twin(1, 2))
+    @example({1: 2}, {2: 1})
+    @example("a", BitString(0x61, 8))
+    def test_distinct_values_encode_distinctly(self, a, b):
+        assert (a == b) == (canonical_bytes(a) == canonical_bytes(b))
+
+    @given(_VALUES)
+    @example(initial_switch_state(firewall_app(FirewallConfig(bits=65536))))
+    @example(dataclasses.replace(firewall_app().init_ingress[1], pane0=(1 << 65536) - 1))
+    @example((sampler_app().mc, McConfig(l2_exclusion={1: [2, 3]}),
+              QacAlwaysReady(ready_ports={1, 2})))
+    @example(SwitchQueues(q_input=Seq(arrivals(P1, P2)),
+                          q_egress=((EgressMeta(1, 0, UNICAST), P3),)))
+    def test_digest_is_sha256_of_the_canonical_bytes(self, v):
+        # the interpreter's own sha256, which digest takes so as not to load
+        # OpenSSL, agrees with hashlib's
+        assert digest(v) == hashlib.sha256(canonical_bytes(v)).hexdigest()[:16]
+
+    def test_unknown_type_refused(self):
+        with pytest.raises(TypeError, match="cannot canonicalize object"):
+            digest((1, object()))
 
 
 class TestTraceSerialization:
@@ -405,11 +494,16 @@ class TestTraceSerialization:
 
     def test_tm_record_is_the_canonical_form(self):
         # every TmMeta the stock apps declare, and random ones, more than the
-        # memo keeps: the record's tm_meta is the generic _canon walk's, for
-        # the first and any later equal value, so the record bytes are too
+        # memo keeps: the record's tm_meta is _canon's view, its class name
+        # and fields, for the first and any later equal value, so the record
+        # bytes are too
         stock = {tm for cfg in (identity_app(), sampler_app(), firewall_app())
                  for tm in cfg.actions}
         assert stock == {_tm(ucast=1), _tm(ucast=2), _tm(mcast_a=100), _tm(drop=1)}
+        assert switch._tm_canon(_tm(ucast=2)) == {
+            "__kind": "TmMeta", "ucast_egress_port": 2, "copy_to_cpu": 0, "mcast_grp_a": 0,
+            "mcast_grp_b": 0, "level1_exclusion_id": 0, "level2_exclusion_id": 0, "rid": 0,
+            "drop": 0}
         rng = random.Random(16)
         widths = {"copy_to_cpu": 1, "mcast_grp_a": 16, "mcast_grp_b": 16,
                   "level1_exclusion_id": 16, "level2_exclusion_id": 9, "rid": 16,
@@ -430,7 +524,7 @@ class TestTraceSerialization:
         lines = trace_to_lines(tr)
         recs = [json.loads(line) for line in lines]
         header, steps, end = recs[0], recs[1:-1], recs[-1]
-        assert header["format"] == TRACE_FORMAT == 6
+        assert header["format"] == TRACE_FORMAT == 7
         assert header["state_digest"] == digest(tr.initial_state)
         assert set(header["queues"]) == {"q_input"}
         assert len(steps) == len(tr.steps)
@@ -471,26 +565,27 @@ class TestTraceSerialization:
         assert not path.exists()
 
     @staticmethod
-    def _canon_calls_per_step(monkeypatch, n):
+    def _encode_calls_per_step(monkeypatch, n):
         tr = drain_run(identity_app(), [tcp_pkt(sp=i) for i in range(n)])
         calls = 0
-        canon = switch._canon
+        encode = switch._encode
 
-        def counting(obj):
+        def counting(obj, out):
             nonlocal calls
             calls += 1
-            return canon(obj)
+            return encode(obj, out)
 
-        monkeypatch.setattr(switch, "_canon", counting)
+        monkeypatch.setattr(switch, "_encode", counting)
         trace_to_lines(tr)
-        monkeypatch.setattr(switch, "_canon", canon)
+        monkeypatch.setattr(switch, "_encode", encode)
+        assert calls
         return calls / len(tr.steps)
 
     def test_serialization_cost_per_step_does_not_grow(self, monkeypatch):
         # a count, not a timing: digesting whole queues on every step
         # makes the per-step work grow with the queue depth
-        small = self._canon_calls_per_step(monkeypatch, 20)
-        large = self._canon_calls_per_step(monkeypatch, 40)
+        small = self._encode_calls_per_step(monkeypatch, 20)
+        large = self._encode_calls_per_step(monkeypatch, 40)
         assert large <= 1.1 * small
 
     def test_untouched_slots_are_not_digested_again(self, monkeypatch):
