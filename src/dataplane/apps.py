@@ -12,7 +12,6 @@ a config file may set for each app, and app_from_config puts them in.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from functools import lru_cache, partial
 from typing import Callable, Optional
@@ -24,7 +23,7 @@ from .headers import (
 )
 from .packet_format import BitString, TypedValue
 from .pipeline import Components, EgressIndication, ParsedData, TmMeta
-from .records import record
+from .records import fields, is_record, record, replace
 from .switch import SwitchConfig, SwitchState, expect, port_from_json
 
 # ethertype of the generator keepalive template; disjoint from the
@@ -388,7 +387,7 @@ def firewall_app(cfg: FirewallConfig = FirewallConfig()) -> SwitchConfig:
 
 
 # ---------------------------------------------------------------------------
-# config-file entry point: the config dataclasses are the schema
+# config-file entry point: the config records are the schema
 
 
 def _path(where: str, key: str) -> str:
@@ -403,7 +402,7 @@ def _expect(ok, v, what: str, where: str):
 def _value(default, v, where: str):
     """v decoded against default, whose JSON type it must have: an integer
     (true and false do not count), a bool, a hex string for a BitString,
-    an object of a config dataclass's fields, or a list of items like a
+    an object of a config record's fields, or a list of items like a
     tuple's first one (integers for an empty tuple)."""
     if isinstance(default, bool):
         return _expect(isinstance(v, bool), v, "true or false", where)
@@ -412,20 +411,20 @@ def _value(default, v, where: str):
     if isinstance(default, BitString):
         return _checked(where, BitString.from_hex,
                         _expect(isinstance(v, str), v, "a hex string", where))
-    if dataclasses.is_dataclass(default):
+    if is_record(default):
         return _decode(type(default), v, where)
     v = _expect(isinstance(v, list), v, "a list", where)
     return tuple(_value(default[0] if default else 0, x, f"{where}[{i}]") for i, x in enumerate(v))
 
 
 def _decode(cls, obj, where: str, **decoders):
-    """Config dataclass cls from the JSON object obj of its fields, each
+    """Config record cls from the JSON object obj of its fields, each
     decoded by decoders[field] or else by _value against its default."""
-    fields = {f.name: f.default for f in dataclasses.fields(cls)}
-    unknown = sorted(set(_expect(isinstance(obj, dict), obj, "an object", where)) - set(fields))
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(set(_expect(isinstance(obj, dict), obj, "an object", where)) - set(defaults))
     if unknown:
         raise ValueError(f"unknown config keys {[_path(where, k) for k in unknown]}")
-    kwargs = {k: decoders.get(k, partial(_value, fields[k]))(v, _path(where, k))
+    kwargs = {k: decoders.get(k, partial(_value, defaults[k]))(v, _path(where, k))
               for k, v in obj.items()}
     return _checked(where, cls, **kwargs)
 
@@ -464,7 +463,7 @@ def _qac(obj, where: str):
 
 ENGINE_SECTIONS = {"mc": _mc, "pktgen": partial(_decode, PktGenConfig), "qac": _qac}
 
-# app -> (config dataclass, builder, engine sections the app reads): the
+# app -> (config record, builder, engine sections the app reads): the
 # one place that says which engines a config file may set for an app
 APPS = {
     "identity": (IdentityConfig, identity_app, ("mc", "pktgen", "qac")),
@@ -483,4 +482,4 @@ def app_from_config(obj) -> SwitchConfig:
     cls, build, sections = APPS[kind]
     own = {k: v for k, v in obj.items() if k != "app" and k not in sections}
     engines = {k: ENGINE_SECTIONS[k](obj[k], k) for k in sections if k in obj}
-    return dataclasses.replace(build(_decode(cls, own, "")), **engines)
+    return replace(build(_decode(cls, own, "")), **engines)

@@ -22,7 +22,6 @@ result nobody computed.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import engines
@@ -33,7 +32,7 @@ from .headers import (
 )
 from .packet_format import BitString, Format, HeaderType, encode, report_matcher
 from .pipeline import egress_pipeline, ingress_pipeline
-from .records import record
+from .records import record, replace
 from .switch import EGRESS, INGRESS, Arrival, SwitchConfig, Trace, TraceStep
 
 

@@ -37,10 +37,9 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
-from dataclasses import field
 from typing import Callable, Optional
 
-from .records import record
+from .records import field, record
 
 
 class FormatError(Exception):
@@ -98,15 +97,20 @@ class BitString:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BitString":
-        return cls(int.from_bytes(data, "big"), 8 * len(data))
+        return _bits(int.from_bytes(data, "big"), 8 * len(data))
 
     @classmethod
     def from_hex(cls, text: str, len_bits: Optional[int] = None) -> "BitString":
-        """Parse lowercase/uppercase hex; len_bits trims tail padding."""
+        """Parse lowercase/uppercase hex digit pairs, with no other character
+        between the outer whitespace; len_bits trims tail padding."""
         text = text.strip()
-        if len(text) % 2:
-            raise ValueError(f"odd hex digit count: {text!r}")
-        raw = cls.from_bytes(bytes.fromhex(text)) if text else cls()
+        try:
+            data = bytes.fromhex(text)
+            if 2 * len(data) != len(text):  # it skips whitespace between pairs
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"not pairs of hexadecimal digits: {text!r}") from None
+        raw = cls.from_bytes(data)
         if len_bits is None:
             return raw
         if not raw.nbits - 8 < len_bits <= raw.nbits:

@@ -19,10 +19,8 @@ replayed decision for decision and audited offline.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
@@ -37,7 +35,7 @@ from .pipeline import (
     Components, EgressIndication, EgressParseFailure, TmMeta,
     egress_pipeline, ingress_pipeline,
 )
-from .records import record
+from .records import field, fields, is_record, record
 
 INGRESS = "ingress"
 EGRESS = "egress"
@@ -84,7 +82,7 @@ class SwitchConfig:
     pktgen: PktGenConfig = PktGenConfig()
     qac: "QacMinimal | QacAlwaysReady" = QacMinimal()
     app_label: str = "custom"
-    params: object = None  # the app's config dataclass, in the trace's config digest
+    params: object = None  # the app's config record, in the trace's config digest
     init_ingress: tuple = (None, None, None)  # s_i and s_e of the initial state
     init_egress: tuple = (None, None, None)
     actions: tuple[TmMeta, ...] = ()  # every TmMeta in_control emits; code, not digested
@@ -243,10 +241,10 @@ class TraceStep:
     # fn(components, *args) gave result.  None when no packet entered a
     # pipeline.  The checker takes result in place of recomputing only
     # when its own key, derived from the pre-state, is this key.
-    call: Optional[tuple] = dataclasses.field(default=None, compare=False, repr=False)
+    call: Optional[tuple] = field(None, compare=False, repr=False)
 
 
-@dataclass
+@record(frozen=False)
 class Trace:
     config_digest: str
     app_label: str
@@ -445,9 +443,9 @@ def _n4(n: int) -> bytes:
 def _record_head(cls: type) -> tuple:
     """(the head of cls's encoding: its tag, length-prefixed class name
     and field count; cls's field names)"""
-    if not dataclasses.is_dataclass(cls):
+    if not is_record(cls):
         raise TypeError(f"cannot canonicalize {cls.__name__}")
-    names = tuple(f.name for f in dataclasses.fields(cls))
+    names = tuple(f.name for f in fields(cls))
     name = cls.__name__.encode()
     return b"r" + _n4(len(name)) + name + _n4(len(names)), names
 
@@ -458,7 +456,7 @@ def _encode(obj, out: list) -> None:
     bytes; a str its length, then its UTF-8; a BitString its nbits, then
     its value in (nbits + 7) // 8 bytes; a tuple or Seq its count, then
     its items; a frozenset, or a dict's key-value pairs, its count, then
-    the items' encodings in sorted order; a record or dataclass its class
+    the items' encodings in sorted order; a record its class
     name and field count, then its fields in order.  So equal values
     encode equally, a Seq as its tuple, and distinct values distinctly,
     an int as wide as a firewall pane in time linear in its width."""
@@ -577,7 +575,7 @@ def _canon(tm: TmMeta) -> dict:
     """A TmMeta's JSON view in a step record: its class name, then its
     fields, each an int or None."""
     return {"__kind": type(tm).__name__,
-            **{f.name: getattr(tm, f.name) for f in dataclasses.fields(tm)}}
+            **{f.name: getattr(tm, f.name) for f in fields(tm)}}
 
 
 # an app emits only its few declared actions, so each TmMeta's record is

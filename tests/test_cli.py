@@ -284,6 +284,10 @@ class TestSim:
         ("[1]", "JSON object"),
         ('{"port": 1, "packet": 5}', "hex string"),
         ('{"port": 1, "packet": "zz"}', "hexadecimal"),
+        # bytes.fromhex skips inner whitespace: refused whatever its parity
+        ('{"port": 1, "packet": "00 11"}', "not pairs of hexadecimal digits: '00 11'"),
+        ('{"port": 1, "packet": "00  11"}', "not pairs of hexadecimal digits: '00  11'"),
+        ('{"port": 1, "packet": "00\\t11"}', "not pairs of hexadecimal digits"),
         ('{"port": "1", "packet": "00"}', "port must be an integer"),
         ('{"port": 100000, "packet": "00"}', "port must be in 0..511"),
         ('{"port": -1, "packet": "00"}', "port must be in 0..511"),
@@ -309,18 +313,9 @@ class TestSim:
         """stdout of cli.main(argv) in a fresh interpreter, so that no earlier
         test has imported anything, which asserts that the run exits 0 and
         that no module in unloaded was imported."""
-        script = ("import sys\n"
-                  "from dataplane import cli\n"
-                  f"code = cli.main({argv!r})\n"
-                  "assert code == 0, code\n"
-                  f"loaded = set({unloaded!r}) & set(sys.modules)\n"
-                  "assert not loaded, loaded\n")
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
+        return _fresh_process("from dataplane import cli\n"
+                              f"code = cli.main({argv!r})\n"
+                              "assert code == 0, code\n", unloaded)
 
     def test_sim_does_not_import_the_check_pass(self, sampler_cfg, tmp_path, capsys):
         wl, tr = str(tmp_path / "w.jsonl"), str(tmp_path / "t.jsonl")
@@ -341,6 +336,45 @@ class TestSim:
         out = self._fresh_run(["check", tr, "--config", sampler_cfg, "--spec", "sampler"],
                               openssl)
         assert out.endswith("sampler: ok\n")
+
+    def test_sim_and_check_load_no_dataclasses(self, sampler_cfg, tmp_path, capsys):
+        # records read their own fields: dataclasses, and the inspect it
+        # loads, cost every process several milliseconds
+        wl, tr = str(tmp_path / "w.jsonl"), str(tmp_path / "t.jsonl")
+        run_cli(capsys, "gen", "--count", "8", "--seed", "3", "--out", wl)
+        unloaded = ["dataclasses", "inspect"]
+        out = self._fresh_run(["sim", "--config", sampler_cfg, "--input", wl, "--drain",
+                               "--trace", tr], unloaded)
+        assert out.startswith("steps=")
+        out = self._fresh_run(["check", tr, "--config", sampler_cfg, "--spec", "sampler"],
+                              unloaded)
+        assert out.endswith("sampler: ok\n")
+
+
+def _fresh_process(script, unloaded):
+    """stdout of script run by a fresh interpreter, which asserts that it
+    exits 0 and that no module in unloaded was imported."""
+    script = f"import sys\n{script}loaded = set({unloaded!r}) & set(sys.modules)\n" \
+        "assert not loaded, loaded\n"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_library_set_up_loads_no_dataclasses():
+    # a library user's path to a first run, as the benchmark's set-up
+    # takes it: config, app, workload, run
+    script = ("from dataplane import apps, switch\n"
+              "from dataplane.packet_format import BitString\n"
+              "cfg = apps.app_from_config({'app': 'firewall', 'window': 8, 'qac': 'minimal'})\n"
+              "pkt = BitString.from_json(" + repr(tcp_pkt().to_json()) + ")\n"
+              "qs = switch.SwitchQueues(q_input=(switch.Arrival(1, pkt), switch.Arrival(2, pkt)))\n"
+              "tr = switch.run(cfg, apps.initial_switch_state(cfg), qs, 40, switch.FifoDrainOracle())\n"
+              "print(len(tr.steps), len(tr.final_queues.q_output), tr.fault)\n")
+    assert _fresh_process(script, ["dataclasses", "inspect"]).split() == ["40", "1", "None"]
 
 
 # ---------------------------------------------------------------------------
@@ -1198,6 +1232,13 @@ class TestFmt:
         code, _, err = run_cli(capsys, "fmt", "standard", "zz")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ["0000 0000", "0000  0000", "00 0", "0x00", "zz"])
+    def test_every_non_hex_character_refused_alike(self, capsys, text):
+        # bytes.fromhex skips inner whitespace, so parity alone let some through
+        code, _, err = run_cli(capsys, "fmt", "standard", text)
+        assert code == 2
+        assert err == f"error: not pairs of hexadecimal digits: {text!r}\n"
 
     def test_at_file(self, tmp_path, capsys):
         f = tmp_path / "p.hex"

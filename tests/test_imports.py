@@ -24,17 +24,19 @@ body, so a method only tests call is caught too.  An attribute read off
 an imported module, such as `dataclasses.replace`, does not name one.
 The scan goes by bare name, so a method slips through while anything
 else of that name is named: were `TypedValue.replace` back, `checker`'s
-`from dataclasses import replace` would hide it.
+`from .records import replace` would hide it.
 
 Only `switch` asks the oracle its questions, and the engines take the
 answers: no other module of the package calls an oracle method, and no
 `engines` function takes an `oracle` parameter.  So each answer is
 asked, and recorded, in one place.
 
-Every immutable record of the package is a `record`, never the stdlib's
-`@dataclass(frozen=True)`, whose `__init__` stores each field with
-`object.__setattr__`.  `switch.Trace`, which a run fills in, is the one
-dataclass left: a plain, mutable one.
+Every record of the package is a `record`, never the stdlib's
+`@dataclass`, whose frozen `__init__` stores each field with
+`object.__setattr__`; `switch.Trace`, which a run fills in, is a mutable
+one.  And no module of the package imports `dataclasses` when it is
+imported, anywhere outside a function body: it loads `inspect`, `ast`,
+`dis`, `tokenize` and `copy`, several milliseconds of every process.
 
 One code path builds the records of a trace and one loop takes the
 steps of a run: within the package, `header_record` and `step_to_json`
@@ -454,7 +456,36 @@ def dataclass_decorations(source: str) -> list[str]:
 
 def test_records_are_not_frozen_dataclasses():
     found = [f"{p.name}: {d}" for p in PACKAGE for d in dataclass_decorations(p.read_text())]
-    assert found == ["switch.py: Trace: dataclass"]
+    assert found == []
+
+
+def import_time_imports(source: str) -> list[str]:
+    """The modules source imports when it is itself imported: those of
+    every `import` and absolute `from ... import` outside a function."""
+    found, todo = [], [ast.parse(source)]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(node.module)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo += ast.iter_child_nodes(node)
+    return sorted(found)
+
+
+def test_no_module_imports_dataclasses_at_import():
+    found = [f"{p.name}: {m}" for p in PACKAGE for m in import_time_imports(p.read_text())
+             if m.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_import_time_import_scanner():
+    src = ("import dataclasses\nfrom os import path\nfrom . import m\n"
+           "def f():\n    import json\n    g = lambda: __import__('x')\n"
+           "class C:\n    import re\n    def h(self):\n        from copy import copy\n"
+           "if path:\n    import sys\n")
+    assert import_time_imports(src) == ["dataclasses", "os", "re", "sys"]
 
 
 def test_dataclass_decoration_scanner():

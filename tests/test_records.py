@@ -250,3 +250,46 @@ def test_record_refuses_a_default_factory():
 
     with pytest.raises(TypeError, match="default_factory"):
         records.record(WithFactory)
+
+
+def test_trace_is_the_mutable_dataclass_it_replaces():
+    """switch.Trace, which a run fills in and tests edit, is a mutable
+    record: `dataclasses.fields`, `replace`, `==`, `repr` and assignment
+    to a field behave as on the plain dataclass it replaces, and it is
+    unhashable as that one is.  Its slots refuse a name that is no field."""
+    flds = dataclasses.fields(switch.Trace)
+    ns = {"__annotations__": {f.name: f.type for f in flds}}
+    for f in flds:
+        ns[f.name] = dataclasses.field(default=f.default, init=f.init, repr=f.repr,
+                                       compare=f.compare)
+    twin = dataclasses.dataclass(type("Trace", (), ns))
+
+    def spec(c):
+        return [(f.name, f.type, f.default, f.init, f.repr, f.compare, f.hash)
+                for f in dataclasses.fields(c)]
+    assert spec(switch.Trace) == spec(twin) and switch.Trace.__hash__ is twin.__hash__ is None
+    tr = drain_run(identity_app(), [tcp_pkt(sp=i) for i in range(3)] + [udp_pkt(sp=9)])
+    tt = twin(*_values(tr))
+    assert repr(tr) == repr(tt)
+    same, edited = dataclasses.replace(tr), dataclasses.replace(tr, steps=tr.steps[:1])
+    assert type(same) is type(edited) is switch.Trace
+    assert _values(edited) == _values(dataclasses.replace(tt, steps=tt.steps[:1]))
+    assert (same == tr) is (dataclasses.replace(tt) == tt) is True
+    assert (edited == tr) is (dataclasses.replace(tt, steps=tt.steps[:1]) == tt) is False
+    for obj in (tr, tt):
+        obj.final_queues = dataclasses.replace(obj.final_queues, q_output=())
+        obj.steps = [s for s in obj.steps if s.kind == "egress"]
+    assert _values(tr) == _values(tt) and tr.final_queues.q_output == () and tr.steps
+    assert (tr == same) is (tt == twin(*_values(same))) is False
+    with pytest.raises(AttributeError):
+        tr.not_a_field = 1
+
+
+def test_record_refuses_a_field_without_default_after_one_with():
+    # as the stdlib's dataclass does: __init__'s defaults could not line up
+    class Misordered:
+        a: int = 0
+        b: int
+
+    with pytest.raises(TypeError, match="without a default follows"):
+        records.record(Misordered)
