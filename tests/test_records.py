@@ -252,6 +252,39 @@ def test_record_refuses_a_default_factory():
         records.record(WithFactory)
 
 
+@pytest.mark.parametrize("default", [[], {}, records.field(default=set(), repr=False)],
+                         ids=["list", "dict", "field-spec"])
+def test_record_refuses_a_mutable_default(default):
+    # as the stdlib's dataclass does, when the class is declared: every
+    # instance would share the one object
+    class Shared:
+        xs: object = default
+
+    with pytest.raises(ValueError, match="Shared.xs: mutable default"):
+        records.record(Shared)
+
+
+def test_generated_methods_are_named_for_their_class():
+    @records.record
+    class Point:
+        x: int
+        y: int = 0
+
+    @records.record(frozen=False)
+    class Box:
+        items: tuple = ()
+
+    assert Point.__qualname__ == f"{test_generated_methods_are_named_for_their_class.__name__}.<locals>.Point"
+    p = Point(1)
+    assert p == Point(1, 0) and hash(p) == hash(Point(1, 0)) and Box() == Box()
+    for cls, names in ((Point, ("__init__", "__eq__", "__hash__")), (Box, ("__init__", "__eq__"))):
+        for name in names:
+            method = vars(cls)[name]
+            assert method.__name__ == name
+            assert method.__qualname__ == f"{cls.__qualname__}.{name}"
+    assert Box.__hash__ is None
+
+
 def test_trace_is_the_mutable_dataclass_it_replaces():
     """switch.Trace, which a run fills in and tests edit, is a mutable
     record: `dataclasses.fields`, `replace`, `==`, `repr` and assignment
