@@ -144,32 +144,26 @@ class Records:
             raise ValueError(f"trace line {self.n}: {e}") from None
 
 
-def replay(records: Records, folds: list, cfg, st, qs) -> tuple:
+def replay(records: Records, folds, cfg, st, qs) -> tuple:
     """Replay in step with reading the records: each step takes its
-    decisions from the record at hand, and the folds, (label, Fold)
-    pairs, take the step once its rebuilt record is that record, byte
-    for byte.  Returns (run, steps, unmet): run is the replayed Run, or
-    None when a record is not reproduced, records.pos then being its
-    position; steps counts the step records; unmet is (label, the
-    PreconditionUnmet a fold raised) or None."""
+    decisions from the record at hand, and the folds take the step once
+    its rebuilt record is that record, byte for byte.  Returns (run,
+    steps): run is the replayed Run, or None when a record is not
+    reproduced, records.pos then being its position; steps counts the
+    step records."""
     decisions = iter(lambda: records.checked(record_decisions, records.rec), None)
     run = switch.Run(cfg, st, qs, switch.ReplayOracle(decisions))
     at_step = lambda s, q: records.rec is not None and records.rec.get("type") in ("step", "fault")
-    n, unmet = 0, None
+    n = 0
     for step, rec in switch.trace_records(
             switch.config_digest(cfg), cfg.app_label, st, qs, run.steps(at_step),
             lambda: (run.fault, run.fault_decisions, run.state, run.queues)):
         if records.rec is None or switch.dump_record(rec) != records.line.strip():
-            return None, n, unmet
+            return None, n
         records.advance()
         if step is None:
             continue
-        if unmet is None:  # an unmet precondition ends every verdict
-            for label, fold in folds:
-                try:
-                    fold.feed(n, step)
-                except checker.PreconditionUnmet as e:
-                    unmet = (label, e)
-                    break
+        for fold in folds:
+            fold.feed(n, step)
         n += 1
-    return (run if records.rec is None else None), n, unmet  # nothing after the end
+    return (run if records.rec is None else None), n  # nothing after the end

@@ -22,6 +22,7 @@ result nobody computed.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import engines
@@ -33,12 +34,7 @@ from .headers import (
 from .packet_format import BitString, Format, HeaderType, encode, report_matcher
 from .pipeline import egress_pipeline, ingress_pipeline
 from .records import record, replace
-from .switch import EGRESS, INGRESS, Arrival, SwitchConfig, Trace, TraceStep
-
-
-class PreconditionUnmet(Exception):
-    """The trace does not satisfy a check's hypothesis; the check is
-    neither passed nor failed."""
+from .switch import EGRESS, INGRESS, SwitchConfig, Trace, TraceStep
 
 
 @record
@@ -434,18 +430,23 @@ def expected_outputs(n: int, inputs: Sequence[BitString], scfg) -> list[tuple]:
 
 
 def sampler_spec_check(n: int, inputs: Sequence[BitString], outputs: Sequence[tuple], scfg,
-                       *, require_complete: bool = False) -> Verdict:
+                       *, require_complete: bool = False, ordered: bool = True) -> Verdict:
     """Decide the sampler's input/output relation: the outputs must be a
     subsequence of expected_outputs; admission drops and in-flight
     packets only shorten it.  The greedy embedding is exact, as
     _subsequence_mask says; the tests corroborate it against a quadratic
-    reachability table.  With require_complete the outputs must be the
-    whole expected stream.
+    reachability table.  When ordered is false, a scheduler that may
+    pick any queued copy also permutes the stream, so the outputs need
+    only be a sub-multiset of it.  With require_complete the outputs
+    must be the whole expected stream.
     """
     expected = expected_outputs(n, inputs, scfg)
-    k = sum(_subsequence_mask(outputs, expected))
+    if ordered:
+        k = sum(_subsequence_mask(outputs, expected))
+    else:
+        k = _submultiset_prefix(outputs, expected)
     if k < len(outputs):
-        # outputs before k aligned, so only output k's port is in doubt
+        # outputs before k matched, so only output k's port is in doubt
         port = outputs[k][0]
         if port not in (scfg.forward_port, scfg.monitor_port):
             return _bad("sampler.unexpected_port", f"port {port}", k)
@@ -455,31 +456,44 @@ def sampler_spec_check(n: int, inputs: Sequence[BitString], outputs: Sequence[tu
     return OK
 
 
+def _submultiset_prefix(sub: Sequence, seq: Sequence) -> int:
+    """How many leading items of sub each find an item of seq equal to
+    it that no earlier one took; len(sub) exactly when sub is a
+    sub-multiset of seq."""
+    left = Counter(seq)
+    for k, x in enumerate(sub):
+        if not left[x]:
+            return k
+        left[x] -= 1
+    return len(sub)
+
+
 class SamplerFold(Fold):
     """The sampler relation: keeps the parsed inputs in consumption order
     and judges them against the transmitted outputs at the end.  The
-    relation assumes arrivals are taken and copies scheduled oldest
-    first; a step that does otherwise raises PreconditionUnmet.  The
-    outputs must also be complete, every expected packet emitted, when
-    no admission dropped a copy and the run ends with nothing queued for
-    egress or recirculation."""
+    counts follow that order, whichever arrival a step takes.  When
+    every egress step took the head of q_egress, the outputs keep the
+    order of their inputs; otherwise the scheduler permuted them, and
+    only their multiset is judged.  The outputs must also be
+    complete, every expected packet emitted, when no admission dropped
+    a copy and the run ends with nothing queued for egress or
+    recirculation."""
 
     def __init__(self, initial_state, scfg) -> None:
         self.count = initial_state.s_i[1].counter
         self.inputs: list[BitString] = []
         self.scfg = scfg
         self.dropped = False  # some admission kept fewer copies than replication made
+        self.in_order = True  # every egress step took the head of q_egress
 
     def step(self, i, step):
-        d, pre_q = step.detail, step.pre_queues
-        if step.kind == EGRESS and d.scheduled != _head(pre_q.q_egress):
-            raise PreconditionUnmet(f"step {i} schedules a copy behind the head of q_egress")
-        if step.kind != INGRESS or d.p_i is None:
-            return
-        # a generated or recirculated packet does not come from q_input
-        if d.p_g is None and Arrival(d.in_port, d.p_i) != _head(pre_q.q_input):
-            raise PreconditionUnmet(f"step {i} takes an arrival behind the head of q_input")
-        if d.pipeline_out is not None:
+        d = step.detail
+        if step.kind == EGRESS:
+            # by position: taking a later copy equal to the head still
+            # reorders the copies left behind
+            q = step.pre_queues.q_egress
+            self.in_order = self.in_order and step.post_queues.q_egress == q[1:]
+        elif step.kind == INGRESS and d.p_i is not None and d.pipeline_out is not None:
             self.inputs.append(d.p_i)
             self.dropped = self.dropped or len(d.enqueued) < len(d.m_repl)
 
@@ -487,11 +501,7 @@ class SamplerFold(Fold):
         q = final_queues
         complete = not self.dropped and not q.q_egress and q.p_recirc is None
         return sampler_spec_check(self.count, self.inputs, q.q_output, self.scfg,
-                                  require_complete=complete)
-
-
-def _head(q):
-    return q[0] if q else None
+                                  require_complete=complete, ordered=self.in_order)
 
 
 def sampler_trace_check(trace: Trace, scfg) -> Verdict:
@@ -510,23 +520,31 @@ SAMPLER_CLAUSES = {
 
 
 class LangsecFold(Fold):
-    """Malformed-input isolation: with the generator off and every input
-    unparseable, nothing but the clock, the parser state slot and
-    q_input may move on any step, and q_input loses at most one
-    arrival."""
+    """Malformed-input isolation: on a step whose input the parser
+    rejects, or that takes no input, nothing but the clock, the parser
+    state slot and q_input may move, and q_input loses at most one
+    arrival.  The generator's state moves too when the rejected packet
+    is the generator's own.  A parsed input belongs to the program and
+    passes; an egress step passes once some input has parsed, and
+    before that implies something malformed was admitted."""
 
     def __init__(self, cfg: SwitchConfig) -> None:
-        if cfg.pktgen.enabled:
-            raise PreconditionUnmet("generator must be disabled")
+        self.generator = cfg.pktgen.enabled
+        self.parsed = False  # some input parsed, so copies may be queued for egress
 
     def step(self, i, step):
         if step.kind != INGRESS:
+            if self.parsed:
+                return None
             return _bad("langsec.queue_frame", "an egress step implies something was admitted", i)
-        if step.detail.pipeline_out is not None:
-            raise PreconditionUnmet(f"input at step {i} parsed successfully")
+        d = step.detail
+        if d.pipeline_out is not None:
+            self.parsed = True
+            return None
         pre_s, post_s = step.pre_state, step.post_state
         pre_q, post_q = step.pre_queues, step.post_queues
-        if (post_s.s_g != pre_s.s_g or post_s.s_e != pre_s.s_e
+        generated = self.generator and d.p_g is not None and not d.from_recirc
+        if ((post_s.s_g != pre_s.s_g and not generated) or post_s.s_e != pre_s.s_e
                 or post_s.s_i[1] != pre_s.s_i[1] or post_s.s_i[2] != pre_s.s_i[2]):
             return _bad("langsec.state_frame", "a non-parser state slot moved", i)
         if (post_q.q_egress != pre_q.q_egress or post_q.q_output != pre_q.q_output

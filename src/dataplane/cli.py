@@ -80,7 +80,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        return switch.json_value(fh.read())
+        try:
+            return switch.json_value(fh.read())
+        except ValueError as e:  # a decoder's line and column are the file's
+            raise ValueError(f"config: {e}") from None
 
 
 def _load_workload(path: str) -> tuple[switch.Arrival, ...]:
@@ -91,8 +94,10 @@ def _load_workload(path: str) -> tuple[switch.Arrival, ...]:
         for n, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            try:
-                arrivals.append(_arrival(switch.json_value(line.decode())))
+            try:  # the line alone, so the decoder's column is the column in the line
+                arrivals.append(_arrival(switch.json_value(line.decode().rstrip("\n"))))
+            except json.JSONDecodeError as e:
+                raise ValueError(f"workload line {n}: {e.msg}: column {e.colno}") from None
             except ValueError as e:
                 raise ValueError(f"workload line {n}: {e}") from None
     return tuple(arrivals)
@@ -148,30 +153,21 @@ def cmd_check(args) -> int:
             raise ValueError("initial state does not match the trace header")
         qs = records.checked(audit.queues_from_header, header)
 
-        label = args.spec.partition(":")[0]
-        try:
-            spec = audit.spec_fold(args.spec, cfg, st)
-        except checker.PreconditionUnmet as e:
-            print(f"{label}: precondition unmet ({e})", file=sys.stderr)
-            return 2
-        folds = [("axioms", checker.AxiomsFold(cfg, st, qs))]
+        spec = audit.spec_fold(args.spec, cfg, st)
+        folds = {"axioms": checker.AxiomsFold(cfg, st, qs)}
         if spec is not None:
-            folds.append((label, spec))
+            folds[args.spec.partition(":")[0]] = spec
 
         # one pass: the replay reproduces the file record by record, and
         # stops at the first record it does not reproduce
-        replayed, n_steps, unmet = audit.replay(records, folds, cfg, st, qs)
+        replayed, n_steps = audit.replay(records, folds.values(), cfg, st, qs)
     if replayed is None:
         print(f"replay: VIOLATION clause=trace.divergence step={max(records.pos - 1, 0)}")
         return 1
     print(f"replay: ok ({n_steps} steps)")
-    if unmet is not None:
-        label, e = unmet
-        print(f"{label}: precondition unmet ({e})", file=sys.stderr)
-        return 2
 
     failed = False
-    for label, fold in folds:
+    for label, fold in folds.items():
         v = fold.finish(replayed.state, replayed.queues)
         if v.ok:
             print(f"{label}: ok")

@@ -172,14 +172,13 @@ _set_nbits = BitString.nbits.__set__
 class HeaderType:
     """A named, ordered list of fixed-width unsigned fields."""
 
-    # field -> (shift, mask) within the encoded word, and the mask of the
-    # whole word; kept out of the fields so that eq, hash and repr see
-    # only the declaration
-    __slots__ = ("layout", "mask")
+    # the sum of the field widths, field -> (shift, mask) within the
+    # encoded word, and the mask of the whole word; kept out of the
+    # fields so that eq, hash and repr see only the declaration
+    __slots__ = ("total_width", "layout", "mask")
 
     name: str
     fields: tuple[tuple[str, int], ...]
-    total_width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fields", tuple((str(n), int(w)) for n, w in self.fields))

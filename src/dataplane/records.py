@@ -1,12 +1,12 @@
 """Records: the model's value classes, cheap to build and to import.
 
 ``@record`` makes a class with field annotations a record.  Each
-annotation of the class body is a field, in order; its value in the
-body, if any, is its default, or a ``field(...)`` spec for a field that
-``__init__`` does not take, or that ``repr`` or ``==`` and ``hash``
+annotation of the class body is a field, in order, and ``__init__``
+takes each; its value in the body, if any, is its default, or a
+``field(...)`` spec for a field that ``repr`` or ``==`` and ``hash``
 leave out.  Instances hold their fields in slots and refuse assignment
-and deletion with ``dataclasses.FrozenInstanceError``;
-``record(frozen=False)`` makes a mutable, unhashable one instead.
+and deletion with ``dataclasses.FrozenInstanceError``.  A value derived
+from the fields goes in a slot of its own (see below).
 
 Generated for each class: an ``__init__`` that stores each field
 through its slot descriptor and then calls ``__post_init__``; a
@@ -26,9 +26,9 @@ The package reads fields only through ``fields``, ``replace`` and
 loads ``inspect`` with it.  The stdlib's view of a record, which
 ``dataclasses.fields``, ``replace``, ``asdict`` and ``is_dataclass``
 read, is the ``__dataclass_fields__`` and ``__dataclass_params__`` of a
-dataclass with the same fields, frozen when the record is; it is built
-the first time either attribute of the class is read, and only then
-does ``dataclasses`` load.
+frozen dataclass with the same fields; it is built the first time
+either attribute of the class is read, and only then does
+``dataclasses`` load.
 """
 
 from __future__ import annotations
@@ -41,20 +41,18 @@ _MISSING = object()  # a field's default when it has none
 
 class Field:
     """A record field: its name and annotation, its default (_MISSING
-    for none), and whether __init__ takes it, repr shows it and == and
-    hash compare it."""
+    for none), and whether repr shows it and == and hash compare it."""
 
-    __slots__ = ("name", "type", "default", "init", "repr", "compare")
+    __slots__ = ("name", "type", "default", "repr", "compare")
 
-    def __init__(self, name, type, default, init: bool, repr: bool, compare: bool) -> None:
+    def __init__(self, name, type, default, repr: bool, compare: bool) -> None:
         self.name, self.type, self.default = name, type, default
-        self.init, self.repr, self.compare = init, repr, compare
+        self.repr, self.compare = repr, compare
 
 
-def field(default=_MISSING, *, init: bool = True, repr: bool = True,
-          compare: bool = True) -> Field:
+def field(default=_MISSING, *, repr: bool = True, compare: bool = True) -> Field:
     """The spec of a field with options, as its value in the class body."""
-    return Field(None, None, default, init, repr, compare)
+    return Field(None, None, default, repr, compare)
 
 
 def fields(obj) -> tuple:
@@ -68,9 +66,9 @@ def is_record(obj) -> bool:
 
 
 def replace(obj, /, **changes):
-    """A new record of obj's class: its init fields, with changes."""
+    """A new record of obj's class: its fields, with changes."""
     for f in fields(obj):
-        if f.init and f.name not in changes:
+        if f.name not in changes:
             changes[f.name] = getattr(obj, f.name)
     return type(obj)(**changes)
 
@@ -165,9 +163,8 @@ class _StdlibView:
         for f in flds:
             ns[f.name] = dataclasses.field(
                 default=dataclasses.MISSING if f.default is _MISSING else f.default,
-                init=f.init, repr=f.repr, compare=f.compare)
-        shadow = dataclasses.dataclass(type(cls.__name__, (), ns),
-                                       frozen=cls.__setattr__ is _setattr)
+                repr=f.repr, compare=f.compare)
+        shadow = dataclasses.dataclass(type(cls.__name__, (), ns), frozen=True)
         cls.__dataclass_fields__ = shadow.__dataclass_fields__
         cls.__dataclass_params__ = shadow.__dataclass_params__
         return getattr(cls, self.attr)
@@ -189,20 +186,17 @@ def _field(cls: type, name: str, annotation, spec) -> Field:
         # as the stdlib's dataclass refuses it: every instance would share the one object
         raise ValueError(f"{cls.__name__}.{name}: mutable default "
                          f"{type(spec.default).__name__} is not allowed")
-    return Field(name, annotation, spec.default, spec.init, spec.repr, spec.compare)
+    return Field(name, annotation, spec.default, spec.repr, spec.compare)
 
 
-def record(cls: type = None, /, *, frozen: bool = True):
-    """cls as a record, frozen unless frozen is false; see the module
-    docstring."""
-    if cls is None:
-        return lambda c: record(c, frozen=frozen)
+def record(cls: type) -> type:
+    """cls as a record; see the module docstring."""
     body = dict(cls.__dict__)
     flds = tuple(_field(cls, name, ann, body.pop(name, _MISSING))
                  for name, ann in body.get("__annotations__", {}).items())
-    init = [f for f in flds if f.init]
-    defaults = tuple(f.default for f in init if f.default is not _MISSING)
-    if any(f.default is _MISSING for f in init[len(init) - len(defaults):]):
+    names = tuple(f.name for f in flds)
+    defaults = tuple(f.default for f in flds if f.default is not _MISSING)
+    if any(f.default is _MISSING for f in flds[len(flds) - len(defaults):]):
         raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
     extra = tuple(body.get("__slots__", ()))
     for name in extra + ("__dict__", "__weakref__"):
@@ -214,19 +208,16 @@ def record(cls: type = None, /, *, frozen: bool = True):
         glob["_post_init"] = post
     if "__init__" not in body:
         body["__init__"] = _method("__post_init__" if post else "__init__", cls,
-                                   tuple(f.name for f in init), glob, defaults or None)
+                                   names, glob, defaults or None)
     body.setdefault("__repr__", _repr)
     compared = tuple(f.name for f in flds if f.compare)
-    body.update(_VIEW, __slots__=extra + tuple(f.name for f in flds), __record_fields__=flds,
-                __qualname__=cls.__qualname__, __match_args__=tuple(f.name for f in init),
+    body.update(_VIEW, __slots__=extra + names, __record_fields__=flds,
+                __qualname__=cls.__qualname__, __match_args__=names,
                 __eq__=_method("__eq__", cls, compared, {}),
+                __hash__=_method("__hash__", cls, compared, {}),
+                __setattr__=_setattr, __delattr__=_delattr,
                 __getstate__=_getstate, __setstate__=_setstate)
-    if frozen:
-        body.update(__hash__=_method("__hash__", cls, compared, {}),
-                    __setattr__=_setattr, __delattr__=_delattr)
-    else:
-        body["__hash__"] = None
     cls = type(cls)(cls.__name__, cls.__bases__, body)
-    for i, f in enumerate(init):
-        glob[f"_s_{i}"] = getattr(cls, f.name).__set__
+    for i, name in enumerate(names):
+        glob[f"_s_{i}"] = getattr(cls, name).__set__
     return cls

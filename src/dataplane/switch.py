@@ -244,7 +244,7 @@ class TraceStep:
     call: Optional[tuple] = field(None, compare=False, repr=False)
 
 
-@record(frozen=False)
+@record
 class Trace:
     config_digest: str
     app_label: str

@@ -79,7 +79,7 @@ from dataplane.switch import (
     Trace,
     run,
 )
-from dataplane import checker, engines, switch
+from dataplane import apps, checker, engines, switch
 from dataplane.pipeline import EgressIndication, ParsedData, egress_pipeline, ingress_pipeline
 from dataplane.apps import (
     FirewallState,
@@ -661,6 +661,16 @@ def drop_last_multicast_copy(monkeypatch) -> None:
     real = engines.replication_engine
     monkeypatch.setattr(engines, "replication_engine",
                         lambda c, m: real(c, m)[:-1] if m.mcast_grp_a else real(c, m))
+
+
+def write_wrong_sample_count(monkeypatch) -> None:
+    """The miscounting mutant: the sampler's control writes each sample
+    record with its count plus one, so it samples the right packets and
+    sends every monitor copy wrong.  The executor and the step axioms
+    share the control, so the axioms pass."""
+    real = apps.make_sample
+    monkeypatch.setattr(apps, "make_sample",
+                        lambda **kw: real(**{**kw, "sample_count": kw["sample_count"] + 1}))
 
 
 class AlwaysIngressOracle(Oracle):

@@ -118,6 +118,12 @@ class TestSerialization:
     def test_from_hex_aligned(self):
         assert BitString.from_hex("a5") == BitString(0xA5, 8)
 
+    @pytest.mark.parametrize("len_bits", [0, 9])
+    def test_from_hex_refuses_an_inconsistent_length(self, len_bits):
+        # one byte of hex holds 1 to 8 bits
+        with pytest.raises(ValueError, match=f"^len_bits {len_bits} inconsistent with 8 hex bits$"):
+            BitString.from_hex("a5", len_bits)
+
     @given(bits())
     def test_json_round_trip(self, p):
         assert BitString.from_json(p.to_json()) == p

@@ -49,7 +49,7 @@ from dataplane.checker import (
     CLAUSES,
     AxiomsFold,
     LangsecFold,
-    PreconditionUnmet,
+    SamplerFold,
     Verdict,
     _bad,
     _subsequence_mask,
@@ -89,6 +89,7 @@ from support import (
     tcp_pkt,
     udp_pkt,
     with_fields,
+    write_wrong_sample_count,
 )
 
 
@@ -180,7 +181,7 @@ def test_trace_continuity_forgery():
 def test_edited_final_queues_break_trace_continuity_at_step_n():
     cfg = identity_app()
     tr = drain_run(cfg, [tcp_pkt(), udp_pkt()])
-    tr.final_queues = dataclasses.replace(tr.final_queues, q_output=())
+    tr = dataclasses.replace(tr, final_queues=dataclasses.replace(tr.final_queues, q_output=()))
     v = check_trace(cfg, tr)
     assert not v.ok and v.violated_clause == "trace.continuity" and v.step == len(tr.steps)
 
@@ -473,17 +474,72 @@ class _NewestCopyFirst(FifoDrainOracle):
         return n - 1
 
 
-@pytest.mark.parametrize("oracle, message", [
-    (RandomOracle(5, reorder=True), "step 0 takes an arrival behind the head of q_input"),
-    (_NewestArrivalFirst(), "step 0 takes an arrival behind the head of q_input"),
-    # the fourth packet, taken at step 6, is the first sampled one
-    (_NewestCopyFirst(), "step 7 schedules a copy behind the head of q_egress"),
+@pytest.mark.parametrize("oracle, in_order", [
+    (RandomOracle(5, reorder=True), False),
+    (_NewestArrivalFirst(), True),
+    (_NewestCopyFirst(), False),
 ], ids=["random", "newest-arrival", "newest-copy"])
-def test_sampler_trace_check_needs_oldest_first(oracle, message):
+def test_sampler_trace_check_needs_oldest_first(oracle, in_order):
+    # the ordered relation needs copies scheduled oldest first; the
+    # counts follow consumption order, so which arrival a step takes
+    # does not matter.  A run that schedules otherwise is judged as a
+    # multiset, which its permuted outputs meet and the order does not
     pkts = [tcp_pkt(sp=i, payload=bytes([i])) for i in range(11)]
     tr = drain_run(sampler_app(SC), pkts, oracle)
-    with pytest.raises(PreconditionUnmet, match=f"^{message}$"):
-        sampler_trace_check(tr, SC)
+    fold = SamplerFold(tr.initial_state, SC)
+    assert fold_trace(fold, tr).ok and fold.in_order is in_order
+    inputs = [s.detail.p_i for s in tr.steps if s.kind == "ingress" and s.detail.pipeline_out]
+    outs = tr.final_queues.q_output
+    assert sampler_spec_check(0, inputs, outs, SC).ok is in_order
+    assert sampler_spec_check(0, inputs, outs, SC, ordered=False).ok
+
+
+def test_sampler_order_is_by_position_not_value():
+    # four equal packets, the third sampled: the first egress step takes
+    # the last copy, equal to the head, and the monitor copy then leaves
+    # before the fourth packet's forward copy.  Only the multiset holds
+    scfg = SamplerConfig(forward_port=1, monitor_port=3, sample_every=3)
+    tr = drain_run(sampler_app(scfg), [tcp_pkt()] * 4, RandomOracle(48, reorder=True, drop_rate=0))
+    first = next(s for s in tr.steps if s.kind == "egress")
+    assert first.decisions["sched_index"] == 4
+    assert first.detail.scheduled == first.pre_queues.q_egress[0]
+    fold = SamplerFold(tr.initial_state, scfg)
+    assert fold_trace(fold, tr).ok and fold.in_order is False
+    assert [port for port, _ in tr.final_queues.q_output] == [1, 1, 1, 1, 3]
+    assert not sampler_spec_check(0, fold.inputs, tr.final_queues.q_output, scfg).ok
+
+
+# a small pool, so a workload repeats packets and equal outputs are
+# matched by count; the last one the parser rejects
+_POOL = [tcp_pkt(sp=1), tcp_pkt(sp=1, payload=b"x"), udp_pkt(sp=2), tcp_pkt().take(100)]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), drop_rate=st.sampled_from([0.0, 0.3, 0.7]),
+       every=st.integers(1, 4), picks=st.lists(st.integers(0, len(_POOL) - 1), max_size=14))
+def test_sampler_relation_holds_under_any_schedule(seed, drop_rate, every, picks):
+    scfg = SamplerConfig(forward_port=1, monitor_port=3, sample_every=every)
+    tr = drain_run(sampler_app(scfg), [_POOL[i] for i in picks],
+                   RandomOracle(seed, reorder=True, drop_rate=drop_rate))
+    fold = SamplerFold(tr.initial_state, scfg)
+    assert fold_trace(fold, tr).ok
+    if drop_rate == 0:  # nothing dropped and the run drained: every packet left
+        assert fold.dropped is False
+        assert len(tr.final_queues.q_output) == len(expected_outputs(0, fold.inputs, scfg))
+
+
+@pytest.mark.parametrize("mutant, clause", [
+    (drop_last_multicast_copy, "sampler.incomplete"),
+    (write_wrong_sample_count, "sampler.stream"),
+], ids=["dropped-copy", "wrong-count"])
+def test_sampler_mutants_killed_under_any_schedule(monkeypatch, mutant, clause):
+    pkts = [tcp_pkt(sp=i % 5, payload=bytes([i % 3])) for i in range(24)]
+    mutant(monkeypatch)
+    cfg = sampler_app(SC)
+    for seed in range(10):
+        tr = drain_run(cfg, pkts, RandomOracle(seed, reorder=True, drop_rate=0))
+        assert check_trace(cfg, tr).ok
+        assert sampler_trace_check(tr, SC).violated_clause == clause
 
 
 def test_sampler_generated_packets_are_not_arrivals():
@@ -520,15 +576,47 @@ class TestLangsec:
         for _ in range(50):
             assert _langsec_one(cfg, mangle(rng, rand_packet(rng))).ok
 
-    def test_parseable_packet_is_a_precondition_failure(self):
-        with pytest.raises(PreconditionUnmet):
-            _langsec_one(sampler_app(SC), tcp_pkt())
+    def test_parseable_packet_passes(self):
+        # a parsed input belongs to the program, whatever it does
+        assert _langsec_one(sampler_app(SC), tcp_pkt()).ok
+
+    def test_reject_after_a_parse_is_judged(self):
+        # a copy of the parsed packet is queued when the malformed one is
+        # taken: the reject may move neither it nor the control's state
+        cfg = sampler_app(SamplerConfig(sample_every=1))
+        tr = run(cfg, initial_switch_state(cfg),
+                 SwitchQueues(q_input=arrivals(tcp_pkt(), tcp_pkt().take(30))), 2,
+                 AlwaysIngressOracle())
+        first, reject = tr.steps
+        assert reject.pre_queues.q_egress and fold_trace(LangsecFold(cfg), tr).ok
+        for forged, clause in (
+                (_with_queues(reject, q_egress=()), "langsec.queue_frame"),
+                (dataclasses.replace(reject, post_state=dataclasses.replace(
+                    reject.post_state, s_i=(None, SamplerState(7), None))), "langsec.state_frame")):
+            v = fold_trace(LangsecFold(cfg), dataclasses.replace(tr, steps=[first, forged]))
+            assert (v.violated_clause, v.step) == (clause, 1)
 
     def test_generator_preemption_detected(self):
+        # a burst of three malformed packets moves the generator's state
+        # on ticks whose rejected packet is its own, and on no other
         noisy = dataclasses.replace(sampler_app(SC), pktgen=PktGenConfig(
-            enabled=True, period=5, template=tcp_pkt(sp=1)))
-        with pytest.raises(PreconditionUnmet):
-            _langsec_one(noisy, tcp_pkt().take(10))
+            enabled=True, period=5, pkts_per_batch=3, template=tcp_pkt().take(10)))
+        tr = run(noisy, initial_switch_state(noisy),
+                 SwitchQueues(q_input=arrivals(tcp_pkt().take(20), tcp_pkt().take(30))), 6,
+                 FifoDrainOracle())
+        kinds = [(s.detail.p_g is not None, s.pre_state.s_g != s.post_state.s_g)
+                 for s in tr.steps]
+        assert kinds == [(True, True)] * 3 + [(False, False)] * 2 + [(True, True)]
+        assert fold_trace(LangsecFold(noisy), tr).ok
+        moved = dataclasses.replace(tr.steps[3], post_state=dataclasses.replace(
+            tr.steps[3].post_state, s_g=tr.steps[0].post_state.s_g))
+        v = fold_trace(LangsecFold(noisy), dataclasses.replace(
+            tr, steps=tr.steps[:3] + [moved] + tr.steps[4:]))
+        assert (v.violated_clause, v.step) == ("langsec.state_frame", 3)
+        # the same run judged as one with the generator off
+        quiet = dataclasses.replace(noisy, pktgen=PktGenConfig())
+        v = fold_trace(LangsecFold(quiet), tr)
+        assert (v.violated_clause, v.step) == ("langsec.state_frame", 0)
 
     def test_trace_form_passes_on_honest_run(self):
         rng = random.Random(3)
@@ -565,7 +653,7 @@ class TestLangsec:
     def test_egress_step_is_langsec_queue_frame(self):
         cfg = identity_app()
         tr = drain_run(cfg, [tcp_pkt()])
-        tr.steps = [s for s in tr.steps if s.kind == "egress"]
+        tr = dataclasses.replace(tr, steps=[s for s in tr.steps if s.kind == "egress"])
         v = fold_trace(LangsecFold(cfg), tr)
         assert not v.ok and v.violated_clause == "langsec.queue_frame" and v.step == 0
 
@@ -580,12 +668,16 @@ class TestLangsec:
         assert not v.ok and v.violated_clause == "langsec.queue_frame" and v.step == 0
         assert "at most one" in v.detail
 
-    def test_trace_form_requires_generator_off(self):
+    def test_trace_form_judges_a_generator(self):
+        # the firewall's keepalives parse, and the malformed arrivals
+        # between them are judged
         cfg = firewall_app(FirewallConfig())
-        tr = run(cfg, initial_switch_state(cfg), SwitchQueues(), 1,
-                 FifoDrainOracle())
-        with pytest.raises(PreconditionUnmet):
-            fold_trace(LangsecFold(cfg), tr)
+        rng = random.Random(4)
+        tr = run(cfg, initial_switch_state(cfg),
+                 SwitchQueues(q_input=arrivals(*(mangle(rng, rand_packet(rng))
+                                                 for _ in range(20)))), 40, FifoDrainOracle())
+        assert any(s.detail.p_g is not None for s in tr.steps if s.kind == "ingress")
+        assert fold_trace(LangsecFold(cfg), tr).ok
 
 
 # ---------------------------------------------------------------------------

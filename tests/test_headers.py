@@ -138,6 +138,11 @@ def test_make_rejects_unknown_field():
         make_udp(bogus=1)
 
 
+def test_build_packet_refuses_an_l4_that_is_not_tcp_or_udp():
+    with pytest.raises(ValueError, match="^l4 must be a tcp or udp header, not ethernet$"):
+        build_packet(l4=make_ethernet())
+
+
 def test_build_packet_payload_only():
     tail = BitString(0b1, 1)
     p = build_packet(payload=tail)

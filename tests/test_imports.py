@@ -33,8 +33,7 @@ asked, and recorded, in one place.
 
 Every record of the package is a `record`, never the stdlib's
 `@dataclass`, whose frozen `__init__` stores each field with
-`object.__setattr__`; `switch.Trace`, which a run fills in, is a mutable
-one.  And no module of the package imports `dataclasses` when it is
+`object.__setattr__`.  And no module of the package imports `dataclasses` when it is
 imported, anywhere outside a function body: it loads `inspect`, `ast`,
 `dis`, `tokenize` and `copy`, several milliseconds of every process.
 
@@ -62,6 +61,9 @@ call on every step.
 The checker judges the steps the switch took and never takes one
 itself: it binds neither the switch module nor any of its steppers or
 oracles, so it cannot make the step it then judges.
+
+Every module of the package parses under the grammar of the oldest
+Python that `pyproject.toml` allows.
 """
 
 import ast
@@ -492,3 +494,15 @@ def test_dataclass_decoration_scanner():
     src = ("@dataclass(frozen=True)\nclass A: pass\n@dataclasses.dataclass\nclass B: pass\n"
            "@record\nclass C: pass\n")
     assert dataclass_decorations(src) == ["A: dataclass(frozen=True)", "B: dataclasses.dataclass"]
+
+
+OLDEST_PYTHON = (3, 10)
+
+
+def test_package_parses_under_its_oldest_python():
+    """Syntax only: a library API that the oldest version lacks, such as
+    a keyword a stdlib call gained later, still parses."""
+    pyproject = (TESTS.parent / "pyproject.toml").read_text()
+    assert 'requires-python = ">=%d.%d"' % OLDEST_PYTHON in pyproject
+    for path in PACKAGE:
+        ast.parse(path.read_text(), str(path), feature_version=OLDEST_PYTHON)

@@ -35,11 +35,10 @@ OWN_INIT = (packet_format.TypedValue, engines.McConfig)
 
 
 def _record_classes() -> list[type]:
-    """Every dataclass defined in a module of the package but the trace,
-    which a run fills in."""
+    """Every dataclass defined in a module of the package."""
     return sorted({v for m in MODULES for v in vars(m).values()
                    if isinstance(v, type) and v.__module__ == m.__name__
-                   and dataclasses.is_dataclass(v) and v is not switch.Trace},
+                   and dataclasses.is_dataclass(v)},
                   key=lambda c: (c.__module__, c.__qualname__))
 
 
@@ -120,7 +119,7 @@ def case(request, samples):
     twin = _twin(cls)
 
     def twin_of(x):
-        return twin(**{f.name: getattr(x, f.name) for f in dataclasses.fields(cls) if f.init})
+        return twin(*_values(x))
     return cls, samples[cls], twin, twin_of
 
 
@@ -189,12 +188,11 @@ def test_replace_and_asdict_agree(case):
         assert _values(dataclasses.replace(a)) == _values(dataclasses.replace(twin_of(a)))
         for b in xs:
             for f in dataclasses.fields(cls):
-                if f.init:
-                    change = {f.name: getattr(b, f.name)}
-                    got = _same(dataclasses.replace, a, **change)
-                    want = _same(dataclasses.replace, twin_of(a), **change)
-                    assert (got if isinstance(got, type) else _values(got)) == \
-                        (want if isinstance(want, type) else _values(want))
+                change = {f.name: getattr(b, f.name)}
+                got = _same(dataclasses.replace, a, **change)
+                want = _same(dataclasses.replace, twin_of(a), **change)
+                assert (got if isinstance(got, type) else _values(got)) == \
+                    (want if isinstance(want, type) else _values(want))
 
 
 def test_copies_keep_every_slot(case):
@@ -235,13 +233,28 @@ def test_frozen(case):
                 obj.not_a_field = 1
 
 
-@pytest.mark.parametrize("make", [lambda: BitString(1, 0), lambda: BitString(0, -1),
-                                  lambda: FirewallConfig(bits=0),
-                                  lambda: engines.EgressMeta(512, 0, engines.UNICAST)],
-                         ids=["bits-value", "bits-length", "firewall-bits", "egress-port"])
-def test_post_init_checks_still_fire(make):
-    with pytest.raises(ValueError):
+_TIMING = ("period", "batch_count", "pkts_per_batch", "inter_batch_gap", "inter_pkt_gap")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: BitString(1, 0), ""), (lambda: BitString(0, -1), ""),
+    (lambda: FirewallConfig(bits=0), ""),
+    (lambda: engines.EgressMeta(512, 0, engines.UNICAST), ""),
+    (lambda: apps.SamplerConfig(sample_every=0), "sample_every must be >= 1"),
+    (lambda: engines.L1Node(l1_xid=1 << 16), "l1_xid out of 16-bit range: 65536"),
+    (lambda: engines.EgressMeta(1, 0, "broadcast"), "bad copy source: 'broadcast'"),
+    *((lambda name=name: engines.PktGenConfig(**{name: 0}), f"{name} must be >= 1")
+      for name in _TIMING),
+    (lambda: engines.PktGenState("busy"), "bad pktgen phase: 'busy'"),
+    (lambda: packet_format.HeaderType("h", (("a", 4), ("b", 0))), "h.b: width must be >= 1"),
+    (lambda: packet_format.HeaderType("h", (("a", 4), ("a", 2))), "h: duplicate field 'a'"),
+], ids=["bits-value", "bits-length", "firewall-bits", "egress-port", "sample-every", "l1-xid",
+        "egress-source", *(f"pktgen-{name}" for name in _TIMING), "pktgen-phase",
+        "header-width", "header-duplicate"])
+def test_post_init_checks_still_fire(make, message):
+    with pytest.raises(ValueError) as e:
         make()
+    assert message in str(e.value)
 
 
 def test_record_refuses_a_default_factory():
@@ -270,52 +283,13 @@ def test_generated_methods_are_named_for_their_class():
         x: int
         y: int = 0
 
-    @records.record(frozen=False)
-    class Box:
-        items: tuple = ()
-
     assert Point.__qualname__ == f"{test_generated_methods_are_named_for_their_class.__name__}.<locals>.Point"
     p = Point(1)
-    assert p == Point(1, 0) and hash(p) == hash(Point(1, 0)) and Box() == Box()
-    for cls, names in ((Point, ("__init__", "__eq__", "__hash__")), (Box, ("__init__", "__eq__"))):
-        for name in names:
-            method = vars(cls)[name]
-            assert method.__name__ == name
-            assert method.__qualname__ == f"{cls.__qualname__}.{name}"
-    assert Box.__hash__ is None
-
-
-def test_trace_is_the_mutable_dataclass_it_replaces():
-    """switch.Trace, which a run fills in and tests edit, is a mutable
-    record: `dataclasses.fields`, `replace`, `==`, `repr` and assignment
-    to a field behave as on the plain dataclass it replaces, and it is
-    unhashable as that one is.  Its slots refuse a name that is no field."""
-    flds = dataclasses.fields(switch.Trace)
-    ns = {"__annotations__": {f.name: f.type for f in flds}}
-    for f in flds:
-        ns[f.name] = dataclasses.field(default=f.default, init=f.init, repr=f.repr,
-                                       compare=f.compare)
-    twin = dataclasses.dataclass(type("Trace", (), ns))
-
-    def spec(c):
-        return [(f.name, f.type, f.default, f.init, f.repr, f.compare, f.hash)
-                for f in dataclasses.fields(c)]
-    assert spec(switch.Trace) == spec(twin) and switch.Trace.__hash__ is twin.__hash__ is None
-    tr = drain_run(identity_app(), [tcp_pkt(sp=i) for i in range(3)] + [udp_pkt(sp=9)])
-    tt = twin(*_values(tr))
-    assert repr(tr) == repr(tt)
-    same, edited = dataclasses.replace(tr), dataclasses.replace(tr, steps=tr.steps[:1])
-    assert type(same) is type(edited) is switch.Trace
-    assert _values(edited) == _values(dataclasses.replace(tt, steps=tt.steps[:1]))
-    assert (same == tr) is (dataclasses.replace(tt) == tt) is True
-    assert (edited == tr) is (dataclasses.replace(tt, steps=tt.steps[:1]) == tt) is False
-    for obj in (tr, tt):
-        obj.final_queues = dataclasses.replace(obj.final_queues, q_output=())
-        obj.steps = [s for s in obj.steps if s.kind == "egress"]
-    assert _values(tr) == _values(tt) and tr.final_queues.q_output == () and tr.steps
-    assert (tr == same) is (tt == twin(*_values(same))) is False
-    with pytest.raises(AttributeError):
-        tr.not_a_field = 1
+    assert p == Point(1, 0) and hash(p) == hash(Point(1, 0))
+    for name in ("__init__", "__eq__", "__hash__"):
+        method = vars(Point)[name]
+        assert method.__name__ == name
+        assert method.__qualname__ == f"{Point.__qualname__}.{name}"
 
 
 def test_record_refuses_a_field_without_default_after_one_with():

@@ -487,6 +487,14 @@ class TestTraceSerialization:
                   len(decisions), ReplayOracle(iter(decisions)))
         assert tr2.steps == [] and tr2.fault == "OracleOutOfRange: no recorded input_index"
 
+    def test_replay_past_its_decisions_faults(self):
+        cfg = identity_app()
+        tr = drain_run(cfg, [P1, P2], FifoDrainOracle())
+        tr2 = run(cfg, tr.initial_state, tr.initial_queues, len(tr.steps) + 1,
+                  ReplayOracle([s.decisions for s in tr.steps]))
+        assert tr2.steps == tr.steps
+        assert tr2.fault == "OracleOutOfRange: replay ran out of recorded decisions"
+
     def test_random_oracle_seed_determinism(self):
         a = drain_run(identity_app(), [P1, P2], RandomOracle(5))
         b = drain_run(identity_app(), [P1, P2], RandomOracle(5))
