@@ -7,17 +7,20 @@ Four subcommands:
   fmt    match a hex packet against one of the declared formats
   gen    synthesize a workload file
 
+Each is declared once in COMMANDS, which `parse_args` reads argv
+against and the `--help` text is printed from.
+
 Exit codes: 0 success, 1 a check reported a violation, 2 bad usage or
 configuration, 3 the simulated switch hit an engine fault.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
-from typing import Optional
+from types import SimpleNamespace
+from typing import NoReturn, Optional
 
 from . import switch
 from .apps import app_from_config, initial_switch_state
@@ -28,54 +31,120 @@ from .headers import (
 from .packet_format import BitString, TypedValue, match_report
 
 FORMATS = {"standard": STANDARD_FORMAT, "sampled": SAMPLED_FORMAT}
+REQUIRED = object()  # the default of an argument that must be given
+
+# command: (the name of its handler, its help, its arguments). An argument
+# named --x is an option, the others are positionals in their order. Each is
+# (type, default, choices, help): a bool one is a flag, which takes no value,
+# and choices, a collection or None, is looked in as argv is parsed, so a
+# format added to FORMATS is a choice. The handler is looked up when main
+# runs, so a replaced cmd_sim is called.
+COMMANDS = {
+    "sim": ("cmd_sim", "run a switch and write a trace", {
+        "--config": (str, REQUIRED, None, "app config JSON file"),
+        "--input": (str, None, None, "workload file from `gen` (JSON lines)"),
+        "--steps": (int, 1000, None, ""),
+        "--policy": (str, "fifo-drain", switch.ORACLE_POLICIES,
+                     "decision policy for the nondeterminism oracle"),
+        "--seed": (int, 0, None, ""),
+        "--trace": (str, None, None, "trace output path (JSON lines)"),
+        "--drain": (bool, False, None, "stop once every queue is empty"),
+    }),
+    "check": ("cmd_check", "replay and verify a trace", {
+        "trace": (str, REQUIRED, None, "trace file written by sim"),
+        "--config": (str, REQUIRED, None, "the config the trace was run with"),
+        "--spec": (str, "axioms", None,
+                   "axioms | sampler | langsec | denseflow:gap | firewall:gap"),
+    }),
+    "fmt": ("cmd_fmt", "match a packet against a format", {
+        "format": (str, REQUIRED, FORMATS, ""),
+        "packet": (str, REQUIRED, None, "hex string, or @file with hex inside"),
+    }),
+    "gen": ("cmd_gen", "synthesize a workload", {
+        "--profile": (str, "mixed", ("tcp", "udp", "mixed"), ""),
+        "--count": (int, 100, None, ""),
+        "--seed": (int, 0, None, ""),
+        "--malformed-rate": (float, 0.0, None, ""),
+        "--ports": (str, "1", None, "comma separated ingress ports to draw from"),
+        "--out": (str, None, None, "output path; stdout when omitted"),
+    }),
+}
+HELP = ("-h", "--help")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="dataplane")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    # the handlers are looked up when main runs, so a replaced cmd_sim is called
-    p_sim = sub.add_parser("sim", help="run a switch and write a trace")
-    p_sim.set_defaults(run=cmd_sim)
-    p_sim.add_argument("--config", required=True, help="app config JSON file")
-    p_sim.add_argument("--input", help="workload file from `gen` (JSON lines)")
-    p_sim.add_argument("--steps", type=int, default=1000)
-    p_sim.add_argument("--policy", default="fifo-drain",
-                       choices=switch.ORACLE_POLICIES,
-                       help="decision policy for the nondeterminism oracle")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--trace", help="trace output path (JSON lines)")
-    p_sim.add_argument("--drain", action="store_true",
-                       help="stop once every queue is empty")
-
-    p_chk = sub.add_parser("check", help="replay and verify a trace")
-    p_chk.set_defaults(run=cmd_check)
-    p_chk.add_argument("trace", help="trace file written by sim")
-    p_chk.add_argument("--config", required=True, help="the config the trace was run with")
-    p_chk.add_argument("--spec", default="axioms",
-                       help="axioms | sampler | langsec | denseflow:gap | firewall:gap")
-
-    p_fmt = sub.add_parser("fmt", help="match a packet against a format")
-    p_fmt.set_defaults(run=cmd_fmt)
-    p_fmt.add_argument("format", choices=sorted(FORMATS))
-    p_fmt.add_argument("packet", help="hex string, or @file with hex inside")
-
-    p_gen = sub.add_parser("gen", help="synthesize a workload")
-    p_gen.set_defaults(run=cmd_gen)
-    p_gen.add_argument("--profile", default="mixed", choices=("tcp", "udp", "mixed"))
-    p_gen.add_argument("--count", type=int, default=100)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--malformed-rate", type=float, default=0.0)
-    p_gen.add_argument("--ports", default="1",
-                       help="comma separated ingress ports to draw from")
-    p_gen.add_argument("--out", help="output path; stdout when omitted")
-
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.run(args)
+        return globals()[COMMANDS[args.cmd][0]](args)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv read against COMMANDS: a command, then its arguments in any
+    order. An option's value follows it or its `=`; the last one wins."""
+    cmd = argv[0] if argv else None
+    if cmd in HELP:
+        _exit(None)
+    if cmd not in COMMANDS:
+        _exit(None, "no command" if cmd is None else f"unknown command {cmd!r}")
+    spec, given, positionals, rest = COMMANDS[cmd][2], {}, [], iter(argv[1:])
+    for token in rest:
+        name, eq, value = token.partition("=")
+        if token in HELP:
+            _exit(cmd)
+        elif not token.startswith("-"):
+            positionals.append(token)
+        elif name not in spec or (eq and spec[name][0] is bool):  # an abbreviation too
+            _exit(cmd, f"unrecognized option {token}")
+        elif eq or spec[name][0] is bool:
+            given[name] = value if eq else True
+        elif (value := next(rest, None)) is None:  # the next token, whatever it is: --seed -5
+            _exit(cmd, f"{name} needs a value")
+        else:
+            given[name] = value
+    named = [name for name in spec if not name.startswith("-")]
+    if len(positionals) != len(named):
+        _exit(cmd, f"expected {len(named)} positional argument(s), got {len(positionals)}")
+    given.update(zip(named, positionals))
+    args = SimpleNamespace(cmd=cmd)
+    for name, (type_, default, choices, _) in spec.items():
+        value = given.get(name, default)
+        if value is REQUIRED:
+            _exit(cmd, f"{name} is required")
+        if name in given:
+            try:
+                value = type_(value)
+            except ValueError:
+                _exit(cmd, f"{name}: invalid {type_.__name__} value: {value!r}")
+            if choices is not None and value not in choices:
+                _exit(cmd, f"{name}: invalid choice: {value!r} (choose from {', '.join(choices)})")
+        setattr(args, name.lstrip("-").replace("-", "_"), value)
+    return args
+
+
+def _exit(cmd: Optional[str], error: Optional[str] = None) -> NoReturn:
+    """With an error, the usage line and the error on stderr, and exit 2;
+    without, the help on stdout, and exit 0."""
+    usage = f"usage: dataplane [-h] {{{','.join(COMMANDS)}}} ..."
+    rows = [(name, help) for name, (_, help, _) in COMMANDS.items()]
+    if cmd is not None:
+        usage, rows = f"usage: dataplane {cmd} [-h]", [("-h, --help", "show this help and exit")]
+        for name, (type_, default, choices, help) in COMMANDS[cmd][2].items():
+            word = f"{name} {name[2:].upper()}" if name[0] == "-" and type_ is not bool else name
+            usage += f" {word}" if default is REQUIRED else f" [{word}]"
+            notes = [help, default is REQUIRED and "(required)",
+                     choices is not None and f"(choices: {', '.join(choices)})",
+                     type_ is not bool and default not in (None, REQUIRED)
+                     and f"(default: {default})"]
+            rows.append((word, " ".join(filter(None, notes))))
+    if error is not None:
+        sys.stderr.write(f"{usage}\ndataplane: error: {error}\n")
+        raise SystemExit(2)
+    width = max(len(word) for word, _ in rows)
+    sys.stdout.write(f"{usage}\n\n" + "".join(f"  {w:<{width}}  {h}\n" for w, h in rows))
+    raise SystemExit(0)
 
 
 def _load_config(path: str) -> dict:

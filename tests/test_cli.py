@@ -355,10 +355,11 @@ class TestSim:
 
     def test_sim_and_check_load_no_dataclasses(self, sampler_cfg, tmp_path, capsys):
         # records read their own fields: dataclasses, and the inspect it
-        # loads, cost every process several milliseconds
+        # loads, cost every process several milliseconds; so do argparse
+        # and the gettext and locale it loads, where the command table serves
         wl, tr = str(tmp_path / "w.jsonl"), str(tmp_path / "t.jsonl")
         run_cli(capsys, "gen", "--count", "8", "--seed", "3", "--out", wl)
-        unloaded = ["dataclasses", "inspect"]
+        unloaded = ["dataclasses", "inspect", "argparse", "gettext", "locale"]
         out = self._fresh_run(["sim", "--config", sampler_cfg, "--input", wl, "--drain",
                                "--trace", tr], unloaded)
         assert out.startswith("steps=")
@@ -1343,6 +1344,103 @@ def test_bad_usage_exits_two():
         with pytest.raises(SystemExit) as ei:
             main(argv)
         assert ei.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# usage: argv is read against cli.COMMANDS, which the help is printed from
+
+def exit_of(capsys, argv):
+    """main(argv)'s SystemExit code, stdout and stderr."""
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    cap = capsys.readouterr()
+    return ei.value.code, cap.out, cap.err
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "no command"),
+    (["nosuch"], "unknown command 'nosuch'"),
+    (["sim", "--config", "c.json", "--bogus", "1"], "unrecognized option --bogus"),
+    (["sim", "--conf", "c.json"], "unrecognized option --conf"),  # no abbreviations
+    (["sim", "--config", "c.json", "--drain=1"], "unrecognized option --drain=1"),
+    (["sim", "--config"], "--config needs a value"),
+    (["sim", "--steps", "5"], "--config is required"),
+    (["sim", "--config", "c.json", "--steps", "five"], "--steps: invalid int value: 'five'"),
+    (["gen", "--malformed-rate=x"], "--malformed-rate: invalid float value: 'x'"),
+    (["sim", "--config", "c.json", "--policy", "bogus"],
+     "--policy: invalid choice: 'bogus' (choose from fifo-drain, random, adversarial-drop)"),
+    (["gen", "--profile", "icmp"],
+     "--profile: invalid choice: 'icmp' (choose from tcp, udp, mixed)"),
+    (["fmt", "nosuch", "00"], "format: invalid choice: 'nosuch' (choose from standard, sampled)"),
+    (["check", "--config", "c.json"], "expected 1 positional argument(s), got 0"),
+    (["fmt", "standard", "00", "11"], "expected 2 positional argument(s), got 3"),
+    (["sim", "--config", "c.json", "extra"], "expected 0 positional argument(s), got 1"),
+])
+def test_bad_usage_is_a_usage_line_and_one_error(capsys, argv, error):
+    code, out, err = exit_of(capsys, argv)
+    usage = "usage: dataplane " + (argv[0] if argv and argv[0] in cli.COMMANDS else "[-h]")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0].startswith(usage + " ")
+    assert err.splitlines()[1:] == [f"dataplane: error: {error}"]
+
+
+def test_help_names_every_command(capsys):
+    for flag in ("-h", "--help"):
+        code, out, err = exit_of(capsys, [flag])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: dataplane [-h] {sim,check,fmt,gen} ...\n")
+        assert [line.split()[0] for line in out.splitlines()[2:]] == list(cli.COMMANDS)
+
+
+def test_command_help_names_every_argument(capsys):
+    code, out, err = exit_of(capsys, ["sim", "--config", "c.json", "--help"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == (
+        "usage: dataplane sim [-h] --config CONFIG [--input INPUT] [--steps STEPS]"
+        " [--policy POLICY] [--seed SEED] [--trace TRACE] [--drain]")
+    rows = {line.split()[0]: line for line in out.splitlines()[2:]}
+    assert list(rows) == ["-h,", *cli.COMMANDS["sim"][2]]
+    assert rows["--config"].endswith("app config JSON file (required)")
+    assert rows["--steps"].endswith("(default: 1000)")
+    assert rows["--policy"].endswith(
+        "(choices: fifo-drain, random, adversarial-drop) (default: fifo-drain)")
+    for cmd, (_, _, arguments) in cli.COMMANDS.items():
+        code, out, _ = exit_of(capsys, [cmd, "-h"])
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()[3:]] == list(arguments)
+    assert "(choices: tcp, udp, mixed) (default: mixed)" in exit_of(capsys, ["gen", "-h"])[1]
+    assert "(choices: standard, sampled)" in exit_of(capsys, ["fmt", "-h"])[1]
+
+
+def test_options_take_equals_dashes_and_repeats(monkeypatch, identity_cfg):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_sim", lambda args: seen.append(vars(args)) or 0)
+    assert main(["sim", f"--config={identity_cfg}", "--seed", "-5", "--steps=7",
+                 "--steps", "9", "--trace="]) == 0
+    assert seen == [{"cmd": "sim", "config": identity_cfg, "input": None, "steps": 9,
+                     "policy": "fifo-drain", "seed": -5, "trace": "", "drain": False}]
+
+
+def test_options_keep_their_attribute_names(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_gen", lambda args: seen.append(vars(args)) or 0)
+    assert main(["gen", "--malformed-rate", "0.5", "--profile", "udp"]) == 0
+    assert seen == [{"cmd": "gen", "profile": "udp", "count": 100, "seed": 0,
+                     "malformed_rate": 0.5, "ports": "1", "out": None}]
+
+
+def test_main_reads_sys_argv(monkeypatch, identity_cfg, capsys):
+    # the [project.scripts] entry point calls main() with no argv
+    monkeypatch.setattr(sys, "argv", ["dataplane", "sim", "--config", identity_cfg,
+                                      "--steps", "3"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("steps=3 ")
+
+
+def test_fmt_choices_are_read_when_parsing(monkeypatch, capsys):
+    monkeypatch.setitem(cli.FORMATS, "plain", cli.FORMATS["standard"])
+    assert cli.parse_args(["fmt", "plain", "00"]).format == "plain"
+    assert "(choices: standard, sampled, plain)" in exit_of(capsys, ["fmt", "-h"])[1]
 
 
 DEEP = "[" * 10**5 + "]" * 10**5  # far past the JSON decoder's recursion limit

@@ -482,12 +482,33 @@ def test_no_module_imports_dataclasses_at_import():
     assert found == []
 
 
+def every_import(source: str) -> list[str]:
+    """The modules source imports anywhere, in a function or not: those of
+    every `import` and absolute `from ... import`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(node.module)
+    return sorted(found)
+
+
+def test_no_module_imports_argparse():
+    # cli reads argv against its own command table: argparse, with the
+    # gettext and locale it loads, cost every command a few milliseconds
+    found = [f"{p.name}: {m}" for p in PACKAGE for m in every_import(p.read_text())
+             if m.split(".")[0] == "argparse"]
+    assert found == []
+
+
 def test_import_time_import_scanner():
     src = ("import dataclasses\nfrom os import path\nfrom . import m\n"
            "def f():\n    import json\n    g = lambda: __import__('x')\n"
            "class C:\n    import re\n    def h(self):\n        from copy import copy\n"
            "if path:\n    import sys\n")
     assert import_time_imports(src) == ["dataclasses", "os", "re", "sys"]
+    assert every_import(src) == ["copy", "dataclasses", "json", "os", "re", "sys"]
 
 
 def test_dataclass_decoration_scanner():
