@@ -17,6 +17,7 @@ configuration, 3 the simulated switch hit an engine fault.
 from __future__ import annotations
 
 import json
+import os
 import random
 import sys
 from types import SimpleNamespace
@@ -125,26 +126,9 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 
 def _exit(cmd: Optional[str], error: Optional[str] = None) -> NoReturn:
-    """With an error, the usage line and the error on stderr, and exit 2;
-    without, the help on stdout, and exit 0."""
-    usage = f"usage: dataplane [-h] {{{','.join(COMMANDS)}}} ..."
-    rows = [(name, help) for name, (_, help, _) in COMMANDS.items()]
-    if cmd is not None:
-        usage, rows = f"usage: dataplane {cmd} [-h]", [("-h, --help", "show this help and exit")]
-        for name, (type_, default, choices, help) in COMMANDS[cmd][2].items():
-            word = f"{name} {name[2:].upper()}" if name[0] == "-" and type_ is not bool else name
-            usage += f" {word}" if default is REQUIRED else f" [{word}]"
-            notes = [help, default is REQUIRED and "(required)",
-                     choices is not None and f"(choices: {', '.join(choices)})",
-                     type_ is not bool and default not in (None, REQUIRED)
-                     and f"(default: {default})"]
-            rows.append((word, " ".join(filter(None, notes))))
-    if error is not None:
-        sys.stderr.write(f"{usage}\ndataplane: error: {error}\n")
-        raise SystemExit(2)
-    width = max(len(word) for word, _ in rows)
-    sys.stdout.write(f"{usage}\n\n" + "".join(f"  {w:<{width}}  {h}\n" for w, h in rows))
-    raise SystemExit(0)
+    from .usage import exit_with_usage  # only --help and bad usage print, so sim compiles none of it
+
+    exit_with_usage(COMMANDS, REQUIRED, cmd, error)
 
 
 def _load_config(path: str) -> dict:
@@ -192,9 +176,11 @@ def cmd_sim(args) -> int:
     if args.drain:
         stop = lambda s, q: (not q.q_input and not q.q_egress
                              and q.p_recirc is None)
-    trace = switch.run(cfg, st, qs, args.steps, oracle, stop_when=stop)
     if args.trace:
-        switch.write_trace(trace, args.trace)
+        with open(args.trace, "w") as fh:  # each line is written as its step is taken
+            trace = switch.run(cfg, st, qs, args.steps, oracle, stop_when=stop, sink=fh.write)
+    else:
+        trace = switch.run(cfg, st, qs, args.steps, oracle, stop_when=stop)
     print(f"steps={len(trace.steps)} outputs={len(trace.final_queues.q_output)} "
           f"t={trace.final_state.t} fault={trace.fault or 'none'}")
     return 3 if trace.fault else 0
@@ -312,5 +298,25 @@ def _random_packet(rng: random.Random, profile: str) -> BitString:
                         payload=payload)
 
 
+def entry() -> NoReturn:
+    """The process: main's exit code ends it through os._exit once stdout
+    and stderr are flushed, which skips the interpreter's teardown (about
+    10 ms a process), so atexit hooks do not run.  A stdout that cannot
+    take the output, such as a closed pipe, fails a run that succeeded
+    with a one-line error.  A SystemExit (help, bad usage) or a traceback
+    leaves main the normal way."""
+    code = main()
+    try:
+        try:
+            sys.stdout.flush()
+        except OSError as e:
+            if code == 0:
+                code = 2
+                print(f"error: {e}", file=sys.stderr)
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

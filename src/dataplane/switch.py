@@ -250,7 +250,7 @@ class Trace:
     app_label: str
     initial_state: SwitchState
     initial_queues: SwitchQueues
-    steps: list[TraceStep]
+    steps: "list[TraceStep] | _Replayed"
     final_state: SwitchState
     final_queues: SwitchQueues
     fault: Optional[str] = None
@@ -403,22 +403,56 @@ class Run:
 
 def run(cfg: SwitchConfig, init_state: SwitchState, init_queues: SwitchQueues,
         n_steps: int, o: Oracle,
-        stop_when: Optional[Callable[[SwitchState, SwitchQueues], bool]] = None) -> Trace:
+        stop_when: Optional[Callable[[SwitchState, SwitchQueues], bool]] = None,
+        sink: Optional[Callable[[str], object]] = None) -> Trace:
     """Take up to n_steps steps of a Run and keep them in a Trace.
 
     Stops early when stop_when(state, queues) turns true.  An engine
     error aborts the run; the partial trace is kept and the fault
     stored on the returned Trace.
+
+    Given sink, each line of the trace file goes to sink as soon as its
+    step is taken, and only each step's decisions are kept: the Trace's
+    steps is then a _Replayed view of them.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     r = Run(cfg, init_state, init_queues, o)
     more = (lambda st, qs: True) if stop_when is None else (lambda st, qs: not stop_when(st, qs))
-    steps = list(islice(r.steps(more), n_steps))
-    return Trace(config_digest=config_digest(cfg), app_label=cfg.app_label,
+    taken = islice(r.steps(more), n_steps)
+    cfg_digest = config_digest(cfg)
+    if sink is None:
+        steps = list(taken)
+    else:
+        decisions = []
+        for step, rec in trace_records(cfg_digest, cfg.app_label, init_state, init_queues, taken,
+                                       lambda: (r.fault, r.fault_decisions, r.state, r.queues)):
+            if step is not None:
+                decisions.append(step.decisions)
+            sink(dump_record(rec) + "\n")
+        steps = _Replayed(cfg, init_state, init_queues, decisions)
+    return Trace(config_digest=cfg_digest, app_label=cfg.app_label,
                  initial_state=init_state, initial_queues=init_queues,
                  steps=steps, final_state=r.state, final_queues=r.queues, fault=r.fault,
                  fault_decisions=r.fault_decisions)
+
+
+class _Replayed:
+    """The steps of a streamed run, rebuilt from its decisions: len() is
+    the number of steps, and each iteration replays the run through a
+    ReplayOracle, so a second pass pays for the whole run again."""
+
+    def __init__(self, cfg: SwitchConfig, st: SwitchState, qs: SwitchQueues,
+                 decisions: list[dict]) -> None:
+        self._start = cfg, st, qs
+        self._decisions = decisions
+
+    def __len__(self) -> int:
+        return len(self._decisions)
+
+    def __iter__(self) -> Iterator[TraceStep]:
+        r = Run(*self._start, ReplayOracle(self._decisions))
+        return islice(r.steps(lambda st, qs: True), len(self._decisions))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -356,10 +357,12 @@ class TestSim:
     def test_sim_and_check_load_no_dataclasses(self, sampler_cfg, tmp_path, capsys):
         # records read their own fields: dataclasses, and the inspect it
         # loads, cost every process several milliseconds; so do argparse
-        # and the gettext and locale it loads, where the command table serves
+        # and the gettext and locale it loads, where the command table
+        # serves; and the help and usage printer, which only --help and
+        # bad usage run, costs every process that compiles it
         wl, tr = str(tmp_path / "w.jsonl"), str(tmp_path / "t.jsonl")
         run_cli(capsys, "gen", "--count", "8", "--seed", "3", "--out", wl)
-        unloaded = ["dataclasses", "inspect", "argparse", "gettext", "locale"]
+        unloaded = ["dataclasses", "inspect", "argparse", "gettext", "locale", "dataplane.usage"]
         out = self._fresh_run(["sim", "--config", sampler_cfg, "--input", wl, "--drain",
                                "--trace", tr], unloaded)
         assert out.startswith("steps=")
@@ -368,15 +371,20 @@ class TestSim:
         assert out.endswith("sampler: ok\n")
 
 
+def _src_env() -> dict:
+    """The environment, with this checkout's src first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def _fresh_process(script, unloaded):
     """stdout of script run by a fresh interpreter, which asserts that it
     exits 0 and that no module in unloaded was imported."""
     script = f"import sys\n{script}loaded = set({unloaded!r}) & set(sys.modules)\n" \
         "assert not loaded, loaded\n"
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env=_src_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -1467,3 +1475,76 @@ def test_deeply_nested_json_is_bad_input(identity_cfg, tmp_path, capsys, where):
         argv = ["check", str(deep), "--config", identity_cfg]
         message = "trace line 3: JSON nested too deeply"
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# ---------------------------------------------------------------------------
+# the process: `python -m dataplane.cli` runs cli.entry, which ends it with
+# os._exit once main has returned and stdout and stderr are flushed
+
+
+def _process(*argv, stdout=subprocess.PIPE, buffered=False):
+    """A fresh `python -m dataplane.cli` with argv: (exit code, stdout,
+    stderr).  buffered clears PYTHONUNBUFFERED, so stdout holds what is
+    printed until it is flushed."""
+    env = _src_env()
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-m", "dataplane.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestProcess:
+    @pytest.fixture
+    def workload(self, tmp_path, capsys):
+        wl = str(tmp_path / "w.jsonl")
+        run_cli(capsys, "gen", "--count", "30", "--seed", "7", "--ports", "1,2", "--out", wl)
+        return wl
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    def test_sim_then_check(self, sampler_cfg, workload, tmp_path, capsys, buffered):
+        argv = ["sim", "--config", sampler_cfg, "--input", workload, "--drain", "--trace"]
+        tr, mine = tmp_path / "process.jsonl", tmp_path / "main.jsonl"
+        code, out, err = _process(*argv, str(tr), buffered=buffered)
+        assert (code, out, err) == run_cli(capsys, *argv, str(mine))
+        assert code == 0 and out.startswith("steps=") and err == ""
+        assert tr.read_bytes() == mine.read_bytes()
+        steps = out.split()[0].partition("=")[2]
+        assert _process("check", str(tr), "--config", sampler_cfg, "--spec", "sampler",
+                        buffered=buffered) \
+            == (0, f"replay: ok ({steps} steps)\naxioms: ok\nsampler: ok\n", "")
+
+    def test_a_forged_trace_exits_one(self, sampler_cfg, workload, tmp_path, capsys):
+        tr = Path(_sim_trace(capsys, tmp_path, sampler_cfg, workload=workload))
+        lines = tr.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["post"]["t"] += 1
+        tr.write_text("\n".join([lines[0], _dump(rec), *lines[2:]]) + "\n")
+        assert _process("check", str(tr), "--config", sampler_cfg) \
+            == (1, "replay: VIOLATION clause=trace.divergence step=0\n", "")
+
+    def test_a_bad_config_exits_two_with_one_line(self, tmp_path):
+        cfg = write_config(tmp_path, "bad.json", {"app": "sampler", "sample_every": "4"})
+        code, out, err = _process("sim", "--config", cfg)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: config")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sim", "-h"], [], ["sim"],
+                                      ["gen", "--count", "x"]])
+    def test_help_and_bad_usage_as_in_main(self, capsys, argv):
+        assert _process(*argv) == exit_of(capsys, argv)
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("cmd", ["sim", "gen"])
+    def test_a_closed_stdout_is_an_error_not_a_traceback(self, sampler_cfg, workload,
+                                                         tmp_path, cmd, buffered):
+        argv = {"sim": ["sim", "--config", sampler_cfg, "--input", workload, "--drain",
+                        "--trace", str(tmp_path / "t.jsonl")],
+                "gen": ["gen", "--count", "5000"]}[cmd]
+        r, w = os.pipe()
+        os.close(r)  # nobody reads: every write to w fails
+        try:
+            code, _, err = _process(*argv, stdout=w, buffered=buffered)
+        finally:
+            os.close(w)
+        assert (code, err) == (2, "error: [Errno 32] Broken pipe\n")

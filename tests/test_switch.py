@@ -3,9 +3,11 @@ recirculation, and trace serialization."""
 
 import dataclasses
 import hashlib
+import io
 import json
 import random
 import traceback
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -15,13 +17,14 @@ from dataplane.pipeline import TmMeta
 from dataplane.engines import (
     UNICAST, EgressMeta, McConfig, PktGenConfig, QacAlwaysReady, QacMinimal, Seq,
 )
-from dataplane import engines, switch
+from dataplane import audit, checker, engines, switch
 from dataplane.packet_format import BitString
 from dataplane.records import record
 from dataplane.switch import (
     EGRESS,
     FifoDrainOracle,
     INGRESS,
+    ORACLE_POLICIES,
     RandomOracle,
     ReplayOracle,
     Run,
@@ -57,6 +60,7 @@ from dataplane.apps import (
 
 from support import (
     AlwaysEgressOracle,
+    PastTheEndOracle,
     arrivals,
     assert_format_4_loses_nothing,
     drain_run,
@@ -745,3 +749,82 @@ def test_make_oracle_policies():
     make_oracle("adversarial-drop")
     with pytest.raises(ValueError):
         make_oracle("psychic")
+
+
+# ---------------------------------------------------------------------------
+# streamed runs: given a sink, run writes each line of the trace as its
+# step is taken, keeps only the decisions, and replays the steps on demand
+
+STREAM_CONFIGS = {
+    "identity": {"app": "identity", "forward_port": 2},
+    "sampler": {"app": "sampler", "forward_port": 1, "monitor_port": 3, "sample_every": 2},
+    "firewall": {"app": "firewall", "inside_port": 1, "outside_port": 2, "window": 16,
+                 "keepalive_period": 4},
+}
+
+
+def _workload(n: int, seed: int = 5) -> SwitchQueues:
+    rng = random.Random(seed)
+    return SwitchQueues(q_input=tuple(switch.Arrival(rng.choice((1, 2)), rand_packet(rng))
+                                      for _ in range(n)))
+
+
+def _streamed(cfg, qs, n_steps, oracle, **kw):
+    """run with a sink that keeps the lines: (the Trace, the file's text)."""
+    lines = []
+    tr = run(cfg, initial_switch_state(cfg), qs, n_steps, oracle, sink=lines.append, **kw)
+    return tr, "".join(lines)
+
+
+@pytest.mark.parametrize("policy", ORACLE_POLICIES)
+@pytest.mark.parametrize("app", list(STREAM_CONFIGS))
+def test_a_streamed_run_writes_the_trace_it_would_keep(app, policy, tmp_path):
+    cfg, qs = app_from_config(STREAM_CONFIGS[app]), _workload(24)
+    stop = lambda s, q: drained(q)
+    kept = run(cfg, initial_switch_state(cfg), qs, 300, make_oracle(policy, 3), stop_when=stop)
+    streamed, text = _streamed(cfg, qs, 300, make_oracle(policy, 3), stop_when=stop)
+    write_trace(kept, str(tmp_path / "t.jsonl"))
+    assert text == (tmp_path / "t.jsonl").read_text()
+    assert (streamed.final_state, streamed.final_queues, streamed.fault) \
+        == (kept.final_state, kept.final_queues, kept.fault)
+    assert len(streamed.steps) == len(kept.steps) > 0
+    for _ in range(2):  # each pass replays the run
+        assert list(streamed.steps) == kept.steps
+    assert checker.check_trace(cfg, streamed).ok
+
+
+def test_a_streamed_fault_writes_its_fault_and_end_records():
+    cfg, qs = app_from_config(STREAM_CONFIGS["sampler"]), _workload(3)
+    st = initial_switch_state(cfg)
+    kept = run(cfg, st, qs, 10, PastTheEndOracle())
+    streamed, text = _streamed(cfg, qs, 10, PastTheEndOracle())
+    assert kept.fault.startswith("OracleOutOfRange")
+    assert (streamed.fault, streamed.fault_decisions) == (kept.fault, kept.fault_decisions)
+    assert text.splitlines() == trace_to_lines(kept)
+    assert [json.loads(line)["type"] for line in text.splitlines()[-2:]] == ["fault", "end"]
+    assert list(streamed.steps) == kept.steps
+    # check's replay reproduces the streamed file record by record
+    fold = checker.AxiomsFold(cfg, st, qs)
+    replayed, n = audit.replay(audit.Records(io.BytesIO(text.encode())), [fold], cfg, st, qs)
+    assert replayed is not None and replayed.fault == kept.fault
+    assert n == len(kept.steps) and fold.finish(replayed.state, replayed.queues).ok
+
+
+def test_a_streamed_run_keeps_a_third_of_the_memory_or_less():
+    cfg, qs = identity_app(), _workload(2000)
+    st = initial_switch_state(cfg)
+
+    def retained(**sink) -> int:
+        """Bytes still allocated while the returned Trace is alive."""
+        tracemalloc.start()
+        try:
+            tr = run(cfg, st, qs, 10_000, FifoDrainOracle(),
+                     stop_when=lambda s, q: drained(q), **sink)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert drained(tr.final_queues) and len(tr.steps) > 2000
+        return held
+
+    kept = retained()
+    assert retained(sink=len) < kept / 3
