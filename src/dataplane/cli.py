@@ -303,9 +303,12 @@ def entry() -> NoReturn:
     and stderr are flushed, which skips the interpreter's teardown (about
     10 ms a process), so atexit hooks do not run.  A stdout that cannot
     take the output, such as a closed pipe, fails a run that succeeded
-    with a one-line error.  A SystemExit (help, bad usage) or a traceback
-    leaves main the normal way."""
-    code = main()
+    with a one-line error.  Help and bad usage, which leave main by
+    SystemExit, end the same way; a traceback leaves the normal way."""
+    try:
+        code = main()
+    except SystemExit as e:  # usage's: 0 for help, 2 for bad usage
+        code = e.code
     try:
         try:
             sys.stdout.flush()

@@ -152,16 +152,15 @@ def _bits(value: int, nbits: int) -> BitString:
     whose value is in range by construction: a shift and mask of a valid
     bit string, or words packed from valid header values.  Files and
     every other outside value go through the checked constructor."""
-    b = object.__new__(BitString)
-    _set_value(b, value)
-    _set_nbits(b, nbits)
+    b = _new(_MutableBits)
+    b.value = value
+    b.nbits = nbits
+    b.__class__ = BitString
     return b
 
 
-# the slot descriptors write a record's fields without going through
-# its refusing __setattr__
-_set_value = BitString.value.__set__
-_set_nbits = BitString.nbits.__set__
+_new = object.__new__
+_MutableBits = BitString.__record_mutable__
 
 
 # ---------------------------------------------------------------------------
@@ -216,17 +215,18 @@ class TypedValue:
             word = (word << width) | v
         if got:
             raise ValueError(f"{htype.name}: unknown fields {sorted(got)}")
-        _set_htype(self, htype)
-        _set_word(self, word)
+        object.__setattr__(self, "htype", htype)
+        object.__setattr__(self, "word", word)
 
     @classmethod
     def of_word(cls, htype: HeaderType, word: int) -> "TypedValue":
         """The value encoded by the low total_width bits of word; higher
         bits are ignored.  Every field is masked to its width, so it is in
         range by construction."""
-        v = object.__new__(cls)
-        _set_htype(v, htype)
-        _set_word(v, word & htype.mask)
+        v = _new(_MutableValue)
+        v.htype = htype
+        v.word = word & htype.mask
+        v.__class__ = cls
         return v
 
     def __getitem__(self, fname: str) -> int:
@@ -250,8 +250,7 @@ class TypedValue:
         return f"<{self.htype.name} {inner}>"
 
 
-_set_htype = TypedValue.htype.__set__
-_set_word = TypedValue.word.__set__
+_MutableValue = TypedValue.__record_mutable__
 
 
 def encode(v: TypedValue) -> BitString:
@@ -488,7 +487,6 @@ def _stage_values(run: list[ExactValue], rest: _Stage) -> _Stage:
         shift -= g.htype.total_width
         headers.append((g.name, g.htype, shift, g.htype.mask))
     headers = tuple(headers)
-    new = object.__new__
 
     def stage(value, nbits, pos, env):
         end = pos + width
@@ -497,9 +495,10 @@ def _stage_values(run: list[ExactValue], rest: _Stage) -> _Stage:
         word = value >> (nbits - end)
         for name, htype, shift, mask in headers:
             # TypedValue.of_word(htype, word >> shift), inlined
-            v = new(TypedValue)
-            _set_htype(v, htype)
-            _set_word(v, word >> shift & mask)
+            v = _new(_MutableValue)
+            v.htype = htype
+            v.word = word >> shift & mask
+            v.__class__ = TypedValue
             env[name] = v
         return rest(value, nbits, end, env)
     return stage

@@ -1,25 +1,28 @@
 """Records: the model's value classes, cheap to build and to import.
 
 ``@record`` makes a class with field annotations a record.  Each
-annotation of the class body is a field, in order, and ``__init__``
+annotation of the class body is a field, in order, and the constructor
 takes each; its value in the body, if any, is its default, or a
 ``field(...)`` spec for a field that ``repr`` or ``==`` and ``hash``
 leave out.  Instances hold their fields in slots and refuse assignment
 and deletion with ``dataclasses.FrozenInstanceError``.  A value derived
 from the fields goes in a slot of its own (see below).
 
-Generated for each class: an ``__init__`` that stores each field
-through its slot descriptor and then calls ``__post_init__``; a
-``repr``; an ``==`` that tests identity first (most compares in a check
-are of a record with itself, whose field tuples, which compare
-identical members as equal, need not be built), then compares the field
-tuples of two instances of one class; a ``hash`` of that tuple;
-``__match_args__``; and the ``__getstate__`` and ``__setstate__`` that
-copying and pickling use to keep every slot.  A class that defines its
-own ``__init__`` or ``__repr__`` keeps it, and one that lists names in
-``__slots__`` keeps them as slots outside its fields.  The code of
-``__init__``, ``==`` and ``hash`` is compiled once per field count and
-renamed for each class.
+Generated for each class: a mutable twin, ``__record_mutable__``, a
+subclass with no slots of its own and ``object``'s ``__setattr__``, on
+which a plain ``self.f = f`` specialises to a slot store; a ``__new__``
+that fills the twin, gives it the record's class (their layouts agree)
+and calls ``__post_init__``; a ``repr``; an ``==`` that tests identity
+first (most compares in a check are of a record with itself, whose field
+tuples, which compare identical members as equal, need not be built),
+then compares the field tuples of two instances of one class; a
+``hash`` of that tuple; ``__match_args__``; and the ``__getnewargs__``,
+``__getstate__`` and ``__setstate__`` that copying and pickling use to
+keep every slot.  A class that defines its own ``__init__`` gets no
+``__new__``, one that defines ``__repr__`` keeps it, and one that lists
+names in ``__slots__`` keeps them as slots outside its fields.  The code
+of ``__new__``, ``==`` and ``hash`` is compiled once per field count
+and renamed for each class.
 
 The package reads fields only through ``fields``, ``replace`` and
 ``is_record``, and none of its modules imports ``dataclasses``, which
@@ -92,6 +95,10 @@ def _getstate(self) -> tuple:
     return tuple(getattr(self, name) for name in self.__slots__)
 
 
+def _getnewargs(self) -> tuple:
+    return tuple(getattr(self, f.name) for f in self.__record_fields__)
+
+
 def _setstate(self, state: tuple) -> None:
     for name, value in zip(self.__slots__, state):
         object.__setattr__(self, name, value)
@@ -103,9 +110,9 @@ _CODE: dict = {}
 
 def _code(kind: str, n: int):
     """The code of a generated method over n fields, compiled once: its
-    parameters (__init__) or the attributes it reads (__eq__, __hash__)
-    are named _0 .. _{n-1}, and __init__ stores parameter _i with the
-    global _s_i."""
+    parameters and the attributes it stores (__new__) or reads (__eq__,
+    __hash__) are named _0 .. _{n-1}.  __new__ builds the global
+    _mutable, the class's mutable twin, and then gives it class cls."""
     code = _CODE.get((kind, n))
     if code is None:
         args = [f"_{i}" for i in range(n)]
@@ -119,12 +126,12 @@ def _code(kind: str, n: int):
                    "    return NotImplemented\n")
         elif kind == "__hash__":
             src = f"def __hash__(self):\n    return hash(({''.join(f'self.{a},' for a in args)}))\n"
-        else:  # __init__, or __init__ calling __post_init__
-            stores = [f"_s{a}(self, {a})" for a in args]
+        else:  # __new__, or __new__ calling __post_init__
+            stores = [f"self.{a} = {a}" for a in args] + ["self.__class__ = cls"]
             if kind == "__post_init__":
                 stores.append("_post_init(self)")
-            src = (f"def __init__({', '.join(['self'] + args)}):\n"
-                   + "".join(f"    {s}\n" for s in stores or ["pass"]))
+            src = (f"def __new__({', '.join(['cls'] + args)}):\n    self = _new(_mutable)\n"
+                   + "".join(f"    {s}\n" for s in stores) + "    return self\n")
         code = _CODE[kind, n] = compile(src, "<record>", "exec").co_consts[0]
     return code
 
@@ -202,13 +209,13 @@ def record(cls: type) -> type:
     for name in extra + ("__dict__", "__weakref__"):
         body.pop(name, None)
 
-    glob: dict = {}  # __init__'s: the slot setters, filled in below
+    glob: dict = {"_new": object.__new__}  # __new__'s; _mutable is filled in below
     post = getattr(cls, "__post_init__", None)
     if post is not None:
         glob["_post_init"] = post
     if "__init__" not in body:
-        body["__init__"] = _method("__post_init__" if post else "__init__", cls,
-                                   names, glob, defaults or None)
+        body["__new__"] = _method("__post_init__" if post else "__new__", cls,
+                                  names, glob, defaults or None)
     body.setdefault("__repr__", _repr)
     compared = tuple(f.name for f in flds if f.compare)
     body.update(_VIEW, __slots__=extra + names, __record_fields__=flds,
@@ -216,8 +223,10 @@ def record(cls: type) -> type:
                 __eq__=_method("__eq__", cls, compared, {}),
                 __hash__=_method("__hash__", cls, compared, {}),
                 __setattr__=_setattr, __delattr__=_delattr,
-                __getstate__=_getstate, __setstate__=_setstate)
+                __getnewargs__=_getnewargs, __getstate__=_getstate, __setstate__=_setstate)
     cls = type(cls)(cls.__name__, cls.__bases__, body)
-    for i, name in enumerate(names):
-        glob[f"_s_{i}"] = getattr(cls, name).__set__
+    # object's __setattr__ and __delattr__ let STORE_ATTR specialise to a slot store
+    cls.__record_mutable__ = glob["_mutable"] = type(cls)(cls.__name__, (cls,), {
+        "__slots__": (), "__setattr__": object.__setattr__, "__delattr__": object.__delattr__,
+        "__qualname__": f"{cls.__qualname__}.__record_mutable__"})
     return cls

@@ -33,7 +33,11 @@ def exit_with_usage(commands: dict, required: object, cmd: Optional[str],
         sys.stderr.write(f"{usage}\ndataplane: error: {error}\n")
         raise SystemExit(2)
     width = max(len(word) for word, _ in rows)
-    sys.stdout.write(f"{usage}\n\n" + "".join(f"  {w:<{width}}  {h}\n" for w, h in rows))
+    try:
+        sys.stdout.write(f"{usage}\n\n" + "".join(f"  {w:<{width}}  {h}\n" for w, h in rows))
+    except OSError as e:  # an unbuffered stdout that is a closed pipe: one line, exit 2
+        sys.stderr.write(f"error: {e}\n")
+        raise SystemExit(2) from None
     raise SystemExit(0)
 
 

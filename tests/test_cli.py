@@ -1485,10 +1485,12 @@ def test_deeply_nested_json_is_bad_input(identity_cfg, tmp_path, capsys, where):
 def _process(*argv, stdout=subprocess.PIPE, buffered=False):
     """A fresh `python -m dataplane.cli` with argv: (exit code, stdout,
     stderr).  buffered clears PYTHONUNBUFFERED, so stdout holds what is
-    printed until it is flushed."""
+    printed until it is flushed; otherwise PYTHONUNBUFFERED=1."""
     env = _src_env()
     if buffered:
         env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.run([sys.executable, "-m", "dataplane.cli", *argv], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
@@ -1535,12 +1537,12 @@ class TestProcess:
         assert _process(*argv) == exit_of(capsys, argv)
 
     @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
-    @pytest.mark.parametrize("cmd", ["sim", "gen"])
+    @pytest.mark.parametrize("cmd", ["sim", "gen", "help"])
     def test_a_closed_stdout_is_an_error_not_a_traceback(self, sampler_cfg, workload,
                                                          tmp_path, cmd, buffered):
         argv = {"sim": ["sim", "--config", sampler_cfg, "--input", workload, "--drain",
                         "--trace", str(tmp_path / "t.jsonl")],
-                "gen": ["gen", "--count", "5000"]}[cmd]
+                "gen": ["gen", "--count", "5000"], "help": ["--help"]}[cmd]
         r, w = os.pipe()
         os.close(r)  # nobody reads: every write to w fails
         try:

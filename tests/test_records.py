@@ -12,8 +12,10 @@ as its twin does, even when a field is NaN or its `__eq__` raises.
 
 import copy
 import dataclasses
+import dis
 import importlib
 import pickle
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,8 +48,9 @@ RECORDS = _record_classes()
 
 
 def _walk(roots) -> dict:
-    """class -> up to 8 record instances reachable from roots through
-    dataclass fields, tuples, lists, dicts, sets and queues."""
+    """class -> up to 8 dataclass instances of that exact class reachable
+    from roots through dataclass fields, tuples, lists, dicts, sets and
+    queues."""
     found, seen, todo = {}, set(), list(roots)
     while todo:
         obj = todo.pop()
@@ -55,7 +58,7 @@ def _walk(roots) -> dict:
             continue
         seen.add(id(obj))
         if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            if type(obj) in RECORDS and len(found.setdefault(type(obj), [])) < 8:
+            if len(found.setdefault(type(obj), [])) < 8:
                 found[type(obj)].append(obj)
             todo += [getattr(obj, f.name) for f in dataclasses.fields(obj)]
         elif isinstance(obj, (tuple, list, frozenset, set, Seq)):
@@ -86,9 +89,10 @@ def _twin(cls: type) -> type:
     """cls as dataclasses.dataclass(frozen=True) makes it: the same
     fields and the class's own methods, with the stdlib's generated
     __init__, __eq__, __hash__ and frozen __setattr__."""
-    generated = {"__init__", "__eq__", "__hash__", "__setattr__", "__delattr__",
-                 "__getstate__", "__setstate__", "__slots__", "__dict__", "__weakref__",
-                 "__dataclass_fields__", "__dataclass_params__", "__match_args__"}
+    generated = {"__init__", "__new__", "__eq__", "__hash__", "__setattr__", "__delattr__",
+                 "__getstate__", "__getnewargs__", "__setstate__", "__slots__", "__dict__",
+                 "__weakref__", "__dataclass_fields__", "__dataclass_params__",
+                 "__match_args__", "__record_mutable__"}
     flds = dataclasses.fields(cls)
     ns = {k: v for k, v in vars(cls).items()
           if k not in generated and k not in cls.__slots__
@@ -128,6 +132,46 @@ def test_every_dataclass_is_a_slotted_record():
     for cls in RECORDS:
         assert "__slots__" in vars(cls), cls
         assert cls.__setattr__ is records._setattr, cls
+
+
+def test_no_mutable_twin_escapes(samples):
+    """Every record reached from the runs has its record class itself: the
+    generated __new__ and the inlined constructors in packet_format build
+    a class's mutable twin and then give the instance the record's class.
+    samples is keyed by each instance's exact class, so a twin would show."""
+    assert set(samples) <= set(RECORDS)
+
+
+def test_generated_new_stores_each_field_with_one_store_attr():
+    """Each generated __new__ stores every field with a plain STORE_ATTR
+    on the mutable twin, and calls no slot descriptor's __set__."""
+    for cls in RECORDS:
+        if cls in OWN_INIT:
+            assert "__new__" not in vars(cls), cls
+            continue
+        fn = cls.__new__
+        stores = [i.argval for i in dis.get_instructions(fn) if i.opname == "STORE_ATTR"]
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert stores == names + ["__class__"], cls
+        assert "__set__" not in fn.__code__.co_names, cls
+        assert not any(type(v).__name__ == "method-wrapper" for v in fn.__globals__.values()), cls
+        mutable = cls.__record_mutable__
+        assert mutable.__bases__ == (cls,) and vars(mutable)["__slots__"] == ()
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+                    reason="CPython's specialising interpreter")
+def test_generated_new_specialises_to_slot_stores(case):
+    """The twin's generic setattr lets each field's STORE_ATTR specialise
+    to a direct slot store once __new__ is warm."""
+    cls, xs, _, _ = case
+    if cls in OWN_INIT:
+        return
+    for _ in range(64):
+        cls(*_values(xs[0]))
+    got = [i.opname for i in dis.get_instructions(cls.__new__, adaptive=True)
+           if i.opname.startswith("STORE_ATTR")]
+    assert got[:-1] == ["STORE_ATTR_SLOT"] * len(dataclasses.fields(cls)), got
 
 
 def test_fields_agree(case):
@@ -286,8 +330,8 @@ def test_generated_methods_are_named_for_their_class():
     assert Point.__qualname__ == f"{test_generated_methods_are_named_for_their_class.__name__}.<locals>.Point"
     p = Point(1)
     assert p == Point(1, 0) and hash(p) == hash(Point(1, 0))
-    for name in ("__init__", "__eq__", "__hash__"):
-        method = vars(Point)[name]
+    for name in ("__new__", "__eq__", "__hash__"):
+        method = getattr(Point, name)
         assert method.__name__ == name
         assert method.__qualname__ == f"{Point.__qualname__}.{name}"
 

@@ -2,12 +2,13 @@
 workload sizes.
 
   python tools/scale.py [--app sampler|identity|firewall]
+                        [--policy fifo-drain|random|adversarial-drop] [--seed 0]
                         [--sizes 2500,5000,10000,20000] [--runs 3] [--src DIR]
 
 For each size it writes a workload with `gen --seed 7 --ports 1,2 --count
-N`, then runs `sim --policy fifo-drain --drain --steps 1000000 --trace` and
-`check --spec SPEC` (the app's own spec) on it, each `--runs` times and each
-in a fresh interpreter spawned by this script.  It prints one JSON object:
+N`, then runs `sim --policy POLICY --seed SEED --drain --steps 1000000
+--trace` and `check --spec SPEC` (the app's own spec) on it, each `--runs`
+times and each in a fresh interpreter spawned by this script.  It prints one JSON object:
 per size, each process's wall time, peak RSS (ru_maxrss from os.wait4) and
 exit code, the stdout of the first `sim` and `check`, and the trace's bytes
 and sha256; then the growth of the median wall times per doubling of the
@@ -38,6 +39,7 @@ APPS = {  # app: (its config, the spec `check` judges it by)
     "firewall": ({"app": "firewall", "inside_port": 1, "outside_port": 2, "window": 64,
                   "keepalive_period": 16}, "firewall:64"),
 }
+POLICIES = ("fifo-drain", "random", "adversarial-drop")  # sim's oracle policies
 
 
 def spawn(argv: list[str], env: dict, out_path: str) -> tuple[int, float, float, str]:
@@ -71,7 +73,8 @@ def sha256_of(path: str) -> str:
     return h.hexdigest()
 
 
-def probe(app: str, sizes: list[int], runs: int, src: str, work: str) -> dict:
+def probe(app: str, policy: str, seed: int, sizes: list[int], runs: int, src: str,
+          work: str) -> dict:
     config, spec = APPS[app]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -79,7 +82,8 @@ def probe(app: str, sizes: list[int], runs: int, src: str, work: str) -> dict:
     with open(cfg, "w") as fh:
         json.dump(config, fh)
     out, tr = os.path.join(work, "stdout.txt"), os.path.join(work, "trace.jsonl")
-    result: dict = {"app": app, "spec": spec, "runs": runs, "src": src,
+    result: dict = {"app": app, "spec": spec, "policy": policy, "seed": seed,
+                    "runs": runs, "src": src,
                     "python": sys.version.split()[0], "sizes": {}}
     for n in sizes:
         wl = os.path.join(work, f"w{n}.jsonl")
@@ -88,8 +92,8 @@ def probe(app: str, sizes: list[int], runs: int, src: str, work: str) -> dict:
         if code != 0:
             raise SystemExit(f"gen --count {n} exited {code}: {text.strip()}")
         phases = {
-            "sim": ["sim", "--config", cfg, "--input", wl, "--policy", "fifo-drain", "--drain",
-                    "--steps", "1000000", "--trace", tr],
+            "sim": ["sim", "--config", cfg, "--input", wl, "--policy", policy, "--seed",
+                    str(seed), "--drain", "--steps", "1000000", "--trace", tr],
             "check": ["check", tr, "--config", cfg, "--spec", spec],
         }
         row: dict = {phase: {"wall_s": [], "rss_mb": [], "exit": []} for phase in phases}
@@ -120,8 +124,8 @@ def probe(app: str, sizes: list[int], runs: int, src: str, work: str) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    opts = {"--app": "sampler", "--sizes": "2500,5000,10000,20000", "--runs": "3",
-            "--src": os.path.join(ROOT, "src")}
+    opts = {"--app": "sampler", "--policy": "fifo-drain", "--seed": "0",
+            "--sizes": "2500,5000,10000,20000", "--runs": "3", "--src": os.path.join(ROOT, "src")}
     if len(argv) % 2 or any(k not in opts for k in argv[::2]):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
@@ -129,10 +133,13 @@ def main(argv: list[str]) -> int:
     if opts["--app"] not in APPS:
         print(f"--app must be one of {', '.join(APPS)}", file=sys.stderr)
         return 2
+    if opts["--policy"] not in POLICIES:
+        print(f"--policy must be one of {', '.join(POLICIES)}", file=sys.stderr)
+        return 2
     sizes = [int(x) for x in opts["--sizes"].split(",")]
     with tempfile.TemporaryDirectory(prefix="scale-") as work:
-        result = probe(opts["--app"], sizes, int(opts["--runs"]),
-                       os.path.abspath(opts["--src"]), work)
+        result = probe(opts["--app"], opts["--policy"], int(opts["--seed"]), sizes,
+                       int(opts["--runs"]), os.path.abspath(opts["--src"]), work)
     print(json.dumps(result, indent=1))
     return 0
 
