@@ -2,12 +2,14 @@
 
 Every packet handled by the stock applications carries, in order: an
 8-byte intrinsic metadata block, an 8-byte opaque port metadata block,
-Ethernet, IPv4, then TCP or UDP depending on the IPv4 protocol number,
-then an arbitrary payload.  Sampled copies additionally carry an
-18-byte sample digest in front, told apart by the copy's rid: the
-digest's leading marker may begin any packet too.
+Ethernet, IPv4, then TCP or UDP as the IPv4 protocol number says, then
+an arbitrary payload.  Sampled copies additionally carry an 18-byte
+sample digest in front, told apart by the copy's rid: the digest's
+leading marker may begin any packet too.
 
-The declared formats are the single source of this wire layout.
+The declared formats are the single source of this wire layout, the
+choice of L4 header included: two branch tests of the IPv4 protocol,
+``FieldIs("ipv4", "protocol", (IP_PROTO_TCP,))`` and the same for UDP.
 STANDARD_FORMAT and SAMPLED_FORMAT are built, validated and compiled
 once, at import: standard_bindings and sampled_bindings are their
 compiled matchers, which the stock parsers in apps call, and
@@ -17,7 +19,7 @@ deparse_slots emits headers in the order SAMPLED_FORMAT binds them.
 from __future__ import annotations
 
 from .packet_format import (
-    BitString, Branch, Concat, Empty, ExactPlain, ExactValue,
+    BitString, Branch, Concat, ExactPlain, ExactValue, FieldIs,
     HeaderType, TypedValue, _bits, compile_format, seq, value_bindings,
 )
 
@@ -86,35 +88,14 @@ IP_PROTO_TCP = 6
 IP_PROTO_UDP = 17
 
 
-# ipv4["protocol"]'s shift and mask, which the predicates apply themselves
-_PROTO_SHIFT, _PROTO_MASK = IPV4.layout["protocol"]
-
-
-def is_tcp(ipv4: TypedValue) -> bool:
-    return ipv4.word >> _PROTO_SHIFT & _PROTO_MASK == IP_PROTO_TCP
-
-
-def is_udp(ipv4: TypedValue) -> bool:
-    return ipv4.word >> _PROTO_SHIFT & _PROTO_MASK == IP_PROTO_UDP
-
-
 # meta ; port_meta ; ethernet ; ipv4 ; (tcp | udp | nothing) ; payload
 STANDARD_FORMAT = seq(
     ExactValue("meta", INTRINSIC_META),
     ExactValue("port_md", PORT_META),
     ExactValue("ethernet", ETHERNET),
     ExactValue("ipv4", IPV4),
-    Branch(
-        lambda env: is_tcp(env["ipv4"]),
-        ExactValue("tcp", TCP),
-        Branch(
-            lambda env: is_udp(env["ipv4"]),
-            ExactValue("udp", UDP),
-            Empty(),
-            label="is_udp",
-        ),
-        label="is_tcp",
-    ),
+    Branch(FieldIs("ipv4", "protocol", (IP_PROTO_TCP,)), ExactValue("tcp", TCP),
+           Branch(FieldIs("ipv4", "protocol", (IP_PROTO_UDP,)), ExactValue("udp", UDP))),
     ExactPlain("payload"),
 )
 # sample ; the standard packet format

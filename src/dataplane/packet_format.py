@@ -17,20 +17,23 @@ language:
 * ``ExactPlain(n)``    matches any remaining suffix and binds the raw
   bits to ``n`` (only allowed in terminal position)
 * ``Concat(f1, f2)``   splits the input at the width of ``f1``
-* ``Branch(c, f1, f2)`` picks an arm by evaluating a host predicate
-  over the bindings accumulated so far
+* ``Branch(t, f1, f2)`` takes ``f1`` when the test ``t`` holds, else
+  ``f2``; a test ``FieldIs(n, fld, vs)`` holds when field ``fld`` of
+  the header bound to ``n`` is one of the constants ``vs``, as in a P4
+  ``select`` with value-set keys
 
-Matching proceeds left to right, so a branch condition may only read
-names bound to its left.  Because every non-terminal piece has an
-environment-determined width, the concat split point is forced and
-matching is deterministic.
+Matching proceeds left to right, so a branch may only test a header
+bound to its left on every path to it.  Because every non-terminal
+piece has a width determined by the bindings to its left, the concat
+split point is forced and matching is deterministic.
 
 Each format has two matchers.  ``match_report`` interprets the format
 tree, node by node: it is the spec.  ``compile_format`` stages a format
 once into a parser that computes the same bindings with fixed bounds
 tests, shifts and masks; the stock parsers run these compiled parsers.
-Both matchers bind into one type, :class:`Environment`, a dict whose
-lookup of an unbound name raises :class:`UnresolvedCondition`.
+Both bind into a plain dict.  Both refuse an ill-formed format, such
+as a test of a name that no header binds before the branch, with
+:class:`IllFormedFormat` before any packet is matched.
 """
 
 from __future__ import annotations
@@ -39,20 +42,14 @@ import enum
 from collections.abc import Mapping
 from typing import Callable, Optional
 
-from .records import field, record
+from .records import record
 
 
-class FormatError(Exception):
-    """Base class for packet format errors."""
-
-
-class IllFormedFormat(FormatError):
-    """Format violates a structural rule (duplicate binding, non-terminal
-    ExactPlain, or a concat left operand without a determined width)."""
-
-
-class UnresolvedCondition(FormatError):
-    """A branch condition read a name that is not bound yet."""
+class IllFormedFormat(Exception):
+    """Format violates a structural rule: a duplicate binding, an
+    ExactPlain that is not last on its path, or a branch test over a
+    name no ExactValue binds before it, a field its header lacks or
+    values that are not a tuple of ints in the field's range."""
 
 
 # ---------------------------------------------------------------------------
@@ -277,25 +274,6 @@ def extract(htype: HeaderType, p: BitString) -> tuple[Optional[TypedValue], Extr
 
 
 # ---------------------------------------------------------------------------
-# environments
-
-
-class Environment(dict):
-    """Bindings accumulated during a match, by either matcher.  Lookup
-    of a missing name raises UnresolvedCondition so that branch
-    predicates fail loudly rather than guessing; ``in`` and ``get``
-    stay quiet."""
-
-    __slots__ = ()
-
-    def __missing__(self, name: str):
-        raise UnresolvedCondition(f"binding {name!r} is not in scope")
-
-    def __repr__(self) -> str:
-        return f"Environment({sorted(self)})"
-
-
-# ---------------------------------------------------------------------------
 # format language
 
 
@@ -328,11 +306,20 @@ class Concat(Format):
 
 
 @record
+class FieldIs:
+    """A branch test: field `field` of the header bound to `binding`
+    is one of `values`."""
+
+    binding: str
+    field: str
+    values: tuple[int, ...]
+
+
+@record
 class Branch(Format):
-    cond: Callable[[Environment], bool] = field(compare=False)
+    test: FieldIs
     then: Format = Empty()
     els: Format = Empty()
-    label: str = ""
 
 
 def seq(*formats: Format) -> Format:
@@ -353,30 +340,43 @@ def _pieces(f: Format) -> list[Format]:
 
 
 def check_well_formed(f: Format) -> None:
-    """Raise IllFormedFormat on a name bound twice along one path, or an
+    """Raise IllFormedFormat on a name bound twice along one path, an
     ExactPlain that is not the last piece of its path (which would make
-    a concat split ambiguous).  The paths are the ones _stage compiles:
-    each arm of a branch followed by the pieces after the branch."""
+    a concat split ambiguous), or a branch test over a name that no
+    ExactValue binds before it on the path, a field that header lacks or
+    values that are not a tuple of ints in the field's range.  The paths
+    are the ones _stage compiles: each arm of a branch followed by the
+    pieces after the branch."""
 
-    def walk(pieces: list[Format], names: frozenset[str]) -> None:
+    def walk(pieces: list[Format], types: dict[str, Optional[HeaderType]]) -> None:
         for i, g in enumerate(pieces):
             if isinstance(g, Branch):
+                t = g.test
+                htype = types.get(t.binding)
+                if htype is None:
+                    raise IllFormedFormat(f"{t!r}: no ExactValue binds {t.binding!r} before it")
+                if t.field not in htype.layout:
+                    raise IllFormedFormat(f"{t!r}: {htype.name} has no field {t.field!r}")
+                mask = htype.layout[t.field][1]
+                if not (type(t.values) is tuple
+                        and all(type(v) is int and 0 <= v <= mask for v in t.values)):
+                    raise IllFormedFormat(f"{t!r}: values must be a tuple of ints in 0..{mask}")
                 # arms bind alternatively, so they may reuse names between them
                 rest = pieces[i + 1:]
-                walk(_pieces(g.then) + rest, names)
-                walk(_pieces(g.els) + rest, names)
+                walk(_pieces(g.then) + rest, types)
+                walk(_pieces(g.els) + rest, types)
                 return
             if isinstance(g, (ExactValue, ExactPlain)):
-                if g.name in names:
+                if g.name in types:
                     raise IllFormedFormat(f"duplicate binding {g.name!r}")
-                names |= {g.name}
+                types = types | {g.name: g.htype if isinstance(g, ExactValue) else None}
                 if isinstance(g, ExactPlain) and i + 1 < len(pieces):
                     raise IllFormedFormat(
                         f"ExactPlain({g.name!r}) in non-terminal position has no determined width")
             elif not isinstance(g, Empty):
                 raise TypeError(f"not a Format: {g!r}")
 
-    walk(_pieces(f), frozenset())
+    walk(_pieces(f), {})
 
 
 class MatchFailure(Exception):
@@ -388,7 +388,7 @@ class MatchFailure(Exception):
         self.reason = reason
 
 
-def _match_prefix(f: Format, p: BitString, pos: int, env: Environment) -> int:
+def _match_prefix(f: Format, p: BitString, pos: int, env: dict) -> int:
     """Match f against p from bit pos, binding into env; returns the
     end offset.  Raises MatchFailure.  f is assumed well formed."""
     while isinstance(f, Concat):
@@ -403,7 +403,9 @@ def _match_prefix(f: Format, p: BitString, pos: int, env: Environment) -> int:
         env[f.name] = TypedValue.of_word(htype, p.value >> (p.nbits - end))
         return end
     if isinstance(f, Branch):
-        return _match_prefix(f.then if f.cond(env) else f.els, p, pos, env)
+        t = f.test
+        return _match_prefix(f.then if env[t.binding][t.field] in t.values else f.els,
+                             p, pos, env)
     if isinstance(f, ExactPlain):
         env[f.name] = p.drop(pos)
         return p.nbits
@@ -427,7 +429,7 @@ def report_matcher(f: Format) -> Callable[[BitString], dict]:
     check_well_formed(f)
 
     def report(p: BitString) -> dict:
-        env = Environment()
+        env = {}
         try:
             end = _match_prefix(f, p, 0, env)
         except MatchFailure as e:
@@ -446,15 +448,16 @@ def report_matcher(f: Format) -> Callable[[BitString], dict]:
 
 # a stage matches from bit pos of the word value of nbits bits, binding
 # into env; it returns env on a complete match and None otherwise
-_Stage = Callable[[int, int, int, Environment], Optional[Environment]]
+_Stage = Callable[[int, int, int, dict], Optional[dict]]
 
 
-def _complete(value: int, nbits: int, pos: int, env: Environment) -> Optional[Environment]:
+def _complete(value: int, nbits: int, pos: int, env: dict) -> Optional[dict]:
     return env if pos == nbits else None
 
 
-def _stage(pieces: list[Format]) -> _Stage:
-    """The stage matching the concatenation of pieces.  Each arm of a
+def _stage(pieces: list[Format], types: dict[str, HeaderType]) -> _Stage:
+    """The stage matching the concatenation of pieces, where types holds
+    the header type of each name bound before them.  Each arm of a
     branch is staged followed by the pieces after the branch, so that a
     run of ExactValues continues across the branch's end; k branches in
     sequence stage up to 2^k tails, which is two for the stock formats."""
@@ -462,16 +465,18 @@ def _stage(pieces: list[Format]) -> _Stage:
         return _complete
     head = pieces[0]
     if isinstance(head, Empty):
-        return _stage(pieces[1:])
+        return _stage(pieces[1:], types)
     if isinstance(head, ExactValue):
         run = 1
         while run < len(pieces) and isinstance(pieces[run], ExactValue):
             run += 1
-        return _stage_values(pieces[:run], _stage(pieces[run:]))
+        types = types | {g.name: g.htype for g in pieces[:run]}
+        return _stage_values(pieces[:run], _stage(pieces[run:], types))
     if isinstance(head, Branch):
-        rest = pieces[1:]
-        return _stage_branch(head.cond, _stage(_pieces(head.then) + rest),
-                             _stage(_pieces(head.els) + rest))
+        rest, t = pieces[1:], head.test
+        return _stage_branch(t.binding, *types[t.binding].layout[t.field], frozenset(t.values),
+                             _stage(_pieces(head.then) + rest, types),
+                             _stage(_pieces(head.els) + rest, types))
     if isinstance(head, ExactPlain):
         # well formed, so nothing follows it
         return _stage_plain(head.name)
@@ -504,9 +509,11 @@ def _stage_values(run: list[ExactValue], rest: _Stage) -> _Stage:
     return stage
 
 
-def _stage_branch(cond: Callable, then: _Stage, els: _Stage) -> _Stage:
+def _stage_branch(name: str, shift: int, mask: int, values: frozenset[int],
+                  then: _Stage, els: _Stage) -> _Stage:
+    """A FieldIs test: one shift and mask of the bound header's word."""
     def stage(value, nbits, pos, env):
-        return (then if cond(env) else els)(value, nbits, pos, env)
+        return (then if env[name].word >> shift & mask in values else els)(value, nbits, pos, env)
     return stage
 
 
@@ -518,22 +525,18 @@ def _stage_plain(name: str) -> _Stage:
     return stage
 
 
-def compile_format(f: Format) -> Callable[[BitString], Optional[Environment]]:
-    """A parser returning match_report(., f)'s env on a complete match
-    and None otherwise.  It is staged once, here: each Concat chain
-    becomes its list of pieces, each maximal run of ExactValues one
-    bounds test and one shift, each Branch one call of its condition on
-    the bindings so far.  Raises
-    IllFormedFormat as check_well_formed does.
-
-    The bindings are an Environment, the interpreter's own type: a dict,
-    which is what the stock controls read, whose lookup of a name not
-    bound yet raises UnresolvedCondition."""
+def compile_format(f: Format) -> Callable[[BitString], Optional[dict]]:
+    """A parser returning match_report(., f)'s env, a plain dict, on a
+    complete match and None otherwise.  It is staged once, here: each
+    Concat chain becomes its list of pieces, each maximal run of
+    ExactValues one bounds test and one shift, each Branch one shift,
+    mask and set lookup of the word its test reads.  Raises
+    IllFormedFormat as check_well_formed does, before any packet."""
     check_well_formed(f)
-    first = _stage(_pieces(f))
+    first = _stage(_pieces(f), {})
 
-    def parse(p: BitString) -> Optional[Environment]:
-        return first(p.value, p.nbits, 0, Environment())
+    def parse(p: BitString) -> Optional[dict]:
+        return first(p.value, p.nbits, 0, {})
     return parse
 
 

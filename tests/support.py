@@ -33,9 +33,9 @@ from dataplane.packet_format import (
     Branch,
     Concat,
     Empty,
-    Environment,
     ExactPlain,
     ExactValue,
+    FieldIs,
     HeaderType,
     TypedValue,
     check_well_formed,
@@ -171,7 +171,7 @@ def with_fields(v: TypedValue, **changes: int) -> TypedValue:
 # reference format matcher: enumerate every denotation
 
 
-def interpreted(p: BitString, f) -> Environment | None:
+def interpreted(p: BitString, f) -> dict | None:
     """The interpreter's bindings of a complete match of p against f, or
     None: what compile_format(f) is to return."""
     report = match_report(p, f)
@@ -181,7 +181,9 @@ def interpreted(p: BitString, f) -> Environment | None:
 def ref_matches(p: BitString, f) -> bool:
     """Brute-force matcher.  Where the production matcher commits to the
     single split a well-formed format permits, this one tries every split
-    of every ExactPlain and asks whether ANY complete parse exists."""
+    of every ExactPlain and asks whether ANY complete parse exists.  It
+    binds each header to its own dict of field values, which a branch
+    test reads."""
     check_well_formed(f)
 
     def ends(g, pos, env):
@@ -194,7 +196,7 @@ def ref_matches(p: BitString, f) -> bool:
                 for fname, fw in g.htype.fields:
                     vals[fname] = p.drop(off).take(fw).value
                     off += fw
-                yield off, {**env, g.name: TypedValue(g.htype, vals)}
+                yield off, {**env, g.name: vals}
         elif isinstance(g, ExactPlain):
             for end in range(pos, len(p) + 1):
                 yield end, {**env, g.name: p.drop(pos).take(end - pos)}
@@ -202,7 +204,8 @@ def ref_matches(p: BitString, f) -> bool:
             for mid, e1 in ends(g.left, pos, env):
                 yield from ends(g.right, mid, e1)
         elif isinstance(g, Branch):
-            arm = g.then if g.cond(Environment(env)) else g.els
+            t = g.test
+            arm = g.then if env[t.binding][t.field] in t.values else g.els
             yield from ends(arm, pos, env)
         else:
             raise TypeError(f"not a Format: {g!r}")
@@ -298,29 +301,12 @@ def ref_sampler_check(n: int, inputs, outputs, scfg) -> bool:
     return ref_is_subsequence(outputs, ref_sampler_outputs(n, inputs, scfg))
 
 
-class _FieldParity:
-    """Picklable, deterministic branch predicate: parity of one field."""
-
-    def __init__(self, name: str, fname: str, want: int) -> None:
-        self.name, self.fname, self.want = name, fname, want
-
-    def __call__(self, env) -> bool:
-        return env[self.name][self.fname] & 1 == self.want
-
-
-class _Const:
-    def __init__(self, b: bool) -> None:
-        self.b = b
-
-    def __call__(self, env) -> bool:
-        return self.b
-
-
 def random_format(rng: random.Random, *, max_depth=4, max_fields=4):
     """A well-formed random format: depth-bounded tree over small
-    synthetic header types, ExactPlain only in terminal position,
-    branch predicates only over names bound on every path before the
-    branch."""
+    synthetic header types, ExactPlain only in terminal position, branch
+    tests only over headers bound on every path before the branch.  A
+    test takes the values of one parity of its field, so both arms stay
+    reachable."""
     counter = [0]
 
     def fresh() -> str:
@@ -332,16 +318,19 @@ def random_format(rng: random.Random, *, max_depth=4, max_fields=4):
         return HeaderType(name, tuple((f"f{i}", rng.randrange(1, 9))
                                       for i in range(n)))
 
+    def header(bound: list) -> ExactValue:
+        name = fresh()
+        ht = rand_htype(name)
+        bound.append((name, ht))
+        return ExactValue(name, ht)
+
     def gen(depth: int, terminal: bool, bound: list):
-        # bound: (name, htype) pairs available to predicates here
+        # bound: (name, htype) pairs available to branch tests here
         roll = rng.random()
         if depth == 0 or roll < 0.15:
             return Empty()
         if roll < 0.45:
-            name = fresh()
-            ht = rand_htype(name)
-            bound.append((name, ht))
-            return ExactValue(name, ht)
+            return header(bound)
         if roll < 0.55 and terminal:
             return ExactPlain(fresh())
         if roll < 0.80:
@@ -351,19 +340,19 @@ def random_format(rng: random.Random, *, max_depth=4, max_fields=4):
             right = gen(depth - 1, terminal, left_bound)
             bound[:] = left_bound
             return Concat(left, right)
-        if bound:
-            name, ht = rng.choice(bound)
-            fname = rng.choice([n for n, _ in ht.fields])
-            cond = _FieldParity(name, fname, rng.randrange(2))
-        else:
-            cond = _Const(rng.random() < 0.5)
+        if not bound:
+            # a branch would have no header to test, so bind one instead
+            return header(bound)
+        name, ht = rng.choice(bound)
+        fname, width = rng.choice(ht.fields)
+        test = FieldIs(name, fname, tuple(range(rng.randrange(2), 1 << width, 2)))
         before = list(bound)
         then = gen(depth - 1, terminal, list(before))
         els = gen(depth - 1, terminal, list(before))
-        # arm bindings are not certain, so predicates after the branch
-        # may only use what was bound before it
+        # arm bindings are not certain, so tests after the branch may
+        # only read what was bound before it
         bound[:] = before
-        return Branch(cond, then, els, label=f"b{counter[0]}")
+        return Branch(test, then, els)
 
     f = gen(max_depth, True, [])
     check_well_formed(f)
@@ -372,15 +361,16 @@ def random_format(rng: random.Random, *, max_depth=4, max_fields=4):
 
 def sample_matching_input(rng: random.Random, f) -> BitString:
     """Walk one denotation of f, choosing field values at random; the
-    result matches f by construction."""
+    result matches f by construction.  Like ref_matches, it binds each
+    header to its dict of field values and reads branch tests off it."""
 
     def walk(g, env) -> BitString:
         if isinstance(g, Empty):
             return BitString()
         if isinstance(g, ExactValue):
-            v = rand_typed(rng, g.htype)
-            env[g.name] = v
-            return encode(v)
+            vals = {n: rng.getrandbits(w) for n, w in g.htype.fields}
+            env[g.name] = vals
+            return encode(TypedValue(g.htype, vals))
         if isinstance(g, ExactPlain):
             n = rng.randrange(0, 17)
             bits = BitString(rng.getrandbits(n) if n else 0, n)
@@ -389,7 +379,8 @@ def sample_matching_input(rng: random.Random, f) -> BitString:
         if isinstance(g, Concat):
             return walk(g.left, env) + walk(g.right, env)
         if isinstance(g, Branch):
-            arm = g.then if g.cond(Environment(env)) else g.els
+            t = g.test
+            arm = g.then if env[t.binding][t.field] in t.values else g.els
             return walk(arm, env)
         raise TypeError(f"not a Format: {g!r}")
 

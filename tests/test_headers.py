@@ -24,8 +24,6 @@ from dataplane.headers import (
     UDP,
     build_packet,
     deparse_slots,
-    is_tcp,
-    is_udp,
     make_ethernet,
     make_intrinsic_meta,
     make_ipv4,
@@ -49,20 +47,17 @@ def test_widths():
     assert SAMPLE_HEADER.total_width == 144
 
 
-def test_protocol_predicates():
-    assert is_tcp(make_ipv4(protocol=IP_PROTO_TCP))
-    assert is_udp(make_ipv4(protocol=IP_PROTO_UDP))
-    assert not is_tcp(make_ipv4(protocol=IP_PROTO_UDP))
-    assert not is_udp(make_ipv4(protocol=1))
-    # every protocol value, amid random other fields: the predicates read
-    # the protocol bits alone
+def test_protocol_branches():
+    # every protocol value, amid random other fields: the declared branch
+    # tests read the protocol bits alone.  160 more bits fit a TCP header,
+    # so each arm's header can be bound
     rng = random.Random(27)
     for proto in range(256):
         ipv4 = TypedValue(IPV4, {name: proto if name == "protocol" else rng.getrandbits(width)
                                  for name, width in IPV4.fields})
-        assert ipv4["protocol"] == proto
-        assert is_tcp(ipv4) is (ipv4["protocol"] == 6)
-        assert is_udp(ipv4) is (ipv4["protocol"] == 17)
+        env = standard_bindings(build_packet(ipv4=ipv4) + BitString(0, 160))
+        assert ("tcp" in env) is (proto == IP_PROTO_TCP)
+        assert ("udp" in env) is (proto == IP_PROTO_UDP)
 
 
 def test_build_packet_widths():

@@ -15,14 +15,13 @@ from dataplane.packet_format import (
     Branch,
     Concat,
     Empty,
-    Environment,
     ExactPlain,
     ExactValue,
     ExtractStatus,
+    FieldIs,
     HeaderType,
     IllFormedFormat,
     TypedValue,
-    UnresolvedCondition,
     check_well_formed,
     compile_format,
     encode,
@@ -31,8 +30,8 @@ from dataplane.packet_format import (
     seq,
 )
 from dataplane.headers import (
-    ETHERNET, INTRINSIC_META, IPV4, PORT_META, SAMPLE_HEADER, SAMPLED_FORMAT,
-    STANDARD_FORMAT, TCP, UDP,
+    ETHERNET, INTRINSIC_META, IP_PROTO_TCP, IP_PROTO_UDP, IPV4, PORT_META, SAMPLE_HEADER,
+    SAMPLED_FORMAT, STANDARD_FORMAT, TCP, UDP,
 )
 
 from support import (
@@ -130,6 +129,9 @@ class TestCodec:
 
 
 H2 = HeaderType("two", (("a", 4), ("b", 4)))
+# a test of the header that X_H2 binds, which holds on half its values
+X_H2 = ExactValue("x", H2)
+X_A_EVEN = FieldIs("x", "a", tuple(range(0, 16, 2)))
 
 
 class TestWellFormedness:
@@ -145,8 +147,7 @@ class TestWellFormedness:
         check_well_formed(seq(ExactValue("x", H2), ExactPlain("rest")))
 
     def test_branch_arms_may_reuse_names(self):
-        f = Branch(lambda e: True,
-                   ExactValue("y", H2), ExactValue("y", H2))
+        f = Concat(X_H2, Branch(X_A_EVEN, ExactValue("y", H2), ExactValue("y", H2)))
         check_well_formed(f)
         # but a name used in an arm is burnt for what follows
         with pytest.raises(IllFormedFormat):
@@ -157,19 +158,19 @@ class TestWellFormedness:
             check_well_formed(Concat(ExactPlain("p"), Empty()))
 
     def test_plain_in_arm_before_empty_rejected(self):
-        f = Branch(lambda e: True, ExactPlain("p"), Empty())
+        f = Concat(X_H2, Branch(X_A_EVEN, ExactPlain("p"), Empty()))
         check_well_formed(f)
         with pytest.raises(IllFormedFormat):
             check_well_formed(Concat(f, Empty()))
 
     def test_same_name_in_both_arms_accepted(self):
         # an ExactPlain ends each arm, and so its path
-        check_well_formed(seq(ExactValue("x", H2),
-                              Branch(lambda e: True, ExactPlain("y"),
+        check_well_formed(seq(X_H2,
+                              Branch(X_A_EVEN, ExactPlain("y"),
                                      seq(ExactValue("z", H2), ExactPlain("y")))))
 
     def test_name_in_one_arm_and_after_branch_rejected(self):
-        f = Branch(lambda e: True, ExactValue("y", H2), ExactValue("z", H2))
+        f = Concat(X_H2, Branch(X_A_EVEN, ExactValue("y", H2), ExactValue("z", H2)))
         with pytest.raises(IllFormedFormat):
             check_well_formed(seq(f, ExactValue("w", H2), ExactPlain("y")))
 
@@ -194,24 +195,10 @@ class TestMatching:
 
     def test_branch_selects_arm(self):
         f = Concat(ExactValue("x", H2),
-                   Branch(lambda e: e["x"]["a"] == 0xA,
-                          ExactValue("then", H2), Empty(), label="is_a"))
+                   Branch(FieldIs("x", "a", (0xA,)), ExactValue("then", H2), Empty()))
         assert match_report(BitString(0xAB01, 16), f)["ok"]
         assert match_report(BitString(0xAB, 8), f)["ok"] is False      # arm demands 8 more
         assert match_report(BitString(0x1B, 8), f)["ok"]               # else-arm is empty
-
-    def test_unbound_condition_raises(self):
-        f = Branch(lambda e: e["nope"]["a"] == 0, Empty(), Empty())
-        with pytest.raises(UnresolvedCondition):
-            match_report(BitString(), f)
-
-    def test_environment_missing_name(self):
-        with pytest.raises(UnresolvedCondition):
-            Environment({})["ghost"]
-        # get, like membership, stays quiet
-        assert Environment({}).get("ghost") is None
-        assert Environment({}).get("ghost", 7) == 7
-        assert Environment({"x": 1}).get("x") == 1
 
     def test_against_brute_force(self):
         rng = random.Random(0xF0F0)
@@ -258,7 +245,7 @@ class TestCompileFormat:
 
     def test_runs_and_branches(self):
         f = seq(ExactValue("x", H2), ExactValue("y", H2),
-                Branch(lambda e: e["y"]["a"] == 1, ExactValue("z", H2), Empty()),
+                Branch(FieldIs("y", "a", (1,)), ExactValue("z", H2), Empty()),
                 ExactPlain("rest"))
         parse = compile_format(f)
         got = parse(BitString(0xAB_1C_FF_3, 28))
@@ -269,31 +256,55 @@ class TestCompileFormat:
         assert parse(BitString(0xAB_1C, 16)) is None  # the branch wants 8 more bits
         assert parse(BitString(0xAB_1, 12)) is None        # the run is cut short
 
-    def test_branch_condition_called_once_on_the_bindings_so_far(self):
-        seen = []
-
-        def cond(env):
-            seen.append(sorted(env))
-            return True
-
-        parse = compile_format(seq(ExactValue("x", H2), Branch(cond, ExactValue("y", H2))))
-        assert parse(BitString(0xAB_CD, 16)) is not None
-        assert seen == [["x"]]
-
-    def test_unbound_condition_raises(self):
-        f = Branch(lambda e: e["nope"]["a"] == 0, Empty(), Empty())
-        with pytest.raises(UnresolvedCondition):
-            compile_format(f)(BitString())
-
-    def test_get_of_an_unbound_name_agrees_with_the_interpreter(self):
-        f = Branch(lambda e: e.get("nope") is None, Empty(), Empty())
-        assert compile_format(f)(BitString()) == interpreted(BitString(), f) == {}
-
     def test_ill_formed_refused(self):
         with pytest.raises(IllFormedFormat):
             compile_format(Concat(ExactPlain("p"), ExactValue("x", H2)))
         with pytest.raises(IllFormedFormat):
             compile_format(seq(ExactValue("x", H2), ExactValue("x", H2)))
+
+
+# formats whose branch test is ill formed, each refused before any packet is matched
+BAD_TESTS = {
+    "unbound name": Branch(FieldIs("nope", "a", (0,))),
+    "bound in one arm only": seq(X_H2, Branch(X_A_EVEN, ExactValue("y", H2)),
+                                 Branch(FieldIs("y", "a", (0,)))),
+    "bound to an ExactPlain": seq(X_H2, Branch(X_A_EVEN, ExactPlain("y"), ExactValue("y", H2)),
+                                  Branch(FieldIs("y", "a", (0,)))),
+    "bound after the branch": seq(Branch(FieldIs("x", "a", (0,))), X_H2),
+    "unknown field": seq(X_H2, Branch(FieldIs("x", "c", (0,)))),
+    "value out of range": seq(X_H2, Branch(FieldIs("x", "a", (0, 16)))),
+    "negative value": seq(X_H2, Branch(FieldIs("x", "a", (-1,)))),
+    "value not an int": seq(X_H2, Branch(FieldIs("x", "a", ("1",)))),
+    # a list would leave the format unhashable
+    "values not a tuple": seq(X_H2, Branch(FieldIs("x", "a", [0]))),
+}
+
+
+@pytest.mark.parametrize("f", BAD_TESTS.values(), ids=BAD_TESTS.keys())
+@pytest.mark.parametrize("refuse", [check_well_formed, compile_format])
+def test_unresolvable_branch_test_refused(refuse, f):
+    with pytest.raises(IllFormedFormat):
+        refuse(f)
+
+
+def test_formats_compare_by_their_tests():
+    odd, even = FieldIs("x", "a", (1, 3)), FieldIs("x", "a", (0, 2))
+    assert Branch(odd, ExactValue("y", H2)) != Branch(even, ExactValue("y", H2))
+    assert hash(Branch(odd, ExactValue("y", H2))) != hash(Branch(even, ExactValue("y", H2)))
+    assert Branch(odd, ExactValue("y", H2)) == Branch(FieldIs("x", "a", (1, 3)), ExactValue("y", H2))
+
+    def standard(tcp: int, udp: int):
+        """The stock format declared again, tcp and udp its protocol numbers."""
+        return seq(
+            ExactValue("meta", INTRINSIC_META), ExactValue("port_md", PORT_META),
+            ExactValue("ethernet", ETHERNET), ExactValue("ipv4", IPV4),
+            Branch(FieldIs("ipv4", "protocol", (tcp,)), ExactValue("tcp", TCP),
+                   Branch(FieldIs("ipv4", "protocol", (udp,)), ExactValue("udp", UDP))),
+            ExactPlain("payload"))
+    rebuilt = standard(IP_PROTO_TCP, IP_PROTO_UDP)
+    assert rebuilt == STANDARD_FORMAT and hash(rebuilt) == hash(STANDARD_FORMAT)
+    swapped = standard(IP_PROTO_UDP, IP_PROTO_TCP)
+    assert swapped != STANDARD_FORMAT and hash(swapped) != hash(STANDARD_FORMAT)
 
 
 class TestWidthAndReport:
