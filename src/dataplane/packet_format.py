@@ -31,9 +31,10 @@ Each format has two matchers.  ``match_report`` interprets the format
 tree, node by node: it is the spec.  ``compile_format`` stages a format
 once into a parser that computes the same bindings with fixed bounds
 tests, shifts and masks; the stock parsers run these compiled parsers.
-Both bind into a plain dict.  Both refuse an ill-formed format, such
-as a test of a name that no header binds before the branch, with
-:class:`IllFormedFormat` before any packet is matched.
+Both bind into a plain dict.  ``compile_format`` is the one check of a
+format: it refuses an ill-formed one, such as a test of a name that no
+header binds before the branch, with :class:`IllFormedFormat` before
+any packet is matched, and the interpreter refuses by compiling.
 """
 
 from __future__ import annotations
@@ -46,10 +47,8 @@ from .records import record
 
 
 class IllFormedFormat(Exception):
-    """Format violates a structural rule: a duplicate binding, an
-    ExactPlain that is not last on its path, or a branch test over a
-    name no ExactValue binds before it, a field its header lacks or
-    values that are not a tuple of ints in the field's range."""
+    """Raised by compile_format, the one check of a format, on a format
+    that breaks a structural rule; its docstring lists the rules."""
 
 
 # ---------------------------------------------------------------------------
@@ -339,46 +338,6 @@ def _pieces(f: Format) -> list[Format]:
     return [f]
 
 
-def check_well_formed(f: Format) -> None:
-    """Raise IllFormedFormat on a name bound twice along one path, an
-    ExactPlain that is not the last piece of its path (which would make
-    a concat split ambiguous), or a branch test over a name that no
-    ExactValue binds before it on the path, a field that header lacks or
-    values that are not a tuple of ints in the field's range.  The paths
-    are the ones _stage compiles: each arm of a branch followed by the
-    pieces after the branch."""
-
-    def walk(pieces: list[Format], types: dict[str, Optional[HeaderType]]) -> None:
-        for i, g in enumerate(pieces):
-            if isinstance(g, Branch):
-                t = g.test
-                htype = types.get(t.binding)
-                if htype is None:
-                    raise IllFormedFormat(f"{t!r}: no ExactValue binds {t.binding!r} before it")
-                if t.field not in htype.layout:
-                    raise IllFormedFormat(f"{t!r}: {htype.name} has no field {t.field!r}")
-                mask = htype.layout[t.field][1]
-                if not (type(t.values) is tuple
-                        and all(type(v) is int and 0 <= v <= mask for v in t.values)):
-                    raise IllFormedFormat(f"{t!r}: values must be a tuple of ints in 0..{mask}")
-                # arms bind alternatively, so they may reuse names between them
-                rest = pieces[i + 1:]
-                walk(_pieces(g.then) + rest, types)
-                walk(_pieces(g.els) + rest, types)
-                return
-            if isinstance(g, (ExactValue, ExactPlain)):
-                if g.name in types:
-                    raise IllFormedFormat(f"duplicate binding {g.name!r}")
-                types = types | {g.name: g.htype if isinstance(g, ExactValue) else None}
-                if isinstance(g, ExactPlain) and i + 1 < len(pieces):
-                    raise IllFormedFormat(
-                        f"ExactPlain({g.name!r}) in non-terminal position has no determined width")
-            elif not isinstance(g, Empty):
-                raise TypeError(f"not a Format: {g!r}")
-
-    walk(_pieces(f), {})
-
-
 class MatchFailure(Exception):
     """Internal: carries the bit offset where matching stopped."""
 
@@ -390,7 +349,7 @@ class MatchFailure(Exception):
 
 def _match_prefix(f: Format, p: BitString, pos: int, env: dict) -> int:
     """Match f against p from bit pos, binding into env; returns the
-    end offset.  Raises MatchFailure.  f is assumed well formed."""
+    end offset.  Raises MatchFailure.  f compiled, so it is well formed."""
     while isinstance(f, Concat):
         pos = _match_prefix(f.left, p, pos, env)
         f = f.right
@@ -409,9 +368,7 @@ def _match_prefix(f: Format, p: BitString, pos: int, env: dict) -> int:
     if isinstance(f, ExactPlain):
         env[f.name] = p.drop(pos)
         return p.nbits
-    if isinstance(f, Empty):
-        return pos
-    raise TypeError(f"not a Format: {f!r}")
+    return pos  # Empty
 
 
 def match_report(p: BitString, f: Format) -> dict:
@@ -424,9 +381,9 @@ def match_report(p: BitString, f: Format) -> dict:
 
 def report_matcher(f: Format) -> Callable[[BitString], dict]:
     """match_report(., f), with f checked once, here, for a caller that
-    matches many packets.  Raises IllFormedFormat as check_well_formed
-    does."""
-    check_well_formed(f)
+    matches many packets.  It refuses what compile_format refuses, by
+    compiling f, and matches by interpreting f."""
+    compile_format(f)
 
     def report(p: BitString) -> dict:
         env = {}
@@ -457,10 +414,12 @@ def _complete(value: int, nbits: int, pos: int, env: dict) -> Optional[dict]:
 
 def _stage(pieces: list[Format], types: dict[str, HeaderType]) -> _Stage:
     """The stage matching the concatenation of pieces, where types holds
-    the header type of each name bound before them.  Each arm of a
-    branch is staged followed by the pieces after the branch, so that a
-    run of ExactValues continues across the branch's end; k branches in
-    sequence stage up to 2^k tails, which is two for the stock formats."""
+    the header type of each name bound before them; each piece is
+    checked as it is staged.  Each arm of a branch is staged followed by
+    the pieces after the branch, so that a run of ExactValues continues
+    across the branch's end; k branches in sequence stage up to 2^k
+    tails, which is two for the stock formats.  The arms bind
+    alternatively, so they may reuse names between them."""
     if not pieces:
         return _complete
     head = pieces[0]
@@ -470,15 +429,32 @@ def _stage(pieces: list[Format], types: dict[str, HeaderType]) -> _Stage:
         run = 1
         while run < len(pieces) and isinstance(pieces[run], ExactValue):
             run += 1
-        types = types | {g.name: g.htype for g in pieces[:run]}
+        types = dict(types)
+        for g in pieces[:run]:
+            if g.name in types:
+                raise IllFormedFormat(f"duplicate binding {g.name!r}")
+            types[g.name] = g.htype
         return _stage_values(pieces[:run], _stage(pieces[run:], types))
     if isinstance(head, Branch):
         rest, t = pieces[1:], head.test
-        return _stage_branch(t.binding, *types[t.binding].layout[t.field], frozenset(t.values),
+        htype = types.get(t.binding)
+        if htype is None:
+            raise IllFormedFormat(f"{t!r}: no ExactValue binds {t.binding!r} before it")
+        if t.field not in htype.layout:
+            raise IllFormedFormat(f"{t!r}: {htype.name} has no field {t.field!r}")
+        shift, mask = htype.layout[t.field]
+        if not (type(t.values) is tuple
+                and all(type(v) is int and 0 <= v <= mask for v in t.values)):
+            raise IllFormedFormat(f"{t!r}: values must be a tuple of ints in 0..{mask}")
+        return _stage_branch(t.binding, shift, mask, frozenset(t.values),
                              _stage(_pieces(head.then) + rest, types),
                              _stage(_pieces(head.els) + rest, types))
     if isinstance(head, ExactPlain):
-        # well formed, so nothing follows it
+        if head.name in types:
+            raise IllFormedFormat(f"duplicate binding {head.name!r}")
+        if len(pieces) > 1:  # a concat split after it would be ambiguous
+            raise IllFormedFormat(
+                f"ExactPlain({head.name!r}) in non-terminal position has no determined width")
         return _stage_plain(head.name)
     raise TypeError(f"not a Format: {head!r}")
 
@@ -530,9 +506,15 @@ def compile_format(f: Format) -> Callable[[BitString], Optional[dict]]:
     complete match and None otherwise.  It is staged once, here: each
     Concat chain becomes its list of pieces, each maximal run of
     ExactValues one bounds test and one shift, each Branch one shift,
-    mask and set lookup of the word its test reads.  Raises
-    IllFormedFormat as check_well_formed does, before any packet."""
-    check_well_formed(f)
+    mask and set lookup of the word its test reads.
+
+    Staging is the one check of a format.  Before any packet, it raises
+    IllFormedFormat on a name bound twice along one path, an ExactPlain
+    that is not the last piece of its path, or a branch test over a name
+    that no ExactValue binds before it on the path, a field that header
+    lacks or values that are not a tuple of ints in the field's range;
+    and TypeError on a piece that is not a Format.  A path is each arm
+    of a branch followed by the pieces after the branch."""
     first = _stage(_pieces(f), {})
 
     def parse(p: BitString) -> Optional[dict]:

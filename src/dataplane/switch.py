@@ -605,16 +605,14 @@ def _em_json(em: EgressMeta) -> dict:
     return {"port": em.egress_port, "rid": em.rid, "source": em.source}
 
 
-def _canon(tm: TmMeta) -> dict:
+# an app emits only its few declared actions, so each TmMeta's record is
+# built once; the records share it and nothing writes to it
+@lru_cache(maxsize=64)
+def _tm_canon(tm: TmMeta) -> dict:
     """A TmMeta's JSON view in a step record: its class name, then its
     fields, each an int or None."""
     return {"__kind": type(tm).__name__,
             **{f.name: getattr(tm, f.name) for f in fields(tm)}}
-
-
-# an app emits only its few declared actions, so each TmMeta's record is
-# built once; the records share it and nothing writes to it
-_tm_canon = lru_cache(maxsize=64)(_canon)
 
 
 def step_to_json(step: TraceStep) -> dict:

@@ -38,7 +38,7 @@ from dataplane.packet_format import (
     FieldIs,
     HeaderType,
     TypedValue,
-    check_well_formed,
+    compile_format,
     encode,
     match_report,
     seq,
@@ -184,7 +184,7 @@ def ref_matches(p: BitString, f) -> bool:
     of every ExactPlain and asks whether ANY complete parse exists.  It
     binds each header to its own dict of field values, which a branch
     test reads."""
-    check_well_formed(f)
+    compile_format(f)  # refuses an ill-formed f, as both matchers do
 
     def ends(g, pos, env):
         if isinstance(g, Empty):
@@ -355,7 +355,7 @@ def random_format(rng: random.Random, *, max_depth=4, max_fields=4):
         return Branch(test, then, els)
 
     f = gen(max_depth, True, [])
-    check_well_formed(f)
+    compile_format(f)  # refuses the draw if it is ill formed
     return f
 
 

@@ -3,8 +3,9 @@
 perfbench/tracer.py times the functions it names in TARGETS and wraps
 the components of the record `apps.app_from_config` returns;
 perfbench/worker.py builds and checks its library runs through the
-package; and its `setup` job times start-up by replacing `switch.run`
-before `dataplane sim` reaches it.  A refactor that breaks one of these
+package; its `setup` job times start-up by replacing `switch.run`
+before `dataplane sim` reaches it; and its `traced` job runs `sim` and
+`check` with the tracer installed.  A refactor that breaks one of these
 keeps the package's own tests green and only shows when the benchmark
 runs, so they are pinned here.  The harness is only read or run, never
 edited.
@@ -45,6 +46,18 @@ def test_tracer_targets_resolve():
             assert callable(getattr(home, name, None)), f"dataplane.{module}.{name}"
 
 
+def _harness_module(name: str, monkeypatch):
+    """perfbench/<name>.py, loaded as a fresh module.  The harness imports
+    its sibling modules (workloads, model) by name; leave no bytecode
+    behind in its directory."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("workload, config", [
     ("identity-random", {"app": "identity", "forward_port": 2}),
     ("sampler-cli", {"app": "sampler", "forward_port": 1, "monitor_port": 3,
@@ -53,13 +66,7 @@ def test_tracer_targets_resolve():
                         "window": 64, "keepalive_period": 16}),
 ])
 def test_worker_library_iteration(workload, config, tmp_path, monkeypatch):
-    # the worker imports its sibling modules (workloads, model) by name;
-    # leave no bytecode behind in the harness's directory
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
+    worker = _harness_module("worker", monkeypatch)
 
     (tmp_path / "config.json").write_text(json.dumps(config))
     (tmp_path / "input.jsonl").write_text("".join(
@@ -100,3 +107,37 @@ def test_main_calls_the_handler_bound_in_cli(monkeypatch, cmd):
     argv = ["--config", "unread.json"] + (["unread.jsonl"] if cmd == "check" else [])
     assert cli.main([cmd, *argv]) == 0
     assert calls == [cmd]
+
+
+def test_traced_cli_iteration(tmp_path, monkeypatch):
+    # the traced sampler-cli job: `sim` streams its trace, `check` replays
+    # it, and the tracer puts back every attribute it replaced
+    worker = _harness_module("worker", monkeypatch)
+    tracer = _harness_module("tracer", monkeypatch).Tracer()
+    import workloads
+
+    # Tracer.install binds only modules already imported, and `check`
+    # imports these two lazily
+    importlib.import_module("dataplane.checker")
+    importlib.import_module("dataplane.audit")
+    (tmp_path / "config.json").write_text(
+        json.dumps(workloads.WORKLOADS["sampler-cli"]["config"]))
+    workloads.write_jsonl(workloads.generate("sampler-cli", 1, 6), str(tmp_path / "input.jsonl"))
+
+    tracer.install()
+    try:
+        r = worker.cli_iteration(str(tmp_path), "input.jsonl")
+    finally:
+        tracer.restore()
+    assert tracer.leftovers() == []
+    assert r["sim"][0] == 0 and r["check"][0] == 0, r
+
+    streamed = tracer.runs[0]
+    assert isinstance(streamed.steps, switch._Replayed)
+    _, start = worker.prepare("sampler-cli", str(tmp_path), 1)
+    cfg, st, qs, oracle, budget = start()
+    kept = switch.run(cfg, st, qs, budget, oracle, stop_when=lambda s, q: (
+        not q.q_input and not q.q_egress and q.p_recirc is None))
+    assert len(kept.steps) == len(streamed.steps) > 6
+    assert worker.trace_counts(streamed) == worker.trace_counts(kept)
+    assert list(streamed.steps) == kept.steps

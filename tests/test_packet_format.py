@@ -22,11 +22,11 @@ from dataplane.packet_format import (
     HeaderType,
     IllFormedFormat,
     TypedValue,
-    check_well_formed,
     compile_format,
     encode,
     extract,
     match_report,
+    report_matcher,
     seq,
 )
 from dataplane.headers import (
@@ -134,47 +134,6 @@ X_H2 = ExactValue("x", H2)
 X_A_EVEN = FieldIs("x", "a", tuple(range(0, 16, 2)))
 
 
-class TestWellFormedness:
-    def test_duplicate_binding(self):
-        with pytest.raises(IllFormedFormat):
-            check_well_formed(seq(ExactValue("x", H2), ExactValue("x", H2)))
-
-    def test_plain_must_be_terminal(self):
-        with pytest.raises(IllFormedFormat):
-            check_well_formed(Concat(ExactPlain("rest"), ExactValue("x", H2)))
-
-    def test_plain_terminal_ok(self):
-        check_well_formed(seq(ExactValue("x", H2), ExactPlain("rest")))
-
-    def test_branch_arms_may_reuse_names(self):
-        f = Concat(X_H2, Branch(X_A_EVEN, ExactValue("y", H2), ExactValue("y", H2)))
-        check_well_formed(f)
-        # but a name used in an arm is burnt for what follows
-        with pytest.raises(IllFormedFormat):
-            check_well_formed(Concat(f, ExactValue("y", H2)))
-
-    def test_plain_before_empty_rejected(self):
-        with pytest.raises(IllFormedFormat):
-            check_well_formed(Concat(ExactPlain("p"), Empty()))
-
-    def test_plain_in_arm_before_empty_rejected(self):
-        f = Concat(X_H2, Branch(X_A_EVEN, ExactPlain("p"), Empty()))
-        check_well_formed(f)
-        with pytest.raises(IllFormedFormat):
-            check_well_formed(Concat(f, Empty()))
-
-    def test_same_name_in_both_arms_accepted(self):
-        # an ExactPlain ends each arm, and so its path
-        check_well_formed(seq(X_H2,
-                              Branch(X_A_EVEN, ExactPlain("y"),
-                                     seq(ExactValue("z", H2), ExactPlain("y")))))
-
-    def test_name_in_one_arm_and_after_branch_rejected(self):
-        f = Concat(X_H2, Branch(X_A_EVEN, ExactValue("y", H2), ExactValue("z", H2)))
-        with pytest.raises(IllFormedFormat):
-            check_well_formed(seq(f, ExactValue("w", H2), ExactPlain("y")))
-
-
 class TestMatching:
     def test_exact_value_binds(self):
         p = BitString(0xAB, 8)
@@ -256,35 +215,85 @@ class TestCompileFormat:
         assert parse(BitString(0xAB_1C, 16)) is None  # the branch wants 8 more bits
         assert parse(BitString(0xAB_1, 12)) is None        # the run is cut short
 
-    def test_ill_formed_refused(self):
-        with pytest.raises(IllFormedFormat):
-            compile_format(Concat(ExactPlain("p"), ExactValue("x", H2)))
-        with pytest.raises(IllFormedFormat):
-            compile_format(seq(ExactValue("x", H2), ExactValue("x", H2)))
+
+# a branch whose arms both bind y, and one whose then-arm ends its path
+REUSE_Y = Concat(X_H2, Branch(X_A_EVEN, ExactValue("y", H2), ExactValue("y", H2)))
+PLAIN_ARM = Concat(X_H2, Branch(X_A_EVEN, ExactPlain("p"), Empty()))
 
 
-# formats whose branch test is ill formed, each refused before any packet is matched
-BAD_TESTS = {
-    "unbound name": Branch(FieldIs("nope", "a", (0,))),
-    "bound in one arm only": seq(X_H2, Branch(X_A_EVEN, ExactValue("y", H2)),
-                                 Branch(FieldIs("y", "a", (0,)))),
-    "bound to an ExactPlain": seq(X_H2, Branch(X_A_EVEN, ExactPlain("y"), ExactValue("y", H2)),
+def _ill(message: str) -> tuple:
+    return IllFormedFormat, message
+
+
+def _unbound(name: str) -> tuple:
+    return _ill(f"FieldIs(binding={name!r}, field='a', values=(0,)): "
+                f"no ExactValue binds {name!r} before it")
+
+
+def _non_terminal(name: str) -> tuple:
+    return _ill(f"ExactPlain({name!r}) in non-terminal position has no determined width")
+
+
+def _bad_values(values: str) -> tuple:
+    return _ill(f"FieldIs(binding='x', field='a', values={values}): "
+                "values must be a tuple of ints in 0..15")
+
+
+# each format with what checking it raises, (type, message), or None when
+# it is well formed; ill-formed ones are refused before any packet is matched
+CHECKED_FORMATS = {
+    "duplicate name in a run": (seq(X_H2, X_H2), _ill("duplicate binding 'x'")),
+    "duplicate name at an ExactPlain": (seq(X_H2, ExactPlain("x")),
+                                        _ill("duplicate binding 'x'")),
+    # a name bound in an arm is burnt for what follows the branch
+    "name bound again after a branch": (Concat(REUSE_Y, ExactValue("y", H2)),
+                                        _ill("duplicate binding 'y'")),
+    "name bound in one arm and after the branch": (
+        seq(X_H2, Branch(X_A_EVEN, ExactValue("y", H2), ExactValue("z", H2)),
+            ExactValue("w", H2), ExactPlain("y")),
+        _ill("duplicate binding 'y'")),
+    "ExactPlain before a piece": (Concat(ExactPlain("rest"), X_H2), _non_terminal("rest")),
+    "ExactPlain before Empty": (Concat(ExactPlain("p"), Empty()), _non_terminal("p")),
+    "ExactPlain in an arm before Empty": (Concat(PLAIN_ARM, Empty()), _non_terminal("p")),
+    "unbound name": (Branch(FieldIs("nope", "a", (0,))), _unbound("nope")),
+    "bound in one arm only": (seq(X_H2, Branch(X_A_EVEN, ExactValue("y", H2)),
                                   Branch(FieldIs("y", "a", (0,)))),
-    "bound after the branch": seq(Branch(FieldIs("x", "a", (0,))), X_H2),
-    "unknown field": seq(X_H2, Branch(FieldIs("x", "c", (0,)))),
-    "value out of range": seq(X_H2, Branch(FieldIs("x", "a", (0, 16)))),
-    "negative value": seq(X_H2, Branch(FieldIs("x", "a", (-1,)))),
-    "value not an int": seq(X_H2, Branch(FieldIs("x", "a", ("1",)))),
+                              _unbound("y")),
+    # the then-path ends at the ExactPlain before the test is reached
+    "bound to an ExactPlain": (seq(X_H2, Branch(X_A_EVEN, ExactPlain("y"), ExactValue("y", H2)),
+                                   Branch(FieldIs("y", "a", (0,)))),
+                               _non_terminal("y")),
+    "bound after the branch": (seq(Branch(FieldIs("x", "a", (0,))), X_H2), _unbound("x")),
+    "unknown field": (seq(X_H2, Branch(FieldIs("x", "c", (0,)))),
+                      _ill("FieldIs(binding='x', field='c', values=(0,)): two has no field 'c'")),
+    "value out of range": (seq(X_H2, Branch(FieldIs("x", "a", (0, 16)))), _bad_values("(0, 16)")),
+    "negative value": (seq(X_H2, Branch(FieldIs("x", "a", (-1,)))), _bad_values("(-1,)")),
+    "value not an int": (seq(X_H2, Branch(FieldIs("x", "a", ("1",)))), _bad_values("('1',)")),
     # a list would leave the format unhashable
-    "values not a tuple": seq(X_H2, Branch(FieldIs("x", "a", [0]))),
+    "values not a tuple": (seq(X_H2, Branch(FieldIs("x", "a", [0]))), _bad_values("[0]")),
+    "not a Format": (seq(X_H2, "x"), (TypeError, "not a Format: 'x'")),
+    "not a Format in an arm": (seq(X_H2, Branch(X_A_EVEN, 5)), (TypeError, "not a Format: 5")),
+    "ExactPlain last": (seq(X_H2, ExactPlain("rest")), None),
+    "arms reuse a name": (REUSE_Y, None),
+    "ExactPlain ends an arm": (PLAIN_ARM, None),
+    # an ExactPlain ends each arm, and so its path
+    "same ExactPlain ends both arms": (
+        seq(X_H2, Branch(X_A_EVEN, ExactPlain("y"), seq(ExactValue("z", H2), ExactPlain("y")))),
+        None),
 }
 
 
-@pytest.mark.parametrize("f", BAD_TESTS.values(), ids=BAD_TESTS.keys())
-@pytest.mark.parametrize("refuse", [check_well_formed, compile_format])
-def test_unresolvable_branch_test_refused(refuse, f):
-    with pytest.raises(IllFormedFormat):
-        refuse(f)
+@pytest.mark.parametrize("f, refusal", CHECKED_FORMATS.values(), ids=CHECKED_FORMATS.keys())
+@pytest.mark.parametrize("entry", [compile_format, report_matcher])
+def test_format_check(entry, f, refusal):
+    # the interpreter refuses by compiling, so both raise alike
+    if refusal is None:
+        entry(f)
+        return
+    exc, message = refusal
+    with pytest.raises(exc) as e:
+        entry(f)
+    assert type(e.value) is exc and str(e.value) == message
 
 
 def test_formats_compare_by_their_tests():
