@@ -215,6 +215,20 @@ class TestCompileFormat:
         assert parse(BitString(0xAB_1C, 16)) is None  # the branch wants 8 more bits
         assert parse(BitString(0xAB_1, 12)) is None        # the run is cut short
 
+    def test_ill_formed_refused(self):
+        with pytest.raises(IllFormedFormat):
+            compile_format(Concat(ExactPlain("p"), ExactValue("x", H2)))
+        with pytest.raises(IllFormedFormat):
+            compile_format(seq(ExactValue("x", H2), ExactValue("x", H2)))
+
+
+class TestWellFormedness:
+    def test_plain_must_be_terminal(self):
+        # both entry points refuse it, the interpreter by compiling
+        for refuse in (compile_format, report_matcher):
+            with pytest.raises(IllFormedFormat):
+                refuse(Concat(ExactPlain("rest"), ExactValue("x", H2)))
+
 
 # a branch whose arms both bind y, and one whose then-arm ends its path
 REUSE_Y = Concat(X_H2, Branch(X_A_EVEN, ExactValue("y", H2), ExactValue("y", H2)))
