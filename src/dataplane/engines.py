@@ -19,11 +19,15 @@ each TmMeta its control can emit, so a run and an axioms fold each
 build a replication_table as they start, which dies with them: an
 engine replaced after a run has started is seen by every run that
 starts after it.
+
+q_input and q_output are each a Seq, whose snapshots share its chunk
+tuple: a FIFO pop moves an offset and an append copies a short tail,
+and each copies the chunk tuple only once per CHUNK calls.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 from .packet_format import BitString
@@ -38,18 +42,22 @@ CHUNK = 32  # most items a chunk of a Seq holds
 
 
 class Seq:
-    """An immutable sequence held as a tuple of chunks, each a nonempty
-    tuple of at most CHUNK items.  pop(i) and `+ items` copy one chunk
-    and the outer tuple and share every other chunk, so the snapshots a
-    run keeps of a queue share their structure.  A Seq equals, and
-    hashes like, any tuple or Seq of the same items."""
+    """An immutable sequence: a tuple of chunks, the first read from
+    offset lo, then a tail of fewer than CHUNK items.  A chunk holds
+    CHUNK items until a pop at i > 0 cuts it.  pop(0) shares the chunk
+    tuple and the tail and moves lo, and slices the chunk tuple once per
+    chunk; `+ items` copies the tail, and the chunk tuple once the tail
+    fills a chunk; any other pop copies the tail, or one chunk and the
+    chunk tuple.  A Seq equals, and hashes like, any tuple or Seq of the
+    same items."""
 
-    __slots__ = ("chunks", "_len")
+    __slots__ = ("chunks", "lo", "tail", "_len")
 
     def __init__(self, items=()) -> None:
         items = tuple(items)
-        self.chunks = tuple(items[i:i + CHUNK] for i in range(0, len(items), CHUNK))
-        self._len = len(items)
+        full = len(items) - len(items) % CHUNK
+        self.chunks = tuple(items[i:i + CHUNK] for i in range(0, full, CHUNK))
+        self.lo, self.tail, self._len = 0, items[full:], len(items)
 
     @staticmethod
     def of(q) -> "Seq":
@@ -60,67 +68,74 @@ class Seq:
         return self._len
 
     def __iter__(self):
-        return chain.from_iterable(self.chunks)
+        return chain(islice(chain.from_iterable(self.chunks), self.lo, None), self.tail)
 
     def __getitem__(self, i: int):
-        k, j = self._locate(i)
-        return self.chunks[k][j]
+        _, c, j = self._locate(i)
+        return c[j]
 
-    def _locate(self, i: int) -> tuple[int, int]:
-        """(chunk, offset in it) of item i, walking from the nearer end."""
-        n = self._len
+    def _locate(self, i: int) -> tuple[int, tuple, int]:
+        """(k, piece k, offset in it) of item i, walking from the nearer
+        end; the pieces are the chunks, then the tail."""
+        n, chunks, tail = self._len, self.chunks, self.tail
         if i < 0:
             i += n
         if not 0 <= i < n:
             raise IndexError("Seq index out of range")
-        chunks = self.chunks
+        n -= len(tail)  # the items in the chunks
+        if i >= n:
+            return len(chunks), tail, i - n
+        i += self.lo
         if 2 * i < n:
             for k, c in enumerate(chunks):
                 if i < len(c):
-                    return k, i
+                    return k, c, i
                 i -= len(c)
-        i -= n  # now counted back from the end
+        i -= n + self.lo  # now counted back from the end of the chunks
         for k in range(len(chunks) - 1, -1, -1):
             i += len(chunks[k])
             if i >= 0:
-                return k, i
+                return k, chunks[k], i
 
-    # a run pops or appends once a step, so both build their result
-    # inline, and a pop from the first chunk (FIFO order, short queues)
-    # skips the walk
+    # a run pops or appends once a step, so both build their result inline
     def pop(self, i: int) -> tuple["Seq", object]:
         """(this sequence without item i, item i)."""
-        chunks = self.chunks
-        if chunks and 0 <= i < len(chunks[0]):
-            k, c = 0, chunks[0]
-        else:
-            k, i = self._locate(i)
-            c = chunks[k]
+        chunks, lo, tail = self.chunks, self.lo, self.tail
         s = _new(Seq)
-        s.chunks = chunks[:k] + ((c[:i] + c[i + 1:],) if len(c) > 1 else ()) + chunks[k + 1:]
         s._len = self._len - 1
-        return s, c[i]
+        if chunks and 0 <= i < len(chunks[0]) - lo:  # in the first chunk: no walk
+            k, c, j = 0, chunks[0], lo + i
+            if i == 0:  # FIFO order
+                s.chunks, s.lo = (chunks, j + 1) if j + 1 < len(c) else (chunks[1:], 0)
+                s.tail = tail
+                return s, c[j]
+        else:
+            k, c, j = self._locate(i)
+        if k == len(chunks):
+            s.chunks, s.lo, s.tail = chunks, lo, c[:j] + c[j + 1:]
+        else:
+            a = 0 if k else lo  # where the live part of chunk k starts
+            s.chunks = chunks[:k] + ((c[a:j] + c[j + 1:],) if len(c) - a > 1 else ()) + chunks[k + 1:]
+            s.lo, s.tail = lo - a, tail
+        return s, c[j]
 
     def __add__(self, items) -> "Seq":
-        chunks = self.chunks
         s = _new(Seq)
-        s._len = self._len + len(items)
-        if len(items) == 1 and chunks and len(chunks[-1]) < CHUNK:
-            s.chunks = chunks[:-1] + (chunks[-1] + tuple(items),)
-            return s
-        items = tuple(items)
-        if chunks and len(chunks[-1]) < CHUNK:  # refill the last chunk
-            chunks, items = chunks[:-1], chunks[-1] + items
-        s.chunks = chunks + Seq(items).chunks
+        s.chunks, s.lo, s._len = self.chunks, self.lo, self._len + len(items)
+        s.tail = self.tail + tuple(items)
+        if len(s.tail) >= CHUNK:  # the tail fills chunks
+            t = Seq(s.tail)
+            s.chunks, s.tail = s.chunks + t.chunks, t.tail
         return s
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         if type(other) is Seq:
-            # equal chunks decide by identity where the two share them
-            return self._len == other._len and (self.chunks == other.chunks
-                                                or tuple(self) == tuple(other))
+            # with equal chunk tuples and lo, only the tails can differ
+            if self.lo == other.lo and (self.chunks is other.chunks or self.chunks == other.chunks):
+                return self.tail == other.tail
+            return self._len == other._len and tuple(self) == tuple(other)
         if isinstance(other, tuple):
             return self._len == len(other) and tuple(self) == other
         return NotImplemented

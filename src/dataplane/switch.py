@@ -64,7 +64,9 @@ class SwitchState:
 @record
 class SwitchQueues:
     """The queues between the engines.  The steps make q_input and
-    q_output a Seq, so the snapshots of a run share their chunks."""
+    q_output a Seq, so a run's snapshots share each queue's chunk tuple:
+    a FIFO pop makes no new tuple and an append only a new tail, except
+    when a chunk runs out or the tail fills, once per CHUNK calls."""
 
     q_input: "tuple[Arrival, ...] | Seq" = ()
     p_recirc: Optional[BitString] = None

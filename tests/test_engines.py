@@ -336,13 +336,13 @@ ITEMS = st.lists(st.integers(0, 9), max_size=3 * CHUNK)
 
 
 @st.composite
-def seqs(draw):
-    """(a Seq, its items as a tuple), the Seq chunked by a drawn history
-    of appends and pops, so equal items can sit in different chunks."""
+def seqs(draw, at=st.integers(0, 999)):
+    """(a Seq, its items as a tuple), the Seq laid out by a drawn history
+    of appends and of pops at an index drawn from at, so equal items can
+    sit in different chunks."""
     model = draw(ITEMS)
     s = Seq(model)
-    for add, xs, r in draw(st.lists(st.tuples(st.booleans(), ITEMS, st.integers(0, 999)),
-                                    max_size=6)):
+    for add, xs, r in draw(st.lists(st.tuples(st.booleans(), ITEMS, at), max_size=6)):
         if add or not model:
             xs = xs[:3 * CHUNK - len(model)]
             s, model = s + tuple(xs), model + xs
@@ -352,9 +352,14 @@ def seqs(draw):
     return s, tuple(model)
 
 
-def well_formed(s: Seq) -> bool:
-    return (all(0 < len(c) <= CHUNK for c in s.chunks)
-            and sum(map(len, s.chunks)) == len(s))
+def well_formed(s: Seq, full: bool = False) -> bool:
+    """Chunks of at most CHUNK items, all full when full (a pop at i > 0
+    cuts one), lo inside the first chunk, a tail shorter than CHUNK, and
+    lengths that add up."""
+    return (all(0 < len(c) <= CHUNK and (len(c) == CHUNK or not full) for c in s.chunks)
+            and (0 <= s.lo < len(s.chunks[0]) if s.chunks else s.lo == 0)
+            and len(s.tail) < CHUNK
+            and sum(map(len, s.chunks)) - s.lo + len(s.tail) == len(s))
 
 
 def new_chunks(before: Seq, after: Seq) -> int:
@@ -385,7 +390,42 @@ class TestSeq:
         assert s + u == s + o == t + u and o + s == u + t
         one = s + (7,)
         assert one == t + (7,) and new_chunks(s, one) <= 1
-        assert len(one.chunks) - len(s.chunks) == (not t or len(s.chunks[-1]) == CHUNK)
+        assert len(one.chunks) - len(s.chunks) == (len(s.tail) == CHUNK - 1)
+
+    @given(seqs(at=st.just(0)))
+    def test_fifo_history_keeps_every_chunk_full(self, sm):
+        s, t = sm
+        assert well_formed(s, full=True) and s == t
+
+    @given(seqs())
+    def test_fifo_steps_share_the_chunk_tuple(self, sm):
+        # pop(0) and a one-item + make no new chunk and no new chunk
+        # tuple, but when the first chunk runs out or the tail fills
+        s, t = sm
+        fills = len(s.tail) == CHUNK - 1
+        one = s + (7,)
+        assert (one.chunks is s.chunks) is not fills and new_chunks(s, one) == fills
+        assert one.lo == s.lo and len(one.tail) == (len(s.tail) + 1) % CHUNK
+        if not t:
+            return
+        rest, x = s.pop(0)
+        assert x == t[0] and rest == t[1:] and new_chunks(s, rest) == 0
+        if s.chunks:
+            runs_out = s.lo == len(s.chunks[0]) - 1
+            assert (rest.chunks is s.chunks) is not runs_out and rest.tail is s.tail
+            assert rest.chunks == s.chunks[runs_out:] and rest.lo == (s.lo + 1) * (not runs_out)
+        else:
+            assert rest.chunks is s.chunks and rest.tail == s.tail[1:]
+
+    @given(seqs())
+    def test_shared_chunk_tuple_decides_by_the_tails(self, sm):
+        s, t = sm
+        a, b, c = s + (7,), s + (7,), s + (8,)
+        if a.chunks is b.chunks:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(Seq, "__iter__", None)  # so no compare walks the items
+                assert a == b and not a != b and a != c
+        assert a == b == t + (7,) != c
 
     @given(seqs(), seqs())
     def test_equality_and_hash(self, sm, other):

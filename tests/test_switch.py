@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from dataplane.pipeline import TmMeta
 from dataplane.engines import (
-    UNICAST, EgressMeta, McConfig, PktGenConfig, QacAlwaysReady, QacMinimal, Seq,
+    CHUNK, UNICAST, EgressMeta, McConfig, PktGenConfig, QacAlwaysReady, QacMinimal, Seq,
 )
 from dataplane import audit, checker, engines, switch
 from dataplane.packet_format import BitString
@@ -79,6 +79,12 @@ def _slots(st):
     return (st.s_g, *st.s_i, *st.s_e)
 
 
+def _queue_tuples(q) -> list:
+    """The tuples queue q is held in: a tuple itself; a Seq its chunk
+    tuple, its chunks and its tail."""
+    return [q.chunks, *q.chunks, q.tail] if type(q) is Seq else [q]
+
+
 class TestIdentityRun:
     def test_fifo_preserves_order(self):
         tr = drain_run(identity_app(IdentityConfig(9)), [P1, P2, P3])
@@ -106,7 +112,8 @@ class TestIdentityRun:
     @pytest.mark.parametrize("policy", ["fifo-drain", "random"])
     def test_steps_share_queue_structure(self, policy):
         # a step's queues share all but at most one chunk with its pre
-        # queues, so the snapshots a run keeps cost O(1) chunks a step
+        # queues, and a FIFO step makes new tuples of at most 2 * CHUNK
+        # items in all, so the snapshots a run keeps cost O(1) a step
         cfg = identity_app()
         qs = SwitchQueues(q_input=Seq(arrivals(*(tcp_pkt(sp=i) for i in range(512)))))
         tr = run(cfg, initial_switch_state(cfg), qs, 8 * 512,
@@ -120,6 +127,27 @@ class TestIdentityRun:
                     old = {id(c) for c in getattr(pre, "chunks", ())}
                     new = {id(c) for c in post.chunks}
                     assert len(new - old) <= 1 and len(old - new) <= 1, (name, s.kind)
+                    if policy == "fifo-drain":
+                        held = {id(t) for t in _queue_tuples(pre)}
+                        made = sum(len(t) for t in _queue_tuples(post) if id(t) not in held)
+                        assert made <= 2 * CHUNK, (name, s.kind, made)
+
+    def test_kept_queue_snapshots_grow_linearly(self):
+        # the distinct tuples the kept q_input / q_output snapshots of a
+        # drained FIFO run hold come to O(1) items a packet; copying the
+        # chunk tuple at every step would make this grow with the depth
+        def per_packet(n):
+            cfg = identity_app()
+            qs = SwitchQueues(q_input=arrivals(*(tcp_pkt(sp=i) for i in range(n))))
+            tr = run(cfg, initial_switch_state(cfg), qs, 8 * n, FifoDrainOracle(),
+                     stop_when=lambda s, q: drained(q), sink=None)
+            assert drained(tr.final_queues) and len(tr.final_queues.q_output) == n
+            sizes = {id(t): len(t) for s in tr.steps for q in (s.pre_queues, s.post_queues)
+                     for t in _queue_tuples(q.q_input) + _queue_tuples(q.q_output)}
+            return sum(sizes.values()) / n
+        small, large = per_packet(2048), per_packet(4096)
+        assert small <= 2 * CHUNK and large <= 2 * CHUNK
+        assert 2 * large <= 2.2 * small, (small, large)
 
     def test_decisions_recorded(self):
         tr = drain_run(identity_app(), [P1])
